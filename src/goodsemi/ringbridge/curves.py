@@ -13,6 +13,8 @@ Every computation is exact over Q.  Truncation orders are chosen
 automatically: a bootstrap run finds the conductor, the final order is
 max(16, 2*max(gamma)+4), and each reported value set must agree bitwise
 with a rerun two orders higher, otherwise a TruncationError is raised.
+A module zero on some branch, or a ring that is constant or a series in
+t^d (d > 1) on some branch, has no conductor and is refused up front.
 An explicit ``truncation:`` line overrides the bootstrap but not the
 stability check.
 
@@ -23,6 +25,7 @@ names defined in the file shadow them.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,6 +322,28 @@ def _gamma_once(spec: CurveSpec, gens: tuple[PolyVec, ...], N: int) -> IdealFram
     return G
 
 
+def _check_conductor_exists(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> None:
+    """Refuse, before any truncation is tried, a module that is zero on a
+    branch and a ring whose projection to a branch lies in Q or in
+    Q[[t^d]] with d > 1; neither has a conductor at any truncation."""
+    for i in range(spec.s):
+        if not any(g[i] for g in gens):
+            names = [n for n, g in spec.modules if g == gens]
+            label = repr(names[0]) if names else " ; ".join(_fmt_vec(g) for g in gens)
+            raise FrameError(f"module {label} is zero on branch {i}; it has no value set")
+        exps = [e for g in spec.ring for e, _ in g[i] if e > 0]
+        if not exps:
+            raise FrameError(
+                f"every ring generator is constant on branch {i}, so the ring has no conductor"
+            )
+        d = math.gcd(*exps)
+        if d > 1:
+            raise FrameError(
+                f"every ring exponent on branch {i} is a multiple of {d}, "
+                "so the ring has no conductor"
+            )
+
+
 def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealFrame:
     """Value semigroup ideal of the module generated by ``gens``.
 
@@ -329,21 +354,22 @@ def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealF
     got = _gamma_cache.get(key)
     if got is not None:
         return got
+    _check_conductor_exists(spec, gens)
     if spec.truncation is not None:
         commit = spec.truncation
     else:
-        N = 16
-        while True:
+        orders = (16, 32, 64, 128, 256, 512)
+        for N in orders:
             try:
                 probe = _gamma_once(spec, gens, N)
                 break
             except (TruncationError, FrameError):
-                N *= 2
-                if N > 512:
-                    raise TruncationError(
-                        "no stable conductor below truncation 512; "
-                        "is the ring really a curve with s branches?"
-                    )
+                pass
+        else:
+            raise TruncationError(
+                f"no stable conductor at truncations {', '.join(map(str, orders))}; "
+                f"is the ring really a curve with {spec.s} branches?"
+            )
         commit = max(16, 2 * max(probe.conductor) + 4)
     Ga = _gamma_once(spec, gens, commit)
     Gb = _gamma_once(spec, gens, commit + 2)

@@ -3,10 +3,12 @@
 Everything here is a Q-vector-space computation over Fractions.  Module
 elements are flattened to sparse vectors keyed by branch-major position
 i*N + e; a :class:`ModuleBasis` keeps a reduced row echelon basis with
-monic pivots.  From such a basis the value semigroup ideal is read off
-one axis-line at a time: for fixed values on the other branches, one
-ordered echelon pass yields every exponent where the dimension of the
-value filtration drops.
+monic pivots, and its ``_fully_reduce`` is the one elimination routine
+here.  The value semigroup ideal is read off with one sweep per branch
+i: rows in echelon form by branch-i order, then the constraints of each
+axis-line imposed one at a time.  Each constraint drops the row of
+largest branch-i order among those it touches, so every other row keeps
+its order and the orders left are the line's dimension drops.
 """
 
 from __future__ import annotations
@@ -145,49 +147,45 @@ def span_basis(ring_gens: list[SeriesVector], module_gens: list[SeriesVector]) -
     return basis
 
 
-def _line_pivot_exponents(basis: ModuleBasis, branch: int, alpha_rest: dict[int, int]) -> set[int]:
-    """Exponents e on ``branch`` where dim E^alpha drops, alpha_rest fixed.
+def _impose(rows: dict[int, Row], pos: int) -> None:
+    """Restrict the span of ``rows`` to the vectors that vanish at pos.
 
-    Echelonize with columns ordered [off-branch positions with exp <
-    alpha_k | branch positions by exponent | everything else]; a pivot in
-    the middle block at exponent e is exactly a dimension drop at e.
+    Rows are keyed by their order on one branch; keys >= N label rows
+    that are zero there.  The row with the largest key among those
+    nonzero at pos clears pos from the others and is dropped.  Its
+    branch entries all lie above their orders, so every other row keeps
+    its key.
     """
-    N = basis.N
-
-    def key(pos: int):
-        i, e = divmod(pos, N)
-        if i != branch:
-            return (0, pos) if e < alpha_rest[i] else (2, pos)
-        return (1, e)
-
-    drops: set[int] = set()
-    pending = [dict(r) for r in basis.rows.values() if r]
-    while pending:
-        best = min(pending, key=lambda r: min(key(p) for p in r))
-        lead = min(best, key=key)
-        kclass = key(lead)
-        if kclass[0] == 1:
-            drops.add(kclass[1])
-        c = best[lead]
-        nxt = []
-        for r in pending:
-            if r is best:
-                continue
-            if lead in r:
-                _axpy(r, best, -r[lead] / c)
-            if r:
-                nxt.append(r)
-        pending = nxt
-    return drops
+    hits = [k for k, r in rows.items() if pos in r]
+    if not hits:
+        return
+    top_key = max(hits)
+    top = rows.pop(top_key)
+    c = top[pos]
+    for k in hits:
+        if k != top_key:
+            r = rows[k]
+            _axpy(r, top, -r[pos] / c)
 
 
 def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     """Value vectors of the module over the box [0, hi], as an ideal frame.
 
     alpha belongs iff the filtration dimension drops in every coordinate
-    at alpha.  hi_i <= N-2 is required so every dimension involved stays
-    inside the truncation; the returned capping bound is only trustworthy
-    after the caller's stability checks.
+    at alpha: for each branch i, some element vanishing below alpha_k on
+    every other branch k has order exactly alpha_i on branch i.  Per
+    branch i the module is put in echelon form by branch-i order, so the
+    orders of the rows are distinct and form the drop set of the line
+    with no constraints.  The box of the other axes is walked in lex
+    order, copying the state once per outer level when s >= 3.  Raising
+    alpha_k from a to a+1 requires position (k, a) to vanish, and
+    :func:`_impose` drops the row of largest order among those nonzero
+    there.  Every other row keeps its order, so each line's drop set is
+    read straight off the remaining row keys.
+
+    hi_i <= N-2 is required so every dimension involved stays inside the
+    truncation; the returned capping bound is only trustworthy after the
+    caller's stability checks.
     """
     s, N = basis.s, basis.N
     if any(h > N - 2 for h in hi):
@@ -197,52 +195,42 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     shape = tuple(h + 1 for h in hi)
     good = np.ones(shape, dtype=bool)
     for i in range(s):
+        # positions rotated so that branch i comes first: a row's pivot is
+        # its branch-i order, or >= N when the row is zero on branch i
+        rot = ModuleBasis(s, N)
+        for row in basis.rows.values():
+            rot.insert({(p - i * N) % (s * N): c for p, c in row.items()})
+        rest = [k for k in range(s) if k != i]
         drop_i = np.zeros(shape, dtype=bool)
-        rest_axes = [k for k in range(s) if k != i]
-        rest_shape = tuple(hi[k] + 1 for k in rest_axes)
-        for combo in np.ndindex(*rest_shape):
-            alpha_rest = {k: int(c) for k, c in zip(rest_axes, combo)}
-            drops = _line_pivot_exponents(basis, i, alpha_rest)
-            line = np.array([e in drops for e in range(hi[i] + 1)], dtype=bool)
-            idx: list = [slice(None)] * s
-            for k, c in zip(rest_axes, combo):
-                idx[k] = int(c)
-            drop_i[tuple(idx)] = line
+        idx: list = [slice(None)] * s
+
+        def walk(rows: dict[int, Row], depth: int) -> None:
+            if depth == len(rest):
+                drop_i[tuple(idx)][[e for e in rows if e <= hi[i]]] = True
+                return
+            k, inner = rest[depth], depth + 1 < len(rest)
+            for a in range(hi[k] + 1):
+                idx[k] = a
+                walk({p: dict(r) for p, r in rows.items()} if inner else rows, depth + 1)
+                if a < hi[k]:
+                    _impose(rows, ((k - i) % s) * N + a)
+
+        walk(rot.rows, 0)
         good &= drop_i
     return IdealFrame._from_bitmap(tuple(0 for _ in range(s)), good)
 
 
 def _nullspace(rows: list[Row], nvars: int) -> list[Row]:
     """Kernel basis of rows·x = 0 over Q (variables numbered 0..nvars-1)."""
-    pivots: dict[int, Row] = {}
-
-    def fully_reduce(v: Row) -> None:
-        while True:
-            hits = sorted(p for p in v if p in pivots)
-            if not hits:
-                return
-            for p in hits:
-                if p in v:
-                    _axpy(v, pivots[p], -v[p])
-
-    for raw in rows:
-        r = dict(raw)
-        fully_reduce(r)
-        if not r:
-            continue
-        lead = min(r)
-        c = r[lead]
-        r = {k: v / c for k, v in r.items()}
-        for other in pivots.values():
-            if lead in other:
-                _axpy(other, r, -other[lead])
-        pivots[lead] = r
-
-    free = [v for v in range(nvars) if v not in pivots]
+    echelon = ModuleBasis(1, nvars)
+    for r in rows:
+        echelon.insert(r)
     kernel = []
-    for f in free:
+    for f in range(nvars):
+        if f in echelon.rows:
+            continue
         sol: Row = {f: Fraction(1)}
-        for piv, row in pivots.items():
+        for piv, row in echelon.rows.items():
             c = row.get(f)
             if c:
                 sol[piv] = -c

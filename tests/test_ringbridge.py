@@ -28,6 +28,7 @@ from goodsemi.ringbridge import (
 )
 
 CUSP = "branches: 1\nring: (t^2) ; (t^3)\n"
+THREE_BRANCH = "branches: 3\nring: (t, t, 0) ; (0, t, t) ; (t^2, 0, t^3)\n"
 
 
 # -------------------------------------------------------------- linear algebra
@@ -94,16 +95,26 @@ def _as_dicts(gens):
     return [tuple(dict(p) for p in g) for g in gens]
 
 
-def test_value_set_matches_dimension_drop_oracle(curve_spec):
-    N = 12
-    basis = span_module(curve_spec, "E", N)
-    G = value_semigroup_ideal(basis, (6, 6))
+@pytest.mark.parametrize(
+    "text, module, N, hi",
+    [
+        (None, "E", 12, (6, 6)),
+        (None, "K0", 12, (6, 6)),
+        (None, "CF", 12, (6, 6)),
+        (THREE_BRANCH, "R", 8, (6, 6, 6)),
+    ],
+    ids=["E", "K0", "CF", "three-branch"],
+)
+def test_value_set_matches_dimension_drop_oracle(curve_spec, text, module, N, hi):
+    spec = curve_spec if text is None else parse_curve(text)
+    basis = span_module(spec, module, N)
+    G = value_semigroup_ideal(basis, hi)
     rows = oracles.span_rows(
-        _as_dicts(curve_spec.ring), _as_dicts(module_generators(curve_spec, "E")),
-        2, N,
+        _as_dicts(spec.ring), _as_dicts(module_generators(spec, module)),
+        spec.s, N,
     )
-    for alpha in oracles.box((0, 0), (6, 6)):
-        assert (alpha in G) == oracles.in_value_set(rows, 2, N, alpha)
+    for alpha in oracles.box((0,) * spec.s, hi):
+        assert (alpha in G) == oracles.in_value_set(rows, spec.s, N, alpha)
 
 
 def test_value_set_oracle_on_one_branch():
@@ -159,6 +170,32 @@ def test_value_ideal_of_cusp():
 def test_unknown_module_name(curve_spec):
     with pytest.raises(FrameError, match="unknown module"):
         value_ideal(curve_spec, "nope")
+
+
+def test_zero_module_is_rejected_before_the_bootstrap(curve_spec):
+    spec = parse_curve(dumps_curve(curve_spec) + "module Z: (0, 0)\n")
+    with pytest.raises(FrameError, match="module 'Z' is zero"):
+        value_ideal(spec, "Z")
+
+
+def test_ring_constant_on_a_branch_has_no_conductor():
+    spec = parse_curve("branches: 2\nring: (t, 0) ; (t^2, 0)\n")
+    with pytest.raises(FrameError, match="constant on branch 1"):
+        value_ideal(spec, "R")
+
+
+def test_ring_exponents_with_common_divisor_have_no_conductor():
+    spec = parse_curve("branches: 2\nring: (t^2, t) ; (t^4 + t^6, t^3)\n")
+    with pytest.raises(FrameError, match="branch 0 is a multiple of 2"):
+        value_ideal(spec, "R")
+
+
+def test_bootstrap_failure_lists_the_truncations_tried():
+    # both branches carry the same parametrization, so no truncation
+    # shows a conductor although every precheck passes
+    spec = parse_curve("branches: 2\nring: (t, t)\n")
+    with pytest.raises(TruncationError, match="truncations 16, 32, 64, 128, 256, 512;"):
+        value_ideal(spec, "R")
 
 
 def test_builtin_conductor_module(curve_spec):
