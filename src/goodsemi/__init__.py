@@ -20,7 +20,7 @@ from .errors import (
     PoleBoundError,
     TruncationError,
 )
-from .lattice import Box, Point, add, as_point, cmax, cmin, delta_region, delta_union, leq, lt, sub
+from .lattice import Point, add, as_point, cmax, cmin, leq, lt, sub
 from .ideals import (
     GoodSemigroup,
     IdealFrame,
@@ -58,7 +58,6 @@ from .generate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "CanonicalIdeal",
     "CapExceededError",
     "DimensionMismatch",
@@ -83,8 +82,6 @@ __all__ = [
     "cmin",
     "conductor_ideal",
     "decompose",
-    "delta_region",
-    "delta_union",
     "difference",
     "distance_between",
     "dualize",

@@ -13,18 +13,7 @@ import argparse
 import sys
 
 from . import duality, ideals, metric, plot
-from .errors import (
-    CapExceededError,
-    DimensionMismatch,
-    FrameError,
-    GoodsemiError,
-    InclusionError,
-    MetricError,
-    NotCertifiedError,
-    ParseError,
-    PoleBoundError,
-    TruncationError,
-)
+from .errors import GoodsemiError, NotCertifiedError, ParseError
 from .ideals import GoodSemigroup, IdealFrame, from_json, to_json, validate
 from .lattice import as_point, zero
 from .ringbridge import curves
@@ -297,25 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        FrameError,
-        DimensionMismatch,
-        NotCertifiedError,
-        InclusionError,
-        MetricError,
-        CapExceededError,
-        TruncationError,
-        PoleBoundError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GoodsemiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GoodsemiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,10 @@
 
 The central operation is the difference E - F = {x : x + F ⊆ E}.  Applied
 with a canonical ideal K on the left it realizes the duality E ↦ K - E,
-which is an inclusion-reversing involution on good ideals.  The normalized
+which is an inclusion-reversing involution on good ideals.  It is exact
+boolean erosion: the AND over the members f of F of the translates E - f,
+all cut from one membership window of E, the mirror of the OR that forms
+the sum E + F in :mod:`goodsemi.ideals`.  The normalized
 canonical ideal K⁰ of S is computed directly from its defining property:
 alpha lies in K⁰ iff no element of S agrees with tau - alpha in some
 coordinate while strictly dominating it elsewhere (tau = conductor - 1).
@@ -14,16 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, InclusionError, NotCertifiedError
+from .errors import InclusionError, NotCertifiedError
 from .ideals import (
     GoodSemigroup,
     IdealFrame,
     LocalDecomposition,
     _frame_of,
+    _interleave,
+    _suffix_or_strict,
+    _translate_windows,
     is_subset,
     validate,
 )
-from .lattice import Point, add, as_point, check_same_dim, cmax, cmin, ones, sub, zero
+from .lattice import Point, add, check_same_dim, cmax, ones, sub, zero
 
 __all__ = [
     "difference",
@@ -38,38 +44,9 @@ __all__ = [
 ]
 
 
-def _suffix_or_strict(a: np.ndarray, axis: int) -> np.ndarray:
-    inc = np.flip(np.logical_or.accumulate(np.flip(a, axis), axis=axis), axis)
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, -1)
-    out[tuple(dst)] = inc[tuple(src)]
-    return out
-
-
-def _correlate_counts(big: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode cross-correlation of 0/1 arrays, exact integer counts.
-
-    out[x] = sum over v of kernel[v] * big[x + v].  Computed by FFT; the
-    counts are small integers, so rounding is exact (asserted).
-    """
-    full = tuple(b + k - 1 for b, k in zip(big.shape, kernel.shape))
-    axes = tuple(range(big.ndim))
-    B = np.fft.rfftn(big.astype(np.float64), full, axes=axes)
-    K = np.fft.rfftn(np.flip(kernel).astype(np.float64), full, axes=axes)
-    conv = np.fft.irfftn(B * K, full, axes=axes)
-    sl = tuple(slice(k - 1, b) for b, k in zip(big.shape, kernel.shape))
-    out = conv[sl]
-    rounded = np.rint(out)
-    if not np.allclose(out, rounded, atol=1e-6):
-        raise ArithmeticError("FFT correlation counts failed to round cleanly")
-    return rounded.astype(np.int64)
-
-
 def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
-    """E - F = {x in Z^s : x + F ⊆ E}.
+    """E - F = {x in Z^s : x + F ⊆ E}: the AND over members f of F of the
+    translates E - f, read from one window of E.
 
     Both arguments must be closed under componentwise min (E1); the result
     then is as well, and is exactly representable with capping bound
@@ -86,11 +63,11 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
             )
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
-    fhi = cmax(F.gamma, add(sub(E.gamma, E.mu), F.mu))
-    fmask = F.membership_box(F.mu, fhi)
-    window = E.membership_box(add(xlo, F.mu), add(xhi, fhi))
-    misses = _correlate_counts(~window, fmask)
-    return IdealFrame._from_bitmap(xlo, misses == 0)
+    fs = F.members_in_box(F.mu, cmax(F.gamma, add(sub(E.gamma, E.mu), F.mu)))
+    out = np.ones(tuple(h - l + 1 for l, h in zip(xlo, xhi)), dtype=bool)
+    for view in _translate_windows(E, xlo, xhi, fs):
+        out &= view
+    return IdealFrame._from_bitmap(xlo, out)
 
 
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
@@ -215,27 +192,4 @@ def product_canonical(decomp: LocalDecomposition) -> IdealFrame:
     K⁰ of the recombined semigroup equals the product of the factors'
     K⁰s, interleaved along the partition.
     """
-    frames = [canonical_normalized(f) for f in decomp.factors]
-    blocks = [tuple(b) for b in decomp.partition]
-    s = sum(len(b) for b in blocks)
-    if sorted(i for b in blocks for i in b) != list(range(s)):
-        raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
-    gamma = [0] * s
-    mu = [0] * s
-    for block, f in zip(blocks, frames):
-        for k, i in enumerate(block):
-            gamma[i] = f.gamma[k]
-            mu[i] = f.mu[k]
-    first = np.array(frames[0].frame_sorted, dtype=np.int64)
-    placed = np.zeros((len(first), s), dtype=np.int64)
-    for k, i in enumerate(blocks[0]):
-        placed[:, i] = first[:, k]
-    for b in range(1, len(blocks)):
-        nxt = np.array(frames[b].frame_sorted, dtype=np.int64)
-        rep = np.repeat(placed, len(nxt), axis=0)
-        tiled = np.tile(nxt, (len(placed), 1))
-        for k, i in enumerate(blocks[b]):
-            rep[:, i] = tiled[:, k]
-        placed = rep
-    pts = [tuple(int(x) for x in row) for row in placed]
-    return IdealFrame(s, tuple(mu), tuple(gamma), pts)
+    return _interleave(decomp.partition, [canonical_normalized(f) for f in decomp.factors])

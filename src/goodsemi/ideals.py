@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -321,6 +322,23 @@ class IdealFrame:
         return not _e1_failures(self, first_only=True)
 
 
+def _translate_windows(E: IdealFrame, lo, hi, offsets) -> Iterator[np.ndarray]:
+    """For each offset o, yield E's membership bitmap over [lo + o, hi + o].
+
+    Every bitmap is a view cut from one ``membership_box`` over
+    [lo + min o, hi + max o], so E is read once however many offsets
+    there are.  The views share that window; do not write to them.
+    """
+    offs = np.array(offsets, dtype=np.int64).reshape(-1, E.s)
+    if not len(offs):
+        return
+    omin = offs.min(axis=0)
+    window = E.membership_box(add(lo, omin), add(hi, offs.max(axis=0)))
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    for o in offs - omin:
+        yield window[tuple(slice(k, k + n) for k, n in zip(o, shape))]
+
+
 def _e1_failures(E: IdealFrame, first_only: bool = False) -> list[tuple[Point, Point]]:
     pts = np.array(E.frame_sorted, dtype=np.int64)
     n = len(pts)
@@ -406,21 +424,18 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
 
 
 def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Point]]:
-    """Failures of E + S ⊆ E.
+    """Failures of E + S ⊆ E, listed sigma-major and then e in lex order.
 
     Scanning e over the frame and sigma over S ∩ [0, max(gamma_S,
     gamma_E - mu_E) + 1] is exact for min-capped representations.
     """
     bound = add(cmax(S.gamma, sub(E.gamma, E.mu)), ones(E.s))
     sigmas = S.members_in_box(zero(E.s), bound)
-    pts = np.array(E.frame_sorted, dtype=np.int64)
+    frame = E._frame_bitmap()
     out = []
-    for sigma in sigmas:
-        shifted = pts + np.array(sigma, dtype=np.int64)
-        ok = E.contains_many(shifted)
-        if not ok.all():
-            for row in pts[~ok]:
-                out.append((tuple(int(x) for x in row), sigma))
+    for sigma, view in zip(sigmas, _translate_windows(E, E.mu, E.gamma, sigmas)):
+        for row in np.argwhere(frame & ~view):
+            out.append((tuple(int(c) + m for c, m in zip(row, E.mu)), sigma))
     return out
 
 
@@ -585,23 +600,24 @@ class GoodSemigroup:
 # -- arithmetic on frames -----------------------------------------------------
 
 
-def sum_ideals(E: IdealFrame, F: IdealFrame, S=None) -> IdealFrame:
-    """The pointwise sum E + F = {e + f}.
+def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
+    """The pointwise sum E + F = {e + f}: the OR over members f of F of
+    the translates f + E, read from one window of E.
 
     Exactly representable with capping bound gamma_E + gamma_F (then
     minimized).  Any sum landing in the scan box [mu_E+mu_F, hi] has its
     F-part inside [mu_F, hi - mu_E], so the scan must range over the
     members of F up to cmax(gamma_F, hi - mu_E) — the frame box of F
     alone misses sums whose F-part lies beyond gamma_F while the E-part
-    is small.  ``S`` is accepted for signature compatibility, unused.
+    is small.
     """
-    del S
     check_same_dim(E.mu, F.mu)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
+    fs = F.members_in_box(F.mu, cmax(F.gamma, sub(hi, E.mu)))
     out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=bool)
-    for f in F.members_in_box(F.mu, cmax(F.gamma, sub(hi, E.mu))):
-        out |= E.membership_box(sub(lo, f), sub(hi, f))
+    for view in _translate_windows(E, lo, hi, -np.array(fs, dtype=np.int64)):
+        out |= view
     return IdealFrame._from_bitmap(lo, out)
 
 
@@ -689,36 +705,35 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
     return LocalDecomposition(blocks_t, tuple(factors))
 
 
-def recombine(partition, factors) -> GoodSemigroup:
-    """Cartesian recombination of factor semigroups along a partition of
-    the branch indices (inverse of :func:`decompose`)."""
+def _interleave(partition, frames) -> IdealFrame:
+    """The product of the frames, frame b's coordinates placed on the
+    branch indices listed in block b of ``partition``."""
     blocks = [tuple(b) for b in partition]
     s = sum(len(b) for b in blocks)
     if sorted(i for b in blocks for i in b) != list(range(s)):
         raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
-    frames = [_frame_of(f) for f in factors]
     if len(frames) != len(blocks):
         raise FrameError("one factor per block required")
+    mu = [0] * s
     gamma = [0] * s
+    placed = np.zeros((1, s), dtype=np.int64)
     for block, f in zip(blocks, frames):
         if f.s != len(block):
             raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
         for k, i in enumerate(block):
+            mu[i] = f.mu[k]
             gamma[i] = f.gamma[k]
-    pts_arrays = [np.array(f.frame_sorted, dtype=np.int64) for f in frames]
-    combo = pts_arrays[0]
-    placed = np.zeros((len(combo), s), dtype=np.int64)
-    for k, i in enumerate(blocks[0]):
-        placed[:, i] = combo[:, k]
-    for b in range(1, len(blocks)):
-        nxt = pts_arrays[b]
-        rep = np.repeat(placed, len(nxt), axis=0)
-        tiled = np.tile(nxt, (len(placed), 1))
-        for k, i in enumerate(blocks[b]):
-            rep[:, i] = tiled[:, k]
-        placed = rep
-    pts = [tuple(int(x) for x in row) for row in placed]
-    return GoodSemigroup(IdealFrame(s, zero(s), tuple(gamma), pts))
+        pts = np.array(f.frame_sorted, dtype=np.int64)
+        tiled = np.tile(pts, (len(placed), 1))
+        placed = np.repeat(placed, len(pts), axis=0)
+        placed[:, list(block)] = tiled
+    return IdealFrame(s, tuple(mu), tuple(gamma), [tuple(int(x) for x in row) for row in placed])
+
+
+def recombine(partition, factors) -> GoodSemigroup:
+    """Cartesian recombination of factor semigroups along a partition of
+    the branch indices (inverse of :func:`decompose`)."""
+    return GoodSemigroup(_interleave(partition, [_frame_of(f) for f in factors]))
 
 
 def product_semigroups(*factors) -> GoodSemigroup:

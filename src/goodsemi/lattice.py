@@ -7,9 +7,7 @@ order is used only to make set listings and tie-breaks deterministic.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Point = tuple[int, ...]
 
@@ -72,76 +70,3 @@ def zero(s: int) -> Point:
 
 def ones(s: int) -> Point:
     return (1,) * s
-
-
-@dataclass(frozen=True)
-class Box:
-    """The finite lattice box [lo, hi], both corners included."""
-
-    lo: Point
-    hi: Point
-
-    def __post_init__(self):
-        check_same_dim(self.lo, self.hi)
-        if not leq(self.lo, self.hi):
-            raise ValueError(f"box corners out of order: {self.lo} !<= {self.hi}")
-
-    @property
-    def s(self) -> int:
-        return len(self.lo)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-
-    def __contains__(self, p: Point) -> bool:
-        return leq(self.lo, p) and leq(p, self.hi)
-
-    def __iter__(self) -> Iterator[Point]:
-        ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        return iter(itertools.product(*ranges))
-
-    def size(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
-
-def delta_region(alpha: Point, J: Iterable[int], box: Box) -> set[Point]:
-    """The set {beta : beta_i = alpha_i for i in J, beta_j > alpha_j otherwise},
-    intersected with ``box``.
-
-    J must be a nonempty set of branch indices (0-based).  With J equal to
-    all of I the strictness condition is vacuous and the result is {alpha}
-    (clipped to the box).
-    """
-    s = len(alpha)
-    Jset = frozenset(J)
-    if not Jset:
-        raise ValueError("J must be nonempty")
-    if not Jset <= set(range(s)):
-        raise ValueError(f"J={sorted(Jset)} is not a subset of branch indices 0..{s - 1}")
-    check_same_dim(alpha, box.lo)
-    out = set()
-    ranges = []
-    for i in range(s):
-        if i in Jset:
-            if box.lo[i] <= alpha[i] <= box.hi[i]:
-                ranges.append(range(alpha[i], alpha[i] + 1))
-            else:
-                return out
-        else:
-            ranges.append(range(max(alpha[i] + 1, box.lo[i]), box.hi[i] + 1))
-    for beta in itertools.product(*ranges):
-        out.add(beta)
-    return out
-
-
-def delta_union(alpha: Point, box: Box) -> set[Point]:
-    """Union of the singleton-J regions over all branches, within ``box``."""
-    s = len(alpha)
-    out: set[Point] = set()
-    for i in range(s):
-        out |= delta_region(alpha, {i}, box)
-    return out

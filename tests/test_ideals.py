@@ -192,7 +192,17 @@ def test_validate_additivity_failure():
     S = GoodSemigroup.from_points([(0, 0), (1, 1)], gamma=(1, 1))
     rep = validate(E, S)
     assert rep.additivity_ok is False
-    assert rep.additivity_failures
+    # every (e, sigma) with e + sigma missing, sigma-major and then lex in
+    # e; sigma runs over S ∩ [0, max(gamma_S, gamma_E - mu_E) + 1]
+    want = [
+        (e, sigma)
+        for sigma in oracles.box((0, 0), (4, 4))
+        if S.contains(sigma)
+        for e in E.frame_sorted
+        if not E.contains(oracles.add(e, sigma))
+    ]
+    assert len({sigma for _, sigma in want}) > 1
+    assert rep.additivity_failures == want
 
 
 def test_validation_report_is_cached(wide_s, wide_e):

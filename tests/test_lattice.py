@@ -1,18 +1,12 @@
-import random
-
 import pytest
 
-import oracles
 from goodsemi.errors import DimensionMismatch
 from goodsemi.lattice import (
-    Box,
     add,
     as_point,
     check_same_dim,
     cmax,
     cmin,
-    delta_region,
-    delta_union,
     leq,
     lt,
     ones,
@@ -52,56 +46,3 @@ def test_dimension_mismatch():
         check_same_dim((1, 2), (1, 2, 3))
     with pytest.raises(DimensionMismatch):
         cmin((1,), (1, 2))
-
-
-def test_box_iteration_and_membership():
-    b = Box((1, 1), (2, 3))
-    pts = list(b)
-    assert len(pts) == 2 * 3
-    assert pts[0] == (1, 1)
-    assert (2, 3) in b
-    assert (0, 1) not in b
-    assert (2, 4) not in b
-
-
-def test_box_rejects_inverted_corners():
-    with pytest.raises(Exception):
-        Box((2, 2), (1, 3))
-
-
-def test_delta_region_matches_bruteforce():
-    rnd = random.Random(7)
-    for _ in range(40):
-        s = rnd.choice([2, 3])
-        beta = tuple(rnd.randrange(-1, 4) for _ in range(s))
-        j = rnd.randrange(s)
-        hi = tuple(b + 4 for b in beta)
-        window = Box(beta, hi)
-        got = delta_region(beta, {j}, window)
-        want = {
-            p
-            for p in oracles.box(beta, hi)
-            if p[j] == beta[j]
-            and all(p[i] > beta[i] for i in range(s) if i != j)
-        }
-        assert got == want
-
-
-def test_delta_region_rejects_empty_axis_set():
-    with pytest.raises(ValueError):
-        delta_region((1, 2), set(), Box((0, 0), (4, 4)))
-
-
-def test_delta_region_full_axis_set_is_singleton():
-    window = Box((0, 0), (4, 4))
-    assert delta_region((1, 2), {0, 1}, window) == {(1, 2)}
-
-
-def test_delta_union_is_union_of_axes():
-    beta = (1, 2)
-    window = Box((0, 0), (5, 6))
-    got = delta_union(beta, window)
-    want = delta_region(beta, {0}, window) | delta_region(beta, {1}, window)
-    assert got == want
-    # the point beta itself never belongs
-    assert beta not in got

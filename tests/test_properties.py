@@ -93,26 +93,22 @@ def test_canonical_difference_with_itself_returns_the_semigroup(seed):
     assert difference(K, K) == S.ideal
 
 
-@given(SEEDS)
-@FAST
-def test_difference_membership_matches_bruteforce(seed):
+def _check_difference_membership(seed, s):
     rng = random.Random(seed)
-    S, E = random_pair(rng, 2, max_gamma=5, max_shift=1)
+    S, E = random_pair(rng, s, max_gamma=5, max_shift=1)
     F = random_good_ideal(rng, S, max_shift=1)
     D = difference(E, F)
     lo = tuple(m - 2 for m in D.mu)
     hi = tuple(g + 2 for g in D.gamma)
-    f_hi = tuple(max(F.gamma[i], E.gamma[i] - E.mu[i] + F.mu[i]) + 1 for i in range(2))
+    f_hi = tuple(max(F.gamma[i], E.gamma[i] - E.mu[i] + F.mu[i]) + 1 for i in range(s))
     want = oracles.difference_points(E.contains, F.contains, lo, hi, F.mu, f_hi)
     got = {p for p in oracles.box(lo, hi) if p in D}
     assert got == want
 
 
-@given(SEEDS)
-@FAST
-def test_sum_membership_matches_bruteforce(seed):
+def _check_sum_membership(seed, s):
     rng = random.Random(seed)
-    S = random_good_semigroup(rng, 2, max_gamma=4)
+    S = random_good_semigroup(rng, s, max_gamma=4)
     E = random_good_ideal(rng, S, max_shift=1)
     F = random_good_ideal(rng, S, max_shift=1)
     P = sum_ideals(E, F)
@@ -120,6 +116,30 @@ def test_sum_membership_matches_bruteforce(seed):
     want = oracles.sum_points(E.contains, F.contains, P.mu, hi, E.mu, F.mu)
     got = {p for p in oracles.box(P.mu, hi) if p in P}
     assert got == want
+
+
+@given(SEEDS)
+@FAST
+def test_difference_membership_matches_bruteforce(seed):
+    _check_difference_membership(seed, 2)
+
+
+@given(SEEDS)
+@FAST
+def test_difference_membership_matches_bruteforce_three_branch(seed):
+    _check_difference_membership(seed, 3)
+
+
+@given(SEEDS)
+@FAST
+def test_sum_membership_matches_bruteforce(seed):
+    _check_sum_membership(seed, 2)
+
+
+@given(SEEDS)
+@FAST
+def test_sum_membership_matches_bruteforce_three_branch(seed):
+    _check_sum_membership(seed, 3)
 
 
 @given(SEEDS)
