@@ -34,25 +34,26 @@ __all__ = [
 
 
 def _closure_pass(pts: set[Point], mu: Point, B: Point, ambient: IdealFrame | None) -> bool:
-    """One repair round; returns True when something was added."""
+    """One repair round; returns True when ``pts`` grew.
+
+    A witness already in ``pts`` adds nothing, so a scan that keeps
+    reporting stale witnesses ends the loop instead of spinning; the
+    caller's final certification then passes or raises.
+    """
     s = len(B)
     frame = IdealFrame(s, mu, B, pts, _normalized=True)
-    added = False
-    e1 = _e1_failures(frame)
-    for a, b in e1:
+    before = len(pts)
+    for a, b in _e1_failures(frame):
         pts.add(cmin(a, b))
-        added = True
-    if added:
+    if len(pts) > before:
         return True  # settle E1 before trusting the other scans
     for a, b, j in _e2_failures(frame):
         m = cmin(a, b)
         pts.add(add(m, unit(s, j)))
-        added = True
     sums_vs = ambient if ambient is not None else frame
     for e, sigma in _additivity_failures(frame, sums_vs):
         pts.add(cmin(add(e, sigma), B))
-        added = True
-    return added
+    return len(pts) > before
 
 
 def random_good_semigroup(

@@ -173,6 +173,7 @@ class IdealFrame:
             sl = tuple(slice(0, g - m + 1) for m, g in zip(self.mu, sigma_t))
             self.gamma = sigma_t
             self._bitmap = np.ascontiguousarray(arr[sl])
+            self._bitmap.flags.writeable = False
             pts = frozenset(
                 tuple(int(c) + m for c, m in zip(row, self.mu))
                 for row in np.argwhere(self._bitmap)
@@ -183,12 +184,16 @@ class IdealFrame:
     # -- basic accessors ------------------------------------------------------
 
     def _frame_bitmap(self) -> np.ndarray:
-        """Membership over the box [mu, gamma] as a bool array."""
+        """Membership over the box [mu, gamma] as a bool array.
+
+        Read-only: :meth:`shift` shares it between frames.
+        """
         if self._bitmap is None:
             shape = tuple(g - m + 1 for m, g in zip(self.mu, self.gamma))
             arr = np.zeros(shape, dtype=bool)
             idx = np.array(self.frame_sorted, dtype=np.int64) - np.array(self.mu)
             arr[tuple(idx.T)] = True
+            arr.flags.writeable = False
             self._bitmap = arr
         return self._bitmap
 
@@ -319,7 +324,7 @@ class IdealFrame:
         rep = self._report_cache.get("axioms")
         if rep is not None:
             return rep.e1_ok
-        return not _e1_failures(self, first_only=True)
+        return _e1_holds(self)
 
 
 def _translate_windows(E: IdealFrame, lo, hi, offsets) -> Iterator[np.ndarray]:
@@ -339,7 +344,38 @@ def _translate_windows(E: IdealFrame, lo, hi, offsets) -> Iterator[np.ndarray]:
         yield window[tuple(slice(k, k + n) for k, n in zip(o, shape))]
 
 
-def _e1_failures(E: IdealFrame, first_only: bool = False) -> list[tuple[Point, Point]]:
+def _e1_holds(E: IdealFrame) -> bool:
+    """Decide (E1) by 2^s suffix sweeps of the frame bitmap.
+
+    A point m of [mu, gamma] is min(p, q) for frame points p, q exactly
+    when, for some split I ⊔ J of the axes, there is a member p >= m that
+    agrees with m on I and a member q >= m that agrees with m on J (every
+    axis must carry the minimum on one side).  ``up[X]`` marks the m with
+    such a member for the agreement set X: the inclusive suffix-OR of the
+    bitmap along every axis outside X, built from a superset mask by one
+    more suffix.  (E1) holds iff up[I] & up[I^c] lies inside the frame
+    for every proper nonempty I.  Capping commutes with min, so checking
+    frame pairs on the frame box is exact for the represented set.
+    """
+    s = E.s
+    full = (1 << s) - 1
+    up = {full: E._frame_bitmap()}
+    for X in range(full - 1, -1, -1):
+        free = ~X & full
+        axis = (free & -free).bit_length() - 1
+        up[X] = _suffix_or(up[X | (1 << axis)], axis)
+    frame = up[full]
+    for I in range(1, full):
+        if I < full ^ I and (up[I] & up[full ^ I] & ~frame).any():
+            return False
+    return True
+
+
+def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
+    """Pairs p < q (lex) of frame points whose min is missing, in lex order;
+    the pairwise enumeration runs only after the sweep finds a failure."""
+    if _e1_holds(E):
+        return []
     pts = np.array(E.frame_sorted, dtype=np.int64)
     n = len(pts)
     arr = E._frame_bitmap()
@@ -356,20 +392,19 @@ def _e1_failures(E: IdealFrame, first_only: bool = False) -> list[tuple[Point, P
             p, q = tuple(chunk[a]), tuple(pts[b])
             if p < q:
                 out.append((tuple(int(x) for x in p), tuple(int(x) for x in q)))
-                if first_only:
-                    return out
     return out
 
 
-def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
-    """Exchange-axiom failures among frame pairs, with the witness search
-    running over [mu, gamma+1] via the extension rule."""
+def _exchange_tables(E: IdealFrame):
+    """The (E2) witness tables over [mu, gamma+1], built on demand.
+
+    ``table(j, mask)`` marks the m that have a member eps with eps_j > m_j,
+    eps_i >= m_i on the axes i != j whose bit (indexed among the axes
+    other than j) is set in ``mask``, and eps_i = m_i on the rest: a strict
+    suffix-OR along j, then inclusive suffixes along the masked axes.
+    """
     s = E.s
-    mu = E.mu
-    hi = add(E.gamma, ones(s))
-    grid = E.membership_box(mu, hi)
-    pts = np.array(E.frame_sorted, dtype=np.int64)
-    mu_arr = np.array(mu, dtype=np.int64)
+    grid = E.membership_box(E.mu, add(E.gamma, ones(s)))
     tables: dict[tuple[int, int], np.ndarray] = {}
 
     def table(j: int, mask: int) -> np.ndarray:
@@ -386,6 +421,61 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
                 got = _suffix_or(prev, axis)
             tables[key] = got
         return got
+
+    return table
+
+
+def _e2_holds(E: IdealFrame) -> bool:
+    """Decide (E2) by suffix sweeps of the frame bitmap.
+
+    For frame points p != q with p_j = q_j and min m, both equal m on every
+    axis where they agree; on the set D where they differ, one of them
+    equals m and the other is strictly above it.  With ``G[X]`` the strict
+    suffix-OR of the bitmap along the axes in X (a member strictly above m
+    on X, equal to m elsewhere), such a pair sharing axis j and differing
+    exactly on D exists iff the OR over splits Dp ⊔ Dq = D of
+    G[Dp] & G[Dq] holds at m.  Each such m must carry the witness table
+    of :func:`_exchange_tables` for j and the agreement axes, read on the
+    frame box part of its grid.  Work: s * 3^(s-1) box passes.
+    """
+    s = E.s
+    frame = E._frame_bitmap()
+    G = [frame]
+    for X in range(1, 1 << s):
+        G.append(_suffix_or_strict(G[X & (X - 1)], (X & -X).bit_length() - 1))
+    pairs: dict[int, np.ndarray] = {}
+    table = _exchange_tables(E)
+    box = tuple(slice(0, n) for n in frame.shape)
+    for j in range(s):
+        others = [i for i in range(s) if i != j]
+        for agree in range((1 << (s - 1)) - 1):
+            D = sum(1 << i for k, i in enumerate(others) if not agree >> k & 1)
+            if D not in pairs:
+                # splits with the lowest axis of D on p's side: each
+                # unordered split once
+                got = np.zeros_like(frame)
+                low = D & -D
+                Dp = D
+                while Dp:
+                    if Dp & low:
+                        got |= G[Dp] & G[D ^ Dp]
+                    Dp = (Dp - 1) & D
+                pairs[D] = got
+            if (pairs[D] & ~table(j, agree)[box]).any():
+                return False
+    return True
+
+
+def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
+    """Exchange-axiom failures among frame pairs, with the witness search
+    running over [mu, gamma+1] via the extension rule; the pairwise
+    enumeration runs only after the sweep finds a failure."""
+    if _e2_holds(E):
+        return []
+    s = E.s
+    pts = np.array(E.frame_sorted, dtype=np.int64)
+    mu_arr = np.array(E.mu, dtype=np.int64)
+    table = _exchange_tables(E)
 
     failures: list[tuple[Point, Point, int]] = []
     for j in range(s):
@@ -434,8 +524,10 @@ def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Poin
     frame = E._frame_bitmap()
     out = []
     for sigma, view in zip(sigmas, _translate_windows(E, E.mu, E.gamma, sigmas)):
-        for row in np.argwhere(frame & ~view):
-            out.append((tuple(int(c) + m for c, m in zip(row, E.mu)), sigma))
+        bad = frame & ~view
+        if bad.any():
+            for row in np.argwhere(bad):
+                out.append((tuple(int(c) + m for c, m in zip(row, E.mu)), sigma))
     return out
 
 
@@ -495,6 +587,8 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     ``S`` (a GoodSemigroup or a raw IdealFrame) enables the E + S ⊆ E
     check; without it only (E0)-(E2) are examined.  All scans are exact
     for the represented set; see the per-check helpers for the boxes used.
+    (E1) and (E2) are decided by bitmap sweeps; witnesses are listed only
+    for an axiom that fails.
     """
     E = _frame_of(E)
     Sf = _frame_of(S) if S is not None else None

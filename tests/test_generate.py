@@ -3,8 +3,10 @@ import random
 import pytest
 
 import oracles
+import goodsemi.generate as gen
 from goodsemi import (
     FrameError,
+    NotCertifiedError,
     numerical_semigroup,
     random_good_ideal,
     random_good_semigroup,
@@ -95,3 +97,23 @@ def test_generation_is_seed_reproducible():
     assert a == b and a.ideal.frame_sorted == b.ideal.frame_sorted
     c = random_good_semigroup(random.Random(100), 2)
     assert a != c or a.gamma != c.gamma
+
+
+def test_stale_scan_witnesses_cannot_hang_the_generator(monkeypatch):
+    calls = 0
+
+    def stale_e1(frame):
+        # min(mu, gamma) = mu is always present, so this adds nothing
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("the repair loop kept running on stale witnesses")
+        return [(frame.mu, frame.gamma)]
+
+    monkeypatch.setattr(gen, "_e1_failures", stale_e1)
+    for seed in range(5):
+        try:
+            S = random_good_semigroup(random.Random(seed), 2)
+        except NotCertifiedError:
+            continue
+        assert validate(S).ok

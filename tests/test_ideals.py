@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import load_text
 import goodsemi as g
+from goodsemi import ideals
 from goodsemi import (
     FrameError,
     GoodSemigroup,
@@ -137,6 +138,17 @@ def test_shift_translates_everything():
     assert back == E
 
 
+@pytest.mark.parametrize("gamma", [(3, 1), (5, 1)])
+def test_cached_bitmap_is_read_only(gamma):
+    # (5, 1) is shrunk to (3, 1) by normalization, which caches a new bitmap
+    E = IdealFrame.from_points([(0, 0), (3, 1), gamma], gamma=gamma)
+    T = E.shift((1, 2))
+    with pytest.raises(ValueError):
+        T._frame_bitmap()[1, 0] = True
+    assert (1, 0) not in E and (2, 2) not in T
+    assert E.members_in_box((0, 0), (3, 1)) == [(0, 0), (3, 1)]
+
+
 def test_tau_is_conductor_minus_one():
     E = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
     assert E.tau == (2, 0)
@@ -235,6 +247,70 @@ def test_exchange_scan_agrees_with_oracle_on_randoms(rng):
         assert bad == []
         rep = validate(E)
         assert rep.e2_ok
+
+
+def _random_frames(rng, count=400):
+    """Frames from random point sets in small boxes, s = 1-4; about half
+    are closed under min first, so that (E2) failures are reached too."""
+    for _ in range(count):
+        s = rng.randint(1, 4)
+        B = tuple(rng.randint(1, 4 if s <= 2 else 2) for _ in range(s))
+        pts = {(0,) * s, B}
+        for _ in range(rng.randint(1, 10)):
+            pts.add(tuple(rng.randint(0, b) for b in B))
+        if rng.random() < 0.5:
+            while True:
+                extra = {oracles.cmin(p, q) for p in pts for q in pts} - pts
+                if not extra:
+                    break
+                pts |= extra
+        yield IdealFrame(s, (0,) * s, B, pts)
+
+
+def test_axiom_scans_match_oracles_on_failing_and_passing_sets(rng):
+    seen = {"e1": [0, 0], "e2": [0, 0]}
+    for E in _random_frames(rng):
+        rep = validate(E)
+        frame = E.frame_sorted
+        want_e1 = [
+            (p, q)
+            for p in frame
+            for q in frame
+            if p < q and oracles.cmin(p, q) not in E.frame
+        ]
+        assert rep.e1_ok == oracles.min_closed(frame)
+        assert rep.e1_failures == want_e1
+        bad = oracles.exchange_violations(
+            frame, E.contains, tuple(x + 1 for x in E.gamma)
+        )
+        assert rep.e2_ok == (bad == [])
+        assert set(rep.e2_failures) == set(bad)
+        # the sweeps alone, which also decide whether witnesses are listed
+        assert ideals._e1_holds(E) == rep.e1_ok
+        assert ideals._e2_holds(E) == rep.e2_ok
+        seen["e1"][rep.e1_ok] += 1
+        seen["e2"][rep.e2_ok] += 1
+    # [failing, passing] per axiom: both sides must be exercised
+    assert min(seen["e1"] + seen["e2"]) >= 50, seen
+
+
+def test_e2_failure_on_an_incomparable_pair_only():
+    # (0,3,2) and (1,1,2) share axis 2 and each sits above their min on one
+    # of the other axes; no comparable pair fails
+    E = IdealFrame.from_points(
+        [(0, 0, 0), (0, 3, 2), (1, 1, 2), (2, 0, 0), (3, 3, 3)], gamma=(3, 3, 3)
+    )
+    bad = oracles.exchange_violations(E.frame_sorted, E.contains, (4, 4, 4))
+    assert bad == [((0, 3, 2), (1, 1, 2), 2)]
+    rep = validate(E)
+    assert not rep.e2_ok
+    assert rep.e2_failures == bad
+
+
+def test_is_e1_agrees_with_validate(rng):
+    for E in _random_frames(rng):
+        got = E.is_e1()  # before validate caches a report
+        assert got == validate(E).e1_ok
 
 
 # ------------------------------------------------------------- operations
