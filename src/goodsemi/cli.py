@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import duality, ideals, metric, plot
+from . import duality, ideals, metric
 from .errors import GoodsemiError, NotCertifiedError, ParseError
 from .ideals import GoodSemigroup, IdealFrame, from_json, to_json, validate
 from .lattice import as_point, zero
-from .ringbridge import curves
 
 
 def _read(path: str) -> str:
@@ -36,7 +35,8 @@ def _load_semigroup(path: str) -> GoodSemigroup:
         raise NotCertifiedError(f"{path} is not a good semigroup:\n{exc}") from exc
 
 
-def _load_curve(path: str) -> curves.CurveSpec:
+def _load_curve(path: str):
+    from .ringbridge import curves
     return curves.parse_curve(_read(path), filename=path)
 
 
@@ -167,6 +167,7 @@ def _cmd_gamma_of(args) -> int:
 
 
 def _cmd_curve_gamma(args) -> int:
+    from .ringbridge import curves
     spec = _load_curve(args.curve)
     G = curves.value_ideal(spec, args.module)
     _emit(to_json(G), args.output)
@@ -174,6 +175,7 @@ def _cmd_curve_gamma(args) -> int:
 
 
 def _cmd_colon(args) -> int:
+    from .ringbridge import curves
     spec = _load_curve(args.curve)
     G = curves.colon_value_ideal(spec, args.left, args.right, args.pole_bound)
     _emit(to_json(G), args.output)
@@ -181,12 +183,14 @@ def _cmd_colon(args) -> int:
 
 
 def _cmd_length(args) -> int:
+    from .ringbridge import curves
     spec = _load_curve(args.curve)
     print(curves.length_quotient(spec, args.larger, args.smaller))
     return 0
 
 
 def _cmd_plot(args) -> int:
+    from . import plot
     E = _load_ideal(args.ideal)
     lo = _point(args.lo) if args.lo else None
     hi = _point(args.hi) if args.hi else None

@@ -75,6 +75,30 @@ def _suffix_and(a: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.logical_and.accumulate(np.flip(a, axis), axis=axis), axis)
 
 
+def _trim(arr: np.ndarray, mu: Point) -> tuple[Point, np.ndarray]:
+    """Cut a bitmap over [mu, ...] that is exact at its upper corner to the
+    smallest exact capping bound; returns that bound and a read-only copy.
+
+    A bound c is exact iff along every axis i all box slices at levels
+    >= c_i are identical; the exact bounds therefore form an upper
+    orthant and the componentwise minimum is found per axis.
+    """
+    top = []
+    for ax in range(arr.ndim):
+        t = arr.shape[ax] - 1
+        while t > 0 and np.array_equal(np.take(arr, t - 1, axis=ax), np.take(arr, t, axis=ax)):
+            t -= 1
+        top.append(t)
+    out = arr[tuple(slice(0, t + 1) for t in top)].copy()
+    out.flags.writeable = False
+    return tuple(m + t for m, t in zip(mu, top)), out
+
+
+def _points(bitmap: np.ndarray, lo: Point) -> list[Point]:
+    """The members of a bitmap over [lo, ...], in lex order."""
+    return [tuple(int(c) + l for c, l in zip(row, lo)) for row in np.argwhere(bitmap)]
+
+
 class IdealFrame:
     """Exact finite representation of a semigroup ideal of Z^s."""
 
@@ -145,41 +169,21 @@ class IdealFrame:
         mu = tuple(int(c) + l for c, l in zip(coords.min(axis=0), lo))
         if not bitmap[tuple(m - l for m, l in zip(mu, lo))]:
             raise FrameError(f"set has no minimum element (componentwise min {mu} missing)")
-        sl = tuple(slice(m - l, None) for m, l in zip(mu, lo))
-        sub_bitmap = bitmap[sl]
-        pts = [tuple(int(c) + m for c, m in zip(row, mu)) for row in np.argwhere(sub_bitmap)]
-        return cls(s, mu, hi, pts)
+        if not bitmap[(-1,) * s]:
+            raise FrameError(f"gamma={hi} must belong to the frame")
+        gamma, trimmed = _trim(bitmap[tuple(slice(m - l, None) for m, l in zip(mu, lo))], mu)
+        pts = _points(trimmed, mu)
+        out = cls(s, mu, gamma, pts, _normalized=True)
+        out._bitmap, out._sorted = trimmed, tuple(pts)
+        return out
 
     def _normalize(self) -> None:
-        """Shrink gamma to the smallest exact capping bound.
-
-        A bound c is exact iff along every axis i all box slices at levels
-        >= c_i are identical; the exact bounds therefore form an upper
-        orthant and the componentwise minimum is found per axis.
-        """
-        arr = self._frame_bitmap()
-        sigma = list(self.gamma)
-        for ax in range(self.s):
-            t = arr.shape[ax] - 1
-            while t > 0:
-                a = np.take(arr, t - 1, axis=ax)
-                b = np.take(arr, t, axis=ax)
-                if not np.array_equal(a, b):
-                    break
-                t -= 1
-            sigma[ax] = self.mu[ax] + t
-        sigma_t = tuple(sigma)
-        if sigma_t != self.gamma:
-            sl = tuple(slice(0, g - m + 1) for m, g in zip(self.mu, sigma_t))
-            self.gamma = sigma_t
-            self._bitmap = np.ascontiguousarray(arr[sl])
-            self._bitmap.flags.writeable = False
-            pts = frozenset(
-                tuple(int(c) + m for c, m in zip(row, self.mu))
-                for row in np.argwhere(self._bitmap)
-            )
-            self.frame = pts
-            self._sorted = None
+        """Shrink gamma to the smallest exact capping bound (see :func:`_trim`)."""
+        gamma, bitmap = _trim(self._frame_bitmap(), self.mu)
+        if gamma != self.gamma:
+            pts = _points(bitmap, self.mu)
+            self.gamma, self._bitmap = gamma, bitmap
+            self.frame, self._sorted = frozenset(pts), tuple(pts)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -270,8 +274,7 @@ class IdealFrame:
 
     def members_in_box(self, lo, hi) -> list[Point]:
         lo = as_point(lo)
-        bm = self.membership_box(lo, hi)
-        return [tuple(int(c) + l for c, l in zip(row, lo)) for row in np.argwhere(bm)]
+        return _points(self.membership_box(lo, hi), lo)
 
     # -- derived data ----------------------------------------------------------
 

@@ -311,15 +311,19 @@ def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
     return span_from_polys(spec, module_generators(spec, name), N)
 
 
-def _gamma_once(spec: CurveSpec, gens: tuple[PolyVec, ...], N: int) -> IdealFrame:
-    basis = span_from_polys(spec, gens, N)
-    hi = tuple(N - 2 for _ in range(spec.s))
+def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
+    """Value set over [0, N-2]^s, whose capping bound must lie inside."""
+    hi = tuple(basis.N - 2 for _ in range(basis.s))
     G = value_semigroup_ideal(basis, hi)
     if any(g >= h for g, h in zip(G.gamma, hi)):
         raise TruncationError(
-            f"conductor not strictly inside the scan box at truncation {N}"
+            f"{what} not strictly inside the scan box at truncation {basis.N}"
         )
     return G
+
+
+def _gamma_once(spec: CurveSpec, gens: tuple[PolyVec, ...], N: int) -> IdealFrame:
+    return _scan(span_from_polys(spec, gens, N), "conductor")
 
 
 def _check_conductor_exists(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> None:
@@ -371,7 +375,8 @@ def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealF
                 f"is the ring really a curve with {spec.s} branches?"
             )
         commit = max(16, 2 * max(probe.conductor) + 4)
-    Ga = _gamma_once(spec, gens, commit)
+    # a probe at the commit order is the commit scan itself
+    Ga = probe if spec.truncation is None and commit == N else _gamma_once(spec, gens, commit)
     Gb = _gamma_once(spec, gens, commit + 2)
     if Ga != Gb:
         raise TruncationError(
@@ -402,14 +407,7 @@ def _colon_once(
     ring = _ring_gens(spec, N)
     KB = span_from_polys(spec, K_gens, N)
     egens = [SeriesVector.from_polys(g, N) for g in E_gens]
-    sol = colon_solution_basis(ring, KB, egens, gamma_K, poles)
-    hi = tuple(N - 2 for _ in range(spec.s))
-    G = value_semigroup_ideal(sol, hi)
-    if any(g >= h for g, h in zip(G.gamma, hi)):
-        raise TruncationError(
-            f"colon conductor not strictly inside the scan box at truncation {N}"
-        )
-    return G
+    return _scan(colon_solution_basis(ring, KB, egens, gamma_K, poles), "colon conductor")
 
 
 def colon_value_ideal(

@@ -1,11 +1,18 @@
 """Exact linear algebra for R-submodules of ∏ Q[t]/(t^N).
 
-Everything here is a Q-vector-space computation over Fractions.  Module
-elements are flattened to sparse vectors keyed by branch-major position
-i*N + e; a :class:`ModuleBasis` keeps a reduced row echelon basis with
-monic pivots, and its ``_fully_reduce`` is the one elimination routine
-here.  The value semigroup ideal is read off with one sweep per branch
-i: rows in echelon form by branch-i order, then the constraints of each
+Module elements are flattened to sparse vectors keyed by branch-major
+position i*N + e.  Every row is primitive: integer entries with gcd 1,
+positive at its pivot (its minimal position).  A rational vector has one
+such multiple, so the reduced echelon basis of primitive rows is the
+reduced row echelon form with each row cleared to integers: exact and
+canonical, with no denominator anywhere.  Rational generators are
+cleared where they enter, which changes neither a Q-span nor the ring
+closure.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
+g = gcd(a, b), and the content is divided out once per reduction.
+
+The value semigroup ideal is read off with one sweep per branch i: rows
+in echelon form by branch-i order, then the constraints of each
 axis-line imposed one at a time.  Each constraint drops the row of
 largest branch-i order among those it touches, so every other row keeps
 its order and the orders left are the line's dimension drops.
@@ -13,7 +20,7 @@ its order and the orders left are the line's dimension drops.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -24,24 +31,71 @@ from .series import SeriesVector
 
 __all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
 
-Row = dict[int, Fraction]
+Row = dict[int, int]
 
 
-def _axpy(target: Row, src: Row, f: Fraction) -> None:
+def _integral(vec) -> Row:
+    """A fresh integer multiple of a SeriesVector or a rational dict."""
+    flat = vec.to_flat() if isinstance(vec, SeriesVector) else vec
+    den = lcm(*(c.denominator for c in flat.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in flat.items() if c}
+
+
+def _terms(g: SeriesVector) -> tuple:
+    """g cleared to integers, per branch as ((exp, coeff), ...) by exp."""
+    flat = _integral(g)
+    return tuple(tuple((e, flat[i * g.N + e]) for e in sorted(d)) for i, d in enumerate(g.coeffs))
+
+
+def _times(row: Row, g: tuple, N: int) -> Row:
+    """row * g mod t^N, for a flat integer row and integral terms g."""
+    out: Row = {}
+    for pos, c in row.items():
+        room = N - pos % N
+        for eb, cb in g[pos // N]:
+            if eb >= room:
+                break
+            k = pos + eb
+            out[k] = out.get(k, 0) + c * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _axpy(target: Row, src: Row, f: int) -> None:
     """target += f * src, dropping cancelled entries."""
-    for k, v in src.items():
-        nv = target.get(k, Fraction(0)) + f * v
+    for k, c in src.items():
+        nv = target.get(k, 0) + f * c
         if nv:
             target[k] = nv
         else:
-            target.pop(k, None)
+            del target[k]
+
+
+def _cancel(v: Row, row: Row, p: int) -> None:
+    """Clear position p of v: v <- m·v - n·row with m > 0, so v keeps
+    the sign of its other entries."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    m, n = a // g, b // g
+    if m < 0:
+        m, n = -m, -n
+    if m != 1:
+        for k in v:
+            v[k] *= m
+    _axpy(v, row, -n)
+
+
+def _divide_content(v: Row, sign: int = 1) -> None:
+    g = sign * gcd(*v.values())
+    if g != 1:
+        for k in v:
+            v[k] //= g
 
 
 class ModuleBasis:
-    """Reduced row echelon Q-basis of a subspace of ∏ Q[t]/(t^N).
+    """Reduced echelon Q-basis of a subspace of ∏ Q[t]/(t^N).
 
-    Invariants: each stored row is monic at its pivot (its minimal
-    position) and has no other pivot in its support.
+    Invariants: each stored row is a primitive integer row, positive at
+    its pivot (its minimal position), with no other pivot in its support.
     """
 
     __slots__ = ("s", "N", "rows")
@@ -55,26 +109,23 @@ class ModuleBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
     def pivot_exponents(self, branch: int) -> list[int]:
         base = branch * self.N
         return sorted(p - base for p in self.rows if base <= p < base + self.N)
 
     def _fully_reduce(self, v: Row) -> None:
-        """Eliminate every pivot position from v, in place."""
-        while True:
-            hits = sorted(p for p in v if p in self.rows)
-            if not hits:
-                return
-            for p in hits:
-                if p in v:
-                    _axpy(v, self.rows[p], -v[p])
+        """Eliminate every pivot position from the integer row v, in place.
+
+        One pass suffices: no row holds another row's pivot, so clearing
+        one pivot from v never brings back another.
+        """
+        rows = self.rows
+        for p in sorted(p for p in v if p in rows):
+            _cancel(v, rows[p], p)
 
     def reduce(self, vec) -> Row:
-        flat = vec.to_flat() if isinstance(vec, SeriesVector) else vec
-        v = dict(flat)
+        """A nonzero multiple of vec minus its projection on the span."""
+        v = _integral(vec)
         self._fully_reduce(v)
         return v
 
@@ -83,17 +134,19 @@ class ModuleBasis:
 
     def insert(self, vec) -> bool:
         """Add a vector to the span; returns False if already contained."""
-        flat = vec.to_flat() if isinstance(vec, SeriesVector) else vec
-        v = dict(flat)
+        return self._insert(_integral(vec))
+
+    def _insert(self, v: Row) -> bool:
+        """insert for an integer row, which becomes the stored row."""
         self._fully_reduce(v)
         if not v:
             return False
         lead = min(v)
-        c = v[lead]
-        v = {k: val / c for k, val in v.items()}
+        _divide_content(v, -1 if v[lead] < 0 else 1)
         for row in self.rows.values():
             if lead in row:
-                _axpy(row, v, -row[lead])
+                _cancel(row, v, lead)
+                _divide_content(row)
         self.rows[lead] = v
         return True
 
@@ -108,20 +161,9 @@ class ModuleBasis:
         in the monomial free zone of a conductor).
         """
         out = ModuleBasis(self.s, self.N)
+        mono = tuple(((k, 1),) for k in shift)
         for row in self.rows.values():
-            moved: Row = {}
-            for pos, c in row.items():
-                i, e = divmod(pos, self.N)
-                e2 = e + shift[i]
-                if e2 < self.N:
-                    moved[i * self.N + e2] = c
-            if moved:
-                out.insert(moved)
-        return out
-
-    def copy(self) -> "ModuleBasis":
-        out = ModuleBasis(self.s, self.N)
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
+            out._insert(_times(row, mono, self.N))
         return out
 
 
@@ -129,21 +171,21 @@ def span_basis(ring_gens: list[SeriesVector], module_gens: list[SeriesVector]) -
     """Smallest Q-subspace containing module_gens and closed under
     multiplication by the ring generators.
 
-    Only vectors that genuinely enlarged the span are re-expanded: the
-    span is the Q-span of those vectors, so closing each of them under
-    every generator closes the whole space.
+    Only vectors that genuinely enlarged the span are re-expanded, each
+    as the row it was reduced to on insertion: those rows span the same
+    space as the vectors, so closing each of them under every generator
+    closes the whole space.
     """
     if not module_gens:
         raise FrameError("a module needs at least one generator")
     s, N = module_gens[0].s, module_gens[0].N
     basis = ModuleBasis(s, N)
-    queue = list(module_gens)
+    gens = [_terms(g) for g in ring_gens]
+    queue = [_integral(v) for v in module_gens]
     while queue:
         v = queue.pop()
-        if v.is_zero() or not basis.insert(v):
-            continue
-        for g in ring_gens:
-            queue.append(v * g)
+        if v and basis._insert(v):
+            queue.extend(_times(v, g, N) for g in gens)
     return basis
 
 
@@ -156,16 +198,12 @@ def _impose(rows: dict[int, Row], pos: int) -> None:
     branch entries all lie above their orders, so every other row keeps
     its key.
     """
-    hits = [k for k, r in rows.items() if pos in r]
-    if not hits:
-        return
-    top_key = max(hits)
-    top = rows.pop(top_key)
-    c = top[pos]
-    for k in hits:
-        if k != top_key:
-            r = rows[k]
-            _axpy(r, top, -r[pos] / c)
+    hits = sorted(k for k, r in rows.items() if pos in r)
+    if hits:
+        top = rows.pop(hits.pop())
+        for k in hits:
+            _cancel(rows[k], top, pos)
+            _divide_content(rows[k])
 
 
 def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
@@ -199,7 +237,7 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         # its branch-i order, or >= N when the row is zero on branch i
         rot = ModuleBasis(s, N)
         for row in basis.rows.values():
-            rot.insert({(p - i * N) % (s * N): c for p, c in row.items()})
+            rot._insert({(p - i * N) % (s * N): c for p, c in row.items()})
         rest = [k for k in range(s) if k != i]
         drop_i = np.zeros(shape, dtype=bool)
         idx: list = [slice(None)] * s
@@ -220,8 +258,12 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     return IdealFrame._from_bitmap(tuple(0 for _ in range(s)), good)
 
 
-def _nullspace(rows: list[Row], nvars: int) -> list[Row]:
-    """Kernel basis of rows·x = 0 over Q (variables numbered 0..nvars-1)."""
+def _nullspace(rows: list, nvars: int) -> list[Row]:
+    """Kernel basis of rows·x = 0 over Q (variables numbered 0..nvars-1).
+
+    Free variable f gets the value L, the lcm of the pivot entries of the
+    echelon rows that hold f, so every pivot variable is an integer.
+    """
     echelon = ModuleBasis(1, nvars)
     for r in rows:
         echelon.insert(r)
@@ -229,11 +271,11 @@ def _nullspace(rows: list[Row], nvars: int) -> list[Row]:
     for f in range(nvars):
         if f in echelon.rows:
             continue
-        sol: Row = {f: Fraction(1)}
-        for piv, row in echelon.rows.items():
-            c = row.get(f)
-            if c:
-                sol[piv] = -c
+        hits = [(piv, row) for piv, row in echelon.rows.items() if f in row]
+        L = lcm(*(row[piv] for piv, row in hits))
+        sol: Row = {f: L}
+        for piv, row in hits:
+            sol[piv] = -row[f] * (L // row[piv])
         kernel.append(sol)
     return kernel
 
@@ -259,7 +301,7 @@ def colon_solution_basis(
                 f"truncation {N} too small for conductor {gamma_K} plus poles {poles}"
             )
         for e in range(gamma_K[i], N):
-            if not K_basis.contains(SeriesVector.monomial(s, N, i, e)):
+            if not K_basis.contains({i * N + e: 1}):
                 raise TruncationError(
                     f"left module misses t^{e} on branch {i}: "
                     f"conductor bound {gamma_K} is not valid at truncation {N}"
@@ -267,53 +309,46 @@ def colon_solution_basis(
     shifted = K_basis.shifted(poles)
     for i in range(s):
         for e in range(gamma_K[i] + poles[i], N):
-            shifted.insert(SeriesVector.monomial(s, N, i, e))
+            shifted._insert({i * N + e: 1})
 
     # x is a symbolic honest series with one variable per position.  For
     # each E generator g, the product x*g is a vector of linear forms:
     # its coefficient at (i, m) is sum_a x_(i,a) * g_i[m-a].  Reducing
     # that vector against the shifted basis leaves the forms that have to
-    # vanish for membership.
+    # vanish for membership.  The rows are integral and not monic, so
+    # every form starts scaled by L, the lcm of the pivot entries: the
+    # form at a pivot then divides exactly by the pivot entry.  No row
+    # holds another pivot, so that form is untouched until it is used.
+    L = lcm(*(row[piv] for piv, row in shifted.rows.items()))
     constraints: list[Row] = []
-    for g in E_gens:
+    for terms in map(_terms, E_gens):
         forms: dict[int, Row] = {}
-        for i in range(s):
-            gb = g.coeffs[i]
-            for m in range(N):
-                form: Row = {}
-                for eb, cb in gb.items():
-                    a = m - eb
-                    if 0 <= a < N:
-                        form[i * N + a] = cb
-                if form:
-                    forms[i * N + m] = form
-        for piv in sorted(shifted.rows):
+        for var in range(s * N):
+            for pos, c in _times({var: L}, terms, N).items():
+                forms.setdefault(pos, {})[var] = c
+        for piv, row in shifted.rows.items():
             frm = forms.pop(piv, None)
             if frm is None:
                 continue
-            row = shifted.rows[piv]
+            a = row[piv]
+            frm = {var: fc // a for var, fc in frm.items()}
             for pos, c in row.items():
-                if pos == piv:
-                    continue
-                target = forms.setdefault(pos, {})
-                for var, fc in frm.items():
-                    nv = target.get(var, Fraction(0)) - c * fc
-                    if nv:
-                        target[var] = nv
-                    else:
-                        target.pop(var, None)
+                if pos != piv:
+                    _axpy(forms.setdefault(pos, {}), frm, -c)
         constraints.extend(form for form in forms.values() if form)
 
     kernel = _nullspace(constraints, s * N)
     out = ModuleBasis(s, N)
     for sol in kernel:
-        out.insert(sol)
+        out._insert(sol)
     # closure under the ring action is automatic for a true colon module;
     # failure means the pole bound or the truncation clipped something
-    check = out.copy()
-    for r in out.row_series():
-        for g in ring_gens:
-            if check.insert(r * g):
+    gens = [_terms(g) for g in ring_gens]
+    for r in out.rows.values():
+        for g in gens:
+            prod = _times(r, g, N)
+            out._fully_reduce(prod)
+            if prod:
                 raise PoleBoundError(
                     "colon solution space is not closed under the ring action; "
                     "increase the pole bound or the truncation"

@@ -1,18 +1,31 @@
-"""One pass of the benchmark's lattice workload, checked against its
-goldens and invariants (dual twice, K0 - S = K0, product_canonical, ...)."""
+"""One pass of each in-process benchmark workload, checked against its
+goldens and invariants (dual twice, K0 - S = K0, product_canonical,
+colon = difference, length = distance, ...)."""
 
 import pathlib
 import random
 import sys
+
+import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
 
-def test_lattice_workload_answers_match_goldens(tmp_path):
-    queries = workloads.lattice(workloads.Checker(), random.Random(1), tmp_path)
+def _run_pass(workload, tmp_path):
+    queries = workload(workloads.Checker(), random.Random(1), tmp_path)
     assert queries
     for qid, run in queries:
         fails, _size = run()
         assert fails == [], qid
+
+
+def test_lattice_workload_answers_match_goldens(tmp_path):
+    _run_pass(workloads.lattice, tmp_path)
+
+
+@pytest.mark.parametrize("workload", [workloads.ring_value, workloads.ring_colon],
+                         ids=["ring-value", "ring-colon"])
+def test_ring_workload_answers_match_goldens(workload, tmp_path):
+    _run_pass(workload, tmp_path)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from goodsemi import (
 )
 from goodsemi.ringbridge import (
     ModuleBasis,
+    colon_solution_basis,
+    modules,
     SeriesVector,
     colon_value_ideal,
     conductor_of,
@@ -34,12 +37,21 @@ THREE_BRANCH = "branches: 3\nring: (t, t, 0) ; (0, t, t) ; (t^2, 0, t^3)\n"
 # -------------------------------------------------------------- linear algebra
 
 
-def _rand_vec(rng, s, N):
+def _rand_vec(rng, s, N, den=1):
     return SeriesVector(
         s, N,
-        [{rng.randrange(N): Fraction(rng.randint(-3, 3))
+        [{rng.randrange(N): Fraction(rng.randint(-3, 3), rng.randint(1, den) if den > 1 else 1)
           for _ in range(rng.randint(0, 3))} for _ in range(s)],
     )
+
+
+def _monic_rows(basis):
+    """The rows of a basis, each divided by its pivot entry, as dense lists."""
+    size = basis.s * basis.N
+    return [
+        [Fraction(basis.rows[p].get(k, 0), basis.rows[p][p]) for k in range(size)]
+        for p in sorted(basis.rows)
+    ]
 
 
 def test_module_basis_rank_matches_dense_rref(rng):
@@ -62,15 +74,58 @@ def test_module_basis_rank_matches_dense_rref(rng):
 
 
 def test_module_basis_keeps_reduced_echelon_invariants(rng):
+    vecs = [_rand_vec(rng, 2, 5, den=4) for _ in range(7)]
     basis = ModuleBasis(2, 5)
-    for _ in range(7):
-        basis.insert(_rand_vec(rng, 2, 5))
+    for v in vecs:
+        basis.insert(v)
     for piv, row in basis.rows.items():
         assert min(row) == piv
-        assert row[piv] == 1
+        assert all(type(c) is int for c in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert row[piv] > 0
         for other_piv, other in basis.rows.items():
             if other_piv != piv:
                 assert piv not in other
+    # divided by its pivot entry, each row is the matching row of the rref
+    rank, red = oracles.rref([[v.to_flat().get(k, 0) for k in range(10)] for v in vecs])
+    assert basis.dim == rank
+    assert _monic_rows(basis) == red
+
+
+def test_span_basis_ignores_rational_scaling_of_generators():
+    N = 10
+    ring = [
+        SeriesVector(2, N, [{2: Fraction(1, 2), 3: Fraction(2, 3)}, {1: 1}]),
+        SeriesVector(2, N, [{3: 1}, {2: Fraction(-3, 4), 5: 2}]),
+    ]
+    g = SeriesVector(2, N, [{1: Fraction(5, 6), 2: 1}, {0: Fraction(-1, 3)}])
+    base = span_basis(ring, [g])
+    scaled_ring = [r.scale(c) for r, c in zip(ring, (Fraction(-5, 7), Fraction(9, 2)))]
+    for c in (Fraction(2, 3), Fraction(-3, 2)):
+        assert span_basis(ring, [g.scale(c)]).rows == base.rows
+        assert span_basis(scaled_ring, [g.scale(c)]).rows == base.rows
+    rows = oracles.span_rows(
+        [tuple(r.coeffs) for r in ring], [tuple(g.coeffs)], 2, N
+    )
+    assert _monic_rows(base) == rows
+
+
+def test_nullspace_matches_dense_oracle(rng):
+    for trial in range(20):
+        nvars = rng.randint(1, 9)
+        rows = [
+            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+             for k in rng.sample(range(nvars), rng.randint(0, nvars))}
+            for _ in range(rng.randint(0, 7))
+        ]
+        kernel = modules._nullspace(rows, nvars)
+        rank, _ = oracles.rref([[r.get(k, 0) for k in range(nvars)] for r in rows])
+        assert len(kernel) == nvars - rank
+        for x in kernel:
+            assert all(type(c) is int for c in x.values())
+            for r in rows:
+                assert sum(c * x.get(k, 0) for k, c in r.items()) == 0
+        assert oracles.rref([[x.get(k, 0) for k in range(nvars)] for x in kernel])[0] == len(kernel)
 
 
 def test_span_closes_under_ring_action(rng, curve_spec):
@@ -115,6 +170,22 @@ def test_value_set_matches_dimension_drop_oracle(curve_spec, text, module, N, hi
     )
     for alpha in oracles.box((0,) * spec.s, hi):
         assert (alpha in G) == oracles.in_value_set(rows, spec.s, N, alpha)
+
+
+@pytest.mark.parametrize("poles", [(0,), (1,), (3,)])
+def test_colon_by_one_returns_the_module_itself(poles):
+    # K = (2 + 3t)·k[[t^2, t^3]] has a primitive row with pivot entry 2,
+    # so the constraint build must divide by pivot entries: t^P (K : R)
+    # is t^P K as a subspace, not only as a value set
+    N = 12
+    ring = [SeriesVector(1, N, [{2: 1}]), SeriesVector(1, N, [{3: 1}])]
+    K = span_basis(ring, [SeriesVector(1, N, [{0: 2, 1: 3}])])
+    assert K.rows[0] == {0: 2, 1: 3}
+    want = K.shifted(poles)
+    for e in range(2 + poles[0], N):
+        want.insert(SeriesVector.monomial(1, N, 0, e))
+    got = colon_solution_basis(ring, K, [SeriesVector.monomial(1, N, 0, 0)], (2,), poles)
+    assert got.rows == want.rows
 
 
 def test_value_set_oracle_on_one_branch():
