@@ -3,9 +3,9 @@
 The central operation is the difference E - F = {x : x + F ⊆ E}.  Applied
 with a canonical ideal K on the left it realizes the duality E ↦ K - E,
 which is an inclusion-reversing involution on good ideals.  It is exact
-boolean erosion: the AND over the members f of F of the translates E - f,
-all cut from one membership window of E, the mirror of the OR that forms
-the sum E + F in :mod:`goodsemi.ideals`.  The normalized
+boolean erosion: one translate per frame point of F, each cut from a
+suffix-AND table of one membership window of E, the mirror of the OR that
+forms the sum E + F in :mod:`goodsemi.ideals`.  The normalized
 canonical ideal K⁰ of S is computed directly from its defining property:
 alpha lies in K⁰ iff no element of S agrees with tau - alpha in some
 coordinate while strictly dominating it elsewhere (tau = conductor - 1).
@@ -24,12 +24,13 @@ from .ideals import (
     LocalDecomposition,
     _frame_of,
     _interleave,
+    _suffix_and,
     _suffix_or_strict,
-    _translate_windows,
+    _tail_translates,
     is_subset,
     validate,
 )
-from .lattice import Point, add, check_same_dim, cmax, ones, sub, zero
+from .lattice import Point, add, check_same_dim, ones, sub, zero
 
 __all__ = [
     "difference",
@@ -45,14 +46,14 @@ __all__ = [
 
 
 def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
-    """E - F = {x in Z^s : x + F ⊆ E}: the AND over members f of F of the
-    translates E - f, read from one window of E.
+    """E - F = {x in Z^s : x + F ⊆ E}, one translate per frame point of F.
 
     Both arguments must be closed under componentwise min (E1); the result
     then is as well, and is exactly representable with capping bound
-    gamma_E - mu_F.  Witnesses f are scanned over F ∩ [mu_F, B] with
-    B = max(gamma_F, gamma_E - mu_E + mu_F), which decides membership for
-    every candidate.
+    gamma_E - mu_F.  A frame point c of F stands for c + N^T, T the axes
+    where c_i = gamma_F,i, and x + c + N^T ⊆ E iff x + c lies in E's
+    suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
+    reaches past gamma_E, where E is constant, so that AND is exact.
     """
     check_same_dim(E.mu, F.mu)
     for name, X in (("left", E), ("right", F)):
@@ -63,9 +64,9 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
             )
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
-    fs = F.members_in_box(F.mu, cmax(F.gamma, add(sub(E.gamma, E.mu), F.mu)))
+    cs = np.argwhere(F._frame_bitmap()) + F.mu
     out = np.ones(tuple(h - l + 1 for l, h in zip(xlo, xhi)), dtype=bool)
-    for view in _translate_windows(E, xlo, xhi, fs):
+    for view in _tail_translates(E, xlo, xhi, cs, cs == F.gamma, _suffix_and):
         out &= view
     return IdealFrame._from_bitmap(xlo, out)
 

@@ -1,19 +1,25 @@
 """Finite representation of semigroup ideals of N^s and good semigroups.
 
 An ideal E of a good semigroup lives in Z^s, is bounded below, and contains
-a whole translated orthant gamma + N^s.  We store the branch count ``s``,
-the minimum ``mu``, a capping bound ``gamma``, and the finite point set
-``frame`` = E intersected with [mu, gamma]; membership of an arbitrary
+a whole translated orthant gamma + N^s.  An :class:`IdealFrame` stores the
+branch count ``s``, the minimum ``mu``, a capping bound ``gamma``, and a
+read-only bitmap of the frame E ∩ [mu, gamma]; membership of an arbitrary
 point is *defined* by the min-capping rule
 
     alpha in E  iff  cmin(alpha, gamma) in frame.
 
-``gamma`` is always normalized to the smallest bound for which this rule
-reproduces the set it was constructed from (the per-axis slice-stability
-scan in :meth:`IdealFrame._normalize`).  For validated-good ideals that
-minimal bound coincides with the conductor; for frames that merely satisfy
-(E1) it can sit strictly above the conductor, which is exposed separately
-as :attr:`IdealFrame.conductor`.
+The frame's point tuples (``frame``, ``frame_sorted``) are built only when
+read.  ``gamma`` is always normalized to the smallest bound for which this
+rule reproduces the set (the per-axis slice-stability scan in
+:func:`_trim`), so equal sets have equal state.  For validated-good ideals
+that minimal bound coincides with the conductor; for frames that merely
+satisfy (E1) it can sit strictly above the conductor, which is exposed
+separately as :attr:`IdealFrame.conductor`.
+
+By the rule a frame point c stands for the members c + N^T, T the axes
+where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold each
+such family into one translate of a table built once per T: one translate
+per frame point plus at most 2^s tables (:func:`_tail_translates`).
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ def _suffix_and(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _trim(arr: np.ndarray, mu: Point) -> tuple[Point, np.ndarray]:
     """Cut a bitmap over [mu, ...] that is exact at its upper corner to the
-    smallest exact capping bound; returns that bound and a read-only copy.
+    smallest exact capping bound; returns that bound and a copy.
 
     A bound c is exact iff along every axis i all box slices at levels
     >= c_i are identical; the exact bounds therefore form an upper
@@ -89,14 +95,23 @@ def _trim(arr: np.ndarray, mu: Point) -> tuple[Point, np.ndarray]:
         while t > 0 and np.array_equal(np.take(arr, t - 1, axis=ax), np.take(arr, t, axis=ax)):
             t -= 1
         top.append(t)
-    out = arr[tuple(slice(0, t + 1) for t in top)].copy()
-    out.flags.writeable = False
-    return tuple(m + t for m, t in zip(mu, top)), out
+    return tuple(m + t for m, t in zip(mu, top)), arr[tuple(slice(0, t + 1) for t in top)].copy()
 
 
 def _points(bitmap: np.ndarray, lo: Point) -> list[Point]:
     """The members of a bitmap over [lo, ...], in lex order."""
-    return [tuple(int(c) + l for c, l in zip(row, lo)) for row in np.argwhere(bitmap)]
+    return list(map(tuple, (np.argwhere(bitmap) + lo).tolist()))
+
+
+_INT_TYPES = frozenset({int} | {np.dtype(c).type for c in np.typecodes["AllInteger"]})
+
+
+def _check_ints(rows: list, name: str) -> None:
+    """Refuse a coordinate that is not an int or a numpy integer: a bool,
+    float or str is an input error, never cast."""
+    for p in rows:
+        if not _INT_TYPES.issuperset(map(type, p)):
+            raise FrameError(f"{name} {list(p)} has a non-integer coordinate")
 
 
 class IdealFrame:
@@ -106,7 +121,7 @@ class IdealFrame:
         "s",
         "mu",
         "gamma",
-        "frame",
+        "_frame",
         "_sorted",
         "_bitmap",
         "_conductor",
@@ -117,32 +132,39 @@ class IdealFrame:
         s = int(s)
         if s < 1:
             raise FrameError("branch count must be >= 1")
-        mu = as_point(mu)
-        gamma = as_point(gamma)
+        _check_ints([mu, gamma], "mu/gamma")
+        mu, gamma = (tuple(map(int, v)) for v in (mu, gamma))
         if len(mu) != s or len(gamma) != s:
             raise FrameError(f"mu/gamma must have {s} coordinates")
-        pts = frozenset(as_point(p) for p in frame)
+        pts = list(frame)
         if not pts:
             raise FrameError("frame must be nonempty")
-        for p in pts:
-            if len(p) != s:
-                raise FrameError(f"frame point {p} has wrong dimension")
-            if not all(m <= c <= g for m, c, g in zip(mu, p, gamma)):
-                raise FrameError(f"frame point {p} outside [{mu}, {gamma}]")
-        if mu not in pts:
+        _check_ints(pts, "frame point")
+        if set(map(len, pts)) != {s}:
+            bad = next(p for p in pts if len(p) != s)
+            raise FrameError(f"frame point {tuple(map(int, bad))} has wrong dimension")
+        arr = np.array(pts, dtype=np.int64).reshape(-1, s)
+        outside = ~((arr >= mu) & (arr <= gamma)).all(axis=1)
+        if outside.any():
+            bad = tuple(arr[outside.argmax()].tolist())
+            raise FrameError(f"frame point {bad} outside [{mu}, {gamma}]")
+        bitmap = np.zeros(tuple(g - m + 1 for m, g in zip(mu, gamma)), dtype=bool)
+        bitmap[tuple((arr - mu).T)] = True
+        if not bitmap[(0,) * s]:
             raise FrameError(f"mu={mu} must belong to the frame")
-        if gamma not in pts:
+        if not bitmap[(-1,) * s]:
             raise FrameError(f"gamma={gamma} must belong to the frame")
-        self.s = s
-        self.mu = mu
-        self.gamma = gamma
-        self.frame = pts
-        self._sorted = None
-        self._bitmap = None
-        self._conductor = None
-        self._report_cache = {}
         if not _normalized:
-            self._normalize()
+            gamma, bitmap = _trim(bitmap, mu)
+        self._adopt(mu, gamma, bitmap)
+
+    def _adopt(self, mu: Point, gamma: Point, bitmap: np.ndarray) -> "IdealFrame":
+        """Take the state, a bitmap over [mu, gamma] made read-only, unchecked."""
+        bitmap.flags.writeable = False
+        self.s, self.mu, self.gamma, self._bitmap = len(mu), mu, gamma, bitmap
+        self._frame = self._sorted = self._conductor = None
+        self._report_cache = {}
+        return self
 
     # -- construction helpers -------------------------------------------------
 
@@ -150,12 +172,12 @@ class IdealFrame:
     def from_points(cls, points, gamma) -> "IdealFrame":
         """Build from the point set E ∩ [min, gamma]; gamma must be a valid
         capping bound for the intended set (it is then minimized)."""
-        pts = [as_point(p) for p in points]
+        pts = list(points)
         if not pts:
             raise FrameError("empty point set")
-        s = len(pts[0])
-        mu = tuple(min(p[i] for p in pts) for i in range(s))
-        return cls(s, mu, gamma, pts)
+        _check_ints(pts, "frame point")
+        mu = tuple(map(min, zip(*pts)))
+        return cls(len(mu), mu, gamma, pts)
 
     @classmethod
     def _from_bitmap(cls, lo: Point, bitmap: np.ndarray) -> "IdealFrame":
@@ -165,25 +187,17 @@ class IdealFrame:
             raise FrameError("empty point set")
         s = len(lo)
         hi = tuple(l + n - 1 for l, n in zip(lo, bitmap.shape))
-        coords = np.argwhere(bitmap)
-        mu = tuple(int(c) + l for c, l in zip(coords.min(axis=0), lo))
-        if not bitmap[tuple(m - l for m, l in zip(mu, lo))]:
+        first = tuple(
+            int(np.argmax(bitmap.any(axis=tuple(j for j in range(s) if j != i))))
+            for i in range(s)
+        )
+        mu = tuple(l + f for l, f in zip(lo, first))
+        if not bitmap[first]:
             raise FrameError(f"set has no minimum element (componentwise min {mu} missing)")
         if not bitmap[(-1,) * s]:
             raise FrameError(f"gamma={hi} must belong to the frame")
-        gamma, trimmed = _trim(bitmap[tuple(slice(m - l, None) for m, l in zip(mu, lo))], mu)
-        pts = _points(trimmed, mu)
-        out = cls(s, mu, gamma, pts, _normalized=True)
-        out._bitmap, out._sorted = trimmed, tuple(pts)
-        return out
-
-    def _normalize(self) -> None:
-        """Shrink gamma to the smallest exact capping bound (see :func:`_trim`)."""
-        gamma, bitmap = _trim(self._frame_bitmap(), self.mu)
-        if gamma != self.gamma:
-            pts = _points(bitmap, self.mu)
-            self.gamma, self._bitmap = gamma, bitmap
-            self.frame, self._sorted = frozenset(pts), tuple(pts)
+        gamma, trimmed = _trim(bitmap[tuple(slice(f, None) for f in first)], mu)
+        return cls.__new__(cls)._adopt(mu, gamma, trimmed)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -192,23 +206,24 @@ class IdealFrame:
 
         Read-only: :meth:`shift` shares it between frames.
         """
-        if self._bitmap is None:
-            shape = tuple(g - m + 1 for m, g in zip(self.mu, self.gamma))
-            arr = np.zeros(shape, dtype=bool)
-            idx = np.array(self.frame_sorted, dtype=np.int64) - np.array(self.mu)
-            arr[tuple(idx.T)] = True
-            arr.flags.writeable = False
-            self._bitmap = arr
         return self._bitmap
 
     @property
     def frame_sorted(self) -> tuple[Point, ...]:
+        """The frame points, lex-sorted; built on first read."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.frame))
+            self._sorted = tuple(_points(self._bitmap, self.mu))
         return self._sorted
 
+    @property
+    def frame(self) -> frozenset[Point]:
+        """E ∩ [mu, gamma] as a set of points; built on first read."""
+        if self._frame is None:
+            self._frame = frozenset(self.frame_sorted)
+        return self._frame
+
     def fingerprint(self):
-        return (self.s, self.mu, self.gamma, self.frame_sorted)
+        return (self.s, self.mu, self.gamma, self._bitmap.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, IdealFrame):
@@ -221,7 +236,7 @@ class IdealFrame:
     def __repr__(self):
         return (
             f"IdealFrame(s={self.s}, mu={self.mu}, gamma={self.gamma}, "
-            f"|frame|={len(self.frame)})"
+            f"|frame|={self._bitmap.sum()})"
         )
 
     # -- membership -----------------------------------------------------------
@@ -229,7 +244,8 @@ class IdealFrame:
     def contains(self, alpha) -> bool:
         alpha = as_point(alpha)
         check_same_dim(alpha, self.mu)
-        return cmin(alpha, self.gamma) in self.frame
+        idx = tuple(min(a, g) - m for a, g, m in zip(alpha, self.gamma, self.mu))
+        return min(idx) >= 0 and bool(self._bitmap[idx])
 
     __contains__ = contains
 
@@ -301,14 +317,8 @@ class IdealFrame:
         """The translate alpha + E (an ideal again, same validation status)."""
         alpha = as_point(alpha)
         check_same_dim(alpha, self.mu)
-        out = IdealFrame(
-            self.s,
-            add(self.mu, alpha),
-            add(self.gamma, alpha),
-            [add(p, alpha) for p in self.frame],
-            _normalized=True,
-        )
-        out._bitmap = self._frame_bitmap()
+        out = IdealFrame.__new__(IdealFrame)
+        out._adopt(add(self.mu, alpha), add(self.gamma, alpha), self._bitmap)
         if self._conductor is not None:
             out._conductor = add(self._conductor, alpha)
         for key, rep in self._report_cache.items():
@@ -330,21 +340,28 @@ class IdealFrame:
         return _e1_holds(self)
 
 
-def _translate_windows(E: IdealFrame, lo, hi, offsets) -> Iterator[np.ndarray]:
-    """For each offset o, yield E's membership bitmap over [lo + o, hi + o].
-
-    Every bitmap is a view cut from one ``membership_box`` over
-    [lo + min o, hi + max o], so E is read once however many offsets
-    there are.  The views share that window; do not write to them.
+def _tail_translates(E: IdealFrame, lo, hi, offsets, tails, fold) -> Iterator[np.ndarray]:
+    """For each offset o, yield fold_T(E) over [lo + o, hi + o]: E's
+    membership with ``fold`` (a cumulative op) applied along each axis in
+    T, the axes marked in o's row of ``tails``.  The tables are cut from
+    one window of E over [lo + min o, hi + max o], one mask at a time, and
+    each caller says why that window suffices for its fold.  Views come
+    grouped by mask, in offset order within a mask; do not write to them.
     """
-    offs = np.array(offsets, dtype=np.int64).reshape(-1, E.s)
-    if not len(offs):
-        return
+    offs = np.asarray(offsets, dtype=np.int64)
     omin = offs.min(axis=0)
     window = E.membership_box(add(lo, omin), add(hi, offs.max(axis=0)))
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    for o in offs - omin:
-        yield window[tuple(slice(k, k + n) for k, n in zip(o, shape))]
+    cuts = [[slice(k, k + m) for k in range(n - m + 1)] for m, n in zip(shape, window.shape)]
+    masks = (np.asarray(tails) * (1 << np.arange(E.s))).sum(axis=1)
+    for T in sorted(set(masks.tolist())):
+        table = window
+        for axis in range(E.s):
+            if T >> axis & 1:
+                table = fold(table, axis)
+        starts = (offs[masks == T] - omin).T.tolist()
+        for idx in zip(*(map(cut.__getitem__, ks) for cut, ks in zip(cuts, starts))):
+            yield table[idx]
 
 
 def _e1_holds(E: IdealFrame) -> bool:
@@ -379,7 +396,7 @@ def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
     the pairwise enumeration runs only after the sweep finds a failure."""
     if _e1_holds(E):
         return []
-    pts = np.array(E.frame_sorted, dtype=np.int64)
+    pts = np.argwhere(E._frame_bitmap()) + E.mu
     n = len(pts)
     arr = E._frame_bitmap()
     mu = np.array(E.mu, dtype=np.int64)
@@ -476,7 +493,7 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     if _e2_holds(E):
         return []
     s = E.s
-    pts = np.array(E.frame_sorted, dtype=np.int64)
+    pts = np.argwhere(E._frame_bitmap()) + E.mu
     mu_arr = np.array(E.mu, dtype=np.int64)
     table = _exchange_tables(E)
 
@@ -516,21 +533,40 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     return failures
 
 
+def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
+    """Decide E + S ⊆ E, for the sums e + sigma with sigma in S ∩ N^s.
+
+    Capping at top = cmax(gamma_S, 0) keeps S's membership, so S ∩ N^s is
+    the union over c in S ∩ [0, top] of c + N^T, T the axes where c_i =
+    top_i (reading S on [mu_S, gamma_S] drops these tails on an axis where
+    gamma_S < 0).  e + c + N^T ⊆ E iff e + c lies in E's suffix-AND along
+    T; the window reaches past gamma_E, so the AND is exact.  Frame points
+    e suffice, because sigma >= 0 keeps capped coordinates capped.
+    """
+    top = cmax(S.gamma, zero(E.s))
+    cs = np.argwhere(S.membership_box(zero(E.s), top))
+    frame = E._frame_bitmap()
+    views = _tail_translates(E, E.mu, E.gamma, cs, cs == top, _suffix_and)
+    return not any((frame & ~view).any() for view in views)
+
+
 def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Point]]:
-    """Failures of E + S ⊆ E, listed sigma-major and then e in lex order.
+    """Failures of E + S ⊆ E, listed sigma-major and then e in lex order;
+    the enumeration runs only after :func:`_additivity_holds` finds one.
 
     Scanning e over the frame and sigma over S ∩ [0, max(gamma_S,
     gamma_E - mu_E) + 1] is exact for min-capped representations.
     """
+    if _additivity_holds(E, S):
+        return []
     bound = add(cmax(S.gamma, sub(E.gamma, E.mu)), ones(E.s))
-    sigmas = S.members_in_box(zero(E.s), bound)
+    sigmas = np.argwhere(S.membership_box(zero(E.s), bound))
     frame = E._frame_bitmap()
+    views = _tail_translates(E, E.mu, E.gamma, sigmas, np.zeros_like(sigmas), None)
     out = []
-    for sigma, view in zip(sigmas, _translate_windows(E, E.mu, E.gamma, sigmas)):
-        bad = frame & ~view
-        if bad.any():
-            for row in np.argwhere(bad):
-                out.append((tuple(int(c) + m for c, m in zip(row, E.mu)), sigma))
+    for sigma, view in zip(sigmas.tolist(), views):
+        for e in _points(frame & ~view, E.mu):
+            out.append((e, tuple(sigma)))
     return out
 
 
@@ -691,29 +727,29 @@ class GoodSemigroup:
         return hash(("GoodSemigroup", self.ideal.fingerprint()))
 
     def __repr__(self):
-        return f"GoodSemigroup(s={self.s}, gamma={self.gamma}, |frame|={len(self.ideal.frame)})"
+        return f"GoodSemigroup(s={self.s}, gamma={self.gamma}, |frame|={self.ideal._bitmap.sum()})"
 
 
 # -- arithmetic on frames -----------------------------------------------------
 
 
 def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
-    """The pointwise sum E + F = {e + f}: the OR over members f of F of
-    the translates f + E, read from one window of E.
+    """The pointwise sum E + F = {e + f}, exactly representable with
+    capping bound gamma_E + gamma_F (then minimized).
 
-    Exactly representable with capping bound gamma_E + gamma_F (then
-    minimized).  Any sum landing in the scan box [mu_E+mu_F, hi] has its
-    F-part inside [mu_F, hi - mu_E], so the scan must range over the
-    members of F up to cmax(gamma_F, hi - mu_E) — the frame box of F
-    alone misses sums whose F-part lies beyond gamma_F while the E-part
-    is small.
+    Under the capping rule each frame point c of F stands for the members
+    c + N^T of F, T the axes where c_i = gamma_F,i, so E + F is the OR over
+    the frame points c of c + (E + N^T), and E + N^T is E's cumulative OR
+    along T.  The window [lo - gamma_F, hi - mu_F] starts at or below
+    mu_E, so that OR misses no member of E: one translate per frame point
+    of F.
     """
     check_same_dim(E.mu, F.mu)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
-    fs = F.members_in_box(F.mu, cmax(F.gamma, sub(hi, E.mu)))
+    cs = np.argwhere(F._frame_bitmap()) + F.mu
     out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=bool)
-    for view in _translate_windows(E, lo, hi, -np.array(fs, dtype=np.int64)):
+    for view in _tail_translates(E, lo, hi, -cs, cs == F.gamma, np.logical_or.accumulate):
         out |= view
     return IdealFrame._from_bitmap(lo, out)
 
@@ -738,9 +774,7 @@ def is_local(S) -> bool:
     the scan is exact.
     """
     Sf = _frame_of(S)
-    members = np.array(
-        Sf.members_in_box(zero(Sf.s), add(Sf.gamma, ones(Sf.s))), dtype=np.int64
-    )
+    members = np.argwhere(Sf.membership_box(zero(Sf.s), add(Sf.gamma, ones(Sf.s))))
     nonzero = members.any(axis=1)
     has_zero_coord = (members == 0).any(axis=1)
     return not bool((nonzero & has_zero_coord).any())
@@ -767,7 +801,7 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
     Sf = _frame_of(S)
     s = Sf.s
     hi = add(Sf.gamma, ones(s))
-    members = np.array(Sf.members_in_box(zero(s), hi), dtype=np.int64)
+    members = np.argwhere(Sf.membership_box(zero(s), hi))
     zpat = members == 0
     blocks: list[list[int]] = []
     seen: dict[bytes, int] = {}
@@ -811,20 +845,15 @@ def _interleave(partition, frames) -> IdealFrame:
         raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
     if len(frames) != len(blocks):
         raise FrameError("one factor per block required")
-    mu = [0] * s
-    gamma = [0] * s
-    placed = np.zeros((1, s), dtype=np.int64)
+    prod = np.ones((), dtype=bool)
     for block, f in zip(blocks, frames):
         if f.s != len(block):
             raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
-        for k, i in enumerate(block):
-            mu[i] = f.mu[k]
-            gamma[i] = f.gamma[k]
-        pts = np.array(f.frame_sorted, dtype=np.int64)
-        tiled = np.tile(pts, (len(placed), 1))
-        placed = np.repeat(placed, len(pts), axis=0)
-        placed[:, list(block)] = tiled
-    return IdealFrame(s, tuple(mu), tuple(gamma), [tuple(int(x) for x in row) for row in placed])
+        prod = np.logical_and.outer(prod, f._frame_bitmap())
+    # axis k of the outer product carries branch order[k]; move it to its place
+    order = np.argsort([i for b in blocks for i in b])
+    mu = [m for f in frames for m in f.mu]
+    return IdealFrame._from_bitmap(tuple(mu[k] for k in order), prod.transpose(order))
 
 
 def recombine(partition, factors) -> GoodSemigroup:
@@ -858,7 +887,7 @@ def to_json(E: IdealFrame) -> str:
         f'  "gamma": {list(E.gamma)},',
         '  "frame": [',
     ]
-    pts = E.frame_sorted
+    pts = _points(E._frame_bitmap(), E.mu)
     for k, p in enumerate(pts):
         comma = "," if k + 1 < len(pts) else ""
         lines.append(f"    {list(p)}{comma}")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -13,7 +14,9 @@ from goodsemi import (
     IdealFrame,
     NotCertifiedError,
     ParseError,
+    canonical_normalized,
     decompose,
+    difference,
     from_json,
     is_local,
     is_subset,
@@ -70,6 +73,31 @@ def test_gamma_must_be_member():
 def test_frame_needs_minimum():
     with pytest.raises(FrameError, match="must belong"):
         IdealFrame.from_points([(0, 1), (1, 0), (1, 1)], gamma=(1, 1))
+
+
+@pytest.mark.parametrize("bad", [True, 2.9, "1"], ids=["bool", "float", "str"])
+def test_non_integer_coordinates_are_refused(bad):
+    # int() would turn True into 1, 2.9 into 2 and "1" into 1 without a word
+    for mu, gamma, pts in (
+        ((0,), (2,), [(0,), (bad,), (2,)]),
+        ((0,), (bad,), [(0,)]),
+        ((bad,), (2,), [(0,), (2,)]),
+    ):
+        with pytest.raises(FrameError, match="non-integer"):
+            IdealFrame(1, mu, gamma, pts)
+    with pytest.raises(FrameError, match="non-integer"):
+        IdealFrame.from_points([(0, 0), (bad, 1)], gamma=(3, 1))
+    text = json.dumps({"s": 1, "mu": [0], "gamma": [2], "frame": [[0], [bad], [2]]})
+    with pytest.raises(ParseError, match=r"frame point \[.+\] has a non-integer coordinate"):
+        from_json(text)
+    with pytest.raises(ParseError, match="non-integer"):
+        from_json('{"s": 1, "mu": [0], "gamma": [2.9], "frame": [[0], [2.9], [true]]}')
+
+
+def test_numpy_integer_coordinates_are_accepted():
+    E = IdealFrame(2, np.array([0, 0]), (np.int32(3), 1), np.array([[0, 0], [3, 1]]))
+    assert E == IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
+    assert E.mu == (0, 0) and type(E.mu[0]) is int
 
 
 def test_membership_matches_predicate_everywhere():
@@ -349,6 +377,94 @@ def test_sum_commutes():
     )
     F = IdealFrame.from_points([(3, 1), (4, 2)], gamma=(4, 2))
     assert sum_ideals(E, F) == sum_ideals(F, E)
+
+
+def _raw_frame(rng, s, close):
+    """A frame from random points over [mu, mu + B] holding both corners,
+    mu in [-3, 2]^s, closed under componentwise min when ``close``; with
+    its membership predicate, built from the points alone."""
+    B = tuple(rng.randint(0, 3 if s <= 2 else 2) for _ in range(s))
+    mu = tuple(rng.randint(-3, 2) for _ in range(s))
+    pts = {(0,) * s, B}
+    for _ in range(rng.randint(0, 8)):
+        pts.add(tuple(rng.randint(0, b) for b in B))
+    while close:
+        extra = {oracles.cmin(p, q) for p in pts for q in pts} - pts
+        if not extra:
+            break
+        pts |= extra
+    pts = {oracles.add(p, mu) for p in pts}
+    gamma = oracles.add(B, mu)
+    return IdealFrame(s, mu, gamma, pts), lambda p: oracles.cmin(p, gamma) in pts
+
+
+def test_folded_sum_and_difference_match_oracles_on_raw_frames():
+    # each frame point c of F stands for c + N^T, T = {i : c_i = gamma_F,i}:
+    # the oracle boxes reach past gamma_F on every axis, and every tail
+    # mask T of three axes must be met
+    rng = random.Random(20260818)
+    tails, diffs = set(), 0
+    for _ in range(150):
+        s = rng.randint(1, 3)
+        (E, pe), (F, pf) = (_raw_frame(rng, s, rng.random() < 0.7) for _ in range(2))
+        if s == 3:
+            tails |= {tuple(x == g for x, g in zip(c, F.gamma)) for c in F.frame_sorted}
+        lo = tuple(a + b - 1 for a, b in zip(E.mu, F.mu))
+        hi = tuple(a + b + 1 for a, b in zip(E.gamma, F.gamma))
+        P = sum_ideals(E, F)
+        want = oracles.sum_points(pe, pf, lo, hi, E.mu, F.mu)
+        assert {p for p in oracles.box(lo, hi) if p in P} == want
+        if not (E.is_e1() and F.is_e1()):
+            continue
+        diffs += 1
+        D = difference(E, F)
+        lo = tuple(a - b - 1 for a, b in zip(E.mu, F.mu))
+        hi = tuple(a - b + 1 for a, b in zip(E.gamma, F.mu))
+        f_hi = tuple(max(f, e - l) + 1 for f, e, l in zip(F.gamma, E.gamma, lo))
+        want = oracles.difference_points(pe, pf, lo, hi, F.mu, f_hi)
+        assert {p for p in oracles.box(lo, hi) if p in D} == want
+    assert len(tails) == 8 and diffs >= 50, (tails, diffs)
+
+
+def test_additivity_sweep_matches_bruteforce_verdict():
+    # ambients are raw frames, some with gamma_S < 0 on an axis, where S's
+    # nonnegative members c + N^T lie beyond its frame box
+    rng = random.Random(20260819)
+    seen = [0, 0]
+    below = 0
+    for _ in range(240):
+        s = rng.randint(1, 3)
+        E, pe = _raw_frame(rng, s, False)
+        S, ps = _raw_frame(rng, s, False)
+        below += min(S.gamma) < 0
+        top = tuple(max(g, 0) + (a - b) + 1 for g, a, b in zip(S.gamma, E.gamma, E.mu))
+        es = oracles.points_of(pe, E.mu, tuple(g + 1 for g in E.gamma))
+        sigmas = oracles.points_of(ps, (0,) * s, top)
+        want = all(pe(oracles.add(e, sig)) for sig in sigmas for e in es)
+        assert ideals._additivity_holds(E, S) == want
+        assert (validate(E, S).additivity_failures == []) == want
+        seen[want] += 1
+    # [failing, passing]: both sides must be exercised
+    assert min(seen) >= 50 and below >= 20, (seen, below)
+
+
+def test_sweeps_build_no_point_tuples(wide_s):
+    # frames hold (s, mu, gamma, bitmap); the point tuples are built on read
+    S = wide_s
+    E = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
+    E.frame  # the inputs' caches must not leak into the results
+    K = canonical_normalized(S)
+    out = [
+        sum_ideals(K, E),
+        difference(K, E),
+        K,
+        E.shift((1, -2)),
+        IdealFrame._from_bitmap((0, 0), np.ones((2, 3), dtype=bool)),
+    ]
+    for X in out:
+        assert X._frame is None and X._sorted is None, X
+        pts = X.frame_sorted
+        assert X._frame is None and X.frame == frozenset(pts)
 
 
 def test_subset_checks():
