@@ -1,14 +1,14 @@
 """Duality for good semigroups: ideal differences and canonical ideals.
 
-The central operation is the difference E - F = {x : x + F ⊆ E}.  Applied
-with a canonical ideal K on the left it realizes the duality E ↦ K - E,
-which is an inclusion-reversing involution on good ideals.  It is exact
-boolean erosion: one translate per frame point of F, each cut from a
+The difference E - F = {x : x + F ⊆ E} is exact boolean erosion: the AND
+of one contiguous translate per frame point of F, each cut from a raveled
 suffix-AND table of one membership window of E, the mirror of the OR that
-forms the sum E + F in :mod:`goodsemi.ideals`.  The normalized
-canonical ideal K⁰ of S is computed directly from its defining property:
-alpha lies in K⁰ iff no element of S agrees with tau - alpha in some
-coordinate while strictly dominating it elsewhere (tau = conductor - 1).
+forms the sum E + F in :mod:`goodsemi.ideals`.  With a canonical ideal K
+on the left it is the duality E ↦ K - E, an inclusion-reversing
+involution on good ideals, but that dual needs no erosion: alpha lies in
+K⁰ - E iff no element of E agrees with tau - alpha in some coordinate
+while strictly dominating it elsewhere (tau = conductor of S minus 1), so
+K⁰ = K⁰ - S and every dual take one strict suffix sweep per axis of one box.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from .ideals import (
     LocalDecomposition,
     _frame_of,
     _interleave,
+    _reduce_translates,
     _suffix_and,
     _suffix_or_strict,
-    _tail_translates,
     is_subset,
     validate,
 )
-from .lattice import Point, add, check_same_dim, ones, sub, zero
+from .lattice import Point, add, check_same_dim, cmax, ones, sub, zero
 
 __all__ = [
     "difference",
@@ -65,9 +65,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
     cs = np.argwhere(F._frame_bitmap()) + F.mu
-    out = np.ones(tuple(h - l + 1 for l, h in zip(xlo, xhi)), dtype=bool)
-    for view in _tail_translates(E, xlo, xhi, cs, cs == F.gamma, _suffix_and):
-        out &= view
+    out = _reduce_translates(np.logical_and, E, xlo, xhi, cs, cs == F.gamma, _suffix_and)
     return IdealFrame._from_bitmap(xlo, out)
 
 
@@ -77,31 +75,39 @@ def conductor_ideal(E: IdealFrame) -> IdealFrame:
     return IdealFrame(len(c), c, c, [c], _normalized=True)
 
 
-def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
-    """The normalized canonical ideal K⁰ of S.
+def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
+    """K⁰ - E for any E with E + S ⊆ E, K⁰ the normalized canonical ideal.
 
-    alpha ∈ K⁰ iff for every coordinate j there is no sigma in S with
-    sigma_j = tau_j - alpha_j and sigma_i > tau_i - alpha_i for all other
-    i.  Witnesses sigma are complete inside S ∩ [0, gamma+1]; the bitmap
-    over [0, gamma] is exact at gamma.
+    Let tau = gamma_S - 1, Delta_j(b) = {x : x_j = b_j, x_i > b_i for
+    i != j} and Delta = ∪_j Delta_j.  D'Anna (Comm. Algebra 25, 1997):
+    K⁰ = {alpha : Delta(tau - alpha) ∩ S = ∅}, and then K⁰ - E = {alpha :
+    Delta(tau - alpha) ∩ E = ∅}.  ⊆: if e ∈ Delta_j(tau - alpha) ∩ E, then
+    Delta_j(tau - alpha - e) holds 0 ∈ S, so alpha + e ∉ K⁰.  ⊇: if sigma ∈
+    Delta_j(tau - alpha - e) ∩ S, then sigma + e ∈ Delta_j(tau - alpha) ∩ E.
+
+    The result lies in -mu_E + N^s and is exact at gamma_S - mu_E, so
+    alpha runs over [-mu_E, gamma_S - mu_E] and b = tau - alpha over
+    [mu_E - 1, mu_E + gamma_S - 1].  E is read on [mu_E - 1, cmax(gamma_E,
+    mu_E + gamma_S)]: the top lies above every b, and E is constant along
+    axis i past gamma_E,i, so each strict suffix at a b misses no member.
     """
-    Sf = _frame_of(S)
-    s = Sf.s
-    gamma = Sf.gamma
-    lo = tuple(-1 for _ in range(s))
-    M = Sf.membership_box(lo, add(gamma, ones(s)))
-    shape = tuple(g + 1 for g in gamma)
-    bad = np.zeros(shape, dtype=bool)
+    gamma = _frame_of(S).gamma
+    s = E.s
+    M = E.membership_box(sub(E.mu, ones(s)), cmax(E.gamma, add(E.mu, gamma)))
+    bad = np.zeros(tuple(g + 1 for g in gamma), dtype=bool)
     for j in range(s):
         D = M
         for i in range(s):
             if i != j:
                 D = _suffix_or_strict(D, i)
-        # beta = tau - alpha for alpha in [0, gamma]: grid index tau-alpha+1,
-        # i.e. the reversed leading block of D.
-        sl = tuple(slice(0, g + 1) for g in gamma)
-        bad |= np.flip(D[sl])
-    return IdealFrame._from_bitmap(zero(s), ~bad)
+        # b = tau - alpha sits at grid index gamma_S - (alpha + mu_E)
+        bad |= np.flip(D[tuple(slice(0, g + 1) for g in gamma)])
+    return IdealFrame._from_bitmap(sub(zero(s), E.mu), ~bad)
+
+
+def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
+    """The normalized canonical ideal K⁰ of S, as K⁰ - S."""
+    return _dual_normalized(S, _frame_of(S))
 
 
 def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
@@ -170,7 +176,7 @@ def dualize(K: CanonicalIdeal, E: IdealFrame) -> IdealFrame:
             "input not (E2)-certified; involution not guaranteed:\n" + report.summary(),
             report,
         )
-    return difference(K.ideal, E)
+    return _dual_normalized(K.semigroup, E).shift(K.shift_from_normalized)
 
 
 def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
@@ -183,7 +189,8 @@ def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
     check_same_dim(_frame_of(S).mu, _frame_of(Sp).mu)
     if not is_subset(_frame_of(S), _frame_of(Sp)):
         raise InclusionError("push_forward requires S ⊆ S'")
-    moved = difference(K.ideal, _frame_of(Sp))
+    # S' + S ⊆ S', so K - S' is a dual over S
+    moved = _dual_normalized(S, _frame_of(Sp)).shift(K.shift_from_normalized)
     return CanonicalIdeal.certify(moved, Sp)
 
 

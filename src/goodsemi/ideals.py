@@ -19,14 +19,15 @@ separately as :attr:`IdealFrame.conductor`.
 By the rule a frame point c stands for the members c + N^T, T the axes
 where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold each
 such family into one translate of a table built once per T: one translate
-per frame point plus at most 2^s tables (:func:`_tail_translates`).
+per frame point, a contiguous slice of the raveled table, plus at most 2^s
+tables, and one read back onto the result's grid (:func:`_tail_translates`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 
@@ -129,6 +130,8 @@ class IdealFrame:
     )
 
     def __init__(self, s: int, mu, gamma, frame, *, _normalized: bool = False):
+        if type(s) not in _INT_TYPES:
+            raise FrameError(f"branch count {s!r} is not an integer")
         s = int(s)
         if s < 1:
             raise FrameError("branch count must be >= 1")
@@ -340,28 +343,48 @@ class IdealFrame:
         return _e1_holds(self)
 
 
-def _tail_translates(E: IdealFrame, lo, hi, offsets, tails, fold) -> Iterator[np.ndarray]:
-    """For each offset o, yield fold_T(E) over [lo + o, hi + o]: E's
+def _tail_translates(E: IdealFrame, lo, hi, offsets, tails, fold):
+    """Translates fold_T(E) over [lo + o, hi + o], one per offset o: E's
     membership with ``fold`` (a cumulative op) applied along each axis in
     T, the axes marked in o's row of ``tails``.  The tables are cut from
     one window of E over [lo + min o, hi + max o], one mask at a time, and
-    each caller says why that window suffices for its fold.  Views come
-    grouped by mask, in offset order within a mask; do not write to them.
+    each caller says why that window suffices for its fold.  A table is
+    raveled with the window's C strides st (a bool cell is one byte), o is
+    the integer k = (o - min o)·st and its translate the contiguous slice
+    flat[k : k + L], L = (shape - 1)·st + 1, whose cells (x - lo)·st form
+    [lo, hi]; the cells between are row ends, never read.  Returns (grid,
+    slices): the slices grouped by mask, offsets in order within a mask,
+    and ``grid``, which reads a length-L array back onto [lo, hi] as a
+    strided view of its buffer.  Do not write to either.
     """
     offs = np.asarray(offsets, dtype=np.int64)
     omin = offs.min(axis=0)
-    window = E.membership_box(add(lo, omin), add(hi, offs.max(axis=0)))
+    window = np.ascontiguousarray(E.membership_box(add(lo, omin), add(hi, offs.max(axis=0))))
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    cuts = [[slice(k, k + m) for k in range(n - m + 1)] for m, n in zip(shape, window.shape)]
+    L = sum((n - 1) * t for n, t in zip(shape, window.strides)) + 1
+    starts = ((offs - omin) * window.strides).sum(axis=1)
     masks = (np.asarray(tails) * (1 << np.arange(E.s))).sum(axis=1)
-    for T in sorted(set(masks.tolist())):
-        table = window
-        for axis in range(E.s):
-            if T >> axis & 1:
-                table = fold(table, axis)
-        starts = (offs[masks == T] - omin).T.tolist()
-        for idx in zip(*(map(cut.__getitem__, ks) for cut, ks in zip(cuts, starts))):
-            yield table[idx]
+
+    def slices():
+        for T in sorted(set(masks.tolist())):
+            table = window
+            for axis in range(E.s):
+                if T >> axis & 1:
+                    table = fold(table, axis)
+            flat = table.ravel()
+            for k in starts[masks == T].tolist():
+                yield flat[k : k + L]
+
+    return partial(np.ndarray, shape, bool, strides=window.strides), slices()
+
+
+def _reduce_translates(op, *args) -> np.ndarray:
+    """The OR or AND ``op`` of all translates of _tail_translates(*args)."""
+    grid, slices = _tail_translates(*args)
+    acc = next(slices).copy()
+    for view in slices:
+        op(acc, view, out=acc)
+    return grid(acc)
 
 
 def _e1_holds(E: IdealFrame) -> bool:
@@ -500,36 +523,20 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     failures: list[tuple[Point, Point, int]] = []
     for j in range(s):
         others = [i for i in range(s) if i != j]
-        order = np.argsort(pts[:, j], kind="stable")
-        sorted_pts = pts[order]
-        values, starts = np.unique(sorted_pts[:, j], return_index=True)
-        bounds = list(starts) + [len(sorted_pts)]
-        for g in range(len(values)):
-            G = sorted_pts[bounds[g] : bounds[g + 1]]
-            k = len(G)
-            for a in range(k - 1):
+        # groups sharing coordinate j; np.unique would import numpy.ma
+        sorted_pts = pts[np.argsort(pts[:, j], kind="stable")]
+        for G in np.split(sorted_pts, np.flatnonzero(np.diff(sorted_pts[:, j])) + 1):
+            for a in range(len(G) - 1):
                 rows = G[a + 1 :]
                 m = np.minimum(G[a], rows)
-                if others:
-                    eq = rows[:, others] == G[a][others]
-                    maskids = eq.astype(np.int64) @ (1 << np.arange(len(others)))
-                else:
-                    maskids = np.zeros(len(rows), dtype=np.int64)
+                eq = rows[:, others] == G[a][others]
+                maskids = eq.astype(np.int64) @ (1 << np.arange(len(others)))
                 idx = m - mu_arr
-                for mask in np.unique(maskids):
+                for mask in sorted(set(maskids.tolist())):
                     pick = maskids == mask
-                    W = table(j, int(mask))
-                    ok = W[tuple(idx[pick].T)]
-                    if not ok.all():
-                        sel = np.argwhere(pick).ravel()[~ok]
-                        for t in sel:
-                            failures.append(
-                                (
-                                    tuple(int(x) for x in G[a]),
-                                    tuple(int(x) for x in rows[t]),
-                                    j,
-                                )
-                            )
+                    ok = table(j, mask)[tuple(idx[pick].T)]
+                    for t in np.flatnonzero(pick)[~ok].tolist():
+                        failures.append((tuple(G[a].tolist()), tuple(rows[t].tolist()), j))
     return failures
 
 
@@ -545,9 +552,8 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     """
     top = cmax(S.gamma, zero(E.s))
     cs = np.argwhere(S.membership_box(zero(E.s), top))
-    frame = E._frame_bitmap()
-    views = _tail_translates(E, E.mu, E.gamma, cs, cs == top, _suffix_and)
-    return not any((frame & ~view).any() for view in views)
+    held = _reduce_translates(np.logical_and, E, E.mu, E.gamma, cs, cs == top, _suffix_and)
+    return not (E._frame_bitmap() & ~held).any()
 
 
 def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Point]]:
@@ -562,10 +568,10 @@ def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Poin
     bound = add(cmax(S.gamma, sub(E.gamma, E.mu)), ones(E.s))
     sigmas = np.argwhere(S.membership_box(zero(E.s), bound))
     frame = E._frame_bitmap()
-    views = _tail_translates(E, E.mu, E.gamma, sigmas, np.zeros_like(sigmas), None)
+    grid, views = _tail_translates(E, E.mu, E.gamma, sigmas, np.zeros_like(sigmas), None)
     out = []
     for sigma, view in zip(sigmas.tolist(), views):
-        for e in _points(frame & ~view, E.mu):
+        for e in _points(frame & ~grid(view), E.mu):
             out.append((e, tuple(sigma)))
     return out
 
@@ -748,9 +754,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
     cs = np.argwhere(F._frame_bitmap()) + F.mu
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), dtype=bool)
-    for view in _tail_translates(E, lo, hi, -cs, cs == F.gamma, np.logical_or.accumulate):
-        out |= view
+    out = _reduce_translates(np.logical_or, E, lo, hi, -cs, cs == F.gamma, np.logical_or.accumulate)
     return IdealFrame._from_bitmap(lo, out)
 
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import oracles
 import goodsemi as g
+from goodsemi import duality, ideals
 from goodsemi import (
     GoodSemigroup,
     IdealFrame,
@@ -18,6 +21,8 @@ from goodsemi import (
     product_canonical,
     product_semigroups,
     push_forward,
+    random_good_semigroup,
+    random_pair,
     sum_ideals,
     to_json,
     validate,
@@ -235,6 +240,82 @@ def test_push_forward_to_overgroup(fig_s):
     assert ok
     with pytest.raises(InclusionError):
         push_forward(CanonicalIdeal.normalized(big), fig_s)
+
+
+def test_duals_by_delta_sweeps_match_difference():
+    # dualize and push_forward read K - E off Delta sweeps of E; both must
+    # equal the erosion K - E, for K certified at a shift alpha.  Products
+    # of pooled pairs reach s = 4 with windows larger than the generator's.
+    rng = random.Random(20261018)
+    pool = {
+        d: [random_pair(rng, d, max_gamma=top, max_shift=0) for _ in range(n)]
+        for d, top, n in ((1, 12, 40), (2, 7, 30), (3, 4, 12), (4, 3, 4))
+    }
+    kinds, moved = set(), 0
+    for k in range(320):
+        s = 1 + k % 4
+        split = rng.randint(0, s - 1)
+        if split:
+            pairs = [rng.choice(pool[d]) for d in (split, s - split)]
+            S = product_semigroups(*(p[0] for p in pairs))
+            E = ideals._interleave([range(split), range(split, s)], [p[1] for p in pairs])
+        else:
+            S, E = rng.choice(pool[s])
+        kinds.add((s, split))
+        E = E.shift(tuple(rng.randint(-3, 3) for _ in range(s)))
+        alpha = tuple(rng.randint(-3, 3) for _ in range(s))
+        K = CanonicalIdeal.certify(canonical_normalized(S).shift(alpha), S)
+        assert dualize(K, E) == difference(K.ideal, E)
+        Sp = GoodSemigroup(difference(E, E))  # an oversemigroup of S
+        assert push_forward(K, Sp).ideal == difference(K.ideal, Sp.ideal)
+        moved += Sp != S
+    assert len(kinds) == 10 and moved >= 100, (kinds, moved)
+
+
+def test_dual_of_any_s_stable_set_matches_oracle():
+    # the Delta description of K⁰ - E needs only E + S ⊆ E: E = R + S for
+    # a raw frame R, often failing (E1) or capped above mu_E + gamma_S,
+    # where the box read from E must reach gamma_E
+    rng = random.Random(20261020)
+    seen = [0, 0]
+    for k in range(120):
+        s = 1 + k % 3
+        S = random_good_semigroup(rng, s, max_gamma=(9, 6, 4)[s - 1])
+        B = tuple(rng.randint(0, 3) for _ in range(s))
+        mu = tuple(rng.randint(-3, 3) for _ in range(s))
+        pts = {(0,) * s, B}
+        pts |= {tuple(rng.randint(0, b) for b in B) for _ in range(rng.randint(0, 6))}
+        R = IdealFrame(s, mu, oracles.add(B, mu), {oracles.add(p, mu) for p in pts})
+        E = sum_ideals(R, S.ideal)
+        seen[0] += not E.is_e1()
+        seen[1] += any(g > m + c for g, m, c in zip(E.gamma, E.mu, S.gamma))
+        K0 = canonical_normalized(S)
+        lo = tuple(-m - 1 for m in E.mu)
+        hi = tuple(c - m + 1 for c, m in zip(S.gamma, E.mu))
+        f_hi = tuple(max(f, t - l) + 1 for f, t, l in zip(E.gamma, K0.gamma, lo))
+        want = oracles.difference_points(K0.contains, E.contains, lo, hi, E.mu, f_hi)
+        D = duality._dual_normalized(S, E)
+        assert {p for p in oracles.box(lo, hi) if p in D} == want
+    assert min(seen) >= 15, seen
+
+
+def test_duals_run_without_translates(monkeypatch):
+    # K⁰, K - E and K - S' take no erosion: with the translate helper
+    # broken they must still give the erosion's answers
+    S, E = random_pair(random.Random(33), 2)  # gamma_S = (6, 4), S' != S
+    K = CanonicalIdeal.certify(canonical_normalized(S).shift((2, -1)), S)
+    Sp = GoodSemigroup(difference(E, E))
+    want = (K.ideal, difference(K.ideal, E), difference(K.ideal, Sp.ideal))
+    validate(E, S)  # cached, so dualize's own check needs no sweep
+
+    def broken(*args):
+        raise AssertionError("translate sweep called")
+
+    monkeypatch.setattr(ideals, "_tail_translates", broken)
+    with pytest.raises(AssertionError, match="translate sweep"):
+        difference(K.ideal, E)
+    got = (canonical_normalized(S).shift((2, -1)), dualize(K, E), push_forward(K, Sp).ideal)
+    assert got == want
 
 
 def test_product_canonical_matches_product(fig_s):

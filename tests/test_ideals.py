@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,17 @@ def test_non_integer_coordinates_are_refused(bad):
         from_json(text)
     with pytest.raises(ParseError, match="non-integer"):
         from_json('{"s": 1, "mu": [0], "gamma": [2.9], "frame": [[0], [2.9], [true]]}')
+
+
+@pytest.mark.parametrize("bad", [True, 1.9, "1"], ids=["bool", "float", "str"])
+def test_non_integer_branch_count_is_refused(bad):
+    # int() would load each of these as s = 1
+    with pytest.raises(FrameError, match=f"branch count {bad!r} is not an integer"):
+        IdealFrame(bad, (0,), (2,), [(0,), (2,)])
+    text = json.dumps({"s": bad, "mu": [0], "gamma": [2], "frame": [[0], [2]]})
+    with pytest.raises(ParseError, match="branch count"):
+        from_json(text)
+    assert IdealFrame(np.int64(1), (0,), (2,), [(0,), (2,)]).s == 1
 
 
 def test_numpy_integer_coordinates_are_accepted():
@@ -335,6 +349,29 @@ def test_e2_failure_on_an_incomparable_pair_only():
     assert rep.e2_failures == bad
 
 
+def test_e2_failure_path_does_not_import_numpy_ma(wide_e):
+    # np.unique imports numpy.ma on first use (about 14 ms and 1.7 MB)
+    code = (
+        "import sys\n"
+        "from goodsemi import from_json, validate\n"
+        "rep = validate(from_json(sys.stdin.read()))\n"
+        "assert rep.e2_failures, rep.summary()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=to_json(wide_e),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
+
+
 def test_is_e1_agrees_with_validate(rng):
     for E in _random_frames(rng):
         got = E.is_e1()  # before validate caches a report
@@ -424,6 +461,35 @@ def test_folded_sum_and_difference_match_oracles_on_raw_frames():
         want = oracles.difference_points(pe, pf, lo, hi, F.mu, f_hi)
         assert {p for p in oracles.box(lo, hi) if p in D} == want
     assert len(tails) == 8 and diffs >= 50, (tails, diffs)
+
+
+def test_folded_sum_and_difference_match_oracles_at_four_branches():
+    # the raw-frame oracle checks at s = 4, where all 16 tail masks occur;
+    # every fourth F is a single frame point c (c + N^4), whose offsets
+    # have zero spread on every axis
+    rng = random.Random(20261019)
+    tails, diffs = set(), 0
+    for k in range(40):
+        (E, pe), (F, pf) = (_raw_frame(rng, 4, rng.random() < 0.7) for _ in range(2))
+        if k % 4 == 0:
+            c = F.gamma
+            F, pf = IdealFrame(4, c, c, [c]), lambda p, c=c: oracles.leq(c, p)
+        tails |= {tuple(x == g for x, g in zip(c, F.gamma)) for c in F.frame_sorted}
+        lo = tuple(a + b - 1 for a, b in zip(E.mu, F.mu))
+        hi = tuple(a + b + 1 for a, b in zip(E.gamma, F.gamma))
+        P = sum_ideals(E, F)
+        want = oracles.sum_points(pe, pf, lo, hi, E.mu, F.mu)
+        assert {p for p in oracles.box(lo, hi) if p in P} == want
+        if not (E.is_e1() and F.is_e1()):
+            continue
+        diffs += 1
+        D = difference(E, F)
+        lo = tuple(a - b - 1 for a, b in zip(E.mu, F.mu))
+        hi = tuple(a - b + 1 for a, b in zip(E.gamma, F.mu))
+        f_hi = tuple(max(f, e - l) + 1 for f, e, l in zip(F.gamma, E.gamma, lo))
+        want = oracles.difference_points(pe, pf, lo, hi, F.mu, f_hi)
+        assert {p for p in oracles.box(lo, hi) if p in D} == want
+    assert len(tails) == 16 and diffs >= 20, (tails, diffs)
 
 
 def test_additivity_sweep_matches_bruteforce_verdict():
