@@ -1,9 +1,9 @@
 """Duality for good semigroups: ideal differences and canonical ideals.
 
 The difference E - F = {x : x + F ⊆ E} is exact boolean erosion: the AND
-of one contiguous translate per frame point of F, each cut from a raveled
-suffix-AND table of one membership window of E, the mirror of the OR that
-forms the sum E + F in :mod:`goodsemi.ideals`.  With a canonical ideal K
+of one translate per frame point of F, each a shift of a suffix-AND table
+of one membership window of E, the mirror of the OR that forms the sum
+E + F in :mod:`goodsemi.ideals`.  With a canonical ideal K
 on the left it is the duality E ↦ K - E, an inclusion-reversing
 involution on good ideals, but that dual needs no erosion: alpha lies in
 K⁰ - E iff no element of E agrees with tau - alpha in some coordinate
@@ -13,15 +13,19 @@ K⁰ = K⁰ - S and every dual take one strict suffix sweep per axis of one box.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InclusionError, NotCertifiedError
 from .ideals import (
+    Box,
     GoodSemigroup,
     IdealFrame,
     LocalDecomposition,
+    _crop,
+    _flip,
+    _frame_box,
     _frame_of,
     _interleave,
     _reduce_translates,
@@ -64,9 +68,9 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
             )
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
-    cs = np.argwhere(F._frame_bitmap()) + F.mu
-    out = _reduce_translates(np.logical_and, E, xlo, xhi, cs, cs == F.gamma, _suffix_and)
-    return IdealFrame._from_bitmap(xlo, out)
+    return IdealFrame._from_box(
+        _reduce_translates(operator.and_, E, xlo, xhi, _frame_box(F), 1, _suffix_and)
+    )
 
 
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
@@ -94,15 +98,19 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     gamma = _frame_of(S).gamma
     s = E.s
     M = E.membership_box(sub(E.mu, ones(s)), cmax(E.gamma, add(E.mu, gamma)))
-    bad = np.zeros(tuple(g + 1 for g in gamma), dtype=bool)
+    bad = 0
     for j in range(s):
-        D = M
+        D = M.bits
         for i in range(s):
             if i != j:
-                D = _suffix_or_strict(D, i)
-        # b = tau - alpha sits at grid index gamma_S - (alpha + mu_E)
-        bad |= np.flip(D[tuple(slice(0, g + 1) for g in gamma)])
-    return IdealFrame._from_bitmap(sub(zero(s), E.mu), ~bad)
+                D = _suffix_or_strict(D, M.shape, i)
+        bad |= D
+    # b = tau - alpha sits at grid index gamma_S - (alpha + mu_E): cut the
+    # box at gamma_S and reverse every axis
+    shape = tuple(g + 1 for g in gamma)
+    size = math.prod(shape)
+    good = ~_flip(_crop(bad, M.shape, zero(s), shape), size) & ((1 << size) - 1)
+    return IdealFrame._from_box(Box(sub(zero(s), E.mu), shape, good))
 
 
 def canonical_normalized(S: GoodSemigroup) -> IdealFrame:

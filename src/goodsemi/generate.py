@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .errors import FrameError
 from .ideals import (
     GoodSemigroup,
@@ -115,15 +113,15 @@ def numerical_semigroup(*gens: int) -> GoodSemigroup:
         raise FrameError(f"gcd of {gens} is not 1, so there is no conductor")
     a = min(gens)
     bound = (a - 1) * (max(gens) - 1) + a + 1
-    reach = np.zeros(bound + 1, dtype=bool)
+    reach = [False] * (bound + 1)
     reach[0] = True
     for g in gens:
         for v in range(g, bound + 1):
             if reach[v - g]:
                 reach[v] = True
-    gaps = np.flatnonzero(~reach)
-    c = int(gaps[-1]) + 1 if len(gaps) else 0
-    pts = [(int(v),) for v in np.flatnonzero(reach[: c + 1])]
+    gaps = [v for v in range(bound + 1) if not reach[v]]
+    c = gaps[-1] + 1 if gaps else 0
+    pts = [(v,) for v in range(c + 1) if reach[v]]
     if not pts or pts[-1] != (c,):
         pts.append((c,))
     return GoodSemigroup(IdealFrame(1, (0,), (c,), pts))

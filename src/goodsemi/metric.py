@@ -11,11 +11,9 @@ distance consistent on certified inputs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
 from .ideals import IdealFrame, is_subset, validate
-from .lattice import Point, add, as_point, check_same_dim, leq, lt, sub, zero
+from .lattice import Point, as_point, check_same_dim, leq, lt, sub, zero
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
 
@@ -56,12 +54,9 @@ def distance_between(E: IdealFrame, alpha, beta) -> int:
     end = sub(beta, alpha)
     steps = 0
     while cur != end:
-        rest = box[tuple(slice(c, None) for c in cur)]
-        # C-ordered members of [cur, beta]: first entry is cur itself, the
-        # second is the lex-smallest of {delta : cur < delta <= beta},
-        # which is a minimal element and therefore a cover.
-        k = np.flatnonzero(rest)[1]
-        cur = add(cur, tuple(int(i) for i in np.unravel_index(k, rest.shape)))
+        # the lex-smallest of {delta : cur < delta <= beta} is a minimal
+        # element and therefore a cover
+        cur = box.next_up(cur)
         steps += 1
     return steps
 

@@ -38,6 +38,7 @@ from ..errors import (
     PoleBoundError,
     TruncationError,
 )
+from ..duality import difference
 from ..ideals import IdealFrame, validate
 from ..lattice import Point, cmax, ones, sub, zero
 from .modules import ModuleBasis, colon_solution_basis, span_basis, value_semigroup_ideal
@@ -415,10 +416,14 @@ def colon_value_ideal(
 ) -> IdealFrame:
     """Value semigroup ideal of the colon module K : E = {x : x*E ⊆ K}.
 
-    The pole bound (how far below 0 solutions may reach) defaults to
-    gamma(Γ_K) - mu(Γ_E) + 2 per branch and is retried once with +2 if a
-    solution sits exactly on the boundary; an explicit bound is used
-    as given and not retried.
+    The pole bound (how far below 0 solutions may reach) is proven, not
+    guessed.  For x in K : E and a regular e in E (a nonzerodivisor, so
+    v(xe) = v(x) + v(e)), v(x) + v(e) = v(xe) lies in Γ_K; hence
+    Γ(K : E) ⊆ Γ_K - Γ_E, and P = max(0, -mu(Γ_K - Γ_E)) per branch bounds
+    the poles of every solution.  The default is P, where a solution on
+    the window's edge is legitimate; an explicit bound below P is refused
+    before any elimination.  The result must agree with a rerun two
+    orders higher.
     """
     GK = value_ideal(spec, K)
     GE = value_ideal(spec, E)
@@ -426,40 +431,24 @@ def colon_value_ideal(
     E_gens = module_generators(spec, E)
     gamma_K = GK.conductor
     s = spec.s
+    proven = tuple(max(0, -m) for m in difference(GK, GE).mu)
     if pole_bound is None:
-        attempts = [0, 2]
-        base = tuple(gamma_K[i] - GE.mu[i] + 2 for i in range(s))
-    elif isinstance(pole_bound, int):
-        attempts = [0]
-        base = tuple(pole_bound for _ in range(s))
+        poles = proven
     else:
-        attempts = [0]
-        base = tuple(int(p) for p in pole_bound)
-    last_error = None
-    for extra in attempts:
-        poles = tuple(max(0, b + extra) for b in base)
-        N = max(16, 2 * max(gamma_K) + 4) + max(poles) + 2
-        if spec.truncation is not None:
-            N = max(N, spec.truncation)
-        try:
-            Ga = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N)
-            Gb = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N + 2)
-        except TruncationError as exc:
-            last_error = exc
-            continue
-        if Ga != Gb:
-            last_error = TruncationError(
-                f"colon value set changed between truncations {N} and {N + 2}"
+        poles = (pole_bound,) * s if isinstance(pole_bound, int) else tuple(map(int, pole_bound))
+        if any(p < q for p, q in zip(poles, proven)):
+            raise PoleBoundError(
+                f"pole bound {poles} is below the proven bound {proven} "
+                f"from Γ({K}) - Γ({E}); solutions reach further down"
             )
-            continue
-        if any(m == 0 for m in Ga.mu):
-            last_error = PoleBoundError(
-                f"a colon solution sits exactly at pole bound {poles}; "
-                "the true module may reach further down"
-            )
-            continue
-        return Ga.shift(tuple(-p for p in poles))
-    raise last_error
+    N = max(16, 2 * max(gamma_K) + 4) + max(poles) + 2
+    if spec.truncation is not None:
+        N = max(N, spec.truncation)
+    Ga = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N)
+    Gb = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N + 2)
+    if Ga != Gb:
+        raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
+    return Ga.shift(tuple(-p for p in poles))
 
 
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:

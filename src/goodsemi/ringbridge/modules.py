@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-import numpy as np
-
 from ..errors import FrameError, PoleBoundError, TruncationError
-from ..ideals import IdealFrame
+from ..ideals import Box, IdealFrame, _box_shape, _lines_to_bits
 from ..lattice import Point
 from .series import SeriesVector
 
@@ -230,8 +228,8 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         raise TruncationError(f"scan box {hi} does not fit below truncation {N}")
     if basis.dim == 0:
         raise FrameError("the zero module has no value semigroup ideal")
-    shape = tuple(h + 1 for h in hi)
-    good = np.ones(shape, dtype=bool)
+    shape = _box_shape(tuple(0 for _ in range(s)), hi)
+    good = -1
     for i in range(s):
         # positions rotated so that branch i comes first: a row's pivot is
         # its branch-i order, or >= N when the row is zero on branch i
@@ -239,23 +237,21 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         for row in basis.rows.values():
             rot._insert({(p - i * N) % (s * N): c for p, c in row.items()})
         rest = [k for k in range(s) if k != i]
-        drop_i = np.zeros(shape, dtype=bool)
-        idx: list = [slice(None)] * s
+        lines: list[list[int]] = []
 
         def walk(rows: dict[int, Row], depth: int) -> None:
             if depth == len(rest):
-                drop_i[tuple(idx)][[e for e in rows if e <= hi[i]]] = True
+                lines.append([e for e in rows if e <= hi[i]])
                 return
             k, inner = rest[depth], depth + 1 < len(rest)
             for a in range(hi[k] + 1):
-                idx[k] = a
                 walk({p: dict(r) for p, r in rows.items()} if inner else rows, depth + 1)
                 if a < hi[k]:
                     _impose(rows, ((k - i) % s) * N + a)
 
         walk(rot.rows, 0)
-        good &= drop_i
-    return IdealFrame._from_bitmap(tuple(0 for _ in range(s)), good)
+        good &= _lines_to_bits(shape, i, lines)
+    return IdealFrame._from_box(Box(tuple(0 for _ in range(s)), shape, good))
 
 
 def _nullspace(rows: list, nvars: int) -> list[Row]:

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +238,87 @@ def test_semigroup_argument_must_be_good(stair_e, capsys):
     assert main(["canonical", stair_e]) == 2
     err = capsys.readouterr().err
     assert "not a good semigroup" in err
+
+
+# the harness's cli calls, on the test fixtures
+CLI_CALLS = [
+    ["validate", "staircase_e.json", "--ambient", "staircase_s.json"],
+    ["canonical", "corner_s.json"],
+    ["dual", "staircase_s.json", "staircase_e.json", "--twice"],
+    ["dual", "corner_s.json", "corner_s.json"],
+    ["is-symmetric", "staircase_s.json"],
+    ["distance", "corner_s.json", "0,0", "3,1"],
+    ["gamma-of", "staircase_e.json"],
+    ["curve-gamma", "twobranch.curve", "--module", "E"],
+    ["curve-gamma", "cusp.curve"],
+    ["colon", "twobranch.curve", "K0", "E"],
+    ["length", "twobranch.curve", "R", "CR"],
+    ["curve-gamma", "bad.curve"],
+]
+CLI_RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import goodsemi
+from goodsemi.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    results.append([rc, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _subprocess_env():
+    import goodsemi
+
+    src = os.path.dirname(os.path.dirname(goodsemi.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_runs_with_numpy_blocked(fixture_dir, tmp_path):
+    for name in ("corner_s.json", "staircase_e.json", "staircase_s.json", "twobranch.curve", "cusp.curve"):
+        shutil.copyfile(fixture_dir / name, tmp_path / name)
+    (tmp_path / "bad.curve").write_text("branches: 2\nring: (t^2, t) ; (t^3)\n")
+    runs = {}
+    for mode in ("block", "plain"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_RUNNER, mode, json.dumps(CLI_CALLS)],
+            cwd=tmp_path,
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert runs["block"] == runs["plain"]
+    assert [rc for rc, _ in runs["block"]] == [1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("gamma", [[10**12], [10**5, 10**5]], ids=["1e12", "1e5x1e5"])
+def test_oversized_frame_box_exits_2_without_allocating(tmp_path, gamma):
+    # the box is refused before any allocation: under a 1 GiB address
+    # space limit an attempt to build it would fail with MemoryError
+    s = len(gamma)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"s": s, "mu": [0] * s, "gamma": gamma, "frame": [[0] * s, gamma]}))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from goodsemi.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "gamma-of", str(path)],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    shape = tuple(g + 1 for g in gamma)
+    assert proc.returncode == 2, proc.stderr
+    assert f"shape {shape} has {math.prod(shape)} cells" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -297,6 +297,34 @@ def test_colon_reaches_negative_values(curve_spec):
     assert D.gamma == (1, 0)
 
 
+POLE_CURVES = {
+    "cusp": CUSP + "module M: (t^5)\nmodule N: (t^9) ; (t^10)\n",
+    "ring-6-6": "branches: 2\nring: (t^2, t^3) ; (t^3, t^2)\n"
+    "module M: (t^5, t^4)\nmodule N: (t^3, t^7) ; (t^8, t^2)\n",
+}
+
+
+@pytest.mark.parametrize("name", ["cusp", "ring-6-6", "twobranch"])
+def test_default_pole_bound_is_proven_on_every_pair(name, curve_spec):
+    # mu_E well above mu_K used to give a default pole window too small
+    # for the answer (R : t^5 R on the cusp, Rbar : C on twobranch)
+    spec = curve_spec if name == "twobranch" else parse_curve(POLE_CURVES[name])
+    names = ["R", "Rbar", "C"] + spec.module_names()
+    for K in names:
+        GK = value_ideal(spec, K)
+        for E in names:
+            got = colon_value_ideal(spec, K, E)
+            assert got == difference(GK, value_ideal(spec, E)), (K, E)
+
+
+def test_explicit_pole_bound_below_the_proven_one_names_it(curve_spec):
+    with pytest.raises(PoleBoundError, match=r"below the proven bound \(2, 1\)"):
+        colon_value_ideal(curve_spec, "K0", "E", pole_bound=(1, 1))
+    want = colon_value_ideal(curve_spec, "K0", "E")
+    assert colon_value_ideal(curve_spec, "K0", "E", pole_bound=(2, 1)) == want
+    assert colon_value_ideal(curve_spec, "K0", "E", pole_bound=5) == want
+
+
 def test_explicit_pole_bound_too_tight(curve_spec):
     with pytest.raises(PoleBoundError, match="pole bound"):
         colon_value_ideal(curve_spec, "K0", "E", pole_bound=0)
