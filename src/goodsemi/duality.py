@@ -52,9 +52,10 @@ __all__ = [
 def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     """E - F = {x in Z^s : x + F ⊆ E}, one translate per frame point of F.
 
-    Both arguments must be closed under componentwise min (E1); the result
-    then is as well, and is exactly representable with capping bound
-    gamma_E - mu_F.  A frame point c of F stands for c + N^T, T the axes
+    Both arguments must be closed under componentwise min (E1).  The
+    result then is as well, and carries that without a sweep: with x + F
+    and y + F in E, min(x, y) + f = min(x + f, y + f) lies in E.  It is
+    exactly representable with capping bound gamma_E - mu_F.  A frame point c of F stands for c + N^T, T the axes
     where c_i = gamma_F,i, and x + c + N^T ⊆ E iff x + c lies in E's
     suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
     reaches past gamma_E, where E is constant, so that AND is exact.
@@ -68,9 +69,11 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
             )
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
-    return IdealFrame._from_box(
+    out = IdealFrame._from_box(
         _reduce_translates(operator.and_, E, xlo, xhi, _frame_box(F), 1, _suffix_and)
     )
+    out._e1 = True
+    return out
 
 
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
@@ -88,6 +91,9 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     Delta(tau - alpha) ∩ E = ∅}.  ⊆: if e ∈ Delta_j(tau - alpha) ∩ E, then
     Delta_j(tau - alpha - e) holds 0 ∈ S, so alpha + e ∉ K⁰.  ⊇: if sigma ∈
     Delta_j(tau - alpha - e) ∩ S, then sigma + e ∈ Delta_j(tau - alpha) ∩ E.
+    The dual is min-closed (E1) for any E and carries that without a
+    sweep: a point of Delta_j(max(b, b')) lies in Delta_j(b) or in
+    Delta_j(b'), whichever attains the max on axis j.
 
     The result lies in -mu_E + N^s and is exact at gamma_S - mu_E, so
     alpha runs over [-mu_E, gamma_S - mu_E] and b = tau - alpha over
@@ -110,7 +116,9 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     shape = tuple(g + 1 for g in gamma)
     size = math.prod(shape)
     good = ~_flip(_crop(bad, M.shape, zero(s), shape), size) & ((1 << size) - 1)
-    return IdealFrame._from_box(Box(sub(zero(s), E.mu), shape, good))
+    out = IdealFrame._from_box(Box(sub(zero(s), E.mu), shape, good))
+    out._e1 = True
+    return out
 
 
 def canonical_normalized(S: GoodSemigroup) -> IdealFrame:

@@ -391,6 +391,7 @@ class IdealFrame:
         "_bits",
         "_conductor",
         "_report_cache",
+        "_e1",
     )
 
     def __init__(self, s: int, mu, gamma, frame, *, _normalized: bool = False):
@@ -434,7 +435,7 @@ class IdealFrame:
     def _adopt(self, mu: Point, gamma: Point, bits: int) -> "IdealFrame":
         """Take the state, a bitset over [mu, gamma], unchecked."""
         self.s, self.mu, self.gamma, self._bits = len(mu), mu, gamma, bits
-        self._frame = self._sorted = self._conductor = None
+        self._frame = self._sorted = self._conductor = self._e1 = None
         self._report_cache = {}
         return self
 
@@ -559,6 +560,7 @@ class IdealFrame:
         out._adopt(add(self.mu, alpha), add(self.gamma, alpha), self._bits)
         if self._conductor is not None:
             out._conductor = add(self._conductor, alpha)
+        out._e1 = self._e1
         for key, rep in self._report_cache.items():
             # Axiom status is translation invariant; witnesses are not, so
             # only clean reports travel with the shift.
@@ -570,12 +572,14 @@ class IdealFrame:
         """Closure of the frame under componentwise min (axiom E1).
 
         Exact for the represented set: capping reduces any pair to a frame
-        pair because cmin commutes with capping.
+        pair because cmin commutes with capping.  Kept once known, and set
+        without a sweep on the results of ``duality.difference`` and the
+        duals, which are min-closed by construction.
         """
-        rep = self._report_cache.get("axioms")
-        if rep is not None:
-            return rep.e1_ok
-        return _e1_holds(self)
+        if self._e1 is None:
+            rep = self._report_cache.get("axioms")
+            self._e1 = rep.e1_ok if rep is not None else _e1_holds(self)
+        return self._e1
 
 
 def _settle(lo: Point, shape, bits: int, first: Point) -> tuple[Point, Point, int]:
@@ -958,7 +962,7 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
         e1_fail, e2_fail = ax.e1_failures, ax.e2_failures
         notes = list(ax.notes)
     else:
-        e1_fail = _e1_failures(E)
+        e1_fail = [] if E._e1 else _e1_failures(E)
         e2_fail = _e2_failures(E)
         notes = []
         if E.conductor != E.gamma:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import (
@@ -39,10 +39,19 @@ from ..errors import (
     TruncationError,
 )
 from ..duality import difference
+from .. import ideals
 from ..ideals import IdealFrame, validate
-from ..lattice import Point, cmax, ones, sub, zero
-from .modules import ModuleBasis, colon_solution_basis, span_basis, value_semigroup_ideal
-from .series import PolyVec, SeriesVector, poly_shift_vec, poly_vec
+from ..lattice import Point, cmax
+from .modules import (
+    ModuleBasis,
+    _row,
+    colon_solution_basis,
+    integer_terms,
+    require_monomials,
+    span_basis,
+    value_semigroup_ideal,
+)
+from .series import PolyVec, poly_vec
 
 __all__ = [
     "CurveSpec",
@@ -65,12 +74,17 @@ _TERM_RE = re.compile(
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Immutable parsed curve description."""
+    """Immutable parsed curve description, with the store of everything
+    computed on it (see :class:`_Store`)."""
 
     s: int
     truncation: int | None
     ring: tuple[PolyVec, ...]
     modules: tuple[tuple[str, tuple[PolyVec, ...]], ...]
+    _store: "_Store" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_store", _Store(self))
 
     def module_names(self) -> list[str]:
         return [name for name, _ in self.modules]
@@ -79,142 +93,100 @@ class CurveSpec:
 # ---------------------------------------------------------------- parsing
 
 
-def _parse_poly(text: str, line: int, col: int, filename) -> tuple:
-    acc: dict[int, Fraction] = {}
+def _parse_poly(text: str, col: int, fail) -> tuple:
     # split into signed terms; exponents are plain integers, so every
     # +/- at this level separates terms
-    idx = 0
     terms: list[tuple[int, str, int]] = []  # (sign, chunk, col)
-    sign = 1
-    start = 0
-    body = text
-    for idx, ch in enumerate(body + "+"):  # sentinel flushes the last chunk
+    sign, start = 1, 0
+    for idx, ch in enumerate(text + "+"):  # sentinel flushes the last chunk
         if ch in "+-":
-            chunk = body[start:idx]
+            chunk = text[start:idx]
             if chunk.strip():
                 terms.append((sign, chunk, col + start))
-            elif not (start == 0 and not terms):
-                # an empty chunk is fine only as a single leading sign
-                raise ParseError(
-                    "empty term", line=line, col=col + idx, filename=filename
-                )
-            sign = 1 if ch == "+" else -1
-            start = idx + 1
+            elif start or terms:  # an empty chunk is fine only as a single leading sign
+                fail("empty term", col + idx)
+            sign, start = (1 if ch == "+" else -1), idx + 1
     if not terms:
-        raise ParseError("empty polynomial", line=line, col=col, filename=filename)
+        fail("empty polynomial", col)
+    acc: dict[int, Fraction] = {}
     for sgn, chunk, ccol in terms:
         m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and m.group("t") is None):
-            raise ParseError(
-                f"cannot read term {chunk.strip()!r}", line=line, col=ccol, filename=filename
-            )
-        if m.group("star") and m.group("t") is None:
-            raise ParseError(
-                "'*' without a t-power", line=line, col=ccol, filename=filename
-            )
-        coef = Fraction(m.group("coef").replace(" ", "")) if m.group("coef") else Fraction(1)
-        if m.group("t") is None:
-            exp = 0
-        else:
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        c = sgn * coef
-        if c:
-            acc[exp] = acc.get(exp, Fraction(0)) + c
+        if not m or (m["coef"] is None and m["t"] is None):
+            fail(f"cannot read term {chunk.strip()!r}", ccol)
+        if m["star"] and m["t"] is None:
+            fail("'*' without a t-power", ccol)
+        exp = 0 if m["t"] is None else int(m["exp"] or 1)
+        acc[exp] = acc.get(exp, 0) + sgn * Fraction(m["coef"].replace(" ", "") if m["coef"] else 1)
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
-def _parse_vector(text: str, s: int, line: int, col: int, filename) -> PolyVec:
+def _parse_vector(text: str, s: int, col: int, fail) -> PolyVec:
     stripped = text.strip()
-    offset = col + (len(text) - len(text.lstrip()))
+    at = col + len(text) - len(text.lstrip())
     if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise ParseError(
-            "generator must be parenthesized, like (t^2, -t)",
-            line=line,
-            col=offset,
-            filename=filename,
-        )
-    inner = stripped[1:-1]
-    parts = inner.split(",")
+        fail("generator must be parenthesized, like (t^2, -t)", at)
+    parts = stripped[1:-1].split(",")
     if len(parts) != s:
-        raise ParseError(
-            f"expected {s} branches, found {len(parts)}",
-            line=line,
-            col=offset,
-            filename=filename,
-        )
+        fail(f"expected {s} branches, found {len(parts)}", at)
     polys = []
-    at = offset + 1
     for part in parts:
-        polys.append(_parse_poly(part, line, at, filename))
+        polys.append(_parse_poly(part, at + 1, fail))
         at += len(part) + 1
     return tuple(polys)
 
 
-def _parse_genlist(text: str, s: int, line: int, col: int, filename) -> tuple[PolyVec, ...]:
-    gens = []
-    at = col
+def _parse_genlist(text: str, s: int, col: int, fail) -> tuple[PolyVec, ...]:
+    gens, at = [], col
     for piece in text.split(";"):
         if piece.strip():
-            gens.append(_parse_vector(piece, s, line, at, filename))
+            gens.append(_parse_vector(piece, s, at, fail))
         at += len(piece) + 1
     if not gens:
-        raise ParseError("no generators given", line=line, col=col, filename=filename)
+        fail("no generators given", col)
     return tuple(gens)
 
 
 def parse_curve(text: str, filename: str | None = None) -> CurveSpec:
-    s = None
-    truncation = None
-    ring = None
+    s = truncation = ring = None
     modules: list[tuple[str, tuple[PolyVec, ...]]] = []
-    seen: set[str] = set()
+
+    def fail(msg: str, col: int = 1):
+        raise ParseError(msg, line=ln, col=col, filename=filename)
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
         if ":" not in line:
-            raise ParseError("expected 'key: value'", line=ln, col=1, filename=filename)
+            fail("expected 'key: value'")
         key, _, rest = line.partition(":")
-        vcol = len(key) + 2
-        key = key.strip()
-        if key == "branches":
+        vcol, key = len(key) + 2, key.strip()
+        if key in ("branches", "truncation"):
+            low = 1 if key == "branches" else 4
             try:
-                s = int(rest.strip())
+                n = int(rest.strip())
             except ValueError:
-                raise ParseError("branches must be an integer", line=ln, col=vcol, filename=filename)
-            if s < 1:
-                raise ParseError("branches must be >= 1", line=ln, col=vcol, filename=filename)
-        elif key == "truncation":
-            try:
-                truncation = int(rest.strip())
-            except ValueError:
-                raise ParseError("truncation must be an integer", line=ln, col=vcol, filename=filename)
-            if truncation < 4:
-                raise ParseError("truncation must be >= 4", line=ln, col=vcol, filename=filename)
+                fail(f"{key} must be an integer", vcol)
+            if n < low:
+                fail(f"{key} must be >= {low}", vcol)
+            s, truncation = (n, truncation) if key == "branches" else (s, n)
         elif key == "ring" or key.startswith("module"):
             if s is None:
-                raise ParseError(
-                    "'branches:' must come before generators", line=ln, col=1, filename=filename
-                )
-            gens = _parse_genlist(rest, s, ln, vcol, filename)
+                fail("'branches:' must come before generators")
+            gens = _parse_genlist(rest, s, vcol, fail)
             if key == "ring":
                 if ring is not None:
-                    raise ParseError("duplicate 'ring:' line", line=ln, col=1, filename=filename)
+                    fail("duplicate 'ring:' line")
                 ring = gens
-            else:
-                name = key[len("module") :].strip()
-                if not _NAME_RE.match(name):
-                    raise ParseError(
-                        f"bad module name {name!r}", line=ln, col=1, filename=filename
-                    )
-                if name in seen:
-                    raise ParseError(
-                        f"duplicate module {name!r}", line=ln, col=1, filename=filename
-                    )
-                seen.add(name)
-                modules.append((name, gens))
+                continue
+            name = key[len("module") :].strip()
+            if not _NAME_RE.match(name):
+                fail(f"bad module name {name!r}")
+            if any(name == n for n, _ in modules):
+                fail(f"duplicate module {name!r}")
+            modules.append((name, gens))
         else:
-            raise ParseError(f"unknown key {key!r}", line=ln, col=1, filename=filename)
+            fail(f"unknown key {key!r}")
     if s is None:
         raise ParseError("missing 'branches:' line", filename=filename)
     if ring is None:
@@ -229,23 +201,14 @@ def _fmt_term(e: int, c: Fraction) -> str:
     if e == 0:
         return str(c)
     t = "t" if e == 1 else f"t^{e}"
-    if c == 1:
-        return t
-    if c == -1:
-        return f"-{t}"
-    return f"{c}*{t}"
+    return t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}"
 
 
 def _fmt_poly(p) -> str:
     if not p:
         return "0"
-    out = _fmt_term(*p[0])
-    for e, c in p[1:]:
-        if c > 0:
-            out += f" + {_fmt_term(e, c)}"
-        else:
-            out += f" - {_fmt_term(e, -c)}"
-    return out
+    rest = (f" + {_fmt_term(e, c)}" if c > 0 else f" - {_fmt_term(e, -c)}" for e, c in p[1:])
+    return _fmt_term(*p[0]) + "".join(rest)
 
 
 def _fmt_vec(v: PolyVec) -> str:
@@ -264,52 +227,67 @@ def dumps_curve(spec: CurveSpec) -> str:
 
 # ------------------------------------------------------------- computations
 
-_span_cache: dict = {}
-_gamma_cache: dict = {}
+
+class _Store:
+    """Everything computed on one curve, keyed by integer generators.
+
+    ``ring`` and ``named`` hold generators cleared once to primitive
+    integer terms, which do not depend on the truncation: products stop
+    at it.  ``spans`` keeps per generator tuple the highest-order span
+    built and the lower orders cut from it, each row for row a fresh
+    build (:meth:`ModuleBasis.truncated`); ``values`` the certified value
+    sets.  No lookup hashes a Fraction.
+    """
+
+    __slots__ = ("ring", "named", "spans", "values")
+
+    def __init__(self, spec: CurveSpec):
+        self.ring = tuple(map(integer_terms, spec.ring))
+        self.named = {"R": ((((0, 1),),) * spec.s,)}
+        self.named.update((n, tuple(map(integer_terms, g))) for n, g in spec.modules)
+        self.spans: dict[tuple, dict[int, ModuleBasis]] = {}
+        self.values: dict[tuple, IdealFrame] = {}
 
 
-def _ring_gens(spec: CurveSpec, N: int) -> list[SeriesVector]:
-    return [SeriesVector.from_polys(g, N) for g in spec.ring]
+def _gens(spec: CurveSpec, name: str) -> tuple:
+    """Integer generator terms of a named module."""
+    named = spec._store.named
+    if name not in named:
+        if name not in ("Rbar", "C"):
+            raise FrameError(
+                f"unknown module {name!r}; file defines {spec.module_names()!r}, "
+                "built-ins are R, Rbar, C"
+            )
+        gamma = value_ideal(spec, "R").conductor
+        lift = gamma if name == "C" else (0,) * spec.s
+        named[name] = (tuple(((k, 1),) for k in lift),) + tuple(
+            tuple(((e + k, 1),) if b == i else () for b, k in enumerate(lift))
+            for i in range(spec.s)
+            for e in range(gamma[i])
+        )
+    return named[name]
 
 
 def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
     """Generators for a named module; file names shadow the built-ins
     R, Rbar and C."""
-    for n, gens in spec.modules:
-        if n == name:
-            return gens
-    one = poly_vec([{0: 1}] * spec.s)
-    if name == "R":
-        return (one,)
-    if name in ("Rbar", "C"):
-        gamma = value_ideal(spec, "R").conductor
-        gens = [one]
-        for i in range(spec.s):
-            for e in range(gamma[i]):
-                branches = [{} for _ in range(spec.s)]
-                branches[i] = {e: 1}
-                gens.append(poly_vec(branches))
-        if name == "Rbar":
-            return tuple(gens)
-        return tuple(poly_shift_vec(g, gamma) for g in gens)
-    raise FrameError(
-        f"unknown module {name!r}; file defines {spec.module_names()!r}, "
-        "built-ins are R, Rbar, C"
-    )
+    return dict(spec.modules).get(name) or tuple(map(poly_vec, _gens(spec, name)))
 
 
-def span_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...], N: int) -> ModuleBasis:
-    key = (spec, gens, N)
-    got = _span_cache.get(key)
-    if got is None:
-        module_gens = [SeriesVector.from_polys(g, N) for g in gens]
-        got = span_basis(_ring_gens(spec, N), module_gens)
-        _span_cache[key] = got
-    return got
+def _span(spec: CurveSpec, gens: tuple, N: int) -> ModuleBasis:
+    """The span of ``gens`` at order N: cut from the highest span built
+    when that is at least as high, else built, replacing it and its cuts."""
+    got = spec._store.spans.setdefault(gens, {})
+    if N not in got:
+        top = max(got, default=0)
+        if top < N:
+            got.clear()
+        got[N] = got[top].truncated(N) if top > N else span_basis(spec._store.ring, gens, N)
+    return got[N]
 
 
 def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
-    return span_from_polys(spec, module_generators(spec, name), N)
+    return _span(spec, _gens(spec, name), N)
 
 
 def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
@@ -317,26 +295,20 @@ def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
     hi = tuple(basis.N - 2 for _ in range(basis.s))
     G = value_semigroup_ideal(basis, hi)
     if any(g >= h for g, h in zip(G.gamma, hi)):
-        raise TruncationError(
-            f"{what} not strictly inside the scan box at truncation {basis.N}"
-        )
+        raise TruncationError(f"{what} not strictly inside the scan box at truncation {basis.N}")
     return G
 
 
-def _gamma_once(spec: CurveSpec, gens: tuple[PolyVec, ...], N: int) -> IdealFrame:
-    return _scan(span_from_polys(spec, gens, N), "conductor")
-
-
-def _check_conductor_exists(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> None:
+def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
     """Refuse, before any truncation is tried, a module that is zero on a
     branch and a ring whose projection to a branch lies in Q or in
     Q[[t^d]] with d > 1; neither has a conductor at any truncation."""
     for i in range(spec.s):
         if not any(g[i] for g in gens):
-            names = [n for n, g in spec.modules if g == gens]
+            names = [n for n, g in spec._store.named.items() if g == gens]
             label = repr(names[0]) if names else " ; ".join(_fmt_vec(g) for g in gens)
             raise FrameError(f"module {label} is zero on branch {i}; it has no value set")
-        exps = [e for g in spec.ring for e, _ in g[i] if e > 0]
+        exps = [e for g in spec._store.ring for e, _ in g[i] if e > 0]
         if not exps:
             raise FrameError(
                 f"every ring generator is constant on branch {i}, so the ring has no conductor"
@@ -349,71 +321,70 @@ def _check_conductor_exists(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> None:
             )
 
 
-def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealFrame:
-    """Value semigroup ideal of the module generated by ``gens``.
+def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
+    """Value set of the module generated by integer terms ``gens``.
 
-    Runs the bootstrap/commit/stability truncation policy and certifies
-    the result against the good-ideal axioms.
+    The bootstrap probes orders 16, 32, ... until a conductor shows, and
+    stops before an order whose scan box [0, N-2]^s exceeds the box limit.
+    Each probe builds the span two orders up and scans its truncation, so
+    a probe at the commit order already holds the rerun's span.
     """
-    key = (spec, gens)
-    got = _gamma_cache.get(key)
-    if got is not None:
-        return got
+    values = spec._store.values
+    if gens in values:
+        return values[gens]
     _check_conductor_exists(spec, gens)
+    s = spec.s
     if spec.truncation is not None:
         commit = spec.truncation
     else:
-        orders = (16, 32, 64, 128, 256, 512)
-        for N in orders:
+        probe, tried, why = None, [], f"is the ring really a curve with {s} branches?"
+        for N in (16, 32, 64, 128, 256, 512):
+            if (N - 1) ** s > ideals.MAX_CELLS:
+                why = f"truncation {N} was not tried, as its scan box [0, {N - 2}]^{s} exceeds"
+                why += f" the box limit of {ideals.MAX_CELLS} cells"
+                break
+            tried.append(N)
             try:
-                probe = _gamma_once(spec, gens, N)
+                _span(spec, gens, N + 2)
+                probe = _scan(_span(spec, gens, N), "conductor")
                 break
             except (TruncationError, FrameError):
                 pass
-        else:
+        if probe is None:
             raise TruncationError(
-                f"no stable conductor at truncations {', '.join(map(str, orders))}; "
-                f"is the ring really a curve with {spec.s} branches?"
+                f"no stable conductor at truncations {', '.join(map(str, tried))}; {why}"
             )
         commit = max(16, 2 * max(probe.conductor) + 4)
+    rerun = _span(spec, gens, commit + 2)
     # a probe at the commit order is the commit scan itself
-    Ga = probe if spec.truncation is None and commit == N else _gamma_once(spec, gens, commit)
-    Gb = _gamma_once(spec, gens, commit + 2)
-    if Ga != Gb:
-        raise TruncationError(
-            f"value set changed between truncations {commit} and {commit + 2}"
-        )
+    at_probe = spec.truncation is None and commit == N
+    Ga = probe if at_probe else _scan(_span(spec, gens, commit), "conductor")
+    if Ga != _scan(rerun, "conductor"):
+        raise TruncationError(f"value set changed between truncations {commit} and {commit + 2}")
     report = validate(Ga)
     if not (report.e1_ok and report.e2_ok):
         raise TruncationError(
             "computed value set fails the good-ideal axioms, which signals "
             "a truncation artifact:\n" + report.summary()
         )
-    _gamma_cache[key] = Ga
+    values[gens] = Ga
     return Ga
 
 
+def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealFrame:
+    """Value semigroup ideal of the module generated by ``gens``.
+
+    Runs the bootstrap/commit/stability truncation policy and certifies
+    the result against the good-ideal axioms.
+    """
+    return _value(spec, tuple(map(integer_terms, gens)))
+
+
 def value_ideal(spec: CurveSpec, module: str = "R") -> IdealFrame:
-    return value_ideal_from_polys(spec, module_generators(spec, module))
+    return _value(spec, _gens(spec, module))
 
 
-def _colon_once(
-    spec: CurveSpec,
-    K_gens: tuple[PolyVec, ...],
-    E_gens: tuple[PolyVec, ...],
-    gamma_K: Point,
-    poles: Point,
-    N: int,
-) -> IdealFrame:
-    ring = _ring_gens(spec, N)
-    KB = span_from_polys(spec, K_gens, N)
-    egens = [SeriesVector.from_polys(g, N) for g in E_gens]
-    return _scan(colon_solution_basis(ring, KB, egens, gamma_K, poles), "colon conductor")
-
-
-def colon_value_ideal(
-    spec: CurveSpec, K: str, E: str, pole_bound=None
-) -> IdealFrame:
+def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> IdealFrame:
     """Value semigroup ideal of the colon module K : E = {x : x*E ⊆ K}.
 
     The pole bound (how far below 0 solutions may reach) is proven, not
@@ -423,19 +394,18 @@ def colon_value_ideal(
     the poles of every solution.  The default is P, where a solution on
     the window's edge is legitimate; an explicit bound below P is refused
     before any elimination.  The result must agree with a rerun two
-    orders higher.
+    orders higher, which runs first so that the span of K at N is cut
+    from the one at N + 2.
     """
     GK = value_ideal(spec, K)
     GE = value_ideal(spec, E)
-    K_gens = module_generators(spec, K)
-    E_gens = module_generators(spec, E)
+    K_gens, E_gens, ring = _gens(spec, K), _gens(spec, E), spec._store.ring
     gamma_K = GK.conductor
-    s = spec.s
     proven = tuple(max(0, -m) for m in difference(GK, GE).mu)
     if pole_bound is None:
         poles = proven
     else:
-        poles = (pole_bound,) * s if isinstance(pole_bound, int) else tuple(map(int, pole_bound))
+        poles = (pole_bound,) * spec.s if isinstance(pole_bound, int) else tuple(map(int, pole_bound))
         if any(p < q for p, q in zip(poles, proven)):
             raise PoleBoundError(
                 f"pole bound {poles} is below the proven bound {proven} "
@@ -444,57 +414,48 @@ def colon_value_ideal(
     N = max(16, 2 * max(gamma_K) + 4) + max(poles) + 2
     if spec.truncation is not None:
         N = max(N, spec.truncation)
-    Ga = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N)
-    Gb = _colon_once(spec, K_gens, E_gens, gamma_K, poles, N + 2)
+    Gb, Ga = (
+        _scan(colon_solution_basis(ring, _span(spec, K_gens, n), E_gens, gamma_K, poles), "colon conductor")
+        for n in (N + 2, N)
+    )
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
-    return Ga.shift(tuple(-p for p in poles))
+    return Gb.shift(tuple(-p for p in poles))
+
+
+def _order(spec: CurveSpec, c: Point) -> int:
+    """The truncation at which a conductor c is read: the commit order."""
+    N = max(16, 2 * max(c) + 4)
+    return N if spec.truncation is None else max(N, spec.truncation)
 
 
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     """Q-dimension of F/E for nested modules E ⊆ F (larger first)."""
-    GE = value_ideal(spec, E)
-    GF = value_ideal(spec, F)
-    c = cmax(GE.conductor, GF.conductor)
-    N = max(16, 2 * max(c) + 4)
-    if spec.truncation is not None:
-        N = max(N, spec.truncation)
-    FB = span_module(spec, F, N)
-    EB = span_module(spec, E, N)
-    for g in module_generators(spec, E):
-        if not FB.contains(SeriesVector.from_polys(g, N)):
-            raise InclusionError(f"module {E!r} is not contained in {F!r}")
-    for name, B, G in ((E, EB, GE), (F, FB, GF)):
-        for i in range(spec.s):
-            for e in range(c[i], N):
-                if not B.contains(SeriesVector.monomial(spec.s, N, i, e)):
-                    raise TruncationError(
-                        f"module {name!r} misses t^{e} on branch {i} below truncation; "
-                        "conductor data is inconsistent"
-                    )
-    total = 0
-    for i in range(spec.s):
-        total += sum(1 for e in FB.pivot_exponents(i) if e < c[i])
-        total -= sum(1 for e in EB.pivot_exponents(i) if e < c[i])
-    return total
+    c = cmax(value_ideal(spec, E).conductor, value_ideal(spec, F).conductor)
+    N = _order(spec, c)
+    FB, EB = span_module(spec, F, N), span_module(spec, E, N)
+    if any(FB.reduce(_row(g, N)) for g in _gens(spec, E)):
+        raise InclusionError(f"module {E!r} is not contained in {F!r}")
+    for name, B in ((E, EB), (F, FB)):
+        require_monomials(B, c, f"module {name!r}")
+    # a pivot below c is one dimension of the module modulo t^c·Rbar
+    return sum(p % N < c[p // N] for p in FB.rows) - sum(p % N < c[p // N] for p in EB.rows)
 
 
 def conductor_of(spec: CurveSpec, module: str = "R", verify: bool = True) -> tuple[Point, ModuleBasis]:
     """The conductor gamma of the module's value set together with the
     monomial module t^gamma * Rbar it cuts out.
 
-    With ``verify`` the monomial description is checked against the colon
-    computation Γ(module : Rbar) = gamma + N^s.
+    The module's span must hold that monomial module below the
+    truncation (:func:`require_monomials`).  With ``verify`` it is also
+    checked against the colon computation Γ(module : Rbar) = gamma + N^s.
     """
-    G = value_ideal(spec, module)
-    gamma = G.conductor
-    N = max(16, 2 * max(gamma) + 4)
-    if spec.truncation is not None:
-        N = max(N, spec.truncation)
+    gamma = value_ideal(spec, module).conductor
+    N = _order(spec, gamma)
+    require_monomials(span_module(spec, module, N), gamma, f"module {module!r}")
     basis = ModuleBasis(spec.s, N)
-    for i in range(spec.s):
-        for e in range(gamma[i], N):
-            basis.insert(SeriesVector.monomial(spec.s, N, i, e))
+    # the monomials are already a reduced echelon basis of primitive rows
+    basis.rows = {p: {p: 1} for i, g in enumerate(gamma) for p in range(i * N + g, (i + 1) * N)}
     if verify:
         got = colon_value_ideal(spec, module, "Rbar")
         expected = IdealFrame(spec.s, gamma, gamma, [gamma], _normalized=True)

@@ -5,9 +5,11 @@ position i*N + e.  Every row is primitive: integer entries with gcd 1,
 positive at its pivot (its minimal position).  A rational vector has one
 such multiple, so the reduced echelon basis of primitive rows is the
 reduced row echelon form with each row cleared to integers: exact and
-canonical, with no denominator anywhere.  Rational generators are
-cleared where they enter, which changes neither a Q-span nor the ring
-closure.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+canonical, with no denominator anywhere.  Generators enter as integer
+terms, ((exp, coeff), ...) per branch by exponent, cleared from rational
+data once (:func:`integer_terms`), which changes neither a Q-span nor the
+ring closure; a :class:`SeriesVector` is cleared where it enters.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
 v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
 
@@ -39,10 +41,23 @@ def _integral(vec) -> Row:
     return {k: c.numerator * (den // c.denominator) for k, c in flat.items() if c}
 
 
-def _terms(g: SeriesVector) -> tuple:
-    """g cleared to integers, per branch as ((exp, coeff), ...) by exp."""
-    flat = _integral(g)
-    return tuple(tuple((e, flat[i * g.N + e]) for e in sorted(d)) for i, d in enumerate(g.coeffs))
+def integer_terms(polys) -> tuple:
+    """The primitive integer multiple of a rational polynomial vector,
+    given as ((exp, coeff), ...) per branch by exponent."""
+    den = lcm(*(c.denominator for p in polys for _, c in p))
+    ints = [[(e, c.numerator * (den // c.denominator)) for e, c in sorted(p) if c] for p in polys]
+    g = gcd(*(c for p in ints for _, c in p)) or 1
+    return tuple(tuple((e, c // g) for e, c in p) for p in ints)
+
+
+def _as_terms(g) -> tuple:
+    """Integer terms of a generator; a SeriesVector is cleared first."""
+    return integer_terms([sorted(d.items()) for d in g.coeffs]) if isinstance(g, SeriesVector) else g
+
+
+def _row(terms: tuple, N: int) -> Row:
+    """Integer terms as a flat row mod t^N."""
+    return {i * N + e: c for i, p in enumerate(terms) for e, c in p if e < N}
 
 
 def _times(row: Row, g: tuple, N: int) -> Row:
@@ -107,10 +122,6 @@ class ModuleBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def pivot_exponents(self, branch: int) -> list[int]:
-        base = branch * self.N
-        return sorted(p - base for p in self.rows if base <= p < base + self.N)
-
     def _fully_reduce(self, v: Row) -> None:
         """Eliminate every pivot position from the integer row v, in place.
 
@@ -151,6 +162,24 @@ class ModuleBasis:
     def row_series(self) -> list[SeriesVector]:
         return [SeriesVector.from_flat(self.s, self.N, r) for r in self.rows.values()]
 
+    def truncated(self, N: int) -> "ModuleBasis":
+        """The basis of this span cut to ∏ Q[t]/(t^N), for N <= self.N.
+
+        For spans this is the span at order N: truncation pi from order
+        N' to N is a ring map, pi(r·v) = pi(r)·pi(v), so pi(V') holds the
+        generators and is closed under the ring, giving V ⊆ pi(V'); and
+        pi^-1(V) holds the generators and is closed under the ring too,
+        giving V' ⊆ pi^-1(V).  The rows, re-keyed from i·N' + e to
+        i·N + e with e >= N dropped, span pi(V'); reinserted they give the
+        reduced echelon basis of primitive rows, which is unique (so is
+        the reduced row echelon form, and each row's primitive multiple
+        positive at its pivot), hence row for row a fresh build at N.
+        """
+        out, old = ModuleBasis(self.s, N), self.N
+        for row in self.rows.values():
+            out._insert({p // old * N + p % old: c for p, c in row.items() if p % old < N})
+        return out
+
     def shifted(self, shift: Point) -> "ModuleBasis":
         """Basis of t^shift * (row space) mod t^N.
 
@@ -165,10 +194,29 @@ class ModuleBasis:
         return out
 
 
-def span_basis(ring_gens: list[SeriesVector], module_gens: list[SeriesVector]) -> ModuleBasis:
-    """Smallest Q-subspace containing module_gens and closed under
-    multiplication by the ring generators.
+def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
+    """Refuse unless the span holds t^e on branch i for all lo_i <= e < N.
 
+    With p = i·N + e, t^e lies in the span iff rows[p] == {p: 1}.  A
+    combination of rows holds c_q·rows[q][q] at each pivot q, as no other
+    row holds q; so t^e, zero off p, is c·rows[p], and a primitive row
+    positive at its pivot is then {p: 1}.
+    """
+    rows, N = basis.rows, basis.N
+    for i, low in enumerate(lo):
+        for p in range(i * N + low, (i + 1) * N):
+            if rows.get(p) != {p: 1}:
+                raise TruncationError(
+                    f"{what} misses t^{p - i * N} on branch {i}: "
+                    f"conductor bound {tuple(lo)} is not valid at truncation {N}"
+                )
+
+
+def span_basis(ring_gens: list, module_gens: list, N: int | None = None) -> ModuleBasis:
+    """Smallest Q-subspace of ∏ Q[t]/(t^N) containing module_gens and
+    closed under multiplication by the ring generators.
+
+    Generators are integer terms, or SeriesVectors whose order is N.
     Only vectors that genuinely enlarged the span are re-expanded, each
     as the row it was reduced to on insertion: those rows span the same
     space as the vectors, so closing each of them under every generator
@@ -176,10 +224,10 @@ def span_basis(ring_gens: list[SeriesVector], module_gens: list[SeriesVector]) -
     """
     if not module_gens:
         raise FrameError("a module needs at least one generator")
-    s, N = module_gens[0].s, module_gens[0].N
-    basis = ModuleBasis(s, N)
-    gens = [_terms(g) for g in ring_gens]
-    queue = [_integral(v) for v in module_gens]
+    N = module_gens[0].N if N is None else N
+    basis = ModuleBasis(len(_as_terms(module_gens[0])), N)
+    gens = [_as_terms(g) for g in ring_gens]
+    queue = [_row(_as_terms(v), N) for v in module_gens]
     while queue:
         v = queue.pop()
         if v and basis._insert(v):
@@ -277,31 +325,20 @@ def _nullspace(rows: list, nvars: int) -> list[Row]:
 
 
 def colon_solution_basis(
-    ring_gens: list[SeriesVector],
-    K_basis: ModuleBasis,
-    E_gens: list[SeriesVector],
-    gamma_K: Point,
-    poles: Point,
+    ring_gens: list, K_basis: ModuleBasis, E_gens: list, gamma_K: Point, poles: Point
 ) -> ModuleBasis:
     """Basis of t^poles * (K : E) = {x honest : x * E ⊆ t^poles * K}.
 
-    Requires K ⊇ t^gamma_K * (full space) — checked explicitly — and
-    N >= gamma_K + poles + 2 per branch, so that positions the truncation
-    cannot see are exactly the free positions of the conductor.  The
-    result is verified to be closed under the ring generators.
+    Requires K ⊇ t^gamma_K * (full space) — checked by
+    :func:`require_monomials` — and N >= gamma_K + poles + 2 per branch,
+    so that positions the truncation cannot see are exactly the free
+    positions of the conductor.  Generators are integer terms or
+    SeriesVectors.  The result is verified to be closed under the ring.
     """
     s, N = K_basis.s, K_basis.N
-    for i in range(s):
-        if gamma_K[i] + poles[i] + 2 > N:
-            raise TruncationError(
-                f"truncation {N} too small for conductor {gamma_K} plus poles {poles}"
-            )
-        for e in range(gamma_K[i], N):
-            if not K_basis.contains({i * N + e: 1}):
-                raise TruncationError(
-                    f"left module misses t^{e} on branch {i}: "
-                    f"conductor bound {gamma_K} is not valid at truncation {N}"
-                )
+    if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
+        raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
+    require_monomials(K_basis, gamma_K, "left module")
     shifted = K_basis.shifted(poles)
     for i in range(s):
         for e in range(gamma_K[i] + poles[i], N):
@@ -317,11 +354,13 @@ def colon_solution_basis(
     # holds another pivot, so that form is untouched until it is used.
     L = lcm(*(row[piv] for piv, row in shifted.rows.items()))
     constraints: list[Row] = []
-    for terms in map(_terms, E_gens):
+    for terms in map(_as_terms, E_gens):
         forms: dict[int, Row] = {}
         for var in range(s * N):
-            for pos, c in _times({var: L}, terms, N).items():
-                forms.setdefault(pos, {})[var] = c
+            for eb, cb in terms[var // N]:
+                if var % N + eb >= N:
+                    break
+                forms.setdefault(var + eb, {})[var] = L * cb
         for piv, row in shifted.rows.items():
             frm = forms.pop(piv, None)
             if frm is None:
@@ -339,7 +378,7 @@ def colon_solution_basis(
         out._insert(sol)
     # closure under the ring action is automatic for a true colon module;
     # failure means the pole bound or the truncation clipped something
-    gens = [_terms(g) for g in ring_gens]
+    gens = [_as_terms(g) for g in ring_gens]
     for r in out.rows.values():
         for g in gens:
             prod = _times(r, g, N)

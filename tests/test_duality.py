@@ -128,6 +128,26 @@ def test_difference_requires_min_closure():
         difference(good, bad)
 
 
+def test_duals_and_differences_carry_min_closure(monkeypatch, wide_s):
+    # K0 and a difference are min-closed by construction, so difference
+    # sweeps neither for (E1); a raw frame failing (E1) is still refused
+    sweeps = []
+    real = ideals._e1_holds
+    monkeypatch.setattr(ideals, "_e1_holds", lambda E: sweeps.append(E) or real(E))
+    K = canonical_normalized(wide_s)
+    E = IdealFrame.from_points([(3, 2), (5, 4), (6, 4), (8, 6)], gamma=(8, 6))
+    D = difference(K, E)
+    assert sweeps == [E]
+    assert D.is_e1() and D.shift((1, 1)).is_e1()
+    difference(K, D)
+    dualize(CanonicalIdeal.normalized(wide_s), wide_s.ideal).is_e1()
+    assert sweeps == [E]
+    bad = IdealFrame.from_points([(0, 0), (1, 2), (2, 1), (2, 2)], gamma=(2, 2))
+    with pytest.raises(NotCertifiedError, match="right"):
+        difference(K, bad)
+    assert sweeps == [E, bad]
+
+
 def test_difference_by_semigroup_is_identity(fig_s):
     E = IdealFrame.from_points(
         [(2, 1), (2, 2), (3, 1), (5, 2)], gamma=(5, 2)
