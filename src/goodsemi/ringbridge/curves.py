@@ -10,13 +10,16 @@ by generators:
     module E: (t^3, t) ; (t^2, 0)
 
 Every computation is exact over Q.  Truncation orders are chosen
-automatically: a bootstrap run finds the conductor, the final order is
-max(16, 2*max(gamma)+4), and each reported value set must agree bitwise
-with a rerun two orders higher, otherwise a TruncationError is raised.
-A module zero on some branch, or a ring that is constant or a series in
-t^d (d > 1) on some branch, has no conductor and is refused up front.
-An explicit ``truncation:`` line overrides the bootstrap but not the
-stability check.
+automatically: a bootstrap probes orders 16, 32, ... until one shows a
+conductor gamma that a Nakayama certificate proves (see :func:`_value`),
+and the value set is committed at the smallest order the certificate
+covers, max_i(gamma_i + max(3, e_i)) with J·Rbar = ∏ t^(e_i)·Q[[t]].
+Each reported value set must also agree bitwise with a rerun at a higher
+order, otherwise a TruncationError is raised.  A module zero on some
+branch, or a ring that is constant or a series in t^d (d > 1) on some
+branch, has no conductor and is refused up front.  An explicit
+``truncation:`` line overrides the bootstrap but neither the certificate
+nor the rerun.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
 rings) and ``C`` (the conductor module t^gamma * Rbar) are built in;
@@ -299,16 +302,26 @@ def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
     return G
 
 
-def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
-    """Refuse, before any truncation is tried, a module that is zero on a
-    branch and a ring whose projection to a branch lies in Q or in
-    Q[[t^d]] with d > 1; neither has a conductor at any truncation."""
+def _radical_orders(spec: CurveSpec) -> Point:
+    """The orders e with J·Rbar = ∏ t^(e_i)·Q[[t]], J the ideal of ring
+    elements with zero constant terms: e_i is the least positive exponent
+    of a ring generator on branch i.
+
+    That is the least i-th coordinate of a point alpha >= (1, ..., 1) of
+    Γ_R.  On branch i every element of R is its constant term plus a sum
+    of products, each with a factor g_i - c_i for a generator g and its
+    constant term c_i, so an element of J has order at least e_i there.  Conversely, if g attains e_i and c is its vector of
+    constant terms, p(g) with p(x) = ∏ (x - c) over the distinct c_k lies
+    in J and has order e_i on branch i, the other factors being units
+    there; adding an element of the conductor ideal of order above e_i on
+    every branch makes it a nonzerodivisor, so its value lies in Γ_R.
+
+    A ring whose projection to a branch lies in Q or in Q[[t^d]], d > 1,
+    has no conductor at any truncation and is refused.
+    """
+    e = []
     for i in range(spec.s):
-        if not any(g[i] for g in gens):
-            names = [n for n, g in spec._store.named.items() if g == gens]
-            label = repr(names[0]) if names else " ; ".join(_fmt_vec(g) for g in gens)
-            raise FrameError(f"module {label} is zero on branch {i}; it has no value set")
-        exps = [e for g in spec._store.ring for e, _ in g[i] if e > 0]
+        exps = [x for g in spec._store.ring for x, _ in g[i] if x > 0]
         if not exps:
             raise FrameError(
                 f"every ring generator is constant on branch {i}, so the ring has no conductor"
@@ -319,48 +332,118 @@ def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
                 f"every ring exponent on branch {i} is a multiple of {d}, "
                 "so the ring has no conductor"
             )
+        e.append(min(exps))
+    return tuple(e)
+
+
+def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
+    """Refuse, before any truncation is tried, a module that is zero on a
+    branch; it has no conductor at any truncation."""
+    for i in range(spec.s):
+        if not any(g[i] for g in gens):
+            names = [n for n, g in spec._store.named.items() if g == gens]
+            label = repr(names[0]) if names else " ; ".join(_fmt_vec(g) for g in gens)
+            raise FrameError(f"module {label} is zero on branch {i}; it has no value set")
+
+
+def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> None:
+    """Refuse unless the span at N proves t^gamma·Rbar ⊆ M: N >= gamma + e
+    on every branch, and the span holds t^k for gamma_i <= k < N."""
+    if any(g + x > N for g, x in zip(gamma, e)):
+        low = tuple(g + x for g, x in zip(gamma, e))
+        raise TruncationError(
+            f"truncation {N} is below γ + e = {low} for the candidate conductor {gamma}"
+        )
+    require_monomials(_span(spec, gens, N), gamma, "the span")
 
 
 def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
-    """Value set of the module generated by integer terms ``gens``.
+    """Value set of the module M generated by integer terms ``gens``.
 
-    The bootstrap probes orders 16, 32, ... until a conductor shows, and
-    stops before an order whose scan box [0, N-2]^s exceeds the box limit.
-    Each probe builds the span two orders up and scans its truncation, so
-    a probe at the commit order already holds the rerun's span.
+    The bootstrap probes orders 16, 32, ... and stops before an order
+    whose scan box [0, N-2]^s exceeds the box limit.  A probe at N builds
+    the span at N + 2, cuts it to N, and succeeds when three checks pass:
+
+    1. precheck: the span holds t^(N-1) on every branch, which a
+       conductor inside the box forces; otherwise no scan runs;
+    2. scan: the value set over the box has a candidate conductor gamma
+       strictly inside it;
+    3. certificate (:func:`_certify`): with N_c = max_i(gamma_i +
+       max(3, e_i)), e from :func:`_radical_orders`, the span at N_c
+       holds t^k for gamma_i <= k < N_c.
+
+    Proof that the certificate gives t^gamma·Rbar ⊆ M.  Let A be the
+    closure of R in Rbar = ∏ Q[[t]] and M the closure of the module, which
+    has the same values and the same truncations.  Rbar is finite over A:
+    A holds an element of positive order on every branch, and Q[[t]] is
+    finite over the power series in it.  J, the elements of A with zero
+    constant terms, is an ideal inside the Jacobson radical of A: for x
+    in J, 1 + x is a unit of Rbar whose inverse, the t-adic limit of
+    sum (-x)^k, lies in A.  And J·Rbar = ∏ t^(e_i)·Q[[t]].  The monomials give t^gamma·Rbar ⊆ M +
+    t^(N_c)·Rbar, and N_c >= gamma + e gives t^(N_c)·Rbar ⊆
+    J·t^gamma·Rbar, so t^gamma·Rbar ⊆ M + J·t^gamma·Rbar.  Nakayama's
+    lemma, for the finite A-module t^gamma·Rbar, gives t^gamma·Rbar ⊆ M.
+    Nothing here needs R local: a ring with a (0, 2) generator is
+    semilocal, and J is still its radical.
+
+    M then holds t^(N_c)·Rbar, so it is the full preimage of its span at
+    N_c, and every witness of the scan over [0, N_c - 2]^s lifts to M:
+    the in-box values are exact, the conductor lies strictly inside the
+    box (N_c >= gamma + 3), and capping at the box's corner reproduces
+    the value set.  The commit scan runs at N_c.  Its rerun at a higher
+    order is the probe's own scan when N >= N_c + 2, else a scan at
+    N_c + 2, built first with N_c cut from it; the two must agree and the
+    result must pass the good-ideal axioms.  An explicit truncation
+    commits at its own order N, building N + 2 first, and certifies
+    there with N in place of N_c.
     """
     values = spec._store.values
     if gens in values:
         return values[gens]
     _check_conductor_exists(spec, gens)
+    e = _radical_orders(spec)
     s = spec.s
     if spec.truncation is not None:
-        commit = spec.truncation
+        commit = N = spec.truncation
+        _span(spec, gens, N + 2)
+        probe = _scan(_span(spec, gens, N), "conductor")
+        _certify(spec, gens, probe.conductor, e, N)
     else:
-        probe, tried, why = None, [], f"is the ring really a curve with {s} branches?"
+        probe, tried, limit, refusal = None, [], None, None
         for N in (16, 32, 64, 128, 256, 512):
             if (N - 1) ** s > ideals.MAX_CELLS:
-                why = f"truncation {N} was not tried, as its scan box [0, {N - 2}]^{s} exceeds"
-                why += f" the box limit of {ideals.MAX_CELLS} cells"
+                limit = f"truncation {N} was not tried, as its scan box [0, {N - 2}]^{s} exceeds"
+                limit += f" the box limit of {ideals.MAX_CELLS} cells"
                 break
             tried.append(N)
+            _span(spec, gens, N + 2)
+            B = _span(spec, gens, N)
             try:
-                _span(spec, gens, N + 2)
-                probe = _scan(_span(spec, gens, N), "conductor")
+                check = "precheck"
+                require_monomials(B, (N - 1,) * s, "the span")
+                check = "scan box"
+                G = _scan(B, "conductor")
+                check = "certificate"
+                commit = max(g + max(3, x) for g, x in zip(G.conductor, e))
+                if commit > N:
+                    _span(spec, gens, commit + 2)
+                _certify(spec, gens, G.conductor, e, commit)
+                probe = G
                 break
-            except (TruncationError, FrameError):
-                pass
+            except (TruncationError, FrameError) as exc:
+                refusal = f"the {check} refused truncation {N}: {exc}"
         if probe is None:
+            question = None if limit else f"is the ring really a curve with {s} branches?"
             raise TruncationError(
-                f"no stable conductor at truncations {', '.join(map(str, tried))}; {why}"
+                f"no stable conductor at truncations {', '.join(map(str, tried))}; "
+                + "; ".join(filter(None, (limit, refusal, question)))
             )
-        commit = max(16, 2 * max(probe.conductor) + 4)
-    rerun = _span(spec, gens, commit + 2)
-    # a probe at the commit order is the commit scan itself
-    at_probe = spec.truncation is None and commit == N
-    Ga = probe if at_probe else _scan(_span(spec, gens, commit), "conductor")
-    if Ga != _scan(rerun, "conductor"):
-        raise TruncationError(f"value set changed between truncations {commit} and {commit + 2}")
+    Ga = probe if commit == N else _scan(_span(spec, gens, commit), "conductor")
+    # a probe two orders above the commit order is the rerun itself
+    rerun = N if N >= commit + 2 else commit + 2
+    Gb = probe if rerun == N else _scan(_span(spec, gens, rerun), "conductor")
+    if Ga != Gb:
+        raise TruncationError(f"value set changed between truncations {commit} and {rerun}")
     report = validate(Ga)
     if not (report.e1_ok and report.e2_ok):
         raise TruncationError(
@@ -374,8 +457,8 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
 def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealFrame:
     """Value semigroup ideal of the module generated by ``gens``.
 
-    Runs the bootstrap/commit/stability truncation policy and certifies
-    the result against the good-ideal axioms.
+    Runs the certified truncation policy of :func:`_value`: bootstrap,
+    Nakayama certificate, commit, rerun and the good-ideal axioms.
     """
     return _value(spec, tuple(map(integer_terms, gens)))
 
@@ -393,9 +476,14 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> Ideal
     Γ(K : E) ⊆ Γ_K - Γ_E, and P = max(0, -mu(Γ_K - Γ_E)) per branch bounds
     the poles of every solution.  The default is P, where a solution on
     the window's edge is legitimate; an explicit bound below P is refused
-    before any elimination.  The result must agree with a rerun two
-    orders higher, which runs first so that the span of K at N is cut
-    from the one at N + 2.
+    before any elimination.
+
+    The truncation N = max_i(γ_K,i + p_i + 2, γ_K,i - μ_E,i + p_i + 3),
+    p the poles, is proven too: t^(γ_K - μ_E)·Rbar·E ⊆ t^(γ_K)·Rbar ⊆ K,
+    so the colon's conductor is at most γ_K - μ_E, and after the shift by
+    p it lies strictly inside the scan box [0, N - 2]^s.  The result must
+    agree with a rerun two orders higher, which runs first so that the
+    span of K at N is cut from the one at N + 2.
     """
     GK = value_ideal(spec, K)
     GE = value_ideal(spec, E)
@@ -411,7 +499,7 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> Ideal
                 f"pole bound {poles} is below the proven bound {proven} "
                 f"from Γ({K}) - Γ({E}); solutions reach further down"
             )
-    N = max(16, 2 * max(gamma_K) + 4) + max(poles) + 2
+    N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
     if spec.truncation is not None:
         N = max(N, spec.truncation)
     Gb, Ga = (
@@ -424,8 +512,11 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> Ideal
 
 
 def _order(spec: CurveSpec, c: Point) -> int:
-    """The truncation at which a conductor c is read: the commit order."""
-    N = max(16, 2 * max(c) + 4)
+    """The truncation at which certified modules are read below their
+    conductors c: max(c) + 1, or an explicit truncation when larger.  A
+    certified module holds t^c·Rbar, so it is the full preimage of its
+    span at any order above c."""
+    N = max(c) + 1
     return N if spec.truncation is None else max(N, spec.truncation)
 
 
@@ -446,9 +537,10 @@ def conductor_of(spec: CurveSpec, module: str = "R", verify: bool = True) -> tup
     """The conductor gamma of the module's value set together with the
     monomial module t^gamma * Rbar it cuts out.
 
-    The module's span must hold that monomial module below the
-    truncation (:func:`require_monomials`).  With ``verify`` it is also
-    checked against the colon computation Γ(module : Rbar) = gamma + N^s.
+    The basis is given at the certified order :func:`_order`, and the
+    module's span there must hold it (:func:`require_monomials`).  With
+    ``verify`` it is also checked against the colon computation
+    Γ(module : Rbar) = gamma + N^s.
     """
     gamma = value_ideal(spec, module).conductor
     N = _order(spec, gamma)

@@ -324,3 +324,11 @@ def numerical_members(gens, hi):
             if reach[n - g]:
                 reach[n] = True
     return {n for n, r in enumerate(reach) if r}
+
+
+def radical_orders(pred, gamma):
+    """e_i, the least i-th coordinate of a member alpha >= (1, ..., 1) of
+    a value set whose membership is capped at gamma: capping alpha to
+    cmax(gamma, 1) keeps it a member and can only lower each coordinate."""
+    pts = points_of(pred, (1,) * len(gamma), tuple(max(g, 1) for g in gamma))
+    return tuple(min(p[i] for p in pts) for i in range(len(gamma)))

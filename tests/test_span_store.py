@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from goodsemi import TruncationError, ideals
 from goodsemi.ringbridge import (
     SeriesVector,
@@ -91,6 +92,9 @@ def test_monomial_membership_by_pivot_lookup(curve_spec):
                 assert got == want, (module, i, low)
 
 
+PROBES = (16, 32, 64, 128, 256, 512)
+
+
 def _counting(monkeypatch):
     """Record the order of every span built and every value set scanned."""
     built, scanned = [], []
@@ -116,12 +120,20 @@ def test_value_ideal_builds_one_span_per_order_pair(monkeypatch, curve_spec):
     built, scanned = _counting(monkeypatch)
     value_ideal(parse_curve("truncation: 20\n" + dumps_curve(curve_spec)), "E")
     assert (built, sorted(scanned)) == ([22], [20, 22])
+    GR = value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
+    e = oracles.radical_orders(GR.contains, GR.gamma)
     spec = parse_curve(dumps_curve(curve_spec))
     for module in ["R", "Rbar", "C"] + spec.module_names():
         del built[:], scanned[:]
-        value_ideal(spec, module)
+        gamma = value_ideal(spec, module).conductor
         assert len(set(built)) == len(built) <= len(scanned) - 1, (module, built, scanned)
-        assert all(n in built or n + 2 in built for n in scanned), (module, built, scanned)
+        # one span N + 2 per probe order N tried, then N_c + 2 only when
+        # it lies above the last of them; every scan is cut from a build
+        probes = [n for n, p in zip(built, PROBES) if n == p + 2]
+        commit = max(g + max(3, x) for g, x in zip(gamma, e))
+        extra = [commit + 2] if commit + 2 > probes[-1] else []
+        assert built == probes + extra, (module, built, scanned)
+        assert max(scanned) <= max(built), (module, built, scanned)
 
 
 def test_ring_layer_hashes_no_fraction(monkeypatch, curve_spec):
