@@ -10,9 +10,10 @@ dimension mismatches, violated preconditions.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
-from . import duality, ideals, metric
+from . import ideals
 from .errors import GoodsemiError, NotCertifiedError, ParseError
 from .ideals import GoodSemigroup, IdealFrame, from_json, to_json, validate
 from .lattice import as_point, zero
@@ -76,12 +77,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from . import duality
     S = _load_semigroup(args.semigroup)
     _emit(to_json(duality.canonical_normalized(S)), args.output)
     return 0
 
 
 def _cmd_dual(args) -> int:
+    from . import duality
     S = _load_semigroup(args.semigroup)
     E = _load_ideal(args.ideal)
     K = duality.CanonicalIdeal.normalized(S)
@@ -108,6 +111,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_is_canonical(args) -> int:
+    from . import duality
     S = _load_semigroup(args.semigroup)
     K = _load_ideal(args.ideal)
     verdict, alpha = duality.is_canonical(K, S)
@@ -116,6 +120,7 @@ def _cmd_is_canonical(args) -> int:
 
 
 def _cmd_is_symmetric(args) -> int:
+    from . import duality
     S = _load_semigroup(args.semigroup)
     verdict = duality.is_symmetric(S)
     print(f"symmetric: {str(verdict).lower()}")
@@ -123,6 +128,7 @@ def _cmd_is_symmetric(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from . import duality
     E = _load_ideal(args.left)
     F = _load_ideal(args.right)
     _emit(to_json(duality.difference(E, F)), args.output)
@@ -137,6 +143,7 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from . import metric
     E = _load_ideal(args.ideal)
     d = metric.distance_between(E, _point(args.start), _point(args.end))
     print(d)
@@ -144,6 +151,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_rel_distance(args) -> int:
+    from . import metric
     E = _load_ideal(args.smaller)
     F = _load_ideal(args.larger)
     print(metric.relative_distance(E, F))
@@ -201,8 +209,18 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and a digit, such as the
+    point '-2,-1', as a value; argparse alone lets through only plain
+    negative numbers.  Subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="goodsemi",
         description="Good semigroups of N^s: validation, duality, distance, "
         "and value semigroups of curve singularities.",

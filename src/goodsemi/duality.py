@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import InclusionError, NotCertifiedError
 from .ideals import (
@@ -23,6 +22,7 @@ from .ideals import (
     GoodSemigroup,
     IdealFrame,
     LocalDecomposition,
+    _Frozen,
     _crop,
     _flip,
     _frame_box,
@@ -144,17 +144,17 @@ def is_symmetric(S: GoodSemigroup) -> bool:
     return is_canonical(_frame_of(S), S)[0]
 
 
-@dataclass(frozen=True)
-class CanonicalIdeal:
+class CanonicalIdeal(_Frozen):
     """A certified canonical ideal over its semigroup.
 
     Instances are produced by :meth:`certify` (or :meth:`normalized`),
     which verifies the translate property and records the shift.
     """
 
-    ideal: IdealFrame
-    semigroup: GoodSemigroup
-    shift_from_normalized: Point
+    __slots__ = _fields = ("ideal", "semigroup", "shift_from_normalized")
+
+    def __init__(self, ideal: IdealFrame, semigroup: GoodSemigroup, shift_from_normalized: Point):
+        self._init(ideal, semigroup, shift_from_normalized)
 
     @classmethod
     def certify(cls, ideal: IdealFrame, semigroup: GoodSemigroup) -> "CanonicalIdeal":

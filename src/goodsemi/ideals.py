@@ -38,7 +38,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, compress, product
 
@@ -76,6 +75,52 @@ __all__ = [
 # tests and the benchmark build (CHANGES.md records the largest), and low
 # enough that a box's int and its cell string stay a few tens of MB.
 MAX_CELLS = 1 << 24
+
+
+# -- value records -------------------------------------------------------------
+
+
+class _Record:
+    """Equality, hashing, repr and pickling by the fields named in
+    ``_fields``, in constructor order; instances of different classes are
+    never equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by ``_init``."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
 # -- the bitset layout ---------------------------------------------------------
@@ -891,18 +936,41 @@ def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Poin
     return out
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the axiom scans; failing checks carry witnesses."""
+class ValidationReport(_Record):
+    """Outcome of the axiom scans; failing checks carry witnesses.
 
-    e0_ok: bool
-    e1_ok: bool
-    e2_ok: bool
-    additivity_ok: bool | None
-    e1_failures: list = field(default_factory=list)
-    e2_failures: list = field(default_factory=list)
-    additivity_failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    Mutable and unhashable; each list left out is a fresh empty one.
+    """
+
+    __slots__ = _fields = (
+        "e0_ok",
+        "e1_ok",
+        "e2_ok",
+        "additivity_ok",
+        "e1_failures",
+        "e2_failures",
+        "additivity_failures",
+        "notes",
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        e0_ok: bool,
+        e1_ok: bool,
+        e2_ok: bool,
+        additivity_ok: bool | None,
+        e1_failures: list | None = None,
+        e2_failures: list | None = None,
+        additivity_failures: list | None = None,
+        notes: list | None = None,
+    ):
+        self.e0_ok, self.e1_ok, self.e2_ok = e0_ok, e1_ok, e2_ok
+        self.additivity_ok = additivity_ok
+        self.e1_failures = [] if e1_failures is None else e1_failures
+        self.e2_failures = [] if e2_failures is None else e2_failures
+        self.additivity_failures = [] if additivity_failures is None else additivity_failures
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -1100,12 +1168,13 @@ def is_local(S) -> bool:
     return not box.bits & on_axes & ~1  # cell 0 is the point 0
 
 
-@dataclass(frozen=True)
-class LocalDecomposition:
+class LocalDecomposition(_Frozen):
     """Partition of the branch set with one local factor per block."""
 
-    partition: tuple[tuple[int, ...], ...]
-    factors: tuple[GoodSemigroup, ...]
+    __slots__ = _fields = ("partition", "factors")
+
+    def __init__(self, partition: tuple[tuple[int, ...], ...], factors: tuple[GoodSemigroup, ...]):
+        self._init(partition, factors)
 
     def recombine(self) -> GoodSemigroup:
         return recombine(self.partition, self.factors)

@@ -7,7 +7,7 @@ order is used only to make set listings and tie-breaks deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 Point = tuple[int, ...]
 

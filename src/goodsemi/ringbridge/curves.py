@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import (
@@ -41,9 +40,8 @@ from ..errors import (
     PoleBoundError,
     TruncationError,
 )
-from ..duality import difference
 from .. import ideals
-from ..ideals import IdealFrame, validate
+from ..ideals import IdealFrame, _Frozen, validate
 from ..lattice import Point, cmax
 from .modules import (
     ModuleBasis,
@@ -75,18 +73,22 @@ _TERM_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(_Frozen):
     """Immutable parsed curve description, with the store of everything
-    computed on it (see :class:`_Store`)."""
+    computed on it (see :class:`_Store`).  Equality and hashing ignore the
+    store; every instance gets its own."""
 
-    s: int
-    truncation: int | None
-    ring: tuple[PolyVec, ...]
-    modules: tuple[tuple[str, tuple[PolyVec, ...]], ...]
-    _store: "_Store" = field(init=False, repr=False, compare=False)
+    _fields = ("s", "truncation", "ring", "modules")
+    __slots__ = _fields + ("_store",)
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        s: int,
+        truncation: int | None,
+        ring: tuple[PolyVec, ...],
+        modules: tuple[tuple[str, tuple[PolyVec, ...]], ...],
+    ):
+        self._init(s, truncation, ring, modules)
         object.__setattr__(self, "_store", _Store(self))
 
     def module_names(self) -> list[str]:
@@ -485,6 +487,8 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> Ideal
     agree with a rerun two orders higher, which runs first so that the
     span of K at N is cut from the one at N + 2.
     """
+    from ..duality import difference  # only the colon needs duality
+
     GK = value_ideal(spec, K)
     GE = value_ideal(spec, E)
     K_gens, E_gens, ring = _gens(spec, K), _gens(spec, E), spec._store.ring

@@ -19,6 +19,15 @@ def fixture_dir():
     return FIXTURES
 
 
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports goodsemi from this tree."""
+    import goodsemi
+
+    src = os.path.dirname(os.path.dirname(goodsemi.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def load_text(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -140,6 +139,33 @@ def test_distance_bad_point(corner, capsys):
     assert "cannot read point" in capsys.readouterr().err
 
 
+@pytest.fixture
+def colon_k0_e(curve, tmp_path, capsys):
+    """Γ(K0 : E) of the two-branch curve, whose μ is (-2, -1)."""
+    assert main(["colon", curve, "K0", "E"]) == 0
+    path = tmp_path / "kE.json"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+def test_distance_accepts_negative_points(colon_k0_e, capsys):
+    assert main(["distance", colon_k0_e, "-2,-1", "1,0"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["distance", colon_k0_e, "-2,-1", "-1,-1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["distance", colon_k0_e, "-2,x", "1,0"]) == 2
+    assert "cannot read point '-2,x'" in capsys.readouterr().err
+
+
+def test_plot_accepts_negative_window_corners(colon_k0_e, capsys):
+    assert main(["plot", colon_k0_e, "--lo", "-2,-1", "--hi", "2,2"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if "|" in l]
+    assert rows[-1] == "-1 | ● ● ○ ○ ○"
+    assert rows[-2] == " 0 | ● ○ ○ ● ●"
+    assert main(["plot", colon_k0_e, "--lo=-2,-1", "--hi", "2,2"]) == 0
+    assert [l for l in capsys.readouterr().out.splitlines() if "|" in l] == rows
+
+
 def test_rel_distance(corner, tmp_path, fig_s, capsys):
     k = tmp_path / "k.json"
     k.write_text(to_json(canonical_normalized(fig_s)))
@@ -271,14 +297,7 @@ print(json.dumps(results))
 """
 
 
-def _subprocess_env():
-    import goodsemi
-
-    src = os.path.dirname(os.path.dirname(goodsemi.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-
-def test_cli_runs_with_numpy_blocked(fixture_dir, tmp_path):
+def test_cli_runs_with_numpy_blocked(fixture_dir, tmp_path, src_env):
     for name in ("corner_s.json", "staircase_e.json", "staircase_s.json", "twobranch.curve", "cusp.curve"):
         shutil.copyfile(fixture_dir / name, tmp_path / name)
     (tmp_path / "bad.curve").write_text("branches: 2\nring: (t^2, t) ; (t^3)\n")
@@ -287,7 +306,7 @@ def test_cli_runs_with_numpy_blocked(fixture_dir, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", CLI_RUNNER, mode, json.dumps(CLI_CALLS)],
             cwd=tmp_path,
-            env=_subprocess_env(),
+            env=src_env,
             capture_output=True,
             text=True,
             timeout=120,
@@ -299,7 +318,7 @@ def test_cli_runs_with_numpy_blocked(fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize("gamma", [[10**12], [10**5, 10**5]], ids=["1e12", "1e5x1e5"])
-def test_oversized_frame_box_exits_2_without_allocating(tmp_path, gamma):
+def test_oversized_frame_box_exits_2_without_allocating(tmp_path, gamma, src_env):
     # the box is refused before any allocation: under a 1 GiB address
     # space limit an attempt to build it would fail with MemoryError
     s = len(gamma)
@@ -313,7 +332,7 @@ def test_oversized_frame_box_exits_2_without_allocating(tmp_path, gamma):
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, "gamma-of", str(path)],
-        env=_subprocess_env(),
+        env=src_env,
         capture_output=True,
         text=True,
         timeout=60,
@@ -322,3 +341,56 @@ def test_oversized_frame_box_exits_2_without_allocating(tmp_path, gamma):
     assert proc.returncode == 2, proc.stderr
     assert f"shape {shape} has {math.prod(shape)} cells" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# a command's imports, as the modules it adds to a bare interpreter's
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from goodsemi.cli import main
+main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, banned",
+    [
+        (
+            ["gamma-of", "staircase_e.json"],
+            ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge"],
+        ),
+        (
+            ["validate", "staircase_e.json", "--ambient", "staircase_s.json"],
+            ["goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge"],
+        ),
+        (
+            ["curve-gamma", "twobranch.curve"],
+            ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric"],
+        ),
+    ],
+    ids=["gamma-of", "validate-ambient", "curve-gamma"],
+)
+def test_each_command_imports_only_what_it_runs(fixture_dir, tmp_path, src_env, argv, banned):
+    for name in ("staircase_e.json", "staircase_s.json", "twobranch.curve"):
+        shutil.copyfile(fixture_dir / name, tmp_path / name)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        cwd=tmp_path,
+        env=src_env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "goodsemi.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", *banned}
+    if argv[0] == "gamma-of":
+        assert {m for m in loaded if m.startswith("goodsemi")} == {
+            "goodsemi",
+            "goodsemi.cli",
+            "goodsemi.errors",
+            "goodsemi.ideals",
+            "goodsemi.lattice",
+        }
