@@ -49,11 +49,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _point(text: str) -> tuple:
+def _point(text: str, name: str) -> tuple:
+    """The point given as command-line argument ``name``."""
     try:
         return as_point(int(c.strip()) for c in text.split(","))
     except ValueError:
-        raise ParseError(f"cannot read point {text!r}; expected e.g. '3,1'")
+        raise ParseError(f"cannot read point {text!r}; expected e.g. '3,1'", filename=f"argument {name}")
 
 
 # ------------------------------------------------------------- subcommands
@@ -145,7 +146,7 @@ def _cmd_sum(args) -> int:
 def _cmd_distance(args) -> int:
     from . import metric
     E = _load_ideal(args.ideal)
-    d = metric.distance_between(E, _point(args.start), _point(args.end))
+    d = metric.distance_between(E, _point(args.start, "start"), _point(args.end, "end"))
     print(d)
     return 0
 
@@ -185,7 +186,7 @@ def _cmd_curve_gamma(args) -> int:
 def _cmd_colon(args) -> int:
     from .ringbridge import curves
     spec = _load_curve(args.curve)
-    G = curves.colon_value_ideal(spec, args.left, args.right, args.pole_bound)
+    G = curves.colon_value_ideal(spec, args.left, args.right)
     _emit(to_json(G), args.output)
     return 0
 
@@ -200,8 +201,8 @@ def _cmd_length(args) -> int:
 def _cmd_plot(args) -> int:
     from . import plot
     E = _load_ideal(args.ideal)
-    lo = _point(args.lo) if args.lo else None
-    hi = _point(args.hi) if args.hi else None
+    lo = _point(args.lo, "--lo") if args.lo else None
+    hi = _point(args.hi, "--hi") if args.hi else None
     if args.svg:
         _emit(plot.svg_lattice(E, lo, hi), args.svg)
     else:
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("curve")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--pole-bound", type=int, default=None)
     sp.add_argument("-o", "--output")
 
     sp = add("length", _cmd_length, "Q-dimension of F/E for nested curve modules")

@@ -51,7 +51,11 @@ class PoleBoundError(GoodsemiError):
 
 
 class ParseError(GoodsemiError, ValueError):
-    """A text input failed to parse; carries position info for diagnostics."""
+    """A text input failed to parse; carries position info for diagnostics.
+
+    ``filename`` names the input: a file, or a command-line argument such
+    as ``argument start``.
+    """
 
     def __init__(self, msg, line=None, col=None, filename=None):
         self.line = line

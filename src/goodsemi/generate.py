@@ -79,13 +79,9 @@ def random_good_ideal(
     pts: set[Point] = {B}
     for _ in range(rng.randint(1, 3)):
         pts.add(tuple(rng.randint(0, B[i]) for i in range(s)))
-    # settle the minimum first so the box frames stay well-formed
-    while True:
-        extra = {cmin(a, b) for a in pts for b in pts} - pts
-        if not extra:
-            break
-        pts |= extra
+    # the minimum lies in the min-closure, so the repair keeps it as mu
     mu = tuple(min(p[i] for p in pts) for i in range(s))
+    pts.add(mu)
     while _closure_pass(pts, mu, B, S.ideal):
         pass
     E = IdealFrame(s, mu, B, pts)

@@ -6,7 +6,7 @@ a flat picture; other arities are refused.
 
 from __future__ import annotations
 
-from .errors import FrameError
+from .errors import DimensionMismatch, FrameError
 from .ideals import IdealFrame
 from .lattice import Point, add, as_point, cmin, ones, zero
 
@@ -21,6 +21,9 @@ def _window(E: IdealFrame, lo, hi) -> tuple[Point, Point]:
     if hi is None:
         hi = add(E.gamma, (2, 2))
     lo, hi = as_point(lo), as_point(hi)
+    for name, corner in (("lower", lo), ("upper", hi)):
+        if len(corner) != 2:
+            raise DimensionMismatch(f"the {name} window corner {corner} has {len(corner)} coordinates, not 2")
     if not (lo[0] <= hi[0] and lo[1] <= hi[1]):
         raise FrameError(f"empty plot window [{lo}, {hi}]")
     return lo, hi

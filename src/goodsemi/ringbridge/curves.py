@@ -37,7 +37,6 @@ from ..errors import (
     InclusionError,
     NotCertifiedError,
     ParseError,
-    PoleBoundError,
     TruncationError,
 )
 from .. import ideals
@@ -364,7 +363,7 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
 
     The bootstrap probes orders 16, 32, ... and stops before an order
     whose scan box [0, N-2]^s exceeds the box limit.  A probe at N builds
-    the span at N + 2, cuts it to N, and succeeds when three checks pass:
+    the span at N and succeeds when three checks pass:
 
     1. precheck: the span holds t^(N-1) on every branch, which a
        conductor inside the box forces; otherwise no scan runs;
@@ -394,10 +393,10 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     box (N_c >= gamma + 3), and capping at the box's corner reproduces
     the value set.  The commit scan runs at N_c.  Its rerun at a higher
     order is the probe's own scan when N >= N_c + 2, else a scan at
-    N_c + 2, built first with N_c cut from it; the two must agree and the
-    result must pass the good-ideal axioms.  An explicit truncation
-    commits at its own order N, building N + 2 first, and certifies
-    there with N in place of N_c.
+    N_c + 2, built first with N_c cut from it when N_c > N; the two must
+    agree and the result must pass the good-ideal axioms.  An explicit
+    truncation commits at its own order N, building N + 2 first, and
+    certifies there with N in place of N_c.
     """
     values = spec._store.values
     if gens in values:
@@ -418,7 +417,6 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
                 limit += f" the box limit of {ideals.MAX_CELLS} cells"
                 break
             tried.append(N)
-            _span(spec, gens, N + 2)
             B = _span(spec, gens, N)
             try:
                 check = "precheck"
@@ -469,16 +467,15 @@ def value_ideal(spec: CurveSpec, module: str = "R") -> IdealFrame:
     return _value(spec, _gens(spec, module))
 
 
-def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> IdealFrame:
+def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     """Value semigroup ideal of the colon module K : E = {x : x*E ⊆ K}.
 
     The pole bound (how far below 0 solutions may reach) is proven, not
     guessed.  For x in K : E and a regular e in E (a nonzerodivisor, so
     v(xe) = v(x) + v(e)), v(x) + v(e) = v(xe) lies in Γ_K; hence
     Γ(K : E) ⊆ Γ_K - Γ_E, and P = max(0, -mu(Γ_K - Γ_E)) per branch bounds
-    the poles of every solution.  The default is P, where a solution on
-    the window's edge is legitimate; an explicit bound below P is refused
-    before any elimination.
+    the poles of every solution.  The pole window is P, and a solution on
+    its edge is legitimate.
 
     The truncation N = max_i(γ_K,i + p_i + 2, γ_K,i - μ_E,i + p_i + 3),
     p the poles, is proven too: t^(γ_K - μ_E)·Rbar·E ⊆ t^(γ_K)·Rbar ⊆ K,
@@ -493,16 +490,7 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str, pole_bound=None) -> Ideal
     GE = value_ideal(spec, E)
     K_gens, E_gens, ring = _gens(spec, K), _gens(spec, E), spec._store.ring
     gamma_K = GK.conductor
-    proven = tuple(max(0, -m) for m in difference(GK, GE).mu)
-    if pole_bound is None:
-        poles = proven
-    else:
-        poles = (pole_bound,) * spec.s if isinstance(pole_bound, int) else tuple(map(int, pole_bound))
-        if any(p < q for p, q in zip(poles, proven)):
-            raise PoleBoundError(
-                f"pole bound {poles} is below the proven bound {proven} "
-                f"from Γ({K}) - Γ({E}); solutions reach further down"
-            )
+    poles = tuple(max(0, -m) for m in difference(GK, GE).mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
     if spec.truncation is not None:
         N = max(N, spec.truncation)
@@ -537,14 +525,13 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     return sum(p % N < c[p // N] for p in FB.rows) - sum(p % N < c[p // N] for p in EB.rows)
 
 
-def conductor_of(spec: CurveSpec, module: str = "R", verify: bool = True) -> tuple[Point, ModuleBasis]:
+def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis]:
     """The conductor gamma of the module's value set together with the
     monomial module t^gamma * Rbar it cuts out.
 
     The basis is given at the certified order :func:`_order`, and the
-    module's span there must hold it (:func:`require_monomials`).  With
-    ``verify`` it is also checked against the colon computation
-    Γ(module : Rbar) = gamma + N^s.
+    module's span there must hold it (:func:`require_monomials`), and the
+    colon computation must give Γ(module : Rbar) = gamma + N^s.
     """
     gamma = value_ideal(spec, module).conductor
     N = _order(spec, gamma)
@@ -552,12 +539,9 @@ def conductor_of(spec: CurveSpec, module: str = "R", verify: bool = True) -> tup
     basis = ModuleBasis(spec.s, N)
     # the monomials are already a reduced echelon basis of primitive rows
     basis.rows = {p: {p: 1} for i, g in enumerate(gamma) for p in range(i * N + g, (i + 1) * N)}
-    if verify:
-        got = colon_value_ideal(spec, module, "Rbar")
-        expected = IdealFrame(spec.s, gamma, gamma, [gamma], _normalized=True)
-        if got != expected:
-            raise NotCertifiedError(
-                f"colon against the full ring gives {got.frame_sorted}, "
-                f"not the orthant at {gamma}"
-            )
+    got = colon_value_ideal(spec, module, "Rbar")
+    if got != IdealFrame(spec.s, gamma, gamma, [gamma], _normalized=True):
+        raise NotCertifiedError(
+            f"colon against the full ring gives {got.frame_sorted}, not the orthant at {gamma}"
+        )
     return gamma, basis

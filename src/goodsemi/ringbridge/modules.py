@@ -18,6 +18,11 @@ in echelon form by branch-i order, then the constraints of each
 axis-line imposed one at a time.  Each constraint drops the row of
 largest branch-i order among those it touches, so every other row keeps
 its order and the orders left are the line's dimension drops.
+
+Spans, value scans, cuts and colons all eliminate through the same two
+steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
+solutions are the rows whose products reduce to zero, read off one row
+reduction that carries each unknown as a tag (:func:`colon_solution_basis`).
 """
 
 from __future__ import annotations
@@ -302,28 +307,6 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     return IdealFrame._from_box(Box(tuple(0 for _ in range(s)), shape, good))
 
 
-def _nullspace(rows: list, nvars: int) -> list[Row]:
-    """Kernel basis of rows·x = 0 over Q (variables numbered 0..nvars-1).
-
-    Free variable f gets the value L, the lcm of the pivot entries of the
-    echelon rows that hold f, so every pivot variable is an integer.
-    """
-    echelon = ModuleBasis(1, nvars)
-    for r in rows:
-        echelon.insert(r)
-    kernel = []
-    for f in range(nvars):
-        if f in echelon.rows:
-            continue
-        hits = [(piv, row) for piv, row in echelon.rows.items() if f in row]
-        L = lcm(*(row[piv] for piv, row in hits))
-        sol: Row = {f: L}
-        for piv, row in hits:
-            sol[piv] = -row[f] * (L // row[piv])
-        kernel.append(sol)
-    return kernel
-
-
 def colon_solution_basis(
     ring_gens: list, K_basis: ModuleBasis, E_gens: list, gamma_K: Point, poles: Point
 ) -> ModuleBasis:
@@ -334,6 +317,20 @@ def colon_solution_basis(
     so that positions the truncation cannot see are exactly the free
     positions of the conductor.  Generators are integer terms or
     SeriesVectors.  The result is verified to be closed under the ring.
+
+    The kernel is read off one row reduction.  Each position var of x
+    gives the row (t^var·g_1 | ... | t^var·g_k | t^var) over the
+    generators g_j of E, in k + 1 blocks s·N wide with the tag block
+    last: pivots are minimal positions, so products are eliminated before
+    tags.  The product blocks are reduced against k disjoint copies of
+    the shifted basis t^poles·K + monomials, then against the rows kept
+    so far while the lowest position is a product position that a kept
+    row owns.  A row left with a product position is kept; otherwise its
+    tag block is a colon element.  Row operations keep each row equal to
+    (x·g - w | x), w in t^poles·K; the tag at var stays positive and kept
+    rows hold only earlier tags, so the colon rows are independent, s·N
+    minus the rank in number: a basis, returned as its unique reduced
+    echelon basis of primitive rows.
     """
     s, N = K_basis.s, K_basis.N
     if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
@@ -344,40 +341,43 @@ def colon_solution_basis(
         for e in range(gamma_K[i] + poles[i], N):
             shifted._insert({i * N + e: 1})
 
-    # x is a symbolic honest series with one variable per position.  For
-    # each E generator g, the product x*g is a vector of linear forms:
-    # its coefficient at (i, m) is sum_a x_(i,a) * g_i[m-a].  Reducing
-    # that vector against the shifted basis leaves the forms that have to
-    # vanish for membership.  The rows are integral and not monic, so
-    # every form starts scaled by L, the lcm of the pivot entries: the
-    # form at a pivot then divides exactly by the pivot entry.  No row
-    # holds another pivot, so that form is untouched until it is used.
-    L = lcm(*(row[piv] for piv, row in shifted.rows.items()))
-    constraints: list[Row] = []
-    for terms in map(_as_terms, E_gens):
-        forms: dict[int, Row] = {}
-        for var in range(s * N):
-            for eb, cb in terms[var // N]:
-                if var % N + eb >= N:
-                    break
-                forms.setdefault(var + eb, {})[var] = L * cb
-        for piv, row in shifted.rows.items():
-            frm = forms.pop(piv, None)
-            if frm is None:
-                continue
-            a = row[piv]
-            frm = {var: fc // a for var, fc in frm.items()}
-            for pos, c in row.items():
-                if pos != piv:
-                    _axpy(forms.setdefault(pos, {}), frm, -c)
-        constraints.extend(form for form in forms.values() if form)
-
-    kernel = _nullspace(constraints, s * N)
+    # at or above gamma_K + poles the shifted rows are the monomials
+    # {p: 1}, which only delete a product entry: such entries are never
+    # built, a generator with no term below puts no condition on x, and
+    # only the rows below, which hold none of those positions, are copied
+    # once per block; disjoint copies of a reduced basis are reduced
+    free = [g + p for g, p in zip(gamma_K, poles)]
+    E = [g for g in map(_as_terms, E_gens) if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
+    width = s * N
+    tag = len(E) * width
+    low = [(p, row) for p, row in shifted.rows.items() if p % N < free[p // N]]
+    target = ModuleBasis(s, N)
+    target.rows = {
+        j * width + p: {j * width + q: c for q, c in row.items()} for j in range(len(E)) for p, row in low
+    }
+    kept: dict[int, Row] = {}
     out = ModuleBasis(s, N)
-    for sol in kernel:
-        out._insert(sol)
+    for var in range(width):
+        i, room = var // N, free[var // N] - var % N
+        v: Row = {}
+        for j, g in enumerate(E):
+            for eb, cb in g[i]:
+                if eb >= room:
+                    break
+                v[j * width + var + eb] = cb
+        v[tag + var] = 1
+        target._fully_reduce(v)
+        lead = min(v)
+        while lead < tag and lead in kept:
+            _cancel(v, kept[lead], lead)
+            lead = min(v)
+        if lead < tag:
+            _divide_content(v)
+            kept[lead] = v
+        else:
+            out._insert({p - tag: c for p, c in v.items()})
     # closure under the ring action is automatic for a true colon module;
-    # failure means the pole bound or the truncation clipped something
+    # failure means the pole window or the truncation clipped something
     gens = [_as_terms(g) for g in ring_gens]
     for r in out.rows.values():
         for g in gens:
@@ -386,6 +386,6 @@ def colon_solution_basis(
             if prod:
                 raise PoleBoundError(
                     "colon solution space is not closed under the ring action; "
-                    "increase the pole bound or the truncation"
+                    "the pole window or the truncation is too small"
                 )
     return out

@@ -4,6 +4,7 @@ colon = difference, length = distance, ...)."""
 
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -29,3 +30,17 @@ def test_lattice_workload_answers_match_goldens(tmp_path):
                          ids=["ring-value", "ring-colon"])
 def test_ring_workload_answers_match_goldens(workload, tmp_path):
     _run_pass(workload, tmp_path)
+
+
+def test_tracer_finds_every_boundary(src_env):
+    # install() rebinds names in the process, so it runs in its own; a
+    # boundary the library dropped would leave its per-layer metrics out
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        f"import sys; sys.path.insert(0, {str(perfbench)!r}); import tracing\n"
+        "t = tracing.Tracer(); t.install(tracing.BOUNDARIES + [tracing.CLI_BOUNDARY])\n"
+        "print(t.missing)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -134,9 +134,29 @@ def test_distance(corner, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_distance_bad_point(corner, capsys):
+def test_distance_bad_point(corner, stair_e, capsys):
     assert main(["distance", corner, "x,y", "3,1"]) == 2
     assert "cannot read point" in capsys.readouterr().err
+    # the error names the argument, not a file
+    assert main(["distance", stair_e, "2,x", "3,3"]) == 2
+    assert capsys.readouterr().err == "error: argument start: cannot read point '2,x'; expected e.g. '3,1'\n"
+    assert main(["distance", stair_e, "3,3", "2,x"]) == 2
+    assert capsys.readouterr().err.startswith("error: argument end: cannot read point '2,x'")
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--lo", "1,y", "error: argument --lo: cannot read point '1,y'"),
+        ("--hi", "1,y", "error: argument --hi: cannot read point '1,y'"),
+        ("--lo", "0", "error: the lower window corner (0,) has 1 coordinates, not 2"),
+        ("--hi", "1,2,3", "error: the upper window corner (1, 2, 3) has 3 coordinates, not 2"),
+    ],
+    ids=["lo-unreadable", "hi-unreadable", "lo-one-coordinate", "hi-three-coordinates"],
+)
+def test_plot_bad_window_corner_exits_2(corner, capsys, flag, text, message):
+    assert main(["plot", corner, flag, text]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.fixture
@@ -209,8 +229,6 @@ def test_colon_command(curve, capsys):
     assert main(["colon", curve, "K0", "E"]) == 0
     G = from_json(capsys.readouterr().out)
     assert G.frame_sorted == ((-2, -1), (-2, 0), (-1, -1), (1, 0))
-    assert main(["colon", curve, "K0", "E", "--pole-bound", "0"]) == 2
-    assert "pole bound" in capsys.readouterr().err
 
 
 def test_length_command(curve, capsys):

@@ -8,7 +8,6 @@ from goodsemi import (
     FrameError,
     InclusionError,
     ParseError,
-    PoleBoundError,
     TruncationError,
     difference,
     relative_distance,
@@ -110,22 +109,72 @@ def test_span_basis_ignores_rational_scaling_of_generators():
     assert _monic_rows(base) == rows
 
 
-def test_nullspace_matches_dense_oracle(rng):
-    for trial in range(20):
-        nvars = rng.randint(1, 9)
-        rows = [
-            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-             for k in rng.sample(range(nvars), rng.randint(0, nvars))}
-            for _ in range(rng.randint(0, 7))
-        ]
-        kernel = modules._nullspace(rows, nvars)
-        rank, _ = oracles.rref([[r.get(k, 0) for k in range(nvars)] for r in rows])
-        assert len(kernel) == nvars - rank
-        for x in kernel:
-            assert all(type(c) is int for c in x.values())
-            for r in rows:
-                assert sum(c * x.get(k, 0) for k, c in r.items()) == 0
-        assert oracles.rref([[x.get(k, 0) for k in range(nvars)] for x in kernel])[0] == len(kernel)
+def _rand_terms(rng, s, lo, hi, least=0):
+    """A random integer polynomial vector as {exp: coeff} per branch, with
+    at least ``least`` terms on each."""
+    return tuple(
+        {rng.randint(lo, hi): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(least, 2))}
+        for _ in range(s)
+    )
+
+
+def _terms(vec):
+    """{exp: coeff} per branch as integer terms."""
+    return tuple(tuple(sorted(d.items())) for d in vec)
+
+
+def test_colon_solution_basis_matches_dense_oracle(rng):
+    # x ↦ (x·g_1, ..., x·g_k) modulo W = t^p·K + monomials: its kernel has
+    # dimension sN - (rank[A; W^k] - k·dim W), A the rows of the products
+    # t^var·g_j, and every returned x has each x·g_j in W
+    nontrivial = 0
+    for trial in range(30):
+        s = rng.randint(1, 2)
+        gamma = tuple(rng.randint(1, 4) for _ in range(s))
+        poles = tuple(rng.randint(0, 2) for _ in range(s))
+        N = max(g + p for g, p in zip(gamma, poles)) + 2 + rng.randint(0, 2)
+        ring = [_rand_terms(rng, s, 1, 4) for _ in range(2)]
+        mono = [tuple({e: 1} if b == i else {} for b in range(s)) for i in range(s) for e in range(gamma[i], N)]
+        K_gens = [_rand_terms(rng, s, 0, N - 1) for _ in range(rng.randint(1, 2))] + mono
+        # low terms constrain x; a generator wholly at or above gamma + poles
+        # constrains nothing, and the last one may be
+        E_gens = [_rand_terms(rng, s, 0, 3, least=1) for _ in range(rng.randint(1, 2))]
+        E_gens.append(_rand_terms(rng, s, 0, N - 1))
+        K = span_basis([_terms(g) for g in ring], [_terms(g) for g in K_gens], N)
+        got = colon_solution_basis(
+            [_terms(g) for g in ring], K, [_terms(g) for g in E_gens], gamma, poles
+        )
+
+        size = s * N
+        shifted = []
+        for row in oracles.span_rows(ring, K_gens, s, N):
+            v = [Fraction(0)] * size
+            for i in range(s):
+                for e in range(N - poles[i]):
+                    v[i * N + e + poles[i]] = row[i * N + e]
+            shifted.append(v)
+        for i in range(s):
+            for e in range(gamma[i] + poles[i], N):
+                shifted.append([Fraction(q == i * N + e) for q in range(size)])
+        w_dim, W = oracles.rref(shifted)
+        E_dense = [oracles.dense_vec(g, s, N) for g in E_gens]
+
+        def products(x):
+            xs = [x[i * N:(i + 1) * N] for i in range(s)]
+            return [oracles.flatten(oracles.vec_mul_mod(xs, g, N)) for g in E_dense]
+
+        k = len(E_dense)
+        A = [sum(products([Fraction(q == var) for q in range(size)]), []) for var in range(size)]
+        blocks = [[0] * (j * size) + w + [0] * ((k - 1 - j) * size) for j in range(k) for w in W]
+        rank = oracles.rref(A + blocks)[0] - k * w_dim
+        assert got.dim == size - rank
+        rows = [[got.rows[p].get(q, 0) for q in range(size)] for p in sorted(got.rows)]
+        assert oracles.rref(rows)[0] == got.dim
+        for x in rows:
+            for prod in products(x):
+                assert oracles.rref(W + [prod])[0] == w_dim
+        nontrivial += 0 < got.dim < size
+    assert nontrivial >= 20
 
 
 def test_span_closes_under_ring_action(rng, curve_spec):
@@ -315,19 +364,6 @@ def test_default_pole_bound_is_proven_on_every_pair(name, curve_spec):
         for E in names:
             got = colon_value_ideal(spec, K, E)
             assert got == difference(GK, value_ideal(spec, E)), (K, E)
-
-
-def test_explicit_pole_bound_below_the_proven_one_names_it(curve_spec):
-    with pytest.raises(PoleBoundError, match=r"below the proven bound \(2, 1\)"):
-        colon_value_ideal(curve_spec, "K0", "E", pole_bound=(1, 1))
-    want = colon_value_ideal(curve_spec, "K0", "E")
-    assert colon_value_ideal(curve_spec, "K0", "E", pole_bound=(2, 1)) == want
-    assert colon_value_ideal(curve_spec, "K0", "E", pole_bound=5) == want
-
-
-def test_explicit_pole_bound_too_tight(curve_spec):
-    with pytest.raises(PoleBoundError, match="pole bound"):
-        colon_value_ideal(curve_spec, "K0", "E", pole_bound=0)
 
 
 def test_truncation_too_small_is_detected():

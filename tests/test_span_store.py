@@ -127,9 +127,9 @@ def test_value_ideal_builds_one_span_per_order_pair(monkeypatch, curve_spec):
         del built[:], scanned[:]
         gamma = value_ideal(spec, module).conductor
         assert len(set(built)) == len(built) <= len(scanned) - 1, (module, built, scanned)
-        # one span N + 2 per probe order N tried, then N_c + 2 only when
-        # it lies above the last of them; every scan is cut from a build
-        probes = [n for n, p in zip(built, PROBES) if n == p + 2]
+        # one span per probe order N tried, then N_c + 2 only when it
+        # lies above the last of them; every scan is cut from a build
+        probes = [n for n, p in zip(built, PROBES) if n == p]
         commit = max(g + max(3, x) for g, x in zip(gamma, e))
         extra = [commit + 2] if commit + 2 > probes[-1] else []
         assert built == probes + extra, (module, built, scanned)
