@@ -14,7 +14,9 @@ compiles only the modules it uses.
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "duality", "errors", "generate", "ideals", "lattice", "metric", "plot", "ringbridge")
+_SUBMODULES = (
+    "axioms", "cli", "duality", "errors", "generate", "ideals", "lattice", "metric", "plot", "products", "ringbridge"
+)
 
 # public name -> the submodule that defines it
 _HOME = {

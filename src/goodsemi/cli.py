@@ -14,24 +14,27 @@ import re
 import sys
 
 from . import ideals
-from .errors import GoodsemiError, NotCertifiedError, ParseError
-from .ideals import GoodSemigroup, IdealFrame, from_json, to_json, validate
+from .errors import DimensionMismatch, GoodsemiError, NotCertifiedError, ParseError
+from .ideals import IdealFrame, from_json, to_json
 from .lattice import as_point, zero
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", filename=path) from None
 
 
 def _load_ideal(path: str) -> IdealFrame:
     return from_json(_read(path), filename=path)
 
 
-def _load_semigroup(path: str) -> GoodSemigroup:
+def _load_semigroup(path: str):
     frame = _load_ideal(path)
     try:
-        return GoodSemigroup(frame)
+        return ideals.GoodSemigroup(frame)
     except NotCertifiedError as exc:
         raise NotCertifiedError(f"{path} is not a good semigroup:\n{exc}") from exc
 
@@ -49,12 +52,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _point(text: str, name: str) -> tuple:
-    """The point given as command-line argument ``name``."""
+def _point(text: str, name: str, s: int, what: str) -> tuple:
+    """The point of dimension ``s``, the ``what``, given as command-line
+    argument ``name``."""
     try:
-        return as_point(int(c.strip()) for c in text.split(","))
+        p = as_point(int(c.strip()) for c in text.split(","))
     except ValueError:
         raise ParseError(f"cannot read point {text!r}; expected e.g. '3,1'", filename=f"argument {name}")
+    if len(p) != s:
+        raise DimensionMismatch(f"the {what} {p} has {len(p)} coordinates, not {s} (argument {name})")
+    return p
 
 
 # ------------------------------------------------------------- subcommands
@@ -64,13 +71,13 @@ def _cmd_validate(args) -> int:
     E = _load_ideal(args.ideal)
     if args.ambient:
         S = _load_semigroup(args.ambient)
-        report = validate(E, S)
+        report = ideals.validate(E, S)
         what = f"ideal of {args.ambient}"
     elif E.mu == zero(E.s):
-        report = validate(E, E)
+        report = ideals.validate(E, E)
         what = "semigroup"
     else:
-        report = validate(E)
+        report = ideals.validate(E)
         what = "frame (axioms only; no ambient given)"
     print(f"checking {args.ideal} as {what}")
     print(report.summary())
@@ -146,7 +153,8 @@ def _cmd_sum(args) -> int:
 def _cmd_distance(args) -> int:
     from . import metric
     E = _load_ideal(args.ideal)
-    d = metric.distance_between(E, _point(args.start, "start"), _point(args.end, "end"))
+    start = _point(args.start, "start", E.s, "start point")
+    d = metric.distance_between(E, start, _point(args.end, "end", E.s, "end point"))
     print(d)
     return 0
 
@@ -201,8 +209,8 @@ def _cmd_length(args) -> int:
 def _cmd_plot(args) -> int:
     from . import plot
     E = _load_ideal(args.ideal)
-    lo = _point(args.lo, "--lo") if args.lo else None
-    hi = _point(args.hi, "--hi") if args.hi else None
+    lo = _point(args.lo, "--lo", 2, "lower window corner") if args.lo else None
+    hi = _point(args.hi, "--hi", 2, "upper window corner") if args.hi else None
     if args.svg:
         _emit(plot.svg_lattice(E, lo, hi), args.svg)
     else:
@@ -220,92 +228,63 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+_OUTPUT = _arg("-o", "--output")
+
+# name -> (handler, help, arguments), in the order that help lists them
+COMMANDS = {
+    "validate": (_cmd_validate, "check the good-ideal axioms of a frame", _arg("ideal"),
+                 _arg("--ambient", help="semigroup JSON to check the ideal property against")),
+    "canonical": (_cmd_canonical, "normalized canonical ideal of a semigroup", _arg("semigroup"), _OUTPUT),
+    "dual": (_cmd_dual, "dualize an ideal by the canonical ideal", _arg("semigroup"), _arg("ideal"),
+             _arg("--twice", action="store_true", help="apply the duality twice"), _OUTPUT),
+    "is-canonical": (_cmd_is_canonical, "is this frame a canonical ideal?", _arg("semigroup"), _arg("ideal")),
+    "is-symmetric": (_cmd_is_symmetric, "is the semigroup symmetric?", _arg("semigroup")),
+    "diff": (_cmd_diff, "ideal difference E - F = {x : x + F in E}", _arg("left"), _arg("right"), _OUTPUT),
+    "sum": (_cmd_sum, "pointwise sum of two ideals", _arg("left"), _arg("right"), _OUTPUT),
+    "distance": (_cmd_distance, "saturated chain length between two members", _arg("ideal"), _arg("start"),
+                 _arg("end")),
+    "rel-distance": (_cmd_rel_distance, "distance d(F \\ E) for nested ideals", _arg("smaller"), _arg("larger")),
+    "decompose": (_cmd_decompose, "split into local factors", _arg("semigroup")),
+    "gamma-of": (_cmd_gamma_of, "conductor and capping bound of a frame", _arg("ideal")),
+    "curve-gamma": (_cmd_curve_gamma, "value semigroup ideal of a curve module", _arg("curve"),
+                    _arg("--module", default="R"), _OUTPUT),
+    "colon": (_cmd_colon, "value ideal of a colon module K : E", _arg("curve"), _arg("left"), _arg("right"),
+              _OUTPUT),
+    "length": (_cmd_length, "Q-dimension of F/E for nested curve modules", _arg("curve"), _arg("larger"),
+               _arg("smaller")),
+    "plot": (_cmd_plot, "draw a 2-branch ideal (ASCII, or SVG with --svg)", _arg("ideal"),
+             _arg("--svg", help="write an SVG file instead of ASCII output"),
+             _arg("--lo", help="lower window corner, e.g. '0,0'"), _arg("--hi", help="upper window corner, e.g. '8,6'")),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all commands, or of ``command`` alone if it names one:
+    its help, usage lines and errors read the same either way."""
     p = _Parser(
         prog="goodsemi",
         description="Good semigroups of N^s: validation, duality, distance, "
         "and value semigroups of curve singularities.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help):
+    for name, (fn, help, *arguments) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            sub.choices[name] = None  # listed in usage lines, never parsed
+            continue
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("validate", _cmd_validate, "check the good-ideal axioms of a frame")
-    sp.add_argument("ideal")
-    sp.add_argument("--ambient", help="semigroup JSON to check the ideal property against")
-
-    sp = add("canonical", _cmd_canonical, "normalized canonical ideal of a semigroup")
-    sp.add_argument("semigroup")
-    sp.add_argument("-o", "--output")
-
-    sp = add("dual", _cmd_dual, "dualize an ideal by the canonical ideal")
-    sp.add_argument("semigroup")
-    sp.add_argument("ideal")
-    sp.add_argument("--twice", action="store_true", help="apply the duality twice")
-    sp.add_argument("-o", "--output")
-
-    sp = add("is-canonical", _cmd_is_canonical, "is this frame a canonical ideal?")
-    sp.add_argument("semigroup")
-    sp.add_argument("ideal")
-
-    sp = add("is-symmetric", _cmd_is_symmetric, "is the semigroup symmetric?")
-    sp.add_argument("semigroup")
-
-    sp = add("diff", _cmd_diff, "ideal difference E - F = {x : x + F in E}")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("-o", "--output")
-
-    sp = add("sum", _cmd_sum, "pointwise sum of two ideals")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("-o", "--output")
-
-    sp = add("distance", _cmd_distance, "saturated chain length between two members")
-    sp.add_argument("ideal")
-    sp.add_argument("start")
-    sp.add_argument("end")
-
-    sp = add("rel-distance", _cmd_rel_distance, "distance d(F \\ E) for nested ideals")
-    sp.add_argument("smaller")
-    sp.add_argument("larger")
-
-    sp = add("decompose", _cmd_decompose, "split into local factors")
-    sp.add_argument("semigroup")
-
-    sp = add("gamma-of", _cmd_gamma_of, "conductor and capping bound of a frame")
-    sp.add_argument("ideal")
-
-    sp = add("curve-gamma", _cmd_curve_gamma, "value semigroup ideal of a curve module")
-    sp.add_argument("curve")
-    sp.add_argument("--module", default="R")
-    sp.add_argument("-o", "--output")
-
-    sp = add("colon", _cmd_colon, "value ideal of a colon module K : E")
-    sp.add_argument("curve")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("-o", "--output")
-
-    sp = add("length", _cmd_length, "Q-dimension of F/E for nested curve modules")
-    sp.add_argument("curve")
-    sp.add_argument("larger")
-    sp.add_argument("smaller")
-
-    sp = add("plot", _cmd_plot, "draw a 2-branch ideal (ASCII, or SVG with --svg)")
-    sp.add_argument("ideal")
-    sp.add_argument("--svg", help="write an SVG file instead of ASCII output")
-    sp.add_argument("--lo", help="lower window corner, e.g. '0,0'")
-    sp.add_argument("--hi", help="upper window corner, e.g. '8,6'")
-
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (GoodsemiError, OSError) as exc:

@@ -3,7 +3,7 @@
 The difference E - F = {x : x + F ⊆ E} is exact boolean erosion: the AND
 of one translate per frame point of F, each a shift of a suffix-AND table
 of one membership window of E, the mirror of the OR that forms the sum
-E + F in :mod:`goodsemi.ideals`.  With a canonical ideal K
+E + F in :mod:`goodsemi.axioms`.  With a canonical ideal K
 on the left it is the duality E ↦ K - E, an inclusion-reversing
 involution on good ideals, but that dual needs no erosion: alpha lies in
 K⁰ - E iff no element of E agrees with tau - alpha in some coordinate
@@ -21,13 +21,11 @@ from .ideals import (
     Box,
     GoodSemigroup,
     IdealFrame,
-    LocalDecomposition,
     _Frozen,
     _crop,
     _flip,
     _frame_box,
     _frame_of,
-    _interleave,
     _reduce_translates,
     _suffix_and,
     _suffix_or_strict,
@@ -210,10 +208,12 @@ def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
     return CanonicalIdeal.certify(moved, Sp)
 
 
-def product_canonical(decomp: LocalDecomposition) -> IdealFrame:
+def product_canonical(decomp) -> IdealFrame:
     """Normalized canonical ideal of a product, assembled factorwise.
 
-    K⁰ of the recombined semigroup equals the product of the factors'
-    K⁰s, interleaved along the partition.
+    K⁰ of the semigroup that the LocalDecomposition ``decomp`` recombines
+    equals the product of the factors' K⁰s, interleaved along the partition.
     """
+    from .ideals import _interleave
+
     return _interleave(decomp.partition, [canonical_normalized(f) for f in decomp.factors])

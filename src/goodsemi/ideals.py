@@ -1,4 +1,4 @@
-"""Finite representation of semigroup ideals of N^s and good semigroups.
+"""Finite representation of semigroup ideals of N^s: frames and boxes.
 
 An ideal E of a good semigroup lives in Z^s, is bounded below, and contains
 a whole translated orthant gamma + N^s.  An :class:`IdealFrame` stores the
@@ -8,13 +8,14 @@ arbitrary point is *defined* by the min-capping rule
 
     alpha in E  iff  cmin(alpha, gamma) in frame.
 
-Every box [lo, hi] of this module, the frame box included, is laid out in
+Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
-shape, so bits ascend in lex order of the points.  This module alone knows
-that layout: the sweeps, the translates, :class:`Box` and the point
-listings below are the only code that works out strides, and every other
-module calls them.  No box may hold more than :data:`MAX_CELLS` cells; a
-larger one is refused before anything is allocated.
+shape, so bits ascend in lex order of the points.  The sweeps,
+:class:`Box` and the point listings below, the translates of
+:mod:`goodsemi.axioms` and the interleaving of :mod:`goodsemi.products`
+are the only code that works out strides, and every other module calls
+them.  No box may hold more than :data:`MAX_CELLS` cells; a larger one is
+refused before anything is allocated.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
 read.  ``gamma`` is always normalized to the smallest bound for which the
@@ -24,52 +25,34 @@ ideals that minimal bound coincides with the conductor; for frames that
 merely satisfy (E1) it can sit strictly above the conductor, which is
 exposed separately as :attr:`IdealFrame.conductor`.
 
-By the rule a frame point c stands for the members c + N^T, T the axes
-where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold each
-such family into one translate of a table built once per T: a shift of
-the table's int per run of frame points along the last axis, at most 2^s
-tables, and one read back onto the result's grid
-(:func:`_reduce_translates`).
+The axiom checks, sums and :class:`GoodSemigroup` live in
+:mod:`goodsemi.axioms`, and decompositions and products in
+:mod:`goodsemi.products`.  This module still reads all their names
+through (PEP 562), importing the owning module on first access, so a
+command that only reads frames compiles neither.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, compress, product
 
-from .errors import FrameError, NotCertifiedError, ParseError
+from .errors import FrameError, ParseError
 from .lattice import (
     Point,
     add,
     as_point,
     check_same_dim,
-    cmax,
-    cmin,
     leq,
     ones,
     sub,
     zero,
 )
 
-__all__ = [
-    "IdealFrame",
-    "GoodSemigroup",
-    "ValidationReport",
-    "LocalDecomposition",
-    "validate",
-    "sum_ideals",
-    "is_subset",
-    "is_local",
-    "decompose",
-    "product_semigroups",
-    "recombine",
-    "to_json",
-    "from_json",
-]
+__all__ = ["IdealFrame", "GoodSemigroup", "ValidationReport", "LocalDecomposition", "validate", "sum_ideals",
+           "is_subset", "is_local", "decompose", "product_semigroups", "recombine", "to_json", "from_json"]
 
 # The most cells one box may hold: far above every box the fixtures, the
 # tests and the benchmark build (CHANGES.md records the largest), and low
@@ -308,9 +291,6 @@ def _crop(bits: int, shape, start, out_shape) -> int:
 def _flip(bits: int, size: int) -> int:
     """The bitset with every axis reversed: C order read backwards."""
     return int(format(bits, f"0{size}b")[::-1], 2) if size else 0
-
-
-_RUN = re.compile("1+")
 
 
 def _rows(bits: int, shape):
@@ -622,6 +602,8 @@ class IdealFrame:
         duals, which are min-closed by construction.
         """
         if self._e1 is None:
+            from .axioms import _e1_holds
+
             rep = self._report_cache.get("axioms")
             self._e1 = rep.e1_ok if rep is not None else _e1_holds(self)
         return self._e1
@@ -655,631 +637,9 @@ def _members(E: IdealFrame) -> list[Point]:
     return _points(E._bits, E.shape, E.mu)
 
 
-def _window_op(op, table: int, r: int) -> int:
-    """op (OR or AND) over the r flat positions from each cell on, by
-    doubling steps; the last two windows overlap."""
-    width = 1
-    while 2 * width <= r:
-        table = op(table, table >> width)
-        width *= 2
-    return op(table, table >> (r - width)) if r > width else table
-
-
-def _tail_translates(E: IdealFrame, lo, hi, by: Box, sign: int, fold):
-    """Translates fold_T(E) over [lo + o, hi + o], one per member c of
-    ``by``, o = sign·c: E's membership with ``fold`` (a cumulative sweep)
-    applied along each axis in T, the axes where c reaches the top of
-    ``by``.  The tables are cut from one window of E over [lo + min o,
-    hi + max o] (o over the corners of ``by``), one mask at a time, and
-    each caller says why that window suffices for its fold.
-
-    A table is an int over the window's C layout, strides st; o is the
-    shift k = (o - min o)·st, and its translate is table >> k, whose cells
-    (x - lo)·st, all below L = (shape - 1)·st + 1, form [lo, hi].  The
-    cells between are row ends, and bits at or past L are left over from
-    the shift: neither is ever read.  Along the last axis of ``by`` the
-    shifts are consecutive, so each row of ``by`` is a pattern (its cell
-    string, reversed when sign < 0) at a base shift B, with k = B + e for
-    the pattern's set cells e.  Returns (grid, L, tables): ``tables``
-    yields (table, rows) per mask T, rows a list of (pattern, bases), and
-    ``grid`` reads an int in the window's layout back onto [lo, hi].
-    """
-    n = by.shape
-    s = len(n)
-    top = tuple(m - 1 for m in n)
-    far = add(by.lo, top)
-    if sign > 0:
-        window = E.membership_box(add(lo, by.lo), add(hi, far))
-    else:
-        window = E.membership_box(sub(lo, far), sub(hi, by.lo))
-    st = _strides(window.shape)
-    shape = _box_shape(lo, hi)
-    L = sum((m - 1) * t for m, t in zip(shape, st)) + 1
-    reach = sum(x * t for x, t in zip(top, st))
-    edge = top[-1]
-    groups: dict[int, dict[str, list[int]]] = {}
-    for u, line in _rows(by.bits, n):
-        base = sum(x * t for x, t in zip(u, st))
-        T = sum(1 << j for j, (x, m) in enumerate(zip(u, top)) if x == m)
-        if sign < 0:
-            base = reach - base - edge
-        # the cell at the edge also reaches the top of the last axis
-        for mask, pattern in ((T, line[:-1] + "0"), (T | 1 << (s - 1), "0" * edge + line[-1])):
-            if "1" in pattern:
-                pattern = pattern if sign > 0 else pattern[::-1]
-                groups.setdefault(mask, {}).setdefault(pattern, []).append(base)
-
-    def tables():
-        for T in sorted(groups):
-            table = window.bits
-            for axis in range(s):
-                if T >> axis & 1:
-                    table = fold(table, window.shape, axis)
-            yield table, groups[T].items()
-
-    def grid(bits: int) -> Box:
-        return Box(lo, shape, _crop(bits, window.shape, zero(s), shape))
-
-    return grid, L, tables()
-
-
-def _reduce_translates(op, *args) -> Box:
-    """The OR or AND ``op`` of all translates of _tail_translates(*args).
-
-    A pattern's translates reduce to one int P, the op over its runs of r
-    cells at a of the table's r-cell window op (:func:`_window_op`)
-    shifted by a, and each row with that pattern adds P >> B: every cell
-    of P read this way is one that the row's own translates would read.
-    """
-    grid, L, tables = _tail_translates(*args)
-    acc = (1 << L) - 1 if op is operator.and_ else 0
-    for table, rows in tables:
-        windows: dict[int, int] = {}
-        for pattern, bases in rows:
-            parts = []
-            for run in _RUN.finditer(pattern):
-                a, b = run.span()
-                w = windows.get(b - a)
-                if w is None:
-                    w = windows[b - a] = _window_op(op, table, b - a)
-                parts.append(w >> a)
-            P = reduce(op, parts)
-            for B in bases:
-                acc = op(acc, P >> B)
-    return grid(acc)
-
-
-def _e1_holds(E: IdealFrame) -> bool:
-    """Decide (E1) by 2^s suffix sweeps of the frame bitmap.
-
-    A point m of [mu, gamma] is min(p, q) for frame points p, q exactly
-    when, for some split I ⊔ J of the axes, there is a member p >= m that
-    agrees with m on I and a member q >= m that agrees with m on J (every
-    axis must carry the minimum on one side).  ``up[X]`` marks the m with
-    such a member for the agreement set X: the inclusive suffix-OR of the
-    bitmap along every axis outside X, built from a superset mask by one
-    more suffix.  (E1) holds iff up[I] & up[I^c] lies inside the frame
-    for every proper nonempty I.  Capping commutes with min, so checking
-    frame pairs on the frame box is exact for the represented set.
-    """
-    s, shape = E.s, E.shape
-    full = (1 << s) - 1
-    up = {full: E._bits}
-    for X in range(full - 1, -1, -1):
-        free = ~X & full
-        axis = (free & -free).bit_length() - 1
-        up[X] = _suffix_or(up[X | (1 << axis)], shape, axis)
-    frame = up[full]
-    for I in range(1, full):
-        if I < full ^ I and up[I] & up[full ^ I] & ~frame:
-            return False
-    return True
-
-
-def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
-    """Pairs p < q (lex) of frame points whose min is missing, in lex order;
-    listed only after the sweep finds a failure.  For each p, cmin(q, p) is
-    q capped at p, so the q whose min with p is a member are E's frame
-    read with the capping rule of [mu, p]: one regrid per frame point."""
-    if _e1_holds(E):
-        return []
-    shape, frame = E.shape, E._bits
-    out = []
-    for p in _members(E):
-        idx = sub(p, E.mu)
-        capped = _regrid(frame, shape, [(0, 0, i + 1, n - 1 - i) for i, n in zip(idx, shape)])
-        k = _index(idx, shape) + 1
-        bad = (frame & ~capped) >> k << k
-        out.extend((p, q) for q in _points(bad, shape, E.mu))
-    return out
-
-
-def _exchange_tables(E: IdealFrame):
-    """The (E2) witness tables over the grid [mu, gamma+1], built on demand.
-
-    ``table(j, mask)`` marks the m that have a member eps with eps_j > m_j,
-    eps_i >= m_i on the axes i != j whose bit (indexed among the axes
-    other than j) is set in ``mask``, and eps_i = m_i on the rest: a strict
-    suffix-OR along j, then inclusive suffixes along the masked axes.
-    Returns (grid, table), grid E's membership :class:`Box` on that grid.
-    """
-    s = E.s
-    grid = E.membership_box(E.mu, add(E.gamma, ones(s)))
-    tables: dict[tuple[int, int], int] = {}
-
-    def table(j: int, mask: int) -> int:
-        key = (j, mask)
-        got = tables.get(key)
-        if got is None:
-            if mask == 0:
-                got = _suffix_or_strict(grid.bits, grid.shape, j)
-            else:
-                low = mask & -mask
-                prev = table(j, mask & (mask - 1))
-                others = [i for i in range(s) if i != j]
-                axis = others[low.bit_length() - 1]
-                got = _suffix_or(prev, grid.shape, axis)
-            tables[key] = got
-        return got
-
-    return grid, table
-
-
-def _e2_holds(E: IdealFrame) -> bool:
-    """Decide (E2) by suffix sweeps of the frame bitmap.
-
-    For frame points p != q with p_j = q_j and min m, both equal m on every
-    axis where they agree; on the set D where they differ, one of them
-    equals m and the other is strictly above it.  With ``G[X]`` the strict
-    suffix-OR of the bitmap along the axes in X (a member strictly above m
-    on X, equal to m elsewhere), such a pair sharing axis j and differing
-    exactly on D exists iff the OR over splits Dp ⊔ Dq = D of
-    G[Dp] & G[Dq] holds at m.  Each such m must carry the witness table
-    of :func:`_exchange_tables` for j and the agreement axes.  The sweeps
-    run on the frame embedded in the table grid, whose top slices are
-    empty; a strict suffix leaves them empty, so no crop is needed.
-    Work: s * 3^(s-1) box passes.
-    """
-    s = E.s
-    grid, table = _exchange_tables(E)
-    shape = grid.shape
-    frame = grid.bits
-    for ax in range(s):
-        frame &= _fill(shape, ax, 0, shape[ax] - 1)
-    G = [frame]
-    for X in range(1, 1 << s):
-        G.append(_suffix_or_strict(G[X & (X - 1)], shape, (X & -X).bit_length() - 1))
-    pairs: dict[int, int] = {}
-    for j in range(s):
-        others = [i for i in range(s) if i != j]
-        for agree in range((1 << (s - 1)) - 1):
-            D = sum(1 << i for k, i in enumerate(others) if not agree >> k & 1)
-            if D not in pairs:
-                # splits with the lowest axis of D on p's side: each
-                # unordered split once
-                got = 0
-                low = D & -D
-                Dp = D
-                while Dp:
-                    if Dp & low:
-                        got |= G[Dp] & G[D ^ Dp]
-                    Dp = (Dp - 1) & D
-                pairs[D] = got
-            if pairs[D] & ~table(j, agree):
-                return False
-    return True
-
-
-def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
-    """Exchange-axiom failures among frame pairs, with the witness search
-    running over [mu, gamma+1] via the extension rule; the pairwise
-    enumeration runs only after the sweep finds a failure.  Listed by
-    axis j, then by the shared coordinate, p in lex order, the agreement
-    mask and q in lex order."""
-    if _e2_holds(E):
-        return []
-    s = E.s
-    grid, table = _exchange_tables(E)
-    cells: dict[tuple[int, int], str] = {}
-    pts = _members(E)
-    failures: list[tuple[Point, Point, int]] = []
-    for j in range(s):
-        others = [i for i in range(s) if i != j]
-        groups: dict[int, list[Point]] = {}
-        for p in pts:
-            groups.setdefault(p[j], []).append(p)
-        for x in sorted(groups):
-            G = groups[x]
-            for a, p in enumerate(G):
-                found = []
-                for t, q in enumerate(G[a + 1 :]):
-                    mask = sum(1 << k for k, i in enumerate(others) if q[i] == p[i])
-                    got = cells.get((j, mask))
-                    if got is None:
-                        got = cells[j, mask] = _cells(table(j, mask), grid.size)
-                    if got[_index(sub(cmin(p, q), E.mu), grid.shape)] != "1":
-                        found.append((mask, t, q))
-                failures.extend((p, q, j) for _, _, q in sorted(found))
-    return failures
-
-
-def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
-    """Decide E + S ⊆ E, for the sums e + sigma with sigma in S ∩ N^s.
-
-    Capping at top = cmax(gamma_S, 0) keeps S's membership, so S ∩ N^s is
-    the union over c in S ∩ [0, top] of c + N^T, T the axes where c_i =
-    top_i (reading S on [mu_S, gamma_S] drops these tails on an axis where
-    gamma_S < 0).  e + c + N^T ⊆ E iff e + c lies in E's suffix-AND along
-    T; the window reaches past gamma_E, so the AND is exact.  Frame points
-    e suffice, because sigma >= 0 keeps capped coordinates capped.
-    """
-    top = cmax(S.gamma, zero(E.s))
-    by = S.membership_box(zero(E.s), top)
-    held = _reduce_translates(operator.and_, E, E.mu, E.gamma, by, 1, _suffix_and)
-    return not E._bits & ~held.bits
-
-
-def _additivity_failures(E: IdealFrame, S: IdealFrame) -> list[tuple[Point, Point]]:
-    """Failures of E + S ⊆ E, listed sigma-major and then e in lex order;
-    the enumeration runs only after :func:`_additivity_holds` finds one.
-
-    Scanning e over the frame and sigma over S ∩ [0, max(gamma_S,
-    gamma_E - mu_E) + 1] is exact for min-capped representations.
-    """
-    if _additivity_holds(E, S):
-        return []
-    bound = add(cmax(S.gamma, sub(E.gamma, E.mu)), ones(E.s))
-    out = []
-    for sigma in S.members_in_box(zero(E.s), bound):
-        moved = E.membership_box(add(E.mu, sigma), add(E.gamma, sigma))
-        out.extend((e, sigma) for e in _points(E._bits & ~moved.bits, E.shape, E.mu))
-    return out
-
-
-class ValidationReport(_Record):
-    """Outcome of the axiom scans; failing checks carry witnesses.
-
-    Mutable and unhashable; each list left out is a fresh empty one.
-    """
-
-    __slots__ = _fields = (
-        "e0_ok",
-        "e1_ok",
-        "e2_ok",
-        "additivity_ok",
-        "e1_failures",
-        "e2_failures",
-        "additivity_failures",
-        "notes",
-    )
-    __hash__ = None
-
-    def __init__(
-        self,
-        e0_ok: bool,
-        e1_ok: bool,
-        e2_ok: bool,
-        additivity_ok: bool | None,
-        e1_failures: list | None = None,
-        e2_failures: list | None = None,
-        additivity_failures: list | None = None,
-        notes: list | None = None,
-    ):
-        self.e0_ok, self.e1_ok, self.e2_ok = e0_ok, e1_ok, e2_ok
-        self.additivity_ok = additivity_ok
-        self.e1_failures = [] if e1_failures is None else e1_failures
-        self.e2_failures = [] if e2_failures is None else e2_failures
-        self.additivity_failures = [] if additivity_failures is None else additivity_failures
-        self.notes = [] if notes is None else notes
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.e0_ok
-            and self.e1_ok
-            and self.e2_ok
-            and self.additivity_ok is not False
-        )
-
-    def summary(self) -> str:
-        def tag(v):
-            return "pass" if v else "FAIL"
-
-        lines = [
-            f"E0 (conductor exists):        {tag(self.e0_ok)}",
-            f"E1 (closed under min):        {tag(self.e1_ok)}",
-            f"E2 (exchange axiom):          {tag(self.e2_ok)}",
-        ]
-        if self.additivity_ok is None:
-            lines.append("ideal property (E+S in E):    not checked (no ambient)")
-        else:
-            lines.append(f"ideal property (E+S in E):    {tag(self.additivity_ok)}")
-        for a, b in self.e1_failures[:3]:
-            lines.append(f"  E1 witness: min of {a}, {b} is missing")
-        for a, b, j in self.e2_failures[:3]:
-            lines.append(f"  E2 witness: pair {a}, {b} agreeing in coordinate {j}")
-        for e, sig in self.additivity_failures[:3]:
-            lines.append(f"  ideal witness: {e} + {sig} is missing")
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return "\n".join(lines)
-
-
 def _frame_of(S) -> IdealFrame:
-    return S.ideal if isinstance(S, GoodSemigroup) else S
-
-
-def validate(E: IdealFrame, S=None) -> ValidationReport:
-    """Check the ideal/semigroup axioms on the finite representation.
-
-    ``S`` (a GoodSemigroup or a raw IdealFrame) enables the E + S ⊆ E
-    check; without it only (E0)-(E2) are examined.  All scans are exact
-    for the represented set; see the per-check helpers for the boxes used.
-    (E1) and (E2) are decided by bitmap sweeps; witnesses are listed only
-    for an axiom that fails.
-    """
-    E = _frame_of(E)
-    Sf = _frame_of(S) if S is not None else None
-    cache_key = "axioms" if Sf is None else ("full", Sf.fingerprint())
-    got = E._report_cache.get(cache_key)
-    if got is not None:
-        return got
-
-    ax = E._report_cache.get("axioms")
-    if ax is not None:
-        e1_fail, e2_fail = ax.e1_failures, ax.e2_failures
-        notes = list(ax.notes)
-    else:
-        e1_fail = [] if E._e1 else _e1_failures(E)
-        e2_fail = _e2_failures(E)
-        notes = []
-        if E.conductor != E.gamma:
-            notes.append(
-                f"capping bound {E.gamma} exceeds the conductor {E.conductor}; "
-                "the stored frame is definitional for this (non-good) set"
-            )
-        if e1_fail:
-            notes.append("E2 was checked on the capped box only (E1 fails)")
-    add_fail = None
-    if Sf is not None:
-        check_same_dim(E.mu, Sf.mu)
-        add_fail = _additivity_failures(E, Sf)
-
-    report = ValidationReport(
-        e0_ok=True,  # gamma is in the frame, so gamma + N^s is in E by the rule
-        e1_ok=not e1_fail,
-        e2_ok=not e2_fail,
-        additivity_ok=None if add_fail is None else not add_fail,
-        e1_failures=e1_fail,
-        e2_failures=e2_fail,
-        additivity_failures=add_fail or [],
-        notes=notes,
-    )
-    axiom_report = ValidationReport(
-        e0_ok=True,
-        e1_ok=report.e1_ok,
-        e2_ok=report.e2_ok,
-        additivity_ok=None,
-        e1_failures=e1_fail,
-        e2_failures=e2_fail,
-        notes=notes,
-    )
-    E._report_cache["axioms"] = axiom_report
-    E._report_cache[cache_key] = report
-    return report
-
-
-class GoodSemigroup:
-    """A validated good semigroup: an IdealFrame with mu = 0 certified to
-    satisfy (E0)-(E2) and closure under addition."""
-
-    __slots__ = ("ideal",)
-
-    def __init__(self, ideal: IdealFrame):
-        if ideal.mu != zero(ideal.s):
-            raise NotCertifiedError(f"a semigroup must have minimum 0, got mu={ideal.mu}")
-        report = validate(ideal, ideal)
-        if not report.ok:
-            raise NotCertifiedError(
-                "the frame does not define a good semigroup:\n" + report.summary(),
-                report,
-            )
-        self.ideal = ideal
-
-    @classmethod
-    def from_points(cls, points, gamma) -> "GoodSemigroup":
-        return cls(IdealFrame.from_points(points, gamma))
-
-    @property
-    def s(self) -> int:
-        return self.ideal.s
-
-    @property
-    def gamma(self) -> Point:
-        return self.ideal.gamma
-
-    @property
-    def tau(self) -> Point:
-        return sub(self.ideal.gamma, ones(self.ideal.s))
-
-    def contains(self, alpha) -> bool:
-        return self.ideal.contains(alpha)
-
-    __contains__ = contains
-
-    def __eq__(self, other):
-        if not isinstance(other, GoodSemigroup):
-            return NotImplemented
-        return self.ideal == other.ideal
-
-    def __hash__(self):
-        return hash(("GoodSemigroup", self.ideal.fingerprint()))
-
-    def __repr__(self):
-        return f"GoodSemigroup(s={self.s}, gamma={self.gamma}, |frame|={self.ideal._bits.bit_count()})"
-
-
-# -- arithmetic on frames -----------------------------------------------------
-
-
-def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
-    """The pointwise sum E + F = {e + f}, exactly representable with
-    capping bound gamma_E + gamma_F (then minimized).
-
-    Under the capping rule each frame point c of F stands for the members
-    c + N^T of F, T the axes where c_i = gamma_F,i, so E + F is the OR over
-    the frame points c of c + (E + N^T), and E + N^T is E's cumulative OR
-    along T.  The window [lo - gamma_F, hi - mu_F] starts at or below
-    mu_E, so that OR misses no member of E: one translate per frame point
-    of F.
-    """
-    check_same_dim(E.mu, F.mu)
-    lo = add(E.mu, F.mu)
-    hi = add(E.gamma, F.gamma)
-    out = _reduce_translates(operator.or_, E, lo, hi, _frame_box(F), -1, _prefix_or)
-    return IdealFrame._from_box(out)
-
-
-def is_subset(E: IdealFrame, F: IdealFrame) -> bool:
-    """Set inclusion E ⊆ F, decided exactly on the joint box."""
-    check_same_dim(E.mu, F.mu)
-    lo = cmin(E.mu, F.mu)
-    hi = cmax(E.gamma, F.gamma)
-    return not E.membership_box(lo, hi).bits & ~F.membership_box(lo, hi).bits
-
-
-# -- locality and decomposition ----------------------------------------------
-
-
-def _zero_on(box: Box, axis: int) -> int:
-    """The cells of a box with lo = 0 whose coordinate on ``axis`` is 0."""
-    return _fill(box.shape, axis, 0, 1)
-
-
-def is_local(S) -> bool:
-    """True iff the only element of S with a zero coordinate is 0.
-
-    Scans S ∩ [0, gamma+1]; capping at gamma+1 preserves zero-patterns, so
-    the scan is exact.
-    """
-    Sf = _frame_of(S)
-    box = Sf.membership_box(zero(Sf.s), add(Sf.gamma, ones(Sf.s)))
-    on_axes = reduce(operator.or_, (_zero_on(box, i) for i in range(Sf.s)))
-    return not box.bits & on_axes & ~1  # cell 0 is the point 0
-
-
-class LocalDecomposition(_Frozen):
-    """Partition of the branch set with one local factor per block."""
-
-    __slots__ = _fields = ("partition", "factors")
-
-    def __init__(self, partition: tuple[tuple[int, ...], ...], factors: tuple[GoodSemigroup, ...]):
-        self._init(partition, factors)
-
-    def recombine(self) -> GoodSemigroup:
-        return recombine(self.partition, self.factors)
-
-
-def decompose(S: GoodSemigroup) -> LocalDecomposition:
-    """Split S into its product of local factors.
-
-    Branches i, j share a block iff every element of S vanishes at i
-    exactly when it vanishes at j (scanned on [0, gamma+1], which is
-    exact); the factors are the projections onto the blocks, read with
-    the other coordinates past gamma.
-    """
-    Sf = _frame_of(S)
-    s = Sf.s
-    box = Sf.membership_box(zero(s), add(Sf.gamma, ones(s)))
-    blocks: list[list[int]] = []
-    seen: dict[int, int] = {}
-    for i in range(s):
-        key = box.bits & _zero_on(box, i)
-        if key in seen:
-            blocks[seen[key]].append(i)
-        else:
-            seen[key] = len(blocks)
-            blocks.append([i])
-    blocks_t = tuple(tuple(b) for b in blocks)
-
-    factors = []
-    shape = Sf.shape
-    for block in blocks_t:
-        # the other axes keep one slice, so dropping them keeps the C order
-        spans = [(0, 0, n, 0) if i in block else (0, n - 1, n, 0) for i, n in enumerate(shape)]
-        sub_shape = tuple(shape[i] for i in block)
-        bits = _regrid(Sf._bits, shape, spans)
-        factor = GoodSemigroup(IdealFrame._from_box(Box(zero(len(block)), sub_shape, bits)))
-        if not is_local(factor):
-            raise FrameError(
-                f"projection onto branches {block} is not local; "
-                "the zero-pattern partition is inconsistent"
-            )
-        factors.append(factor)
-    return LocalDecomposition(blocks_t, tuple(factors))
-
-
-def _interleave(partition, frames) -> IdealFrame:
-    """The product of the frames, frame b's coordinates placed on the
-    branch indices listed in block b of ``partition``.
-
-    The product box is built row by row in C order of the branches: once
-    all axes of a block are placed it contributes one cell, and a row is
-    a strided slice of the frame that owns the last branch.
-    """
-    blocks = [tuple(b) for b in partition]
-    s = sum(len(b) for b in blocks)
-    if sorted(i for b in blocks for i in b) != list(range(s)):
-        raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
-    if len(frames) != len(blocks):
-        raise FrameError("one factor per block required")
-    owner = {}
-    for b, (block, f) in enumerate(zip(blocks, frames)):
-        if f.s != len(block):
-            raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
-        for pos, i in enumerate(block):
-            owner[i] = (b, pos)
-    shapes = [f.shape for f in frames]
-    strides = [_strides(sh) for sh in shapes]
-    shape = tuple(shapes[b][pos] for b, pos in (owner[i] for i in range(s)))
-    mu = tuple(frames[b].mu[pos] for b, pos in (owner[i] for i in range(s)))
-    size = _size(shape)
-    cells = [_cells(f._bits, math.prod(sh)) for f, sh in zip(frames, shapes)]
-    done_at = [max(block) for block in blocks]
-    blank = ["0" * (size // math.prod(shape[: k + 1])) for k in range(s)]
-
-    def build(k: int, offs: tuple[int, ...]) -> str:
-        b, pos = owner[k]
-        st = strides[b][pos]
-        if k == s - 1:
-            return cells[b][offs[b] : offs[b] + shape[k] * st : st]
-        parts = []
-        for x in range(shape[k]):
-            o = offs[b] + x * st
-            if k == done_at[b] and cells[b][o] != "1":
-                parts.append(blank[k])
-            else:
-                parts.append(build(k + 1, offs[:b] + (o,) + offs[b + 1 :]))
-        return "".join(parts)
-
-    return IdealFrame._from_box(Box(mu, shape, _from_cells(build(0, (0,) * len(blocks)))))
-
-
-def recombine(partition, factors) -> GoodSemigroup:
-    """Cartesian recombination of factor semigroups along a partition of
-    the branch indices (inverse of :func:`decompose`)."""
-    return GoodSemigroup(_interleave(partition, [_frame_of(f) for f in factors]))
-
-
-def product_semigroups(*factors) -> GoodSemigroup:
-    """Product semigroup on consecutive branch blocks."""
-    blocks = []
-    at = 0
-    for f in factors:
-        sf = _frame_of(f).s
-        blocks.append(tuple(range(at, at + sf)))
-        at += sf
-    return recombine(blocks, factors)
+    """The frame of a GoodSemigroup, or S itself if it is a frame."""
+    return S if isinstance(S, IdealFrame) else S.ideal
 
 
 # -- JSON serialization --------------------------------------------------------
@@ -1289,13 +649,14 @@ def to_json(E: IdealFrame) -> str:
     """Canonical JSON text: keys s/mu/gamma/frame, frame lex-sorted, one
     frame point per line.  Byte-stable."""
     E = _frame_of(E)
+    point = "    [" + ", ".join(["%d"] * E.s) + "]"  # one template, the text of list(p)
     lines = [
         "{",
         f'  "s": {E.s},',
         f'  "mu": {list(E.mu)},',
         f'  "gamma": {list(E.gamma)},',
         '  "frame": [',
-        ",\n".join([f"    {list(p)}" for p in _members(E)]),
+        ",\n".join(map(point.__mod__, _members(E))),
         "  ]",
         "}",
     ]
@@ -1303,6 +664,8 @@ def to_json(E: IdealFrame) -> str:
 
 
 def from_json(text: str, filename=None) -> IdealFrame:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -1318,3 +681,20 @@ def from_json(text: str, filename=None) -> IdealFrame:
         return IdealFrame(obj["s"], obj["mu"], obj["gamma"], obj["frame"])
     except (FrameError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), filename=filename) from exc
+
+
+# the names of goodsemi.axioms and goodsemi.products read through this module
+_HOME = {name: module for module, names in {
+    "axioms": "GoodSemigroup ValidationReport validate sum_ideals is_subset _reduce_translates _tail_translates"
+    " _e1_holds _e1_failures _e2_holds _e2_failures _additivity_holds _additivity_failures",
+    "products": "LocalDecomposition decompose is_local product_semigroups recombine _interleave",
+}.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib, also shows in ``python -X importtime``
+    module = __import__(f"{__package__}.{_HOME[name]}", fromlist=[name])
+    globals()[name] = value = getattr(module, name)  # later reads skip this hook
+    return value

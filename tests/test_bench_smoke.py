@@ -2,8 +2,11 @@
 goldens and invariants (dual twice, K0 - S = K0, product_canonical,
 colon = difference, length = distance, ...)."""
 
+import collections
+import json
 import pathlib
 import random
+import shutil
 import subprocess
 import sys
 
@@ -44,3 +47,34 @@ def test_tracer_finds_every_boundary(src_env):
     out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["validate", "staircase_e.json", "--ambient", "staircase_s.json"],
+            # one validate span for the ambient semigroup's own check, one for the ideal's
+            {"ideals.from_json": 2, "ideals.validate_additivity": 2},
+        ),
+        (["curve-gamma", "twobranch.curve"], {"curves.value_ideal": 1}),
+    ],
+    ids=["validate-ambient", "curve-gamma"],
+)
+def test_cli_shim_traces_the_library_boundaries(fixture_dir, tmp_path, src_env, argv, want):
+    # the shim installs the tracer after importing only goodsemi.cli: names
+    # that goodsemi.ideals reads through from modules loaded later must
+    # still be traced where the library calls them
+    for name in ("staircase_e.json", "staircase_s.json", "twobranch.curve"):
+        shutil.copyfile(fixture_dir / name, tmp_path / name)
+    shim = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cli_shim.py"
+    proc = subprocess.run(
+        [sys.executable, str(shim), "spans.json", *argv],
+        cwd=tmp_path, env=src_env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    record = json.loads((tmp_path / "spans.json").read_text())
+    assert record["missing"] == []
+    names = collections.Counter(span[0] for span in record["spans"])
+    assert names["cli.main"] == 1 and names["ideals.membership_box"] >= 1
+    assert {k: names[k] for k in want} == want

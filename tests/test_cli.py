@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from goodsemi import (
     from_json,
     to_json,
 )
-from goodsemi.cli import main
+from goodsemi.cli import COMMANDS, build_parser, main
 
 
 @pytest.fixture
@@ -159,6 +160,21 @@ def test_plot_bad_window_corner_exits_2(corner, capsys, flag, text, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distance", "0", "3,1"], "error: the start point (0,) has 1 coordinates, not 2 (argument start)\n"),
+        (["distance", "0,0", "3"], "error: the end point (3,) has 1 coordinates, not 2 (argument end)\n"),
+        (["plot", "--lo", "0,0,0"], "error: the lower window corner (0, 0, 0) has 3 coordinates, not 2 (argument --lo)\n"),
+        (["plot", "--hi", "4"], "error: the upper window corner (4,) has 1 coordinates, not 2 (argument --hi)\n"),
+    ],
+    ids=["distance-start", "distance-end", "plot-lo", "plot-hi"],
+)
+def test_point_of_wrong_dimension_names_its_argument(corner, capsys, argv, message):
+    assert main([argv[0], corner, *argv[1:]]) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.fixture
 def colon_k0_e(curve, tmp_path, capsys):
     """Γ(K0 : E) of the two-branch curve, whose μ is (-2, -1)."""
@@ -278,6 +294,15 @@ def test_bad_json_position(tmp_path, capsys):
     assert "error:" in err and "bad.json" in err
 
 
+@pytest.mark.parametrize("command, name", [("gamma-of", "bin.json"), ("curve-gamma", "bin.curve")])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_semigroup_argument_must_be_good(stair_e, capsys):
     assert main(["canonical", stair_e]) == 2
     err = capsys.readouterr().err
@@ -371,27 +396,55 @@ print(*sorted(set(sys.modules) - before))
 """
 
 
+# the harness's cli calls with the modules each must not load; no command
+# among them decomposes, so none loads goodsemi.products
+LATTICE_ONLY = ["goodsemi.generate", "goodsemi.ringbridge", "goodsemi.products"]
+CURVE_ONLY = ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric", "goodsemi.products"]
+
+
 @pytest.mark.parametrize(
     "argv, banned",
     [
         (
             ["gamma-of", "staircase_e.json"],
-            ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge"],
+            ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge",
+             "goodsemi.axioms", "goodsemi.products"],
         ),
         (
             ["validate", "staircase_e.json", "--ambient", "staircase_s.json"],
-            ["goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge"],
+            ["goodsemi.generate", "goodsemi.metric", "goodsemi.ringbridge", "goodsemi.products"],
         ),
         (
             ["curve-gamma", "twobranch.curve"],
-            ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric"],
+            CURVE_ONLY,
         ),
+        (["canonical", "corner_s.json"], ["goodsemi.metric", *LATTICE_ONLY]),
+        (["dual", "staircase_s.json", "staircase_e.json", "--twice"], ["goodsemi.metric", *LATTICE_ONLY]),
+        (["is-symmetric", "staircase_s.json"], ["goodsemi.metric", *LATTICE_ONLY]),
+        (["distance", "corner_s.json", "0,0", "3,1"], ["goodsemi.duality", *LATTICE_ONLY]),
+        (["curve-gamma", "cusp.curve"], CURVE_ONLY),
+        (["colon", "twobranch.curve", "K0", "E"], ["goodsemi.generate", "goodsemi.metric", "goodsemi.products"]),
+        (["length", "twobranch.curve", "R", "CR"], CURVE_ONLY),
+        (["curve-gamma", "bad.curve"], CURVE_ONLY),
     ],
-    ids=["gamma-of", "validate-ambient", "curve-gamma"],
+    ids=[
+        "gamma-of",
+        "validate-ambient",
+        "curve-gamma",
+        "canonical",
+        "dual-twice",
+        "is-symmetric",
+        "distance",
+        "curve-gamma-cusp",
+        "colon-K0-E",
+        "length-R-CR",
+        "malformed",
+    ],
 )
 def test_each_command_imports_only_what_it_runs(fixture_dir, tmp_path, src_env, argv, banned):
-    for name in ("staircase_e.json", "staircase_s.json", "twobranch.curve"):
+    for name in ("corner_s.json", "staircase_e.json", "staircase_s.json", "twobranch.curve", "cusp.curve"):
         shutil.copyfile(fixture_dir / name, tmp_path / name)
+    (tmp_path / "bad.curve").write_text("branches: 2\nring: (t^2, t) ; (t^3)\n")
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *argv],
         cwd=tmp_path,
@@ -412,3 +465,44 @@ def test_each_command_imports_only_what_it_runs(fixture_dir, tmp_path, src_env, 
             "goodsemi.ideals",
             "goodsemi.lattice",
         }
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(COMMANDS) == 15
+    for name, (_fn, help, *_args) in COMMANDS.items():
+        assert re.search(rf"^    {re.escape(name)} +{re.escape(help)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_command_help_matches_the_full_parser(name, capsys):
+    # main builds only the named subparser; the full parser must print the
+    # same help and the same usage errors, the command's own (a missing
+    # argument) and the top parser's (an unknown option)
+    positionals = ["x" for flags, _ in COMMANDS[name][2:] if not flags[0].startswith("-")]
+    seen = []
+    for argv, code in (([name, "-h"], 0), ([name], 2), ([name, *positionals, "--no-such-option"], 2)):
+        outputs = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        seen.append(outputs[0])
+    assert seen[0].out.startswith(f"usage: goodsemi {name} [-h]")
+    assert seen[1].err.startswith(f"usage: goodsemi {name} [-h]")
+    assert seen[2].err.endswith("goodsemi: error: unrecognized arguments: --no-such-option\n")
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument command: invalid choice: 'nope' (choose from 'validate'," in err
+    assert err.startswith("usage: goodsemi [-h]")

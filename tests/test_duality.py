@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import goodsemi as g
-from goodsemi import duality, ideals
+from goodsemi import axioms, duality, ideals
 from goodsemi import (
     GoodSemigroup,
     IdealFrame,
@@ -132,8 +132,8 @@ def test_duals_and_differences_carry_min_closure(monkeypatch, wide_s):
     # K0 and a difference are min-closed by construction, so difference
     # sweeps neither for (E1); a raw frame failing (E1) is still refused
     sweeps = []
-    real = ideals._e1_holds
-    monkeypatch.setattr(ideals, "_e1_holds", lambda E: sweeps.append(E) or real(E))
+    real = axioms._e1_holds
+    monkeypatch.setattr(axioms, "_e1_holds", lambda E: sweeps.append(E) or real(E))
     K = canonical_normalized(wide_s)
     E = IdealFrame.from_points([(3, 2), (5, 4), (6, 4), (8, 6)], gamma=(8, 6))
     D = difference(K, E)
@@ -331,7 +331,7 @@ def test_duals_run_without_translates(monkeypatch):
     def broken(*args):
         raise AssertionError("translate sweep called")
 
-    monkeypatch.setattr(ideals, "_tail_translates", broken)
+    monkeypatch.setattr(axioms, "_tail_translates", broken)
     with pytest.raises(AssertionError, match="translate sweep"):
         difference(K.ideal, E)
     got = (canonical_normalized(S).shift((2, -1)), dualize(K, E), push_forward(K, Sp).ideal)
