@@ -10,8 +10,9 @@ axes where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold
 each such family into one translate of a table built once per T: a shift
 of the table's int per run of frame points along the last axis, at most
 2^s tables, and one read back onto the result's grid
-(:func:`_reduce_translates`).  :mod:`goodsemi.ideals` reads every name of
-this module through, importing it on first use.
+(:func:`_reduce_translates`).  :mod:`goodsemi.ideals` reads the public
+names of this module through, importing it on first use; its private
+helpers are read from here.
 """
 
 from __future__ import annotations
@@ -390,17 +391,8 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     for an axiom that fails.
     """
     E = _frame_of(E)
-    Sf = _frame_of(S) if S is not None else None
-    cache_key = "axioms" if Sf is None else ("full", Sf.fingerprint())
-    got = E._report_cache.get(cache_key)
-    if got is not None:
-        return got
-
     ax = E._report_cache.get("axioms")
-    if ax is not None:
-        e1_fail, e2_fail = ax.e1_failures, ax.e2_failures
-        notes = list(ax.notes)
-    else:
+    if ax is None:
         e1_fail = [] if E._e1 else _e1_failures(E)
         e2_fail = _e2_failures(E)
         notes = []
@@ -411,33 +403,21 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
             )
         if e1_fail:
             notes.append("E2 was checked on the capped box only (E1 fails)")
-    add_fail = None
-    if Sf is not None:
+        # e0: gamma is in the frame, so gamma + N^s is in E by the rule
+        ax = ValidationReport(True, not e1_fail, not e2_fail, None, e1_fail, e2_fail, notes=notes)
+        E._report_cache["axioms"] = ax
+    if S is None:
+        return ax
+    Sf = _frame_of(S)
+    key = ("full", Sf.fingerprint())
+    got = E._report_cache.get(key)
+    if got is None:
         check_same_dim(E.mu, Sf.mu)
         add_fail = _additivity_failures(E, Sf)
-
-    report = ValidationReport(
-        e0_ok=True,  # gamma is in the frame, so gamma + N^s is in E by the rule
-        e1_ok=not e1_fail,
-        e2_ok=not e2_fail,
-        additivity_ok=None if add_fail is None else not add_fail,
-        e1_failures=e1_fail,
-        e2_failures=e2_fail,
-        additivity_failures=add_fail or [],
-        notes=notes,
-    )
-    axiom_report = ValidationReport(
-        e0_ok=True,
-        e1_ok=report.e1_ok,
-        e2_ok=report.e2_ok,
-        additivity_ok=None,
-        e1_failures=e1_fail,
-        e2_failures=e2_fail,
-        notes=notes,
-    )
-    E._report_cache["axioms"] = axiom_report
-    E._report_cache[cache_key] = report
-    return report
+        got = ValidationReport(True, ax.e1_ok, ax.e2_ok, not add_fail, ax.e1_failures, ax.e2_failures,
+                               add_fail, list(ax.notes))
+        E._report_cache[key] = got
+    return got
 
 
 class GoodSemigroup:
@@ -506,6 +486,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     mu_E, so that OR misses no member of E: one translate per frame point
     of F.
     """
+    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
@@ -515,6 +496,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 
 def is_subset(E: IdealFrame, F: IdealFrame) -> bool:
     """Set inclusion E ⊆ F, decided exactly on the joint box."""
+    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     lo = cmin(E.mu, F.mu)
     hi = cmax(E.gamma, F.gamma)

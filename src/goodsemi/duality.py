@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 
+from .axioms import _reduce_translates
 from .errors import InclusionError, NotCertifiedError
 from .ideals import (
     Box,
@@ -26,7 +27,6 @@ from .ideals import (
     _flip,
     _frame_box,
     _frame_of,
-    _reduce_translates,
     _suffix_and,
     _suffix_or_strict,
     is_subset,
@@ -58,6 +58,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
     reaches past gamma_E, where E is constant, so that AND is exact.
     """
+    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     for name, X in (("left", E), ("right", F)):
         if not X.is_e1():
@@ -200,8 +201,7 @@ def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
     over S' before being returned.
     """
     S = K.semigroup
-    check_same_dim(_frame_of(S).mu, _frame_of(Sp).mu)
-    if not is_subset(_frame_of(S), _frame_of(Sp)):
+    if not is_subset(S, Sp):
         raise InclusionError("push_forward requires S ⊆ S'")
     # S' + S ⊆ S', so K - S' is a dual over S
     moved = _dual_normalized(S, _frame_of(Sp)).shift(K.shift_from_normalized)
@@ -214,6 +214,6 @@ def product_canonical(decomp) -> IdealFrame:
     K⁰ of the semigroup that the LocalDecomposition ``decomp`` recombines
     equals the product of the factors' K⁰s, interleaved along the partition.
     """
-    from .ideals import _interleave
+    from .products import _interleave
 
     return _interleave(decomp.partition, [canonical_normalized(f) for f in decomp.factors])

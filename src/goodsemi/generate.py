@@ -13,14 +13,8 @@ import math
 import random
 
 from .errors import FrameError
-from .ideals import (
-    GoodSemigroup,
-    IdealFrame,
-    _additivity_failures,
-    _e1_failures,
-    _e2_failures,
-    validate,
-)
+from .axioms import _additivity_failures, _e1_failures, _e2_failures
+from .ideals import GoodSemigroup, IdealFrame, validate
 from .lattice import Point, add, cmin, unit, zero
 
 __all__ = [

@@ -11,11 +11,11 @@ arbitrary point is *defined* by the min-capping rule
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
 shape, so bits ascend in lex order of the points.  The sweeps,
-:class:`Box` and the point listings below, the translates of
-:mod:`goodsemi.axioms` and the interleaving of :mod:`goodsemi.products`
-are the only code that works out strides, and every other module calls
-them.  No box may hold more than :data:`MAX_CELLS` cells; a larger one is
-refused before anything is allocated.
+:class:`Box`, the point listings and :func:`_regrid` below and the
+translates of :mod:`goodsemi.axioms` are the only code that works out
+strides, and every other module calls them.  No box may hold more than
+:data:`MAX_CELLS` cells; a larger one is refused before anything is
+allocated.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
 read.  ``gamma`` is always normalized to the smallest bound for which the
@@ -27,7 +27,7 @@ exposed separately as :attr:`IdealFrame.conductor`.
 
 The axiom checks, sums and :class:`GoodSemigroup` live in
 :mod:`goodsemi.axioms`, and decompositions and products in
-:mod:`goodsemi.products`.  This module still reads all their names
+:mod:`goodsemi.products`.  This module still reads their public names
 through (PEP 562), importing the owning module on first access, so a
 command that only reads frames compiles neither.
 """
@@ -35,13 +35,13 @@ command that only reads frames compiles neither.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from itertools import chain, compress, product
 
 from .errors import FrameError, ParseError
 from .lattice import (
     Point,
+    _integer,
     add,
     as_point,
     check_same_dim,
@@ -383,20 +383,6 @@ class Box:
         return None
 
 
-def _integer(c) -> int | None:
-    """c as an int, if it is an int or another integer type (numpy
-    integers, say, read through operator.index); None for a bool, float,
-    str or anything else, which is an input error and never cast."""
-    if type(c) is int:
-        return c
-    if isinstance(c, bool):
-        return None
-    try:
-        return operator.index(c)
-    except TypeError:
-        return None
-
-
 def _coords(p, name: str) -> Point:
     cs = tuple(map(_integer, p))
     if None in cs:
@@ -683,11 +669,11 @@ def from_json(text: str, filename=None) -> IdealFrame:
         raise ParseError(str(exc), filename=filename) from exc
 
 
-# the names of goodsemi.axioms and goodsemi.products read through this module
+# the public names of goodsemi.axioms and goodsemi.products read through
+# this module
 _HOME = {name: module for module, names in {
-    "axioms": "GoodSemigroup ValidationReport validate sum_ideals is_subset _reduce_translates _tail_translates"
-    " _e1_holds _e1_failures _e2_holds _e2_failures _additivity_holds _additivity_failures",
-    "products": "LocalDecomposition decompose is_local product_semigroups recombine _interleave",
+    "axioms": "GoodSemigroup ValidationReport validate sum_ideals is_subset",
+    "products": "LocalDecomposition decompose is_local product_semigroups recombine",
 }.items() for name in names.split()}
 
 

@@ -7,13 +7,33 @@ order is used only to make set listings and tie-breaks deterministic.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 
 Point = tuple[int, ...]
 
 
+def _integer(c) -> int | None:
+    """c as an int, if it is an int or another integer type (numpy
+    integers, say, read through operator.index); None for a bool, float,
+    str or anything else, which is an input error and never cast."""
+    if type(c) is int:
+        return c
+    if isinstance(c, bool):
+        return None
+    try:
+        return operator.index(c)
+    except TypeError:
+        return None
+
+
 def as_point(coords: Iterable[int]) -> Point:
-    p = tuple(int(c) for c in coords)
+    cs = tuple(coords)
+    p = tuple(map(_integer, cs))
+    if None in p:
+        from .errors import FrameError
+
+        raise FrameError(f"point {list(cs)} has the non-integer coordinate {cs[p.index(None)]!r}")
     if not p:
         raise ValueError("a point needs at least one coordinate")
     return p

@@ -3,25 +3,20 @@
 S is local when 0 is its only element with a zero coordinate.  Every good
 semigroup is the product of local ones, one per block of branches that
 vanish together (:func:`decompose`), and :func:`recombine` interleaves
-factors back along a partition.  :mod:`goodsemi.ideals` reads every name
-of this module through, importing it on first use.
+factors back along a partition of increasing blocks.
+:mod:`goodsemi.ideals` reads the public names of this module through,
+importing it on first use; ``_interleave`` is read from here.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import reduce
 
 from .axioms import GoodSemigroup
 from .errors import FrameError
-from .ideals import Box, IdealFrame, _cells, _fill, _frame_of, _from_cells, _Frozen, _regrid, _size, _strides
+from .ideals import Box, IdealFrame, _box_shape, _fill, _frame_of, _Frozen, _regrid
 from .lattice import add, ones, zero
-
-
-def _zero_on(box: Box, axis: int) -> int:
-    """The cells of a box with lo = 0 whose coordinate on ``axis`` is 0."""
-    return _fill(box.shape, axis, 0, 1)
 
 
 def is_local(S) -> bool:
@@ -32,7 +27,7 @@ def is_local(S) -> bool:
     """
     Sf = _frame_of(S)
     box = Sf.membership_box(zero(Sf.s), add(Sf.gamma, ones(Sf.s)))
-    on_axes = reduce(operator.or_, (_zero_on(box, i) for i in range(Sf.s)))
+    on_axes = reduce(operator.or_, (_fill(box.shape, i, 0, 1) for i in range(Sf.s)))
     return not box.bits & on_axes & ~1  # cell 0 is the point 0
 
 
@@ -62,7 +57,7 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
     blocks: list[list[int]] = []
     seen: dict[int, int] = {}
     for i in range(s):
-        key = box.bits & _zero_on(box, i)
+        key = box.bits & _fill(box.shape, i, 0, 1)
         if key in seen:
             blocks[seen[key]].append(i)
         else:
@@ -91,46 +86,38 @@ def _interleave(partition, frames) -> IdealFrame:
     """The product of the frames, frame b's coordinates placed on the
     branch indices listed in block b of ``partition``.
 
-    The product box is built row by row in C order of the branches: once
-    all axes of a block are placed it contributes one cell, and a row is
-    a strided slice of the frame that owns the last branch.
+    Each frame is read onto the product box by :func:`_regrid`, as it is
+    on its own axes and as one slice repeated on the others, and the
+    product is the AND of these reads.  A block must be increasing: its
+    axes then keep their C order, so the frame's bits do not move.
     """
     blocks = [tuple(b) for b in partition]
+    if not blocks:
+        raise FrameError("a product needs at least one factor")
     s = sum(len(b) for b in blocks)
     if sorted(i for b in blocks for i in b) != list(range(s)):
         raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
     if len(frames) != len(blocks):
         raise FrameError("one factor per block required")
-    owner = {}
-    for b, (block, f) in enumerate(zip(blocks, frames)):
+    mu, gamma = [0] * s, [0] * s
+    for block, f in zip(blocks, frames):
         if f.s != len(block):
             raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
-        for pos, i in enumerate(block):
-            owner[i] = (b, pos)
-    shapes = [f.shape for f in frames]
-    strides = [_strides(sh) for sh in shapes]
-    shape = tuple(shapes[b][pos] for b, pos in (owner[i] for i in range(s)))
-    mu = tuple(frames[b].mu[pos] for b, pos in (owner[i] for i in range(s)))
-    size = _size(shape)
-    cells = [_cells(f._bits, math.prod(sh)) for f, sh in zip(frames, shapes)]
-    done_at = [max(block) for block in blocks]
-    blank = ["0" * (size // math.prod(shape[: k + 1])) for k in range(s)]
+        if list(block) != sorted(block):
+            raise FrameError(f"partition block {block} is not increasing")
+        for i, m, g in zip(block, f.mu, f.gamma):
+            mu[i], gamma[i] = m, g
+    mu = tuple(mu)
+    shape = _box_shape(mu, gamma)
 
-    def build(k: int, offs: tuple[int, ...]) -> str:
-        b, pos = owner[k]
-        st = strides[b][pos]
-        if k == s - 1:
-            return cells[b][offs[b] : offs[b] + shape[k] * st : st]
-        parts = []
-        for x in range(shape[k]):
-            o = offs[b] + x * st
-            if k == done_at[b] and cells[b][o] != "1":
-                parts.append(blank[k])
-            else:
-                parts.append(build(k + 1, offs[:b] + (o,) + offs[b + 1 :]))
-        return "".join(parts)
+    def read(block, f) -> int:
+        src, spans = [1] * s, [(0, 0, 1, n - 1) for n in shape]
+        for i, n in zip(block, f.shape):
+            src[i], spans[i] = n, (0, 0, n, 0)
+        return _regrid(f._bits, tuple(src), spans)
 
-    return IdealFrame._from_box(Box(mu, shape, _from_cells(build(0, (0,) * len(blocks)))))
+    bits = reduce(operator.and_, map(read, blocks, frames))
+    return IdealFrame._from_box(Box(mu, shape, bits))
 
 
 def recombine(partition, factors) -> GoodSemigroup:

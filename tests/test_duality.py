@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import goodsemi as g
-from goodsemi import axioms, duality, ideals
+from goodsemi import axioms, duality, products
 from goodsemi import (
     GoodSemigroup,
     IdealFrame,
@@ -278,7 +278,7 @@ def test_duals_by_delta_sweeps_match_difference():
         if split:
             pairs = [rng.choice(pool[d]) for d in (split, s - split)]
             S = product_semigroups(*(p[0] for p in pairs))
-            E = ideals._interleave([range(split), range(split, s)], [p[1] for p in pairs])
+            E = products._interleave([range(split), range(split, s)], [p[1] for p in pairs])
         else:
             S, E = rng.choice(pool[s])
         kinds.add((s, split))

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import load_text
 import goodsemi as g
-from goodsemi import ideals
+from goodsemi import axioms, ideals
 from goodsemi import (
     FrameError,
     GoodSemigroup,
@@ -95,6 +95,16 @@ def test_non_integer_coordinates_are_refused(bad):
         from_json(text)
     with pytest.raises(ParseError, match="non-integer"):
         from_json('{"s": 1, "mu": [0], "gamma": [2.9], "frame": [[0], [2.9], [true]]}')
+    # points given to a built frame, 3 and 4 members of <3,4>
+    E = g.numerical_semigroup(3, 4).ideal
+    for call in (
+        lambda: E.contains((bad,)),
+        lambda: E.shift((bad,)),
+        lambda: E.membership_box((0,), (bad,)),
+        lambda: g.distance_between(E, (bad,), (4,)),
+    ):
+        with pytest.raises(FrameError, match=f"non-integer coordinate {bad!r}"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [True, 1.9, "1"], ids=["bool", "float", "str"])
@@ -112,6 +122,7 @@ def test_numpy_integer_coordinates_are_accepted():
     E = IdealFrame(2, np.array([0, 0]), (np.int32(3), 1), np.array([[0, 0], [3, 1]]))
     assert E == IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
     assert E.mu == (0, 0) and type(E.mu[0]) is int
+    assert E.contains((np.int64(3), np.int8(1))) and not E.contains(np.array([2, 1]))
 
 
 def test_membership_matches_predicate_everywhere():
@@ -341,8 +352,8 @@ def test_axiom_scans_match_oracles_on_failing_and_passing_sets(rng):
         assert rep.e2_ok == (bad == [])
         assert set(rep.e2_failures) == set(bad)
         # the sweeps alone, which also decide whether witnesses are listed
-        assert ideals._e1_holds(E) == rep.e1_ok
-        assert ideals._e2_holds(E) == rep.e2_ok
+        assert axioms._e1_holds(E) == rep.e1_ok
+        assert axioms._e2_holds(E) == rep.e2_ok
         seen["e1"][rep.e1_ok] += 1
         seen["e2"][rep.e2_ok] += 1
     # [failing, passing] per axiom: both sides must be exercised
@@ -520,7 +531,7 @@ def test_additivity_sweep_matches_bruteforce_verdict():
         es = oracles.points_of(pe, E.mu, tuple(g + 1 for g in E.gamma))
         sigmas = oracles.points_of(ps, (0,) * s, top)
         want = all(pe(oracles.add(e, sig)) for sig in sigmas for e in es)
-        assert ideals._additivity_holds(E, S) == want
+        assert axioms._additivity_holds(E, S) == want
         assert (validate(E, S).additivity_failures == []) == want
         seen[want] += 1
     # [failing, passing]: both sides must be exercised
@@ -556,6 +567,16 @@ def test_subset_checks():
     assert is_subset(C, S)
     assert is_subset(C, E) is False  # (3,2) in C but not in E
     assert is_subset(S, S)
+
+
+def test_semigroup_arguments_are_read_as_their_frames():
+    S = GoodSemigroup.from_points([(0, 0), (3, 1)], gamma=(3, 1))
+    E = IdealFrame.from_points([(3, 1), (3, 2)], gamma=(3, 2))
+    assert sum_ideals(S, S) == sum_ideals(S.ideal, S.ideal) == S.ideal
+    assert sum_ideals(E, S) == sum_ideals(S, E) == E
+    assert is_subset(E, S) and is_subset(S, S) and not is_subset(S, E)
+    assert difference(S, S) == difference(S.ideal, S.ideal) == S.ideal
+    assert difference(E, S) == E and difference(S, E) == difference(S.ideal, E)
 
 
 # ------------------------------------------- locality and decomposition
