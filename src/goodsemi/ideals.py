@@ -10,9 +10,9 @@ arbitrary point is *defined* by the min-capping rule
 
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
-shape, so bits ascend in lex order of the points.  The sweeps,
-:class:`Box`, the point listings and :func:`_regrid` below and the
-translates of :mod:`goodsemi.axioms` are the only code that works out
+shape, so bits ascend in lex order of the points.  The sweeps, :class:`Box`,
+the point listings, :func:`_regrid` and :func:`_rows_to_bits` below and
+the translates of :mod:`goodsemi.axioms` are the only code that works out
 strides, and every other module calls them.  No box may hold more than
 :data:`MAX_CELLS` cells; a larger one is refused before anything is
 allocated.
@@ -149,11 +149,6 @@ def _from_cells(cells) -> int:
 
 
 _CELL_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _from_flags(flags: bytearray) -> int:
-    """The bitset of a C-order array of 0/1 bytes."""
-    return _from_cells(flags.translate(_CELL_CHARS))
 
 
 # masks of boxes up to 2^18 cells are kept, at most 1024 of them (32 MB)
@@ -327,19 +322,17 @@ def _capped_span(lo: int, hi: int, m: int, g: int) -> tuple[int, int, int, int]:
     return (pre, a, b, count - pre - (b - a))
 
 
-def _lines_to_bits(shape, axis: int, lines) -> int:
-    """A bitset over ``shape`` from its lines along ``axis``: ``lines``
-    yields, in lex order of the other coordinates, the coordinates on
-    ``axis`` of the set cells of each line."""
-    flags = bytearray(_size(shape))
-    st = _strides(shape)
-    step = st[axis]
-    outer = [range(0, n * t, t) for j, (n, t) in enumerate(zip(shape, st)) if j != axis]
-    for offs, line in zip(product(*outer), lines):
-        base = sum(offs)
-        for e in line:
-            flags[base + e * step] = 1
-    return _from_flags(flags)
+def _rows_to_bits(shape, rows) -> int:
+    """A bitset over ``shape`` from (index tuple over the leading axes, the
+    row's cells along the last axis as an int) pairs; other rows are empty."""
+    n, lead = shape[-1], shape[:-1]
+    out, st = [0] * math.prod(lead), _strides(lead)
+    for u, x in rows:
+        out[sum(map(int.__mul__, u, st))] |= x
+    while len(out) > 1:  # adjacent blocks joined pairwise, widths doubling
+        out = [a | b << n for a, b in zip(out[::2], out[1::2] + [0])]
+        n *= 2
+    return out[0]
 
 
 class Box:
@@ -437,7 +430,7 @@ class IdealFrame:
             raise FrameError(f"mu={mu} must belong to the frame")
         if not flags[-1]:
             raise FrameError(f"gamma={gamma} must belong to the frame")
-        bits = _from_flags(flags)
+        bits = _from_cells(flags.translate(_CELL_CHARS))
         if _normalized:
             self._adopt(mu, gamma, bits)
         else:

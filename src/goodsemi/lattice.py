@@ -10,6 +10,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 
+from .errors import DimensionMismatch, FrameError
+
 Point = tuple[int, ...]
 
 
@@ -31,18 +33,14 @@ def as_point(coords: Iterable[int]) -> Point:
     cs = tuple(coords)
     p = tuple(map(_integer, cs))
     if None in p:
-        from .errors import FrameError
-
         raise FrameError(f"point {list(cs)} has the non-integer coordinate {cs[p.index(None)]!r}")
     if not p:
-        raise ValueError("a point needs at least one coordinate")
+        raise FrameError("a point needs at least one coordinate")
     return p
 
 
 def check_same_dim(a: Point, b: Point) -> None:
     if len(a) != len(b):
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 

@@ -14,10 +14,10 @@ v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
 
 The value semigroup ideal is read off with one sweep per branch i: rows
-in echelon form by branch-i order, then the constraints of each
-axis-line imposed one at a time.  Each constraint drops the row of
-largest branch-i order among those it touches, so every other row keeps
-its order and the orders left are the line's dimension drops.
+with distinct branch-i orders by forward elimination, then the
+constraints of each axis-line imposed one at a time.  A constraint hits
+the rows filed under it by order, and drops the one of largest branch-i
+order, so every other row keeps its order: the line's dimension drops.
 
 Spans, value scans, cuts and colons all eliminate through the same two
 steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from ..errors import FrameError, PoleBoundError, TruncationError
-from ..ideals import Box, IdealFrame, _box_shape, _lines_to_bits
-from ..lattice import Point
+from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
+from ..ideals import Box, IdealFrame, _box_shape, _rows_to_bits
+from ..lattice import Point, zero
 from .series import SeriesVector
 
 __all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
@@ -240,71 +240,95 @@ def span_basis(ring_gens: list, module_gens: list, N: int | None = None) -> Modu
     return basis
 
 
-def _impose(rows: dict[int, Row], pos: int) -> None:
-    """Restrict the span of ``rows`` to the vectors that vanish at pos.
-
-    Rows are keyed by their order on one branch; keys >= N label rows
-    that are zero there.  The row with the largest key among those
-    nonzero at pos clears pos from the others and is dropped.  Its
-    branch entries all lie above their orders, so every other row keeps
-    its key.
-    """
-    hits = sorted(k for k, r in rows.items() if pos in r)
-    if hits:
-        top = rows.pop(hits.pop())
-        for k in hits:
-            _cancel(rows[k], top, pos)
-            _divide_content(rows[k])
-
-
 def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     """Value vectors of the module over the box [0, hi], as an ideal frame.
 
     alpha belongs iff the filtration dimension drops in every coordinate
     at alpha: for each branch i, some element vanishing below alpha_k on
     every other branch k has order exactly alpha_i on branch i.  Per
-    branch i the module is put in echelon form by branch-i order, so the
-    orders of the rows are distinct and form the drop set of the line
-    with no constraints.  The box of the other axes is walked in lex
-    order, copying the state once per outer level when s >= 3.  Raising
-    alpha_k from a to a+1 requires position (k, a) to vanish, and
-    :func:`_impose` drops the row of largest order among those nonzero
-    there.  Every other row keeps its order, so each line's drop set is
-    read straight off the remaining row keys.
+    branch i, on positions rotated so branch i comes first, a row's key is
+    its lead, its branch-i order (>= N off branch i).  Keys need only be
+    distinct, so forward elimination gives them: the drop set of the line
+    with no constraints.  The other axes' box is walked in lex order, and
+    raising alpha_k from a to a+1 makes (k, a) vanish.  With the positions
+    below a imposed, a row is nonzero at (k, a) iff its branch-k order is
+    a: the rows hit are one bucket of the rows filed by that order.  The
+    largest key is dropped; the others, cleared at (k, a) with it, keep
+    their keys and are filed at their higher order.  Rows are replaced,
+    never edited, so levels share them; a level copies its parent's
+    buckets and skips an entry whose row lost the position.  Keys only
+    leave, so a line is the one before minus at most one key: with i last
+    a line is one bitset row, the keys left; otherwise the last axis is
+    innermost, and key e one run at alpha_i = e, as long as it survived.
 
     hi_i <= N-2 is required so every dimension involved stays inside the
     truncation; the returned capping bound is only trustworthy after the
     caller's stability checks.
     """
     s, N = basis.s, basis.N
+    if len(hi) != s:
+        raise DimensionMismatch(f"scan box corner {tuple(hi)} has {len(hi)} coordinates for {s} branches")
+    if min(hi) < 0:
+        raise FrameError(f"scan box corner {tuple(hi)} has a negative coordinate")
     if any(h > N - 2 for h in hi):
         raise TruncationError(f"scan box {hi} does not fit below truncation {N}")
     if basis.dim == 0:
         raise FrameError("the zero module has no value semigroup ideal")
-    shape = _box_shape(tuple(0 for _ in range(s)), hi)
+    shape = _box_shape(zero(s), hi)
     good = -1
     for i in range(s):
-        # positions rotated so that branch i comes first: a row's pivot is
-        # its branch-i order, or >= N when the row is zero on branch i
-        rot = ModuleBasis(s, N)
-        for row in basis.rows.values():
-            rot._insert({(p - i * N) % (s * N): c for p, c in row.items()})
-        rest = [k for k in range(s) if k != i]
-        lines: list[list[int]] = []
+        rows = {} if i else dict(basis.rows)
+        for row in basis.rows.values() if i else ():
+            v = {(p - i * N) % (s * N): c for p, c in row.items()}
+            while (lead := min(v)) in rows:
+                _cancel(v, rows[lead], lead)
+                _divide_content(v)
+            rows[lead] = v
+        rest, last, at = [k for k in range(s) if k != i], i == s - 1, [0] * s
+        out = [] if rest else [((), sum(1 << e for e in rows if e <= hi[i]))]
+        spans = [(((k - i) % s) * N, ((k - i) % s) * N + hi[k]) for k in rest]
 
-        def walk(rows: dict[int, Row], depth: int) -> None:
-            if depth == len(rest):
-                lines.append([e for e in rows if e <= hi[i]])
-                return
-            k, inner = rest[depth], depth + 1 < len(rest)
+        def walk(rows: dict[int, Row], buckets: list[dict], depth: int) -> None:
+            k, lo, inner = rest[depth], spans[depth][0], depth + 1 < len(rest)
+            left = {} if inner else {e: hi[k] + 1 for e in rows if e <= hi[i]}  # key: steps survived
+            mask = sum(1 << e for e in left)
             for a in range(hi[k] + 1):
-                walk({p: dict(r) for p, r in rows.items()} if inner else rows, depth + 1)
-                if a < hi[k]:
-                    _impose(rows, ((k - i) % s) * N + a)
+                at[k] = a
+                if inner:
+                    walk(dict(rows), [dict(b) for b in buckets[1:]], depth + 1)
+                elif last:
+                    out.append((tuple(at[:-1]), mask))
+                if not (hits := {e for e in buckets[0].pop(lo + a, ()) if lo + a in rows.get(e, ())}):
+                    continue
+                dropped, changed = rows.pop(top := max(hits)), []
+                for e in hits - {top}:
+                    rows[e] = v = dict(rows[e])
+                    _cancel(v, dropped, lo + a)
+                    _divide_content(v)
+                    changed.append((e, v))
+                for b, span in zip(buckets, spans[depth:]) if changed else ():
+                    _file(b, *span, changed)
+                if top in left:
+                    left[top], mask = a + 1, mask ^ 1 << top
+            for e, n in left.items() if not last else ():
+                at[i] = e
+                out.append((tuple(at[:-1]), (1 << n) - 1))
 
-        walk(rot.rows, 0)
-        good &= _lines_to_bits(shape, i, lines)
-    return IdealFrame._from_box(Box(tuple(0 for _ in range(s)), shape, good))
+        if rest:
+            walk(rows, [_file({}, *span, rows.items()) for span in spans], 0)
+        good &= _rows_to_bits(shape, out)
+    return IdealFrame._from_box(Box(zero(s), shape, good))
+
+
+def _file(bucket: dict, lo: int, end: int, rows) -> dict:
+    """The bucket with the key of each (key, row) of ``rows`` filed under
+    the row's least position in [lo, end), if it has one there."""
+    inside = range(lo, end).__contains__
+    for key, row in rows:
+        order = min(filter(inside, row), default=end)
+        if order < end:
+            bucket[order] = bucket.get(order, ()) + (key,)
+    return bucket
 
 
 def colon_solution_basis(

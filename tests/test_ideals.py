@@ -107,6 +107,14 @@ def test_non_integer_coordinates_are_refused(bad):
             call()
 
 
+def test_empty_point_is_a_frame_error():
+    # the package's own input error, not a bare ValueError
+    E = g.numerical_semigroup(3, 4).ideal
+    for call in (lambda: E.contains(()), lambda: E.membership_box((), (4,)), lambda: E.membership_box((0,), ())):
+        with pytest.raises(FrameError, match="a point needs at least one coordinate"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [True, 1.9, "1"], ids=["bool", "float", "str"])
 def test_non_integer_branch_count_is_refused(bad):
     # int() would load each of these as s = 1

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from goodsemi import (
+    DimensionMismatch,
     FrameError,
     InclusionError,
     ParseError,
@@ -14,6 +15,7 @@ from goodsemi import (
 )
 from goodsemi.ringbridge import (
     ModuleBasis,
+    curves,
     colon_solution_basis,
     modules,
     SeriesVector,
@@ -219,6 +221,79 @@ def test_value_set_matches_dimension_drop_oracle(curve_spec, text, module, N, hi
     )
     for alpha in oracles.box((0,) * spec.s, hi):
         assert (alpha in G) == oracles.in_value_set(rows, spec.s, N, alpha)
+
+
+def _random_scan_case(rng, s):
+    """A ring with a conductor on each branch (t^c and t^(c+1) there, so
+    at most c(c-1)) and random generators tying the branches together, a
+    random two-generator module, a truncation N and scan corners that are
+    not all equal."""
+    ring = []
+    for i in range(s):
+        c = rng.randint(4, 5)
+        ring += [tuple({c + d: 1} if k == i else {} for k in range(s)) for d in (0, 1)]
+    ring += [_rand_terms(rng, s, 2, 6, least=1) for _ in range(rng.randint(1, 2))]
+    module = [_rand_terms(rng, s, 0, 4, least=1) for _ in range(2)]
+    N = rng.randint(10, 13) if s < 3 else rng.randint(7, 8)
+    hi = (N - 2 - rng.randint(0, 2),)
+    while len(hi) < s:
+        hi += (rng.choice([h for h in range(N - 4, N - 1) if h not in hi]),)
+    return ring, module, N, hi
+
+
+def test_scan_matches_the_dimension_drop_oracle_on_random_modules(rng):
+    # corners differ per axis, so a scan that mixes up two axes, files a
+    # row one order too high or writes a run one cell short shows up
+    cells = 0
+    for s in (1, 2, 3):
+        scanned = 0
+        for _ in range(40):
+            ring, module, N, hi = _random_scan_case(rng, s)
+            rows = oracles.span_rows(ring, module, s, N)
+            if not oracles.in_value_set(rows, s, N, hi):
+                continue  # a corner below the conductor, which callers never scan
+            G = value_semigroup_ideal(span_basis(list(map(_terms, ring)), list(map(_terms, module)), N), hi)
+            for alpha in oracles.box((0,) * s, hi):
+                assert (alpha in G) == oracles.in_value_set(rows, s, N, alpha), (ring, module, N, hi, alpha)
+                cells += 1
+            scanned += 1
+            if scanned == 4:
+                break
+        assert scanned == 4, f"only {scanned} of 40 draws on {s} branches had a corner to scan"
+    assert cells > 500
+
+
+def test_scan_refuses_a_corner_of_the_wrong_length_or_sign(curve_spec):
+    basis = span_module(curve_spec, "E", 12)
+    for hi in ((6,), (6, 6, 6)):
+        with pytest.raises(DimensionMismatch, match=rf"has {len(hi)} coordinates for 2 branches"):
+            value_semigroup_ideal(basis, hi)
+    with pytest.raises(FrameError, match=r"corner \(-1, 3\) has a negative coordinate"):
+        value_semigroup_ideal(basis, (-1, 3))
+
+
+def test_value_ideal_inserts_no_row_while_scanning(monkeypatch, curve_spec):
+    # the scan echelons its rows by forward elimination alone: a reduced
+    # basis, rebuilt through ModuleBasis._insert, is never needed
+    inserts, scanning = [0, 0], [False]
+    real_insert, real_scan = ModuleBasis._insert, curves.value_semigroup_ideal
+
+    def insert(self, v):
+        inserts[scanning[0]] += 1
+        return real_insert(self, v)
+
+    def scan(basis, hi):
+        scanning[0] = True
+        try:
+            return real_scan(basis, hi)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(ModuleBasis, "_insert", insert)
+    monkeypatch.setattr(curves, "value_semigroup_ideal", scan)
+    for spec, module in ((curve_spec, "E"), (curve_spec, "R"), (parse_curve(THREE_BRANCH), "R")):
+        value_ideal(spec, module)
+    assert inserts[0] > 0 and inserts[1] == 0
 
 
 @pytest.mark.parametrize("poles", [(0,), (1,), (3,)])
