@@ -10,12 +10,13 @@ arbitrary point is *defined* by the min-capping rule
 
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
-shape, so bits ascend in lex order of the points.  The sweeps, :class:`Box`,
-the point listings, :func:`_regrid` and :func:`_rows_to_bits` below and
-the translates of :mod:`goodsemi.axioms` are the only code that works out
-strides, and every other module calls them.  No box may hold more than
-:data:`MAX_CELLS` cells; a larger one is refused before anything is
-allocated.
+shape, so bits ascend in lex order of the points.  Only the helpers below,
+the translates of :mod:`goodsemi.axioms` and the chain walk of
+:mod:`goodsemi.metric` work out strides.  Boxes are cut, moved and
+reversed by masked shifts of the whole int: only :func:`_rows`,
+:func:`_points`, ``axioms._e2_failures`` and the chain walk read cells as
+a '0'/'1' string.  No box may hold more than :data:`MAX_CELLS` cells; a
+larger one is refused before anything is allocated.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
 read.  ``gamma`` is always normalized to the smallest bound for which the
@@ -143,16 +144,39 @@ def _cells(bits: int, size: int) -> str:
     return format(bits, f"0{size}b")[::-1]
 
 
-def _from_cells(cells) -> int:
-    """Inverse of :func:`_cells`; also takes bytes of b'0'/b'1'."""
-    return int(cells[::-1], 2) if cells else 0
-
-
 _CELL_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-# masks of boxes up to 2^18 cells are kept, at most 1024 of them (32 MB)
+# masks of boxes up to 2^18 cells are kept, at most 1024 of them (32 MB);
+# the masks of _regrid are kept apart, up to 2^12 cells
 _FILLS: dict[tuple, int] = {}
+_MASKS: dict[tuple, int] = {}
+_MASK_CAP = 1024
+
+
+def _periodic(period: int, a: int, b: int, total: int, cache=_MASKS, limit=1 << 12, key=None) -> int:
+    """Cells a..b-1 of every period of ``period`` cells among the first
+    ``total``: one block repeated by doubling, kept in ``cache`` up to
+    ``limit`` cells."""
+    key = key or (period, a, b, total)
+    got = cache.get(key)
+    if got is None:
+        block, count, got, at = (1 << b) - (1 << a), -(-total // period) if total else 0, 0, 0
+        while count:
+            if count & 1:
+                got |= block << at
+                at += period
+            count >>= 1
+            if count:
+                block |= block << period
+                period *= 2
+        if at > total:  # the last period is cut short
+            got &= (1 << total) - 1
+        if total <= limit:
+            if len(cache) >= _MASK_CAP:
+                cache.clear()
+            cache[key] = got
+    return got
 
 
 def _fill(shape, axis: int, a: int, b: int) -> int:
@@ -160,24 +184,8 @@ def _fill(shape, axis: int, a: int, b: int) -> int:
     key = (shape, axis, a, b)
     got = _FILLS.get(key)
     if got is None:
-        # one period of the axis, repeated by doubling blocks
         st = _strides(shape)[axis]
-        block, width = ((1 << (b - a) * st) - 1) << a * st, shape[axis] * st
-        size = math.prod(shape)
-        count = size // width if size else 0
-        got = at = 0
-        while count:
-            if count & 1:
-                got |= block << at
-                at += width
-            count >>= 1
-            if count:
-                block |= block << width
-                width *= 2
-        if size <= 1 << 18:
-            if len(_FILLS) >= 1024:
-                _FILLS.clear()
-            _FILLS[key] = got
+        got = _periodic(shape[axis] * st, a * st, b * st, math.prod(shape), _FILLS, 1 << 18, key)
     return got
 
 
@@ -249,33 +257,40 @@ def _regrid(bits: int, shape, spans) -> int:
 
     ``spans`` holds one (pre, a, b, post) per axis: the new axis is pre
     empty slices, then the source slices a..b-1, then post copies of slice
-    b-1.  Blocks are joined as cell strings and repeated blocks are reused,
-    so the Python work grows with the source rows read, not with the cells
-    written.
+    b-1; if b <= a on any axis the grid is empty.  Each axis is a few
+    masked shifts of the whole int: slices a..b-1 of every block are kept
+    and shifted down, block r moves from r·w to r·v (v the new block
+    width) in groups of 2^k blocks, one shift per bit k of r (low k first
+    when blocks shrink, high k first when they grow), pre is one shift up
+    and the post copies are made by doubling.  Axes that shrink go first,
+    so no step holds more cells than the larger of source and result.
     """
-    if all(sp == (0, 0, n, 0) for sp, n in zip(spans, shape)):
-        return bits
-    st = _strides(shape)
-    cells = _cells(bits, math.prod(shape))
+    if any(b <= a for _, a, b, _ in spans):
+        return 0
+    cur = list(shape)
     counts = [pre + b - a + post for pre, a, b, post in spans]
-    blank = ["0" * math.prod(counts[j + 1 :]) for j in range(len(spans))]
-    pre_row, a_row, b_row, post_row = spans[-1]
-
-    def rows(start: int, stop: int, step: int) -> list[str]:
-        parts = [cells[x + a_row : x + b_row] for x in range(start, stop, step)]
-        if pre_row or post_row:
-            parts = ["0" * pre_row + r + r[-1:] * post_row for r in parts]
-        return parts
-
-    def block(j: int, base: int) -> str:
-        pre, a, b, post = spans[j]
-        if j == len(spans) - 2:
-            parts = rows(base + a * st[j], base + b * st[j], st[j])
-        else:
-            parts = [block(j + 1, base + i * st[j]) for i in range(a, b)]
-        return blank[j] * pre + "".join(parts) + (parts[-1] * post if post else "")
-
-    return _from_cells(block(0, 0) if len(spans) > 1 else rows(0, 1, 1)[0])
+    for j in sorted(range(len(cur)), key=lambda j: counts[j] > cur[j]):
+        (pre, a, b, post), n = spans[j], cur[j]
+        if (pre, a, b, post) == (0, 0, n, 0):
+            continue
+        st, rows = math.prod(cur[j + 1 :]), math.prod(cur[:j])
+        w, v = n * st, counts[j] * st
+        if a or b < n:
+            bits = (bits & _periodic(w, a * st, b * st, rows * w)) >> a * st
+        lo, hi = sorted((w, v))
+        ks = [1 << i for i in range((rows - 1).bit_length())] if w != v else []
+        for k in ks if v < w else ks[::-1]:
+            x = bits & _periodic(2 * k * hi, k * w, k * (w + lo), rows * hi)
+            bits ^= x ^ (x << k * (v - w) if v > w else x >> k * (w - v))
+        bits <<= pre * st
+        if post:
+            x, c = bits & _periodic(v, v - (post + 1) * st, v - post * st, rows * v), 1
+            while c <= post:
+                x |= x << min(c, post + 1 - c) * st
+                c *= 2
+            bits |= x
+        cur[j] = counts[j]
+    return bits
 
 
 def _crop(bits: int, shape, start, out_shape) -> int:
@@ -283,9 +298,15 @@ def _crop(bits: int, shape, start, out_shape) -> int:
     return _regrid(bits, shape, [(0, a, a + n, 0) for a, n in zip(start, out_shape)])
 
 
+# byte k is k with its 8 bits in reverse order
+_REVERSED = bytes(int(f"{k:08b}"[::-1], 2) for k in range(256))
+
+
 def _flip(bits: int, size: int) -> int:
-    """The bitset with every axis reversed: C order read backwards."""
-    return int(format(bits, f"0{size}b")[::-1], 2) if size else 0
+    """The bitset with every axis reversed: C order read backwards, each
+    byte's bits reversed through a table and the bytes read big-endian."""
+    n = (size + 7) // 8
+    return int.from_bytes(bits.to_bytes(n, "little").translate(_REVERSED), "big") >> 8 * n - size
 
 
 def _rows(bits: int, shape):
@@ -339,11 +360,10 @@ class Box:
     """Membership over the box [lo, lo + shape - 1] as one int: the cell of
     x is bit (x - lo)·st, st the C strides of ``shape``."""
 
-    __slots__ = ("lo", "shape", "bits", "_text")
+    __slots__ = ("lo", "shape", "bits")
 
     def __init__(self, lo: Point, shape: tuple[int, ...], bits: int):
         self.lo, self.shape, self.bits = lo, shape, bits
-        self._text = None
 
     @property
     def size(self) -> int:
@@ -358,22 +378,6 @@ class Box:
     def points(self) -> list[Point]:
         """The members, lex-sorted."""
         return _points(self.bits, self.shape, self.lo)
-
-    def next_up(self, idx) -> Point | None:
-        """The index tuple of the lex-least member y >= idx (componentwise)
-        other than idx, or None: the rows of y's other coordinates are
-        searched in lex order, each from idx's last coordinate on (past it
-        in idx's own row)."""
-        if self._text is None:
-            self._text = _cells(self.bits, self.size)
-        n, st = self.shape[-1], _strides(self.shape)
-        head, e = tuple(idx[:-1]), idx[-1]
-        for u in product(*(range(c, m) for c, m in zip(head, self.shape))):
-            base = sum(x * t for x, t in zip(u, st))
-            k = self._text.find("1", base + e + 1 if u == head else base + e, base + n)
-            if k >= 0:
-                return u + (k - base,)
-        return None
 
 
 def _coords(p, name: str) -> Point:
@@ -430,7 +434,7 @@ class IdealFrame:
             raise FrameError(f"mu={mu} must belong to the frame")
         if not flags[-1]:
             raise FrameError(f"gamma={gamma} must belong to the frame")
-        bits = _from_cells(flags.translate(_CELL_CHARS))
+        bits = int(flags.translate(_CELL_CHARS)[::-1], 2)
         if _normalized:
             self._adopt(mu, gamma, bits)
         else:

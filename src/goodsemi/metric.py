@@ -11,8 +11,10 @@ distance consistent on certified inputs.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
-from .ideals import IdealFrame, is_subset, validate
+from .ideals import IdealFrame, _cells, _strides, is_subset, validate
 from .lattice import Point, as_point, check_same_dim, leq, lt, sub, zero
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
@@ -50,13 +52,19 @@ def distance_between(E: IdealFrame, alpha, beta) -> int:
     _require_good(E, "the ideal")
     alpha, beta = _check_endpoints(E, alpha, beta)
     box = E.membership_box(alpha, beta)
-    cur = zero(len(alpha))
-    end = sub(beta, alpha)
-    steps = 0
+    text, n, st = _cells(box.bits, box.size), box.shape[-1], _strides(box.shape)
+    cur, end, steps = zero(len(alpha)), sub(beta, alpha), 0
     while cur != end:
-        # the lex-smallest of {delta : cur < delta <= beta} is a minimal
-        # element and therefore a cover
-        cur = box.next_up(cur)
+        # the lex-smallest of {delta : cur < delta <= beta} is a minimal element
+        # and therefore a cover: rows of its other coordinates are searched in
+        # lex order, each from cur's last coordinate on (past it in cur's row)
+        head, e = cur[:-1], cur[-1]
+        for u in product(*(range(c, m) for c, m in zip(head, box.shape))):
+            base = sum(x * t for x, t in zip(u, st))
+            k = text.find("1", base + e + (u == head), base + n)
+            if k >= 0:
+                break
+        cur = u + (k - base,)
         steps += 1
     return steps
 

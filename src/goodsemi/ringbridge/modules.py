@@ -27,7 +27,7 @@ reduction that carries each unknown as a tag (:func:`colon_solution_basis`).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
 from ..ideals import Box, IdealFrame, _box_shape, _rows_to_bits
@@ -317,6 +317,8 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         if rest:
             walk(rows, [_file({}, *span, rows.items()) for span in spans], 0)
         good &= _rows_to_bits(shape, out)
+    if not good >> prod(shape) - 1 & 1:
+        raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")
     return IdealFrame._from_box(Box(zero(s), shape, good))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,15 +245,20 @@ def _random_scan_case(rng, s):
 def test_scan_matches_the_dimension_drop_oracle_on_random_modules(rng):
     # corners differ per axis, so a scan that mixes up two axes, files a
     # row one order too high or writes a run one cell short shows up
-    cells = 0
+    # a corner that is not a value (below the conductor) is refused by name
+    cells = refused = 0
     for s in (1, 2, 3):
         scanned = 0
         for _ in range(40):
             ring, module, N, hi = _random_scan_case(rng, s)
             rows = oracles.span_rows(ring, module, s, N)
+            basis = span_basis(list(map(_terms, ring)), list(map(_terms, module)), N)
             if not oracles.in_value_set(rows, s, N, hi):
-                continue  # a corner below the conductor, which callers never scan
-            G = value_semigroup_ideal(span_basis(list(map(_terms, ring)), list(map(_terms, module)), N), hi)
+                with pytest.raises(FrameError, match=rf"corner {re.escape(str(hi))} is not a value of the module"):
+                    value_semigroup_ideal(basis, hi)
+                refused += 1
+                continue
+            G = value_semigroup_ideal(basis, hi)
             for alpha in oracles.box((0,) * s, hi):
                 assert (alpha in G) == oracles.in_value_set(rows, s, N, alpha), (ring, module, N, hi, alpha)
                 cells += 1
@@ -260,7 +266,7 @@ def test_scan_matches_the_dimension_drop_oracle_on_random_modules(rng):
             if scanned == 4:
                 break
         assert scanned == 4, f"only {scanned} of 40 draws on {s} branches had a corner to scan"
-    assert cells > 500
+    assert cells > 500 and refused
 
 
 def test_scan_refuses_a_corner_of_the_wrong_length_or_sign(curve_spec):
