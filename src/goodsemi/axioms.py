@@ -10,9 +10,18 @@ axes where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold
 each such family into one translate of a table built once per T: a shift
 of the table's int per run of frame points along the last axis, at most
 2^s tables, and one read back onto the result's grid
-(:func:`_reduce_translates`).  :mod:`goodsemi.ideals` reads the public
-names of this module through, importing it on first use; its private
-helpers are read from here.
+(:func:`_reduce_translates`).  A table folded along T is the table of T
+minus its highest axis folded once more.
+
+E + S ⊆ E translates E only by S's Apéry families, those that are not
+sums (:func:`_apery_families`): the minimal nonzero cells G0 of S's box
+[0, top], each cell c with no g in G0, g <= c, and c - g + N^T ⊆ S, and
+cell 0 when some top_i = 0: its family 0 + N^T then holds the
+multiples of e_i, a generator outside the box.  The verdict stays exact
+by induction on |sigma| (:func:`_additivity_holds`).
+
+:mod:`goodsemi.ideals` reads the public names of this module through,
+importing it on first use; its private helpers are read from here.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from functools import reduce
 
 from . import ideals
 from .errors import NotCertifiedError
-from .ideals import (Box, IdealFrame, _Record, _box_shape, _cells, _crop, _fill, _frame_box, _frame_of, _index,
+from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _frame_box, _frame_of, _index,
                      _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and, _suffix_or,
                      _suffix_or_strict)
 from .lattice import add, check_same_dim, cmax, cmin, ones, sub, zero
@@ -85,13 +94,16 @@ def _tail_translates(E: IdealFrame, lo, hi, by: Box, sign: int, fold):
                 pattern = pattern if sign > 0 else pattern[::-1]
                 groups.setdefault(mask, {}).setdefault(pattern, []).append(base)
 
-    def tables():
-        for T in sorted(groups):
-            table = window.bits
-            for axis in range(s):
-                if T >> axis & 1:
-                    table = fold(table, window.shape, axis)
+    def tables(T=0, table=window.bits, start=0):
+        # T's table is the fold of the table of T minus its highest axis
+        # (folds along different axes commute): a depth-first walk holds
+        # one table per axis and sweeps each shared prefix once
+        if T in groups:
             yield table, groups[T].items()
+        for axis in range(start, s):
+            wider = T | 1 << axis
+            if any((U & (2 << axis) - 1) == wider for U in groups):
+                yield from tables(wider, fold(table, window.shape, axis), axis + 1)
 
     def grid(bits: int) -> Box:
         return Box(lo, shape, _crop(bits, window.shape, zero(s), shape))
@@ -256,7 +268,6 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
         return []
     s = E.s
     grid, table = _exchange_tables(E)
-    cells: dict[tuple[int, int], str] = {}
     pts = _members(E)
     failures: list[tuple[Point, Point, int]] = []
     for j in range(s):
@@ -270,13 +281,71 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
                 found = []
                 for t, q in enumerate(G[a + 1 :]):
                     mask = sum(1 << k for k, i in enumerate(others) if q[i] == p[i])
-                    got = cells.get((j, mask))
-                    if got is None:
-                        got = cells[j, mask] = _cells(table(j, mask), grid.size)
-                    if got[_index(sub(cmin(p, q), E.mu), grid.shape)] != "1":
+                    if not table(j, mask) >> _index(sub(cmin(p, q), E.mu), grid.shape) & 1:
                         found.append((mask, t, q))
                 failures.extend((p, q, j) for _, _, q in sorted(found))
     return failures
+
+
+def _apery_families(S: IdealFrame) -> Box:
+    """The cells of S's box [0, top], top = cmax(gamma_S, 0), whose
+    families E must be translated by to decide E + S ⊆ E.
+
+    A cell c stands for the family c + N^T, T the axes where c_i = top_i.
+    G0 is the set of minimal members of the box other than 0: the members
+    c != 0 with no member other than 0 at or below c - e_i for any axis
+    i, read off the up-closure (one prefix-OR per axis).  A family is
+    dropped when c - g + N^T ⊆ S for some g in G0 with g <= c: the
+    suffix-AND of the box along T, read at c - g by a shift of g's cell
+    index and masked to the cells c >= g.  The cells of G0 are kept, and
+    cell 0 is kept exactly when its family is more than {0} (top_i = 0
+    on some axis).  :func:`_additivity_holds` says why this is exact.
+    """
+    s = S.s
+    top = cmax(S.gamma, zero(s))
+    box = S.membership_box(zero(s), top)
+    shape, bits = box.shape, box.bits
+    st = _strides(shape)
+    up = bits & ~1
+    for axis in range(s):
+        up = _prefix_or(up, shape, axis)
+    below = 0
+    for axis, t in enumerate(st):
+        below |= up << t & _fill(shape, axis, 1, shape[axis])
+    gens = bits & ~1 & ~below
+    shifts = []  # (cell index of g, the cells c >= g) per g in G0
+    rest = gens
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        rest ^= 1 << k
+        ge = (1 << box.size) - 1
+        for axis, (t, n) in enumerate(zip(st, shape)):
+            if k // t % n:
+                ge &= _fill(shape, axis, k // t % n, n)
+        shifts.append((k, ge))
+    held = {0: bits}
+
+    def tail_and(T: int) -> int:
+        # the cells c with c + N^T ⊆ S
+        got = held.get(T)
+        if got is None:
+            axis = T.bit_length() - 1
+            got = held[T] = _suffix_and(tail_and(T ^ 1 << axis), shape, axis)
+        return got
+
+    drop = 0
+    for T in range(1 << s):
+        on = bits
+        for axis, x in enumerate(top):
+            on &= _fill(shape, axis, x, x + 1) if T >> axis & 1 else _fill(shape, axis, 0, x)
+        if on:
+            A = tail_and(T)
+            for k, ge in shifts:
+                drop |= A << k & ge & on
+    keep = bits & ~drop | gens
+    if all(top):
+        keep &= ~1
+    return Box(box.lo, shape, keep)
 
 
 def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
@@ -288,9 +357,19 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     gamma_S < 0).  e + c + N^T ⊆ E iff e + c lies in E's suffix-AND along
     T; the window reaches past gamma_E, so the AND is exact.  Frame points
     e suffice, because sigma >= 0 keeps capped coordinates capped.
+
+    Only the families of :func:`_apery_families` are translated: the
+    cells of G0, the minimal elements of (S ∩ [0, top]) minus 0, cell 0 when
+    its family has a tail, and each other cell c with no g in G0, g <= c,
+    and c - g + N^T ⊆ S.  If those translates lie in E, so does e + sigma
+    for every sigma in S ∩ N^s, by induction on |sigma|: sigma = 0 is
+    trivial, and a sigma of a kept family is checked.  A sigma of a dropped
+    family c + N^T is g + sigma' with sigma' = sigma - g in c - g + N^T, so
+    sigma' lies in S ∩ N^s, and |sigma'| < |sigma| as g != 0; then e + g is
+    in E, as g's family is kept, and e + sigma = (e + g) + sigma' is in E
+    by induction.  The converse is plain, so the verdict is exact.
     """
-    top = cmax(S.gamma, zero(E.s))
-    by = S.membership_box(zero(E.s), top)
+    by = _apery_families(S)
     held = _reduce_translates(operator.and_, E, E.mu, E.gamma, by, 1, _suffix_and)
     return not E._bits & ~held.bits
 

@@ -13,10 +13,19 @@ C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
 shape, so bits ascend in lex order of the points.  Only the helpers below,
 the translates of :mod:`goodsemi.axioms` and the chain walk of
 :mod:`goodsemi.metric` work out strides.  Boxes are cut, moved and
-reversed by masked shifts of the whole int: only :func:`_rows`,
-:func:`_points`, ``axioms._e2_failures`` and the chain walk read cells as
-a '0'/'1' string.  No box may hold more than :data:`MAX_CELLS` cells; a
-larger one is refused before anything is allocated.
+reversed by masked shifts of the whole int: only :func:`_rows` and
+:func:`_points` read cells as a '0'/'1' string.  No box may hold more than
+:data:`MAX_CELLS` cells; a larger one is refused before anything is
+allocated.
+
+The masks are built by doubling and kept in two kinds of store.  The
+slab masks of :func:`_fill` (the cells of one coordinate range on one
+axis) go in ``_FILLS``, up to 1024 masks of at most 2^18 cells.  The
+masks of :func:`_regrid` (a range of cells in every block) go in
+``_MASKS``, up to 1024 masks of at most 2^12 cells, and the larger ones in
+``_BIG_MASKS``, up to 2^22 cells in all.  A store that is full is cleared.
+One ``_regrid`` call asks for different masks, so they pay off across
+calls: a lattice pass asks for the same large masks again and again.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
 read.  ``gamma`` is always normalized to the smallest bound for which the
@@ -147,35 +156,51 @@ def _cells(bits: int, size: int) -> str:
 _CELL_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-# masks of boxes up to 2^18 cells are kept, at most 1024 of them (32 MB);
-# the masks of _regrid are kept apart, up to 2^12 cells
+# the mask stores; the module docstring gives their bounds
 _FILLS: dict[tuple, int] = {}
 _MASKS: dict[tuple, int] = {}
 _MASK_CAP = 1024
+_BIG_MASKS: dict[tuple, int] = {}
+_BIG_CAP = 1 << 22
+_big_load = 0  # the cells held in _BIG_MASKS
 
 
-def _periodic(period: int, a: int, b: int, total: int, cache=_MASKS, limit=1 << 12, key=None) -> int:
+def _repeat(period: int, a: int, b: int, total: int) -> int:
     """Cells a..b-1 of every period of ``period`` cells among the first
-    ``total``: one block repeated by doubling, kept in ``cache`` up to
-    ``limit`` cells."""
-    key = key or (period, a, b, total)
-    got = cache.get(key)
+    ``total``: one block repeated by doubling."""
+    block, count, got, at = (1 << b) - (1 << a), -(-total // period) if total else 0, 0, 0
+    while count:
+        if count & 1:
+            got |= block << at
+            at += period
+        count >>= 1
+        if count:
+            block |= block << period
+            period *= 2
+    if at > total:  # the last period is cut short
+        got &= (1 << total) - 1
+    return got
+
+
+def _periodic(period: int, a: int, b: int, total: int) -> int:
+    """A :func:`_repeat` mask of :func:`_regrid`, kept in _MASKS or, over
+    2^12 cells, in _BIG_MASKS."""
+    global _big_load
+    key = (period, a, b, total)
+    small = total <= 1 << 12
+    got = (_MASKS if small else _BIG_MASKS).get(key)
     if got is None:
-        block, count, got, at = (1 << b) - (1 << a), -(-total // period) if total else 0, 0, 0
-        while count:
-            if count & 1:
-                got |= block << at
-                at += period
-            count >>= 1
-            if count:
-                block |= block << period
-                period *= 2
-        if at > total:  # the last period is cut short
-            got &= (1 << total) - 1
-        if total <= limit:
-            if len(cache) >= _MASK_CAP:
-                cache.clear()
-            cache[key] = got
+        got = _repeat(period, a, b, total)
+        if small:
+            if len(_MASKS) >= _MASK_CAP:
+                _MASKS.clear()
+            _MASKS[key] = got
+        elif total <= _BIG_CAP:
+            if _big_load + total > _BIG_CAP:
+                _BIG_MASKS.clear()
+                _big_load = 0
+            _BIG_MASKS[key] = got
+            _big_load += total
     return got
 
 
@@ -184,8 +209,12 @@ def _fill(shape, axis: int, a: int, b: int) -> int:
     key = (shape, axis, a, b)
     got = _FILLS.get(key)
     if got is None:
-        st = _strides(shape)[axis]
-        got = _periodic(shape[axis] * st, a * st, b * st, math.prod(shape), _FILLS, 1 << 18, key)
+        st, total = _strides(shape)[axis], math.prod(shape)
+        got = _repeat(shape[axis] * st, a * st, b * st, total)
+        if total <= 1 << 18:
+            if len(_FILLS) >= _MASK_CAP:
+                _FILLS.clear()
+            _FILLS[key] = got
     return got
 
 

@@ -11,11 +11,9 @@ distance consistent on certified inputs.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
-from .ideals import IdealFrame, _cells, _strides, is_subset, validate
-from .lattice import Point, as_point, check_same_dim, leq, lt, sub, zero
+from .ideals import IdealFrame, _fill, _strides, is_subset, validate
+from .lattice import Point, as_point, check_same_dim, leq, lt, zero
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
 
@@ -52,19 +50,20 @@ def distance_between(E: IdealFrame, alpha, beta) -> int:
     _require_good(E, "the ideal")
     alpha, beta = _check_endpoints(E, alpha, beta)
     box = E.membership_box(alpha, beta)
-    text, n, st = _cells(box.bits, box.size), box.shape[-1], _strides(box.shape)
-    cur, end, steps = zero(len(alpha)), sub(beta, alpha), 0
-    while cur != end:
+    shape, st = box.shape, _strides(box.shape)
+    live, cur, k, steps = box.bits, zero(len(alpha)), 0, 0
+    while k != box.size - 1:  # beta is the box's last cell
         # the lex-smallest of {delta : cur < delta <= beta} is a minimal element
-        # and therefore a cover: rows of its other coordinates are searched in
-        # lex order, each from cur's last coordinate on (past it in cur's row)
-        head, e = cur[:-1], cur[-1]
-        for u in product(*(range(c, m) for c, m in zip(head, box.shape))):
-            base = sum(x * t for x, t in zip(u, st))
-            k = text.find("1", base + e + (u == head), base + n)
-            if k >= 0:
-                break
-        cur = u + (k - base,)
+        # and therefore a cover: the lowest set cell past cur's, once the cells
+        # with delta >= cur are kept (cur only grows, so each axis's mask is
+        # ANDed in when its coordinate moves)
+        live ^= 1 << k
+        k = (live & -live).bit_length() - 1
+        nxt = tuple(k // t % n for t, n in zip(st, shape))
+        for axis, (x, y) in enumerate(zip(cur, nxt)):
+            if x != y:
+                live &= _fill(shape, axis, y, shape[axis])
+        cur = nxt
         steps += 1
     return steps
 

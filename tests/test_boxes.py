@@ -123,3 +123,7 @@ def test_mask_cache_stays_small_over_a_dualize_pass():
     assert duality.dualize(K, duality.dualize(K, I)) == I
     assert 0 < len(ideals._MASKS) <= ideals._MASK_CAP
     assert all(m.bit_length() <= total <= 1 << 12 for (_, _, _, total), m in ideals._MASKS.items())
+    # the masks over 2^12 cells are kept apart, 2^22 cells in all
+    assert ideals._BIG_MASKS and ideals._BIG_CAP == 1 << 22
+    assert all(1 << 12 < total and m.bit_length() <= total for (_, _, _, total), m in ideals._BIG_MASKS.items())
+    assert sum(total for _, _, _, total in ideals._BIG_MASKS) <= 1 << 22

@@ -544,6 +544,27 @@ def test_additivity_sweep_matches_bruteforce_verdict():
         seen[want] += 1
     # [failing, passing]: both sides must be exercised
     assert min(seen) >= 50 and below >= 20, (seen, below)
+    # good semigroups as ambients: random ones, and products with <1> = N,
+    # whose top coordinate 0 gives cell 0 of S's box a tail
+    seen = [0, 0]
+    tails = 0
+    for _ in range(160):
+        s = rng.randint(1, 3)
+        E, pe = _raw_frame(rng, s, False)
+        if rng.random() < 0.5:
+            factors = [g.numerical_semigroup(*rng.choice(((1,), (1,), (2, 3), (3, 4), (2, 5)))) for _ in range(s)]
+            S = product_semigroups(*factors) if s > 1 else factors[0]
+        else:
+            S = g.random_good_semigroup(rng, s, max_gamma=5)
+        tails += 0 in S.gamma
+        top = tuple(max(c, 0) + (a - b) + 1 for c, a, b in zip(S.gamma, E.gamma, E.mu))
+        es = oracles.points_of(pe, E.mu, tuple(c + 1 for c in E.gamma))
+        sigmas = oracles.points_of(S.contains, (0,) * s, top)
+        want = all(pe(oracles.add(e, sig)) for sig in sigmas for e in es)
+        assert axioms._additivity_holds(E, S.ideal) == want
+        assert (validate(E, S).additivity_failures == []) == want
+        seen[want] += 1
+    assert min(seen) >= 30 and tails >= 40, (seen, tails)
 
 
 def test_sweeps_build_no_point_tuples(wide_s):

@@ -19,6 +19,7 @@ from goodsemi import (
     random_good_ideal,
     random_good_semigroup,
     random_pair,
+    relative_distance,
     sum_ideals,
     to_json,
     validate,
@@ -173,3 +174,16 @@ def test_three_branch_involution(seed):
     E = random_good_ideal(rng, S, max_shift=1)
     K = CanonicalIdeal.normalized(S)
     assert dualize(K, dualize(K, E)) == E
+
+
+@given(SEEDS, st.integers(1, 3))
+@FAST
+def test_duality_keeps_lengths(seed, s):
+    # d(E \ F) = d((K0 - F) \ (K0 - E)) for F ⊆ E, with F = alpha + E and
+    # alpha in S \ {0}; gamma_S + 1 is such an alpha when S = N^s
+    rng = random.Random(seed)
+    S, E = random_pair(rng, s, max_gamma=5, max_shift=2)
+    K = canonical_normalized(S)
+    alpha = rng.choice(S.ideal.frame_sorted[1:] + (tuple(x + 1 for x in S.gamma),))
+    F = E.shift(alpha)
+    assert relative_distance(F, E) == relative_distance(difference(K, E), difference(K, F))
