@@ -9,13 +9,15 @@ result passes certification by construction.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
+from . import ideals
 from .errors import FrameError
 from .axioms import _additivity_failures, _e1_failures, _e2_failures
 from .ideals import GoodSemigroup, IdealFrame, validate
-from .lattice import Point, add, cmin, unit, zero
+from .lattice import Point, _integer, add, cmin, unit, zero
 
 __all__ = [
     "random_good_semigroup",
@@ -96,22 +98,44 @@ def random_pair(
 
 
 def numerical_semigroup(*gens: int) -> GoodSemigroup:
-    """The numerical semigroup generated by ``gens`` (gcd must be 1)."""
-    if not gens or any(g < 1 for g in gens):
+    """The numerical semigroup generated by ``gens`` (gcd must be 1).
+
+    With a the smallest generator, w[r] is the least member congruent to
+    r mod a (the Apéry set of a), found by a shortest-path pass over the
+    residues with one edge r -> r + g of length g per generator g; then
+    v lies in S iff v >= w[v mod a], so the conductor is max(w) - a + 1.
+    A conductor whose box exceeds the box limit is refused before any
+    box is built.
+    """
+    ints = tuple(map(_integer, gens))
+    if None in ints:
+        raise FrameError(f"generator {gens[ints.index(None)]!r} of {gens} is not an integer")
+    if not ints or any(g < 1 for g in ints):
         raise FrameError("generators must be positive integers")
-    if math.gcd(*gens) != 1:
-        raise FrameError(f"gcd of {gens} is not 1, so there is no conductor")
-    a = min(gens)
-    bound = (a - 1) * (max(gens) - 1) + a + 1
-    reach = [False] * (bound + 1)
-    reach[0] = True
-    for g in gens:
-        for v in range(g, bound + 1):
-            if reach[v - g]:
-                reach[v] = True
-    gaps = [v for v in range(bound + 1) if not reach[v]]
-    c = gaps[-1] + 1 if gaps else 0
-    pts = [(v,) for v in range(c + 1) if reach[v]]
-    if not pts or pts[-1] != (c,):
-        pts.append((c,))
+    if math.gcd(*ints) != 1:
+        raise FrameError(f"gcd of {ints} is not 1, so there is no conductor")
+    a = min(ints)
+    if a >= ideals.MAX_CELLS:  # 1, ..., a - 1 are gaps, so the conductor is at least a
+        raise FrameError(
+            f"the conductor of the numerical semigroup generated by {ints} is at least {a}, "
+            f"so its box exceeds the box limit of {ideals.MAX_CELLS} cells"
+        )
+    w = [0] + [math.inf] * (a - 1)  # every residue is reached, as the gcd is 1
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > w[r]:
+            continue
+        for g in ints:
+            q = (r + g) % a
+            if d + g < w[q]:
+                w[q] = d + g
+                heapq.heappush(heap, (d + g, q))
+    c = max(w) - a + 1
+    if c + 1 > ideals.MAX_CELLS:
+        raise FrameError(
+            f"the conductor {c} of the numerical semigroup generated by {ints} needs a box of "
+            f"{c + 1} cells, more than the box limit of {ideals.MAX_CELLS} cells"
+        )
+    pts = [(v,) for v in range(c + 1) if v >= w[v % a]]
     return GoodSemigroup(IdealFrame(1, (0,), (c,), pts))

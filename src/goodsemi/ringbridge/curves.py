@@ -46,7 +46,6 @@ from .modules import (
     ModuleBasis,
     _row,
     colon_solution_basis,
-    integer_terms,
     require_monomials,
     span_basis,
     value_semigroup_ideal,
@@ -173,8 +172,10 @@ def parse_curve(text: str, filename: str | None = None) -> CurveSpec:
                 fail(f"{key} must be an integer", vcol)
             if n < low:
                 fail(f"{key} must be >= {low}", vcol)
+            if (s if key == "branches" else truncation) is not None:
+                fail(f"duplicate '{key}:' line")
             s, truncation = (n, truncation) if key == "branches" else (s, n)
-        elif key == "ring" or key.startswith("module"):
+        elif key == "ring" or key.split()[:1] == ["module"]:
             if s is None:
                 fail("'branches:' must come before generators")
             gens = _parse_genlist(rest, s, vcol, fail)
@@ -230,6 +231,15 @@ def dumps_curve(spec: CurveSpec) -> str:
 
 
 # ------------------------------------------------------------- computations
+
+
+def integer_terms(polys) -> tuple:
+    """The primitive integer multiple of a rational polynomial vector,
+    given as ((exp, coeff), ...) per branch by exponent."""
+    den = math.lcm(*(c.denominator for p in polys for _, c in p))
+    ints = [[(e, c.numerator * (den // c.denominator)) for e, c in sorted(p) if c] for p in polys]
+    g = math.gcd(*(c for p in ints for _, c in p)) or 1
+    return tuple(tuple((e, c // g) for e, c in p) for p in ints)
 
 
 class _Store:
@@ -517,7 +527,10 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     c = cmax(value_ideal(spec, E).conductor, value_ideal(spec, F).conductor)
     N = _order(spec, c)
     FB, EB = span_module(spec, F, N), span_module(spec, E, N)
-    if any(FB.reduce(_row(g, N)) for g in _gens(spec, E)):
+    rows = [_row(g, N) for g in _gens(spec, E)]
+    for v in rows:
+        FB._fully_reduce(v)
+    if any(rows):
         raise InclusionError(f"module {E!r} is not contained in {F!r}")
     for name, B in ((E, EB), (F, FB)):
         require_monomials(B, c, f"module {name!r}")

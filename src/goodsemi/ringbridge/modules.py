@@ -5,10 +5,10 @@ position i*N + e.  Every row is primitive: integer entries with gcd 1,
 positive at its pivot (its minimal position).  A rational vector has one
 such multiple, so the reduced echelon basis of primitive rows is the
 reduced row echelon form with each row cleared to integers: exact and
-canonical, with no denominator anywhere.  Generators enter as integer
-terms, ((exp, coeff), ...) per branch by exponent, cleared from rational
-data once (:func:`integer_terms`), which changes neither a Q-span nor the
-ring closure; a :class:`SeriesVector` is cleared where it enters.
+canonical, with no denominator anywhere.  Every function here takes
+integer terms only, ((exp, coeff), ...) per branch by exponent; a caller
+clears rational data to them once (:func:`curves.integer_terms`), which
+changes neither a Q-span nor the ring closure.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
 v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
@@ -27,37 +27,15 @@ reduction that carries each unknown as a tag (:func:`colon_solution_basis`).
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
 from ..ideals import Box, IdealFrame, _box_shape, _rows_to_bits
 from ..lattice import Point, zero
-from .series import SeriesVector
 
 __all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
 
 Row = dict[int, int]
-
-
-def _integral(vec) -> Row:
-    """A fresh integer multiple of a SeriesVector or a rational dict."""
-    flat = vec.to_flat() if isinstance(vec, SeriesVector) else vec
-    den = lcm(*(c.denominator for c in flat.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in flat.items() if c}
-
-
-def integer_terms(polys) -> tuple:
-    """The primitive integer multiple of a rational polynomial vector,
-    given as ((exp, coeff), ...) per branch by exponent."""
-    den = lcm(*(c.denominator for p in polys for _, c in p))
-    ints = [[(e, c.numerator * (den // c.denominator)) for e, c in sorted(p) if c] for p in polys]
-    g = gcd(*(c for p in ints for _, c in p)) or 1
-    return tuple(tuple((e, c // g) for e, c in p) for p in ints)
-
-
-def _as_terms(g) -> tuple:
-    """Integer terms of a generator; a SeriesVector is cleared first."""
-    return integer_terms([sorted(d.items()) for d in g.coeffs]) if isinstance(g, SeriesVector) else g
 
 
 def _row(terms: tuple, N: int) -> Row:
@@ -137,21 +115,9 @@ class ModuleBasis:
         for p in sorted(p for p in v if p in rows):
             _cancel(v, rows[p], p)
 
-    def reduce(self, vec) -> Row:
-        """A nonzero multiple of vec minus its projection on the span."""
-        v = _integral(vec)
-        self._fully_reduce(v)
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
-
-    def insert(self, vec) -> bool:
-        """Add a vector to the span; returns False if already contained."""
-        return self._insert(_integral(vec))
-
     def _insert(self, v: Row) -> bool:
-        """insert for an integer row, which becomes the stored row."""
+        """Add the integer row v, which becomes the stored row, to the
+        span; returns False if the span already holds it."""
         self._fully_reduce(v)
         if not v:
             return False
@@ -163,9 +129,6 @@ class ModuleBasis:
                 _divide_content(row)
         self.rows[lead] = v
         return True
-
-    def row_series(self) -> list[SeriesVector]:
-        return [SeriesVector.from_flat(self.s, self.N, r) for r in self.rows.values()]
 
     def truncated(self, N: int) -> "ModuleBasis":
         """The basis of this span cut to ∏ Q[t]/(t^N), for N <= self.N.
@@ -217,11 +180,11 @@ def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
                 )
 
 
-def span_basis(ring_gens: list, module_gens: list, N: int | None = None) -> ModuleBasis:
+def span_basis(ring_gens: list, module_gens: list, N: int) -> ModuleBasis:
     """Smallest Q-subspace of ∏ Q[t]/(t^N) containing module_gens and
     closed under multiplication by the ring generators.
 
-    Generators are integer terms, or SeriesVectors whose order is N.
+    Generators are integer terms only.
     Only vectors that genuinely enlarged the span are re-expanded, each
     as the row it was reduced to on insertion: those rows span the same
     space as the vectors, so closing each of them under every generator
@@ -229,14 +192,12 @@ def span_basis(ring_gens: list, module_gens: list, N: int | None = None) -> Modu
     """
     if not module_gens:
         raise FrameError("a module needs at least one generator")
-    N = module_gens[0].N if N is None else N
-    basis = ModuleBasis(len(_as_terms(module_gens[0])), N)
-    gens = [_as_terms(g) for g in ring_gens]
-    queue = [_row(_as_terms(v), N) for v in module_gens]
+    basis = ModuleBasis(len(module_gens[0]), N)
+    queue = [_row(v, N) for v in module_gens]
     while queue:
         v = queue.pop()
         if v and basis._insert(v):
-            queue.extend(_times(v, g, N) for g in gens)
+            queue.extend(_times(v, g, N) for g in ring_gens)
     return basis
 
 
@@ -341,8 +302,8 @@ def colon_solution_basis(
     Requires K ⊇ t^gamma_K * (full space) — checked by
     :func:`require_monomials` — and N >= gamma_K + poles + 2 per branch,
     so that positions the truncation cannot see are exactly the free
-    positions of the conductor.  Generators are integer terms or
-    SeriesVectors.  The result is verified to be closed under the ring.
+    positions of the conductor.  Generators are integer terms only.  The
+    result is verified to be closed under the ring.
 
     The kernel is read off one row reduction.  Each position var of x
     gives the row (t^var·g_1 | ... | t^var·g_k | t^var) over the
@@ -373,7 +334,7 @@ def colon_solution_basis(
     # only the rows below, which hold none of those positions, are copied
     # once per block; disjoint copies of a reduced basis are reduced
     free = [g + p for g, p in zip(gamma_K, poles)]
-    E = [g for g in map(_as_terms, E_gens) if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
+    E = [g for g in E_gens if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
     width = s * N
     tag = len(E) * width
     low = [(p, row) for p, row in shifted.rows.items() if p % N < free[p // N]]
@@ -404,9 +365,8 @@ def colon_solution_basis(
             out._insert({p - tag: c for p, c in v.items()})
     # closure under the ring action is automatic for a true colon module;
     # failure means the pole window or the truncation clipped something
-    gens = [_as_terms(g) for g in ring_gens]
     for r in out.rows.values():
-        for g in gens:
+        for g in ring_gens:
             prod = _times(r, g, N)
             out._fully_reduce(prod)
             if prod:

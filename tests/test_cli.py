@@ -303,6 +303,13 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, name)
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
+def test_repeated_branches_line_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "twice.curve"
+    path.write_text("branches: 1\nring: (t^2) ; (t^3)\nbranches: 2\n")
+    assert main(["curve-gamma", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3:1: duplicate 'branches:' line\n"
+
+
 def test_semigroup_argument_must_be_good(stair_e, capsys):
     assert main(["canonical", stair_e]) == 2
     err = capsys.readouterr().err

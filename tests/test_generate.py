@@ -1,4 +1,8 @@
+import math
 import random
+import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -6,6 +10,7 @@ import oracles
 import goodsemi.generate as gen
 from goodsemi import (
     FrameError,
+    ideals,
     NotCertifiedError,
     numerical_semigroup,
     random_good_ideal,
@@ -39,6 +44,52 @@ def test_numerical_semigroup_rejects_bad_generators():
         numerical_semigroup(0, 3)
     with pytest.raises(FrameError):
         numerical_semigroup()
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", None])
+def test_numerical_semigroup_refuses_non_integer_generators(bad):
+    # 2.0 used to raise a bare TypeError, and True was read as 1
+    with pytest.raises(FrameError, match=f"generator {re.escape(repr(bad))} of .* is not an integer"):
+        numerical_semigroup(bad, 3)
+
+
+@pytest.mark.parametrize(
+    "gens, says",
+    [
+        # the conductor (4201 - 1)(4203 - 1) needs more cells than a box
+        # may hold, and is refused before a box of that size is built
+        ((4201, 4203), f"conductor {4200 * 4202} of"),
+        # 1, ..., a - 1 are gaps, so the least generator a bounds the
+        # conductor before any residue is visited
+        ((ideals.MAX_CELLS + 1, ideals.MAX_CELLS), f"is at least {ideals.MAX_CELLS}"),
+    ],
+)
+def test_numerical_semigroup_refuses_an_oversized_conductor_at_once(gens, says):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(FrameError) as exc:
+            numerical_semigroup(*gens)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 8 << 20, (elapsed, peak)
+    assert says in str(exc.value)
+    assert f"box limit of {ideals.MAX_CELLS} cells" in str(exc.value)
+
+
+def test_numerical_semigroup_matches_the_coin_problem_oracle(rng):
+    for _ in range(40):
+        gens = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 4)))
+        if math.gcd(*gens) != 1:
+            continue
+        S = numerical_semigroup(*gens)
+        hi = S.gamma[0] + max(gens) + 2
+        members = oracles.numerical_members(gens, hi)
+        assert {x for (x,) in S.ideal.members_in_box((0,), (hi,))} == members, gens
+        # the conductor is one past the largest gap
+        assert S.gamma == (max(set(range(hi + 1)) - members, default=-1) + 1,), gens
 
 
 def test_numerical_semigroup_trivial():
