@@ -18,14 +18,9 @@ reversed by masked shifts of the whole int: only :func:`_rows` and
 :data:`MAX_CELLS` cells; a larger one is refused before anything is
 allocated.
 
-The masks are built by doubling and kept in two kinds of store.  The
-slab masks of :func:`_fill` (the cells of one coordinate range on one
-axis) go in ``_FILLS``, up to 1024 masks of at most 2^18 cells.  The
-masks of :func:`_regrid` (a range of cells in every block) go in
-``_MASKS``, up to 1024 masks of at most 2^12 cells, and the larger ones in
-``_BIG_MASKS``, up to 2^22 cells in all.  A store that is full is cleared.
-One ``_regrid`` call asks for different masks, so they pay off across
-calls: a lattice pass asks for the same large masks again and again.
+The masks of :func:`_fill` and :func:`_regrid` are built by doubling and
+kept in one store, ``_MASKS``, of at most :data:`MAX_CELLS` cells in all,
+cleared when the next mask would not fit.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
 read.  ``gamma`` is always normalized to the smallest bound for which the
@@ -156,13 +151,22 @@ def _cells(bits: int, size: int) -> str:
 _CELL_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-# the mask stores; the module docstring gives their bounds
-_FILLS: dict[tuple, int] = {}
+# the masks of _fill, keyed (shape, axis, a, b), and of _periodic, keyed
+# (period, a, b, total): only _fill's key starts with a tuple
 _MASKS: dict[tuple, int] = {}
-_MASK_CAP = 1024
-_BIG_MASKS: dict[tuple, int] = {}
-_BIG_CAP = 1 << 22
-_big_load = 0  # the cells held in _BIG_MASKS
+_held = 0  # the cells of the masks in _MASKS
+
+
+def _keep(key: tuple, mask: int, total: int) -> int:
+    """Store ``mask``, of ``total`` cells, under ``key``, first clearing
+    the store if it would then hold more than MAX_CELLS cells."""
+    global _held
+    if _held + total > MAX_CELLS:
+        _MASKS.clear()
+        _held = 0
+    _MASKS[key] = mask
+    _held += total
+    return mask
 
 
 def _repeat(period: int, a: int, b: int, total: int) -> int:
@@ -183,38 +187,19 @@ def _repeat(period: int, a: int, b: int, total: int) -> int:
 
 
 def _periodic(period: int, a: int, b: int, total: int) -> int:
-    """A :func:`_repeat` mask of :func:`_regrid`, kept in _MASKS or, over
-    2^12 cells, in _BIG_MASKS."""
-    global _big_load
+    """A :func:`_repeat` mask of :func:`_regrid`, kept in _MASKS."""
     key = (period, a, b, total)
-    small = total <= 1 << 12
-    got = (_MASKS if small else _BIG_MASKS).get(key)
-    if got is None:
-        got = _repeat(period, a, b, total)
-        if small:
-            if len(_MASKS) >= _MASK_CAP:
-                _MASKS.clear()
-            _MASKS[key] = got
-        elif total <= _BIG_CAP:
-            if _big_load + total > _BIG_CAP:
-                _BIG_MASKS.clear()
-                _big_load = 0
-            _BIG_MASKS[key] = got
-            _big_load += total
-    return got
+    got = _MASKS.get(key)
+    return _keep(key, _repeat(*key), total) if got is None else got
 
 
 def _fill(shape, axis: int, a: int, b: int) -> int:
     """The cells of ``shape`` whose coordinate on ``axis`` lies in [a, b)."""
     key = (shape, axis, a, b)
-    got = _FILLS.get(key)
+    got = _MASKS.get(key)
     if got is None:
         st, total = _strides(shape)[axis], math.prod(shape)
-        got = _repeat(shape[axis] * st, a * st, b * st, total)
-        if total <= 1 << 18:
-            if len(_FILLS) >= _MASK_CAP:
-                _FILLS.clear()
-            _FILLS[key] = got
+        got = _keep(key, _repeat(shape[axis] * st, a * st, b * st, total), total)
     return got
 
 
@@ -246,14 +231,10 @@ def _prefix_or(bits: int, shape, axis: int) -> int:
 
 
 def _suffix_and(bits: int, shape, axis: int) -> int:
-    """out[x] = AND of the cells at positions >= x along ``axis``; a cell
-    with x + d past the edge keeps its value (the edge mask is ORed in)."""
-    n, st = shape[axis], _strides(shape)[axis]
-    d = 1
-    while d < n:
-        bits &= (bits >> d * st) | _fill(shape, axis, n - d, n)
-        d *= 2
-    return bits
+    """out[x] = AND of the cells at positions >= x along ``axis``: the
+    complement of the :func:`_suffix_or` of the complement."""
+    full = (1 << math.prod(shape)) - 1
+    return full ^ _suffix_or(full ^ bits, shape, axis)
 
 
 def _lowest(bits: int, shape, axis: int) -> int:

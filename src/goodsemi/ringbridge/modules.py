@@ -8,7 +8,8 @@ reduced row echelon form with each row cleared to integers: exact and
 canonical, with no denominator anywhere.  Every function here takes
 integer terms only, ((exp, coeff), ...) per branch by exponent; a caller
 clears rational data to them once (:func:`curves.integer_terms`), which
-changes neither a Q-span nor the ring closure.
+changes neither a Q-span nor the ring closure.  A generator whose
+branch count differs from the others' is refused by name.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
 v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
@@ -22,7 +23,8 @@ order, so every other row keeps its order: the line's dimension drops.
 Spans, value scans, cuts and colons all eliminate through the same two
 steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
 solutions are the rows whose products reduce to zero, read off one row
-reduction that carries each unknown as a tag (:func:`colon_solution_basis`).
+reduction that carries each unknown as a tag, against t^poles·K read
+straight off K's rows (:func:`colon_solution_basis`).
 """
 
 from __future__ import annotations
@@ -148,19 +150,6 @@ class ModuleBasis:
             out._insert({p // old * N + p % old: c for p, c in row.items() if p % old < N})
         return out
 
-    def shifted(self, shift: Point) -> "ModuleBasis":
-        """Basis of t^shift * (row space) mod t^N.
-
-        Entries pushed past the truncation are dropped; callers must make
-        sure those positions are covered separately (here they always fall
-        in the monomial free zone of a conductor).
-        """
-        out = ModuleBasis(self.s, self.N)
-        mono = tuple(((k, 1),) for k in shift)
-        for row in self.rows.values():
-            out._insert(_times(row, mono, self.N))
-        return out
-
 
 def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
     """Refuse unless the span holds t^e on branch i for all lo_i <= e < N.
@@ -180,6 +169,13 @@ def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
                 )
 
 
+def _check_branches(s: int, gens: list, what: str) -> None:
+    """Refuse a generator whose branch count is not s, naming it."""
+    for g in gens:
+        if len(g) != s:
+            raise DimensionMismatch(f"{what} {g} has {len(g)} branches, not {s}")
+
+
 def span_basis(ring_gens: list, module_gens: list, N: int) -> ModuleBasis:
     """Smallest Q-subspace of ∏ Q[t]/(t^N) containing module_gens and
     closed under multiplication by the ring generators.
@@ -192,7 +188,10 @@ def span_basis(ring_gens: list, module_gens: list, N: int) -> ModuleBasis:
     """
     if not module_gens:
         raise FrameError("a module needs at least one generator")
-    basis = ModuleBasis(len(module_gens[0]), N)
+    s = len(module_gens[0])
+    _check_branches(s, module_gens, "module generator")
+    _check_branches(s, ring_gens, "ring generator")
+    basis = ModuleBasis(s, N)
     queue = [_row(v, N) for v in module_gens]
     while queue:
         v = queue.pop()
@@ -310,34 +309,40 @@ def colon_solution_basis(
     generators g_j of E, in k + 1 blocks s·N wide with the tag block
     last: pivots are minimal positions, so products are eliminated before
     tags.  The product blocks are reduced against k disjoint copies of
-    the shifted basis t^poles·K + monomials, then against the rows kept
-    so far while the lowest position is a product position that a kept
-    row owns.  A row left with a product position is kept; otherwise its
-    tag block is a colon element.  Row operations keep each row equal to
-    (x·g - w | x), w in t^poles·K; the tag at var stays positive and kept
-    rows hold only earlier tags, so the colon rows are independent, s·N
-    minus the rank in number: a basis, returned as its unique reduced
-    echelon basis of primitive rows.
+    the basis of t^poles·K, K's rows moved up by poles, then against the
+    rows kept so far while the lowest position is a product position
+    that a kept row owns.  A row left with a product position is kept;
+    otherwise its tag block is a colon element.  Row operations keep each
+    row equal to (x·g - w | x), w in t^poles·K; the tag at var stays
+    positive and kept rows hold only earlier tags, so the colon rows are
+    independent, s·N minus the rank in number: a basis, returned as its
+    unique reduced echelon basis of primitive rows.  A generator of E or
+    of the ring without K's branch count is refused by name.
     """
     s, N = K_basis.s, K_basis.N
     if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
         raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
+    _check_branches(s, E_gens, "generator of E")
+    _check_branches(s, ring_gens, "ring generator")
     require_monomials(K_basis, gamma_K, "left module")
-    shifted = K_basis.shifted(poles)
-    for i in range(s):
-        for e in range(gamma_K[i] + poles[i], N):
-            shifted._insert({i * N + e: 1})
 
-    # at or above gamma_K + poles the shifted rows are the monomials
-    # {p: 1}, which only delete a product entry: such entries are never
-    # built, a generator with no term below puts no condition on x, and
-    # only the rows below, which hold none of those positions, are copied
-    # once per block; disjoint copies of a reduced basis are reduced
+    # t^poles·K mod t^N is the monomials {p: 1} at or above free =
+    # gamma_K + poles and K's rows with pivot below gamma_K moved up by
+    # poles: those rows hold no position at or above gamma_K, each the
+    # pivot of a monomial row of K, so moved up they stay below free and
+    # reduced.  The monomials only delete a product entry: such entries
+    # are never built, a generator with no term below puts no condition on
+    # x, and only the rows below are copied once per block; disjoint
+    # copies of a reduced basis are reduced
     free = [g + p for g, p in zip(gamma_K, poles)]
     E = [g for g in E_gens if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
     width = s * N
     tag = len(E) * width
-    low = [(p, row) for p, row in shifted.rows.items() if p % N < free[p // N]]
+    low = [
+        (p + poles[p // N], {q + poles[q // N]: c for q, c in row.items()})
+        for p, row in K_basis.rows.items()
+        if p % N < gamma_K[p // N]
+    ]
     target = ModuleBasis(s, N)
     target.rows = {
         j * width + p: {j * width + q: c for q, c in row.items()} for j in range(len(E)) for p, row in low

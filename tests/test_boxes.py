@@ -1,12 +1,14 @@
 """The box primitives of ``goodsemi.ideals`` against cell-by-cell oracles.
 
 ``_regrid`` (and ``_crop`` on top of it) moves whole blocks with masked
-int shifts, and ``_flip`` reverses bytes through a table; the oracles here
-decode every cell on its own, so a block moved one place off, a post copy
-missing or a pre shift one slice short shows up as a wrong cell.
+int shifts, ``_flip`` reverses bytes through a table, and the axis sweeps
+shift by doubling strides; the oracles here decode every cell on its own,
+so a block moved one place off, a post copy missing, a pre shift one slice
+short or a sweep leaking across a row edge shows up as a wrong cell.
 """
 
 import math
+import operator
 import random
 import tracemalloc
 from itertools import product
@@ -41,6 +43,45 @@ def _flip_oracle(bits, size) -> int:
     return sum(1 << size - 1 - k for k in range(size) if bits >> k & 1)
 
 
+def _cell_map(bits, shape) -> dict:
+    """{index tuple: cell} over every cell of ``shape``."""
+    return {x: bits >> _offset(x, shape) & 1 for x in product(*map(range, shape))}
+
+
+def _sweep_oracle(bits, shape, axis, pick, combine) -> int:
+    """out[x] = combine of the cells y on x's line along ``axis`` with
+    pick(y[axis], x[axis])."""
+    cells, out = _cell_map(bits, shape), 0
+    for x in cells:
+        line = [cells[x[:axis] + (y,) + x[axis + 1 :]] for y in range(shape[axis]) if pick(y, x[axis])]
+        out |= int(combine(line)) << _offset(x, shape)
+    return out
+
+
+_SWEEPS = {
+    "_suffix_or": (operator.ge, any),
+    "_suffix_or_strict": (operator.gt, any),
+    "_prefix_or": (operator.le, any),
+    "_suffix_and": (operator.ge, all),
+}
+
+
+def _sweep_draws(rng, count):
+    """Boxes of 1-4 axes of 1-5 cells, many axes of size 1, with sparse,
+    even and dense cells."""
+    for _ in range(count):
+        shape = tuple(rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(rng.randint(1, 4)))
+        size = math.prod(shape)
+        bits = rng.choice((operator.and_, operator.or_, lambda a, b: a))(rng.getrandbits(size), rng.getrandbits(size))
+        yield bits, shape, rng.randrange(len(shape))
+
+
+def _key_cells(key) -> int:
+    """The cells of the mask stored under ``key``: _fill's key starts with
+    its box's shape, _periodic's ends with its total."""
+    return math.prod(key[0]) if isinstance(key[0], tuple) else key[3]
+
+
 def _span(rng, n):
     kind = rng.choice(("full", "identity", "crop", "empty"))
     if n == 0 or kind == "empty":
@@ -68,7 +109,7 @@ def test_regrid_matches_the_cell_oracle_on_small_boxes(rng):
 
 
 def test_regrid_matches_the_cell_oracle_above_the_mask_cache():
-    # boxes of more than 2^12 cells, whose masks are built on the fly
+    # boxes of more than 2^12 cells, which the small draws above never reach
     rng = random.Random(5)
     seen = 0
     while seen < 10:
@@ -78,6 +119,43 @@ def test_regrid_matches_the_cell_oracle_above_the_mask_cache():
             continue
         assert ideals._regrid(bits, shape, spans) == _regrid_oracle(bits, shape, spans), (shape, spans)
         seen += 1
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEPS))
+def test_axis_sweeps_match_the_cell_oracle(rng, name):
+    sweep, (pick, combine) = getattr(ideals, name), _SWEEPS[name]
+    for bits, shape, axis in _sweep_draws(rng, 400):
+        assert sweep(bits, shape, axis) == _sweep_oracle(bits, shape, axis, pick, combine), (bits, shape, axis)
+
+
+def test_fill_lowest_and_highest_match_the_cell_oracle(rng):
+    for bits, shape, axis in _sweep_draws(rng, 600):
+        n = shape[axis]
+        a = rng.randint(0, n)
+        b = rng.randint(a, n)
+        want = sum(1 << _offset(x, shape) for x in _cell_map(0, shape) if a <= x[axis] < b)
+        assert ideals._fill(shape, axis, a, b) == want, (shape, axis, a, b)
+        if bits:
+            levels = [x[axis] for x, c in _cell_map(bits, shape).items() if c]
+            assert ideals._lowest(bits, shape, axis) == min(levels), (bits, shape, axis)
+            assert ideals._highest(bits, shape, axis) == max(levels), (bits, shape, axis)
+
+
+def test_mask_store_is_cleared_when_the_next_mask_would_not_fit():
+    # each mask counts as a third of MAX_CELLS and more, so every third
+    # clears the store; the masks themselves are a few bits
+    total = ideals.MAX_CELLS // 3 + 1
+    asked = []
+    for k in range(1, 7):
+        if k % 2:
+            key, mask = ((total,), 0, 0, k), ideals._fill((total,), 0, 0, k)
+        else:
+            key, mask = (total, 0, k, total), ideals._periodic(total, 0, k, total)
+        assert mask == (1 << k) - 1
+        asked.append(key)
+        assert ideals._MASKS[key] == mask  # the last mask is kept
+        assert sum(map(_key_cells, ideals._MASKS)) == ideals._held <= ideals.MAX_CELLS
+    assert asked[0] not in ideals._MASKS
 
 
 def test_regrid_to_a_zero_size_grid_is_empty():
@@ -121,9 +199,6 @@ def test_mask_cache_stays_small_over_a_dualize_pass():
     K = duality.CanonicalIdeal.normalized(S)
     I = S.ideal.shift((1, 2, 3))
     assert duality.dualize(K, duality.dualize(K, I)) == I
-    assert 0 < len(ideals._MASKS) <= ideals._MASK_CAP
-    assert all(m.bit_length() <= total <= 1 << 12 for (_, _, _, total), m in ideals._MASKS.items())
-    # the masks over 2^12 cells are kept apart, 2^22 cells in all
-    assert ideals._BIG_MASKS and ideals._BIG_CAP == 1 << 22
-    assert all(1 << 12 < total and m.bit_length() <= total for (_, _, _, total), m in ideals._BIG_MASKS.items())
-    assert sum(total for _, _, _, total in ideals._BIG_MASKS) <= 1 << 22
+    assert ideals._MASKS
+    assert sum(map(_key_cells, ideals._MASKS)) <= ideals.MAX_CELLS
+    assert all(m.bit_length() <= _key_cells(key) for key, m in ideals._MASKS.items())

@@ -339,11 +339,36 @@ def test_colon_by_one_returns_the_module_itself(poles):
     ring = [(((2, 1),),), (((3, 1),),)]
     K = span_basis(ring, [(((0, 2), (1, 3)),)], N)
     assert K.rows[0] == {0: 2, 1: 3}
-    want = K.shifted(poles)
+    want = ModuleBasis(1, N)
+    for row in K.rows.values():
+        want._insert({p + poles[0]: c for p, c in row.items() if p + poles[0] < N})
     for e in range(2 + poles[0], N):
         want._insert({e: 1})
     got = colon_solution_basis(ring, K, [(((0, 1),),)], (2,), poles)
     assert got.rows == want.rows
+
+
+def test_span_refuses_a_ring_generator_with_fewer_branches_than_the_module():
+    # a one-branch ring used to fail with a bare IndexError on a two-branch module
+    with pytest.raises(DimensionMismatch, match=re.escape("ring generator (((1, 1),),) has 1 branches, not 2")):
+        span_basis([(((1, 1),),)], [(((0, 1),), ((0, 1),))], 5)
+
+
+def test_span_refuses_a_module_generator_with_fewer_branches_than_the_ring():
+    # a two-branch ring and a one-branch module used to give a one-branch span
+    with pytest.raises(DimensionMismatch, match="has 2 branches, not 1"):
+        span_basis([(((1, 1),), ((1, 1),))], [(((0, 1),),)], 5)
+    with pytest.raises(DimensionMismatch, match=re.escape("module generator (((0, 1),),) has 1 branches, not 2")):
+        span_basis([], [(((0, 1),), ()), (((0, 1),),)], 5)
+
+
+def test_colon_refuses_a_generator_of_E_with_another_branch_count():
+    # its second branch used to be dropped without a word
+    N = 12
+    ring = [(((2, 1),),), (((3, 1),),)]
+    K = span_basis(ring, [(((0, 1),),)], N)
+    with pytest.raises(DimensionMismatch, match=re.escape("generator of E (((0, 1),), ((0, 1),)) has 2 branches, not 1")):
+        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], (2,), (0,))
 
 
 def test_colon_refuses_a_solution_space_not_closed_under_the_ring():
