@@ -10,8 +10,9 @@ axes where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold
 each such family into one translate of a table built once per T: a shift
 of the table's int per run of frame points along the last axis, at most
 2^s tables, and one read back onto the result's grid
-(:func:`_reduce_translates`).  A table folded along T is the table of T
-minus its highest axis folded once more.
+(:func:`_reduce_translates`).  Every table swept along a set of axes,
+here and in :mod:`goodsemi.duality`, comes from :func:`goodsemi.ideals._folds`:
+the table of T is the table of T minus its highest axis, folded once more.
 
 E + S ⊆ E translates E only by S's Apéry families, those that are not
 sums (:func:`_apery_families`): the minimal nonzero cells G0 of S's box
@@ -32,9 +33,9 @@ from functools import reduce
 
 from . import ideals
 from .errors import NotCertifiedError
-from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _frame_box, _frame_of, _index,
-                     _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and, _suffix_or,
-                     _suffix_or_strict)
+from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box, _frame_of,
+                     _index, _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
+                     _suffix_or, _suffix_or_strict)
 from .lattice import add, check_same_dim, cmax, cmin, ones, sub, zero
 
 _RUN = re.compile("1+")
@@ -93,22 +94,12 @@ def _tail_translates(E: IdealFrame, lo, hi, by: Box, sign: int, fold):
             if "1" in pattern:
                 pattern = pattern if sign > 0 else pattern[::-1]
                 groups.setdefault(mask, {}).setdefault(pattern, []).append(base)
-
-    def tables(T=0, table=window.bits, start=0):
-        # T's table is the fold of the table of T minus its highest axis
-        # (folds along different axes commute): a depth-first walk holds
-        # one table per axis and sweeps each shared prefix once
-        if T in groups:
-            yield table, groups[T].items()
-        for axis in range(start, s):
-            wider = T | 1 << axis
-            if any((U & (2 << axis) - 1) == wider for U in groups):
-                yield from tables(wider, fold(table, window.shape, axis), axis + 1)
+    folded = _folds(window.bits, window.shape, fold)
 
     def grid(bits: int) -> Box:
         return Box(lo, shape, _crop(bits, window.shape, zero(s), shape))
 
-    return grid, L, tables()
+    return grid, L, ((folded(T), rows.items()) for T, rows in groups.items())
 
 
 def _reduce_translates(op, *args) -> Box:
@@ -143,25 +134,16 @@ def _e1_holds(E: IdealFrame) -> bool:
     A point m of [mu, gamma] is min(p, q) for frame points p, q exactly
     when, for some split I ⊔ J of the axes, there is a member p >= m that
     agrees with m on I and a member q >= m that agrees with m on J (every
-    axis must carry the minimum on one side).  ``up[X]`` marks the m with
-    such a member for the agreement set X: the inclusive suffix-OR of the
-    bitmap along every axis outside X, built from a superset mask by one
-    more suffix.  (E1) holds iff up[I] & up[I^c] lies inside the frame
-    for every proper nonempty I.  Capping commutes with min, so checking
-    frame pairs on the frame box is exact for the represented set.
+    axis must carry the minimum on one side).  ``up(X)``, the inclusive
+    suffix-OR of the bitmap along the axes in X, marks the m with such a
+    member for the agreement set X^c.  (E1) holds iff up(I) & up(I^c)
+    lies inside the frame for every proper nonempty I.  Capping commutes
+    with min, so checking frame pairs on the frame box is exact for the
+    represented set.
     """
-    s, shape = E.s, E.shape
-    full = (1 << s) - 1
-    up = {full: E._bits}
-    for X in range(full - 1, -1, -1):
-        free = ~X & full
-        axis = (free & -free).bit_length() - 1
-        up[X] = _suffix_or(up[X | (1 << axis)], shape, axis)
-    frame = up[full]
-    for I in range(1, full):
-        if I < full ^ I and up[I] & up[full ^ I] & ~frame:
-            return False
-    return True
+    full = (1 << E.s) - 1
+    up = _folds(E._bits, E.shape, _suffix_or)
+    return not any(up(I) & up(full ^ I) & ~E._bits for I in range(1, full) if I < full ^ I)
 
 
 def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
@@ -183,34 +165,17 @@ def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
 
 
 def _exchange_tables(E: IdealFrame):
-    """The (E2) witness tables over the grid [mu, gamma+1], built on demand.
+    """The (E2) witness tables over the grid [mu, gamma+1], folded on demand.
 
-    ``table(j, mask)`` marks the m that have a member eps with eps_j > m_j,
-    eps_i >= m_i on the axes i != j whose bit (indexed among the axes
-    other than j) is set in ``mask``, and eps_i = m_i on the rest: a strict
-    suffix-OR along j, then inclusive suffixes along the masked axes.
-    Returns (grid, table), grid E's membership :class:`Box` on that grid.
+    ``tables[j](mask)``, for a real axis mask that does not contain j,
+    marks the m that have a member eps with eps_j > m_j, eps_i >= m_i on
+    the axes in ``mask`` and eps_i = m_i on the rest: a strict suffix-OR
+    along j, then inclusive suffixes along the masked axes.  Returns
+    (grid, tables), grid E's membership :class:`Box` on that grid.
     """
-    s = E.s
-    grid = E.membership_box(E.mu, add(E.gamma, ones(s)))
-    tables: dict[tuple[int, int], int] = {}
-
-    def table(j: int, mask: int) -> int:
-        key = (j, mask)
-        got = tables.get(key)
-        if got is None:
-            if mask == 0:
-                got = _suffix_or_strict(grid.bits, grid.shape, j)
-            else:
-                low = mask & -mask
-                prev = table(j, mask & (mask - 1))
-                others = [i for i in range(s) if i != j]
-                axis = others[low.bit_length() - 1]
-                got = _suffix_or(prev, grid.shape, axis)
-            tables[key] = got
-        return got
-
-    return grid, table
+    grid = E.membership_box(E.mu, add(E.gamma, ones(E.s)))
+    shape = grid.shape
+    return grid, [_folds(_suffix_or_strict(grid.bits, shape, j), shape, _suffix_or) for j in range(E.s)]
 
 
 def _e2_holds(E: IdealFrame) -> bool:
@@ -218,30 +183,31 @@ def _e2_holds(E: IdealFrame) -> bool:
 
     For frame points p != q with p_j = q_j and min m, both equal m on every
     axis where they agree; on the set D where they differ, one of them
-    equals m and the other is strictly above it.  With ``G[X]`` the strict
+    equals m and the other is strictly above it.  With ``G(X)`` the strict
     suffix-OR of the bitmap along the axes in X (a member strictly above m
     on X, equal to m elsewhere), such a pair sharing axis j and differing
     exactly on D exists iff the OR over splits Dp ⊔ Dq = D of
-    G[Dp] & G[Dq] holds at m.  Each such m must carry the witness table
+    G(Dp) & G(Dq) holds at m.  Each such m must carry the witness table
     of :func:`_exchange_tables` for j and the agreement axes.  The sweeps
     run on the frame embedded in the table grid, whose top slices are
     empty; a strict suffix leaves them empty, so no crop is needed.
     Work: s * 3^(s-1) box passes.
     """
-    s = E.s
-    grid, table = _exchange_tables(E)
+    grid, tables = _exchange_tables(E)
     shape = grid.shape
     frame = grid.bits
-    for ax in range(s):
+    for ax in range(E.s):
         frame &= _fill(shape, ax, 0, shape[ax] - 1)
-    G = [frame]
-    for X in range(1, 1 << s):
-        G.append(_suffix_or_strict(G[X & (X - 1)], shape, (X & -X).bit_length() - 1))
+    G = _folds(frame, shape, _suffix_or_strict)
     pairs: dict[int, int] = {}
-    for j in range(s):
-        others = [i for i in range(s) if i != j]
-        for agree in range((1 << (s - 1)) - 1):
-            D = sum(1 << i for k, i in enumerate(others) if not agree >> k & 1)
+    full = (1 << E.s) - 1
+    for j, table in enumerate(tables):
+        others = full ^ 1 << j
+        # the masks of agreement axes other than j, all but others (p = q)
+        for agree in range(others):
+            if agree >> j & 1:
+                continue
+            D = others ^ agree
             if D not in pairs:
                 # splits with the lowest axis of D on p's side: each
                 # unordered split once
@@ -250,10 +216,10 @@ def _e2_holds(E: IdealFrame) -> bool:
                 Dp = D
                 while Dp:
                     if Dp & low:
-                        got |= G[Dp] & G[D ^ Dp]
+                        got |= G(Dp) & G(D ^ Dp)
                     Dp = (Dp - 1) & D
                 pairs[D] = got
-            if pairs[D] & ~table(j, agree):
+            if pairs[D] & ~table(agree):
                 return False
     return True
 
@@ -266,12 +232,10 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     mask and q in lex order."""
     if _e2_holds(E):
         return []
-    s = E.s
-    grid, table = _exchange_tables(E)
+    grid, tables = _exchange_tables(E)
     pts = _members(E)
     failures: list[tuple[Point, Point, int]] = []
-    for j in range(s):
-        others = [i for i in range(s) if i != j]
+    for j, table in enumerate(tables):
         groups: dict[int, list[Point]] = {}
         for p in pts:
             groups.setdefault(p[j], []).append(p)
@@ -280,8 +244,8 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
             for a, p in enumerate(G):
                 found = []
                 for t, q in enumerate(G[a + 1 :]):
-                    mask = sum(1 << k for k, i in enumerate(others) if q[i] == p[i])
-                    if not table(j, mask) >> _index(sub(cmin(p, q), E.mu), grid.shape) & 1:
+                    mask = sum(1 << i for i in range(E.s) if i != j and q[i] == p[i])
+                    if not table(mask) >> _index(sub(cmin(p, q), E.mu), grid.shape) & 1:
                         found.append((mask, t, q))
                 failures.extend((p, q, j) for _, _, q in sorted(found))
     return failures
@@ -306,9 +270,7 @@ def _apery_families(S: IdealFrame) -> Box:
     box = S.membership_box(zero(s), top)
     shape, bits = box.shape, box.bits
     st = _strides(shape)
-    up = bits & ~1
-    for axis in range(s):
-        up = _prefix_or(up, shape, axis)
+    up = _folds(bits & ~1, shape, _prefix_or)((1 << s) - 1)
     below = 0
     for axis, t in enumerate(st):
         below |= up << t & _fill(shape, axis, 1, shape[axis])
@@ -323,16 +285,7 @@ def _apery_families(S: IdealFrame) -> Box:
             if k // t % n:
                 ge &= _fill(shape, axis, k // t % n, n)
         shifts.append((k, ge))
-    held = {0: bits}
-
-    def tail_and(T: int) -> int:
-        # the cells c with c + N^T ⊆ S
-        got = held.get(T)
-        if got is None:
-            axis = T.bit_length() - 1
-            got = held[T] = _suffix_and(tail_and(T ^ 1 << axis), shape, axis)
-        return got
-
+    tail_and = _folds(bits, shape, _suffix_and)  # the cells c with c + N^T ⊆ S
     drop = 0
     for T in range(1 << s):
         on = bits

@@ -8,7 +8,8 @@ on the left it is the duality E ↦ K - E, an inclusion-reversing
 involution on good ideals, but that dual needs no erosion: alpha lies in
 K⁰ - E iff no element of E agrees with tau - alpha in some coordinate
 while strictly dominating it elsewhere (tau = conductor of S minus 1), so
-K⁰ = K⁰ - S and every dual take one strict suffix sweep per axis of one box.
+K⁰ = K⁰ - S and every dual is an OR of strict suffix sweeps of one box
+along all axes but one, shared through :func:`goodsemi.ideals._folds`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ideals import (
     _Frozen,
     _crop,
     _flip,
+    _folds,
     _frame_box,
     _frame_of,
     _suffix_and,
@@ -103,13 +105,10 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     gamma = _frame_of(S).gamma
     s = E.s
     M = E.membership_box(sub(E.mu, ones(s)), cmax(E.gamma, add(E.mu, gamma)))
+    strict = _folds(M.bits, M.shape, _suffix_or_strict)
     bad = 0
     for j in range(s):
-        D = M.bits
-        for i in range(s):
-            if i != j:
-                D = _suffix_or_strict(D, M.shape, i)
-        bad |= D
+        bad |= strict((1 << s) - 1 ^ 1 << j)  # along all axes but j
     # b = tau - alpha sits at grid index gamma_S - (alpha + mu_E): cut the
     # box at gamma_S and reverse every axis
     shape = tuple(g + 1 for g in gamma)

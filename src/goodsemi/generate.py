@@ -54,6 +54,8 @@ def random_good_semigroup(
     rng: random.Random, s: int, max_gamma: int = 8, local: bool = False
 ) -> GoodSemigroup:
     """A certified good semigroup of N^s with conductor bounded by max_gamma."""
+    if max_gamma < 3:
+        raise FrameError(f"max_gamma must be at least 3, got {max_gamma}")
     B = tuple(rng.randint(3, max_gamma) for _ in range(s))
     lo = 1 if local else 0
     pts: set[Point] = {zero(s), B}

@@ -237,6 +237,24 @@ def _suffix_and(bits: int, shape, axis: int) -> int:
     return full ^ _suffix_or(full ^ bits, shape, axis)
 
 
+def _folds(bits: int, shape, sweep):
+    """fold(T): ``sweep`` (one of the sweeps above) applied to ``bits``
+    along every axis in the axis mask T.  Sweeps along different axes
+    commute, so the table of T is the table of T minus its highest axis
+    swept once more; each table built is kept, and shared prefixes are
+    swept once."""
+    held = {0: bits}
+
+    def fold(T: int) -> int:
+        got = held.get(T)
+        if got is None:
+            axis = T.bit_length() - 1
+            got = held[T] = sweep(fold(T ^ 1 << axis), shape, axis)
+        return got
+
+    return fold
+
+
 def _lowest(bits: int, shape, axis: int) -> int:
     """The least coordinate on ``axis`` of a set cell (bits != 0)."""
     a, b = 0, shape[axis] - 1
@@ -533,10 +551,6 @@ class IdealFrame:
 
     __contains__ = contains
 
-    def contains_many(self, pts) -> list[bool]:
-        """Membership of each point of ``pts``, in order."""
-        return [self.contains(p) for p in pts]
-
     def membership_box(self, lo, hi) -> Box:
         """Membership over the box [lo, hi] (any corners in Z^s)."""
         lo = as_point(lo)
@@ -559,9 +573,7 @@ class IdealFrame:
         whenever E satisfies (E1))."""
         if self._conductor is None:
             shape = self.shape
-            above = self._bits
-            for ax in range(self.s):
-                above = _suffix_and(above, shape, ax)
+            above = _folds(self._bits, shape, _suffix_and)((1 << self.s) - 1)
             mins = (_lowest(above, shape, ax) for ax in range(self.s))
             self._conductor = tuple(c + m for c, m in zip(mins, self.mu))
         return self._conductor

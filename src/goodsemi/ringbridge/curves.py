@@ -104,8 +104,11 @@ def _parse_poly(text: str, col: int, fail) -> tuple:
     for idx, ch in enumerate(text + "+"):  # sentinel flushes the last chunk
         if ch in "+-":
             chunk = text[start:idx]
+            at = col + start + len(chunk) - len(chunk.lstrip())  # the term's first character
+            if ch == "-" and chunk.rstrip().endswith("^"):
+                fail("exponents must be nonnegative integers", at)
             if chunk.strip():
-                terms.append((sign, chunk, col + start))
+                terms.append((sign, chunk, at))
             elif start or terms:  # an empty chunk is fine only as a single leading sign
                 fail("empty term", col + idx)
             sign, start = (1 if ch == "+" else -1), idx + 1
@@ -119,7 +122,11 @@ def _parse_poly(text: str, col: int, fail) -> tuple:
         if m["star"] and m["t"] is None:
             fail("'*' without a t-power", ccol)
         exp = 0 if m["t"] is None else int(m["exp"] or 1)
-        acc[exp] = acc.get(exp, 0) + sgn * Fraction(m["coef"].replace(" ", "") if m["coef"] else 1)
+        try:
+            coef = Fraction(m["coef"].replace(" ", "") if m["coef"] else 1)
+        except ZeroDivisionError:
+            fail(f"zero denominator in term {chunk.strip()!r}", ccol)
+        acc[exp] = acc.get(exp, 0) + sgn * coef
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 

@@ -317,9 +317,13 @@ def colon_solution_basis(
     positive and kept rows hold only earlier tags, so the colon rows are
     independent, s·N minus the rank in number: a basis, returned as its
     unique reduced echelon basis of primitive rows.  A generator of E or
-    of the ring without K's branch count is refused by name.
+    of the ring, ``gamma_K`` or ``poles`` without K's branch count is
+    refused by name.
     """
     s, N = K_basis.s, K_basis.N
+    for name, v in (("gamma_K", gamma_K), ("poles", poles)):
+        if len(v) != s:
+            raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of K")
     if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
         raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
     _check_branches(s, E_gens, "generator of E")

@@ -1,10 +1,11 @@
 """The box primitives of ``goodsemi.ideals`` against cell-by-cell oracles.
 
 ``_regrid`` (and ``_crop`` on top of it) moves whole blocks with masked
-int shifts, ``_flip`` reverses bytes through a table, and the axis sweeps
-shift by doubling strides; the oracles here decode every cell on its own,
-so a block moved one place off, a post copy missing, a pre shift one slice
-short or a sweep leaking across a row edge shows up as a wrong cell.
+int shifts, ``_flip`` reverses bytes through a table, the axis sweeps
+shift by doubling strides and ``_folds`` chains them along axis sets; the
+oracles here decode every cell on its own, so a block moved one place
+off, a post copy missing, a pre shift one slice short or a sweep leaking
+across a row edge shows up as a wrong cell.
 """
 
 import math
@@ -126,6 +127,33 @@ def test_axis_sweeps_match_the_cell_oracle(rng, name):
     sweep, (pick, combine) = getattr(ideals, name), _SWEEPS[name]
     for bits, shape, axis in _sweep_draws(rng, 400):
         assert sweep(bits, shape, axis) == _sweep_oracle(bits, shape, axis, pick, combine), (bits, shape, axis)
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEPS))
+def test_folds_match_the_cell_oracle_along_every_axis_mask(rng, name):
+    sweep, (pick, combine) = getattr(ideals, name), _SWEEPS[name]
+    for bits, shape, _ in _sweep_draws(rng, 200):
+        calls = []
+
+        def counted(b, sh, axis):
+            calls.append(axis)
+            return sweep(b, sh, axis)
+
+        fold, masks, first = ideals._folds(bits, shape, counted), range(1 << len(shape)), []
+        for T in masks:
+            # the oracle sweeps T's axes in a random order: they commute
+            axes = [i for i in range(len(shape)) if T >> i & 1]
+            rng.shuffle(axes)
+            want = bits
+            for axis in axes:
+                want = _sweep_oracle(want, shape, axis, pick, combine)
+            first.append(fold(T))
+            assert first[T] == want, (bits, shape, T)
+        # one sweep per nonzero mask, and a second read returns the kept
+        # table without sweeping again
+        assert len(calls) == len(masks) - 1
+        assert all(fold(T) is first[T] for T in masks)
+        assert len(calls) == len(masks) - 1
 
 
 def test_fill_lowest_and_highest_match_the_cell_oracle(rng):

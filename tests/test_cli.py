@@ -310,6 +310,15 @@ def test_repeated_branches_line_exits_2_naming_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:3:1: duplicate 'branches:' line\n"
 
 
+def test_zero_denominator_in_a_curve_exits_2_naming_the_term(tmp_path, capsys):
+    # it used to print a ZeroDivisionError traceback and exit 1, the code
+    # of a negative verdict
+    path = tmp_path / "z.curve"
+    path.write_text("branches: 1\nring: (t^2) ; (1/0*t^3)\n")
+    assert main(["curve-gamma", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2:16: zero denominator in term '1/0*t^3'\n"
+
+
 def test_semigroup_argument_must_be_good(stair_e, capsys):
     assert main(["canonical", stair_e]) == 2
     err = capsys.readouterr().err

@@ -110,6 +110,13 @@ def test_random_semigroups_are_certified(rng):
         ) == []
 
 
+@pytest.mark.parametrize("max_gamma", [2, 0, -4])
+def test_random_semigroup_refuses_max_gamma_below_3(rng, max_gamma):
+    # it used to raise ValueError: empty range for randrange()
+    with pytest.raises(FrameError, match=re.escape(f"max_gamma must be at least 3, got {max_gamma}")):
+        random_good_semigroup(rng, 2, max_gamma=max_gamma)
+
+
 def test_random_semigroups_in_three_coordinates(rng):
     for _ in range(3):
         S = random_good_semigroup(rng, 3, max_gamma=4)

@@ -162,17 +162,17 @@ def test_capping_bound_can_exceed_conductor():
         assert (p in E) == e_pred(p), p
 
 
-def test_contains_many_agrees_with_scalar():
+def test_contains_agrees_with_the_predicate_on_tuples_and_numpy_rows():
     E = IdealFrame.from_points(
         [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 4), (6, 5), (7, 5)],
         gamma=(7, 5),
     )
     pts = list(oracles.box((-1, -1), (9, 7)))
-    got = E.contains_many(pts)
-    assert got == [E.contains(p) for p in pts]
+    got = [E.contains(p) for p in pts]
+    assert got == [p in E for p in pts]
     assert got == [e_pred(p) for p in pts]
-    # an (n, s) integer array is read row by row
-    assert E.contains_many(np.array(pts, dtype=np.int64)) == got
+    # each row of an (n, s) integer array is a point
+    assert [E.contains(row) for row in np.array(pts, dtype=np.int64)] == got
 
 
 def test_members_in_box_is_lex_sorted():

@@ -371,6 +371,20 @@ def test_colon_refuses_a_generator_of_E_with_another_branch_count():
         colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], (2,), (0,))
 
 
+@pytest.mark.parametrize(
+    "gamma_K, poles, name",
+    [((0,), (0, 0), "gamma_K"), ((0, 0), (1,), "poles"), ((0, 0, 0), (0, 0), "gamma_K")],
+)
+def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_K, poles, name):
+    # a short one used to raise a bare IndexError, a long one a misleading
+    # TruncationError about a third branch
+    ring = [(((1, 1),), ((1, 1),))]
+    K = span_basis(ring, [(((0, 1),), ()), ((), ((0, 1),))], 12)
+    bad = gamma_K if name == "gamma_K" else poles
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{name} {bad} has {len(bad)} coordinates, not the 2")):
+        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], gamma_K, poles)
+
+
 def test_colon_refuses_a_solution_space_not_closed_under_the_ring():
     # K, spanned by 1, t^3 and t^5, ..., t^11, holds every monomial from
     # its conductor 5 on but is no module of k[[t^2, t^3]]: t^2·1 is
@@ -647,6 +661,25 @@ def test_parse_rejects_bad_terms():
         parse_curve("branches: 1\nring: (t^)\n")
     with pytest.raises(ParseError, match="'\\*' without"):
         parse_curve("branches: 1\nring: (3*)\n")
+
+
+@pytest.mark.parametrize(
+    "ring, col, term",
+    [("(t^2) ; (1/0*t^3)", 16, "1/0*t^3"), ("(t^2) ; (t +  0/0)", 21, "0/0"), ("(3/ 0)", 8, "3/ 0")],
+)
+def test_parse_refuses_a_zero_denominator_naming_the_term(ring, col, term):
+    # Fraction used to raise a bare ZeroDivisionError
+    with pytest.raises(ParseError, match=re.escape(f"zero denominator in term {term!r}")) as exc:
+        parse_curve(f"branches: 1\nring: {ring}\n", filename="z.curve")
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
+def test_parse_says_that_exponents_must_be_nonnegative():
+    # 't^-1' used to read as the terms 't^' and '-1'
+    for ring, col in (("(t^-1)", 8), ("(t^3 + t^ -2)", 14)):
+        with pytest.raises(ParseError, match="exponents must be nonnegative integers") as exc:
+            parse_curve(f"branches: 1\nring: {ring}\n")
+        assert (exc.value.line, exc.value.col) == (2, col)
 
 
 def test_parse_accepts_coefficients_and_signs():
