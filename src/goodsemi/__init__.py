@@ -2,9 +2,10 @@
 
 The central object is :class:`IdealFrame`, a finite description of a
 subset E of Z^s that agrees with a translated positive orthant above a
-capping bound.  :class:`GoodSemigroup` wraps a frame that passed the
-axiom checks.  The ``ringbridge`` subpackage computes value semigroups
-of explicitly parametrized curve branches over Q and mirrors the
+capping bound.  :class:`GoodSemigroup` is a certified frame, not a
+wrapper: an IdealFrame with mu = 0 that passed the axiom checks against
+itself.  The ``ringbridge`` subpackage computes value semigroups of
+explicitly parametrized curve branches over Q and mirrors the
 set-theoretic operations (colon, length) on the ring side.
 
 Importing the package imports none of its submodules: each public name,

@@ -32,8 +32,8 @@ import re
 from functools import reduce
 
 from . import ideals
-from .errors import NotCertifiedError
-from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box, _frame_of,
+from .errors import FrameError, NotCertifiedError
+from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box,
                      _index, _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
                      _suffix_or, _suffix_or_strict)
 from .lattice import add, check_same_dim, cmax, cmin, ones, sub, zero
@@ -178,7 +178,7 @@ def _exchange_tables(E: IdealFrame):
     return grid, [_folds(_suffix_or_strict(grid.bits, shape, j), shape, _suffix_or) for j in range(E.s)]
 
 
-def _e2_holds(E: IdealFrame) -> bool:
+def _e2_holds(E: IdealFrame, built=None) -> bool:
     """Decide (E2) by suffix sweeps of the frame bitmap.
 
     For frame points p != q with p_j = q_j and min m, both equal m on every
@@ -191,9 +191,10 @@ def _e2_holds(E: IdealFrame) -> bool:
     of :func:`_exchange_tables` for j and the agreement axes.  The sweeps
     run on the frame embedded in the table grid, whose top slices are
     empty; a strict suffix leaves them empty, so no crop is needed.
-    Work: s * 3^(s-1) box passes.
+    Work: s * 3^(s-1) box passes.  ``built`` is E's
+    :func:`_exchange_tables`, when the caller has them.
     """
-    grid, tables = _exchange_tables(E)
+    grid, tables = built or _exchange_tables(E)
     shape = grid.shape
     frame = grid.bits
     for ax in range(E.s):
@@ -230,9 +231,10 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     enumeration runs only after the sweep finds a failure.  Listed by
     axis j, then by the shared coordinate, p in lex order, the agreement
     mask and q in lex order."""
-    if _e2_holds(E):
+    built = _exchange_tables(E)
+    if _e2_holds(E, built):
         return []
-    grid, tables = _exchange_tables(E)
+    grid, tables = built
     pts = _members(E)
     failures: list[tuple[Point, Point, int]] = []
     for j, table in enumerate(tables):
@@ -422,7 +424,6 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     (E1) and (E2) are decided by bitmap sweeps; witnesses are listed only
     for an axiom that fails.
     """
-    E = _frame_of(E)
     ax = E._report_cache.get("axioms")
     if ax is None:
         e1_fail = [] if E._e1 else _e1_failures(E)
@@ -440,68 +441,46 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
         E._report_cache["axioms"] = ax
     if S is None:
         return ax
-    Sf = _frame_of(S)
-    key = ("full", Sf.fingerprint())
+    key = ("full", S.fingerprint())
     got = E._report_cache.get(key)
     if got is None:
-        check_same_dim(E.mu, Sf.mu)
-        add_fail = _additivity_failures(E, Sf)
+        check_same_dim(E.mu, S.mu)
+        add_fail = _additivity_failures(E, S)
         got = ValidationReport(True, ax.e1_ok, ax.e2_ok, not add_fail, ax.e1_failures, ax.e2_failures,
                                add_fail, list(ax.notes))
         E._report_cache[key] = got
     return got
 
 
-class GoodSemigroup:
-    """A validated good semigroup: an IdealFrame with mu = 0 certified to
-    satisfy (E0)-(E2) and closure under addition."""
+class GoodSemigroup(IdealFrame):
+    """A good semigroup: a frame with mu = 0 certified to satisfy (E0)-(E2)
+    and closure under addition, so S is a good ideal of itself."""
 
-    __slots__ = ("ideal",)
+    __slots__ = ()
 
     def __init__(self, ideal: IdealFrame):
+        if not isinstance(ideal, IdealFrame):
+            raise FrameError(f"a good semigroup is built from an IdealFrame, got {type(ideal).__name__}")
         if ideal.mu != zero(ideal.s):
             raise NotCertifiedError(f"a semigroup must have minimum 0, got mu={ideal.mu}")
+        self._adopt(ideal.mu, ideal.gamma, ideal._bits)
+        self._report_cache = ideal._report_cache  # the same set, so the same verdicts
         # read on goodsemi.ideals, the name's public home, so that a wrapper
         # bound there (a profiler's, say) sees this check too
-        report = ideals.validate(ideal, ideal)
+        report = ideals.validate(self, self)
         if not report.ok:
             raise NotCertifiedError(
                 "the frame does not define a good semigroup:\n" + report.summary(),
                 report,
             )
-        self.ideal = ideal
 
     @classmethod
     def from_points(cls, points, gamma) -> "GoodSemigroup":
         return cls(IdealFrame.from_points(points, gamma))
 
     @property
-    def s(self) -> int:
-        return self.ideal.s
-
-    @property
-    def gamma(self) -> Point:
-        return self.ideal.gamma
-
-    @property
-    def tau(self) -> Point:
-        return sub(self.ideal.gamma, ones(self.ideal.s))
-
-    def contains(self, alpha) -> bool:
-        return self.ideal.contains(alpha)
-
-    __contains__ = contains
-
-    def __eq__(self, other):
-        if not isinstance(other, GoodSemigroup):
-            return NotImplemented
-        return self.ideal == other.ideal
-
-    def __hash__(self):
-        return hash(("GoodSemigroup", self.ideal.fingerprint()))
-
-    def __repr__(self):
-        return f"GoodSemigroup(s={self.s}, gamma={self.gamma}, |frame|={self.ideal._bits.bit_count()})"
+    def ideal(self) -> "GoodSemigroup":
+        return self
 
 
 # -- arithmetic on frames -----------------------------------------------------
@@ -518,7 +497,6 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     mu_E, so that OR misses no member of E: one translate per frame point
     of F.
     """
-    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
@@ -528,7 +506,6 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 
 def is_subset(E: IdealFrame, F: IdealFrame) -> bool:
     """Set inclusion E ⊆ F, decided exactly on the joint box."""
-    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     lo = cmin(E.mu, F.mu)
     hi = cmax(E.gamma, F.gamma)

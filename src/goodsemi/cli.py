@@ -172,7 +172,7 @@ def _cmd_decompose(args) -> int:
     dec = ideals.decompose(S)
     for block, factor in zip(dec.partition, dec.factors):
         print(f"branches {list(block)}:")
-        sys.stdout.write(to_json(factor.ideal))
+        sys.stdout.write(to_json(factor))
     return 0
 
 

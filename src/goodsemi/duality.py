@@ -28,7 +28,6 @@ from .ideals import (
     _flip,
     _folds,
     _frame_box,
-    _frame_of,
     _suffix_and,
     _suffix_or_strict,
     is_subset,
@@ -60,7 +59,6 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
     reaches past gamma_E, where E is constant, so that AND is exact.
     """
-    E, F = _frame_of(E), _frame_of(F)
     check_same_dim(E.mu, F.mu)
     for name, X in (("left", E), ("right", F)):
         if not X.is_e1():
@@ -79,7 +77,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
     """The translated orthant gamma_E + N^s as an ideal frame."""
-    c = _frame_of(E).conductor
+    c = E.conductor
     return IdealFrame(len(c), c, c, [c], _normalized=True)
 
 
@@ -102,7 +100,7 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     mu_E + gamma_S)]: the top lies above every b, and E is constant along
     axis i past gamma_E,i, so each strict suffix at a b misses no member.
     """
-    gamma = _frame_of(S).gamma
+    gamma = S.gamma
     s = E.s
     M = E.membership_box(sub(E.mu, ones(s)), cmax(E.gamma, add(E.mu, gamma)))
     strict = _folds(M.bits, M.shape, _suffix_or_strict)
@@ -121,7 +119,7 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
 
 def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
     """The normalized canonical ideal K⁰ of S, as K⁰ - S."""
-    return _dual_normalized(S, _frame_of(S))
+    return _dual_normalized(S, S)
 
 
 def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
@@ -130,28 +128,32 @@ def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
     Returns (verdict, alpha) with alpha = conductor(K) - gamma(S), the only
     possible translation; the verdict compares K against K⁰ + alpha as sets.
     """
-    Sf = _frame_of(S)
-    check_same_dim(K.mu, Sf.mu)
+    check_same_dim(K.mu, S.mu)
     K0 = canonical_normalized(S)
-    alpha = sub(K.conductor, Sf.gamma)
+    alpha = sub(K.conductor, S.gamma)
     return (K == K0.shift(alpha), alpha)
 
 
 def is_symmetric(S: GoodSemigroup) -> bool:
     """S is symmetric iff S itself is one of its canonical ideals."""
-    return is_canonical(_frame_of(S), S)[0]
+    return is_canonical(S, S)[0]
 
 
 class CanonicalIdeal(_Frozen):
     """A certified canonical ideal over its semigroup.
 
     Instances are produced by :meth:`certify` (or :meth:`normalized`),
-    which verifies the translate property and records the shift.
+    which verifies the translate property and records the shift; a
+    semigroup that is not a :class:`GoodSemigroup` is refused.
     """
 
     __slots__ = _fields = ("ideal", "semigroup", "shift_from_normalized")
 
     def __init__(self, ideal: IdealFrame, semigroup: GoodSemigroup, shift_from_normalized: Point):
+        if not isinstance(semigroup, GoodSemigroup):
+            raise NotCertifiedError(
+                f"a canonical ideal needs a certified GoodSemigroup, got {type(semigroup).__name__}"
+            )
         self._init(ideal, semigroup, shift_from_normalized)
 
     @classmethod
@@ -203,7 +205,7 @@ def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
     if not is_subset(S, Sp):
         raise InclusionError("push_forward requires S ⊆ S'")
     # S' + S ⊆ S', so K - S' is a dual over S
-    moved = _dual_normalized(S, _frame_of(Sp)).shift(K.shift_from_normalized)
+    moved = _dual_normalized(S, Sp).shift(K.shift_from_normalized)
     return CanonicalIdeal.certify(moved, Sp)
 
 

@@ -50,12 +50,22 @@ def _closure_pass(pts: set[Point], mu: Point, B: Point, ambient: IdealFrame | No
     return len(pts) > before
 
 
+def _at_least(value, name: str, least: int) -> int:
+    """``value`` as an int, refused by name unless it is an integer of at
+    least ``least``; checked before any random draw."""
+    n = _integer(value)
+    if n is None:
+        raise FrameError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise FrameError(f"{name} must be at least {least}, got {value!r}")
+    return n
+
+
 def random_good_semigroup(
     rng: random.Random, s: int, max_gamma: int = 8, local: bool = False
 ) -> GoodSemigroup:
     """A certified good semigroup of N^s with conductor bounded by max_gamma."""
-    if max_gamma < 3:
-        raise FrameError(f"max_gamma must be at least 3, got {max_gamma}")
+    s, max_gamma = _at_least(s, "s", 1), _at_least(max_gamma, "max_gamma", 3)
     B = tuple(rng.randint(3, max_gamma) for _ in range(s))
     lo = 1 if local else 0
     pts: set[Point] = {zero(s), B}
@@ -72,6 +82,7 @@ def random_good_ideal(
     max_shift: int = 3,
 ) -> IdealFrame:
     """A certified good ideal of S, possibly translated off the origin."""
+    max_shift = _at_least(max_shift, "max_shift", 0)
     s = S.s
     B = tuple(rng.randint(2, S.gamma[i] + 2) for i in range(s))
     pts: set[Point] = {B}
@@ -80,7 +91,7 @@ def random_good_ideal(
     # the minimum lies in the min-closure, so the repair keeps it as mu
     mu = tuple(min(p[i] for p in pts) for i in range(s))
     pts.add(mu)
-    while _closure_pass(pts, mu, B, S.ideal):
+    while _closure_pass(pts, mu, B, S):
         pass
     E = IdealFrame(s, mu, B, pts)
     report = validate(E, S)
@@ -95,6 +106,7 @@ def random_good_ideal(
 def random_pair(
     rng: random.Random, s: int, max_gamma: int = 8, max_shift: int = 3
 ) -> tuple[GoodSemigroup, IdealFrame]:
+    _at_least(max_shift, "max_shift", 0)
     S = random_good_semigroup(rng, s, max_gamma)
     return S, random_good_ideal(rng, S, max_shift)
 

@@ -501,7 +501,8 @@ class IdealFrame:
         if not bits >> (math.prod(shape) - 1) & 1:
             hi = tuple(l + n - 1 for l, n in zip(lo, shape))
             raise FrameError(f"gamma={hi} must belong to the frame")
-        return cls.__new__(cls)._adopt(*_settle(lo, shape, bits, first))
+        # a plain frame even when read through a subclass: it is not certified
+        return IdealFrame.__new__(IdealFrame)._adopt(*_settle(lo, shape, bits, first))
 
     # -- basic accessors ------------------------------------------------------
 
@@ -537,7 +538,7 @@ class IdealFrame:
 
     def __repr__(self):
         return (
-            f"IdealFrame(s={self.s}, mu={self.mu}, gamma={self.gamma}, "
+            f"{type(self).__name__}(s={self.s}, mu={self.mu}, gamma={self.gamma}, "
             f"|frame|={self._bits.bit_count()})"
         )
 
@@ -642,18 +643,12 @@ def _members(E: IdealFrame) -> list[Point]:
     return _points(E._bits, E.shape, E.mu)
 
 
-def _frame_of(S) -> IdealFrame:
-    """The frame of a GoodSemigroup, or S itself if it is a frame."""
-    return S if isinstance(S, IdealFrame) else S.ideal
-
-
 # -- JSON serialization --------------------------------------------------------
 
 
 def to_json(E: IdealFrame) -> str:
     """Canonical JSON text: keys s/mu/gamma/frame, frame lex-sorted, one
     frame point per line.  Byte-stable."""
-    E = _frame_of(E)
     point = "    [" + ", ".join(["%d"] * E.s) + "]"  # one template, the text of list(p)
     lines = [
         "{",

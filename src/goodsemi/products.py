@@ -15,7 +15,7 @@ from functools import reduce
 
 from .axioms import GoodSemigroup
 from .errors import FrameError
-from .ideals import Box, IdealFrame, _box_shape, _fill, _frame_of, _Frozen, _regrid
+from .ideals import Box, IdealFrame, _box_shape, _fill, _Frozen, _regrid
 from .lattice import add, ones, zero
 
 
@@ -25,9 +25,8 @@ def is_local(S) -> bool:
     Scans S ∩ [0, gamma+1]; capping at gamma+1 preserves zero-patterns, so
     the scan is exact.
     """
-    Sf = _frame_of(S)
-    box = Sf.membership_box(zero(Sf.s), add(Sf.gamma, ones(Sf.s)))
-    on_axes = reduce(operator.or_, (_fill(box.shape, i, 0, 1) for i in range(Sf.s)))
+    box = S.membership_box(zero(S.s), add(S.gamma, ones(S.s)))
+    on_axes = reduce(operator.or_, (_fill(box.shape, i, 0, 1) for i in range(S.s)))
     return not box.bits & on_axes & ~1  # cell 0 is the point 0
 
 
@@ -51,9 +50,8 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
     exact); the factors are the projections onto the blocks, read with
     the other coordinates past gamma.
     """
-    Sf = _frame_of(S)
-    s = Sf.s
-    box = Sf.membership_box(zero(s), add(Sf.gamma, ones(s)))
+    s = S.s
+    box = S.membership_box(zero(s), add(S.gamma, ones(s)))
     blocks: list[list[int]] = []
     seen: dict[int, int] = {}
     for i in range(s):
@@ -66,12 +64,12 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
     blocks_t = tuple(tuple(b) for b in blocks)
 
     factors = []
-    shape = Sf.shape
+    shape = S.shape
     for block in blocks_t:
         # the other axes keep one slice, so dropping them keeps the C order
         spans = [(0, 0, n, 0) if i in block else (0, n - 1, n, 0) for i, n in enumerate(shape)]
         sub_shape = tuple(shape[i] for i in block)
-        bits = _regrid(Sf._bits, shape, spans)
+        bits = _regrid(S._bits, shape, spans)
         factor = GoodSemigroup(IdealFrame._from_box(Box(zero(len(block)), sub_shape, bits)))
         if not is_local(factor):
             raise FrameError(
@@ -123,7 +121,7 @@ def _interleave(partition, frames) -> IdealFrame:
 def recombine(partition, factors) -> GoodSemigroup:
     """Cartesian recombination of factor semigroups along a partition of
     the branch indices (inverse of :func:`decompose`)."""
-    return GoodSemigroup(_interleave(partition, [_frame_of(f) for f in factors]))
+    return GoodSemigroup(_interleave(partition, factors))
 
 
 def product_semigroups(*factors) -> GoodSemigroup:
@@ -131,7 +129,6 @@ def product_semigroups(*factors) -> GoodSemigroup:
     blocks = []
     at = 0
     for f in factors:
-        sf = _frame_of(f).s
-        blocks.append(tuple(range(at, at + sf)))
-        at += sf
+        blocks.append(tuple(range(at, at + f.s)))
+        at += f.s
     return recombine(blocks, factors)

@@ -338,6 +338,19 @@ def test_duals_run_without_translates(monkeypatch):
     assert got == want
 
 
+def test_canonical_ideal_refuses_a_semigroup_that_is_not_certified():
+    # T fails the semigroup axioms: 1 + 1 = 2 is not in T
+    T = IdealFrame(1, (0,), (3,), [(0,), (1,), (3,)])
+    S = numerical_semigroup(3, 4, 5)
+    assert is_subset(S, T)
+    with pytest.raises(NotCertifiedError, match="needs a certified GoodSemigroup, got IdealFrame"):
+        push_forward(CanonicalIdeal.normalized(S), T)
+    with pytest.raises(NotCertifiedError, match="got IdealFrame"):
+        CanonicalIdeal.certify(canonical_normalized(T), T)
+    with pytest.raises(NotCertifiedError, match="got IdealFrame"):
+        CanonicalIdeal.normalized(T)
+
+
 def test_product_canonical_matches_product(fig_s):
     B = GoodSemigroup.from_points([(0,), (2,)], gamma=(2,))
     P = product_semigroups(fig_s, B)

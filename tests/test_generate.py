@@ -117,6 +117,21 @@ def test_random_semigroup_refuses_max_gamma_below_3(rng, max_gamma):
         random_good_semigroup(rng, 2, max_gamma=max_gamma)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda r: random_good_ideal(r, numerical_semigroup(3, 4), max_shift=-1), "max_shift must be at least 0, got -1"),
+    (lambda r: random_pair(r, 2, max_shift=-2), "max_shift must be at least 0, got -2"),
+    (lambda r: random_pair(r, 2, max_shift=1.0), "max_shift must be an integer, got 1.0"),
+    (lambda r: random_good_semigroup(r, 2.0), "s must be an integer, got 2.0"),
+    (lambda r: random_good_semigroup(r, 0), "s must be at least 1, got 0"),
+    (lambda r: random_good_semigroup(r, 2, max_gamma=3.5), "max_gamma must be an integer, got 3.5"),
+], ids=["ideal-shift", "pair-shift", "float-shift", "float-s", "zero-s", "float-gamma"])
+def test_generators_refuse_parameters_by_name_before_drawing(call, message):
+    rng = random.Random(5)
+    with pytest.raises(FrameError, match=re.escape(message)):
+        call(rng)
+    assert rng.random() == random.Random(5).random()  # no draw was made
+
+
 def test_random_semigroups_in_three_coordinates(rng):
     for _ in range(3):
         S = random_good_semigroup(rng, 3, max_gamma=4)

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -307,6 +308,42 @@ def test_good_semigroup_certification():
         )
     with pytest.raises(NotCertifiedError, match="minimum 0"):
         GoodSemigroup.from_points([(1, 1)], gamma=(1, 1))
+
+
+def test_good_semigroup_is_a_frame(fig_s):
+    frame = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
+    S = GoodSemigroup(frame)
+    assert isinstance(S, IdealFrame) and S.ideal is S
+    assert S == frame and hash(S) == hash(frame) and S == fig_s
+    again = GoodSemigroup(S)  # a semigroup is a frame, so it certifies again
+    assert type(again) is GoodSemigroup and again == S
+    moved = S.shift((1, 2))
+    assert type(moved) is IdealFrame and moved.mu == (1, 2)
+    # {0, 1} ∪ (3 + N) misses 1 + 1: read through GoodSemigroup it stays a plain frame
+    assert type(GoodSemigroup._from_box(ideals.Box((0,), (4,), 0b1011))) is IdealFrame
+    assert repr(S).startswith("GoodSemigroup(s=2, mu=(0, 0), gamma=(3, 1)")
+    twin = pickle.loads(pickle.dumps(S))
+    assert type(twin) is GoodSemigroup and twin == S and twin.tau == S.tau == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [[(0, 0)], (0, 0), "corner_s.json", None])
+def test_good_semigroup_refuses_a_non_frame_by_type(bad):
+    with pytest.raises(FrameError, match=f"built from an IdealFrame, got {type(bad).__name__}"):
+        GoodSemigroup(bad)
+
+
+def test_e2_failures_build_the_exchange_tables_once(monkeypatch):
+    E = IdealFrame.from_points([(0, 0), (1, 1), (2, 1), (2, 2)], gamma=(2, 2))
+    calls = []
+    build = axioms._exchange_tables
+
+    def counted(F):
+        calls.append(F)
+        return build(F)
+
+    monkeypatch.setattr(axioms, "_exchange_tables", counted)
+    assert axioms._e2_failures(E) == [((1, 1), (2, 1), 1)]
+    assert len(calls) == 1
 
 
 def test_exchange_scan_agrees_with_oracle_on_randoms(rng):
