@@ -35,8 +35,8 @@ from . import ideals
 from .errors import FrameError, NotCertifiedError
 from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box,
                      _index, _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
-                     _suffix_or, _suffix_or_strict)
-from .lattice import add, check_same_dim, cmax, cmin, ones, sub, zero
+                     _suffix_or, _suffix_or_strict, check_frames)
+from .lattice import add, cmax, cmin, ones, sub, zero
 
 _RUN = re.compile("1+")
 
@@ -424,6 +424,7 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     (E1) and (E2) are decided by bitmap sweeps; witnesses are listed only
     for an axiom that fails.
     """
+    check_frames("validate", E=E, **({} if S is None else {"S": S}))
     ax = E._report_cache.get("axioms")
     if ax is None:
         e1_fail = [] if E._e1 else _e1_failures(E)
@@ -444,7 +445,6 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     key = ("full", S.fingerprint())
     got = E._report_cache.get(key)
     if got is None:
-        check_same_dim(E.mu, S.mu)
         add_fail = _additivity_failures(E, S)
         got = ValidationReport(True, ax.e1_ok, ax.e2_ok, not add_fail, ax.e1_failures, ax.e2_failures,
                                add_fail, list(ax.notes))
@@ -497,7 +497,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     mu_E, so that OR misses no member of E: one translate per frame point
     of F.
     """
-    check_same_dim(E.mu, F.mu)
+    check_frames("sum_ideals", E=E, F=F)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
     out = _reduce_translates(operator.or_, E, lo, hi, _frame_box(F), -1, _prefix_or)
@@ -506,7 +506,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 
 def is_subset(E: IdealFrame, F: IdealFrame) -> bool:
     """Set inclusion E ⊆ F, decided exactly on the joint box."""
-    check_same_dim(E.mu, F.mu)
+    check_frames("is_subset", E=E, F=F)
     lo = cmin(E.mu, F.mu)
     hi = cmax(E.gamma, F.gamma)
     return not E.membership_box(lo, hi).bits & ~F.membership_box(lo, hi).bits

@@ -30,10 +30,11 @@ from .ideals import (
     _frame_box,
     _suffix_and,
     _suffix_or_strict,
+    check_frames,
     is_subset,
     validate,
 )
-from .lattice import Point, add, check_same_dim, cmax, ones, sub, zero
+from .lattice import Point, add, cmax, ones, sub, zero
 
 __all__ = [
     "difference",
@@ -59,7 +60,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
     reaches past gamma_E, where E is constant, so that AND is exact.
     """
-    check_same_dim(E.mu, F.mu)
+    check_frames("difference", E=E, F=F)
     for name, X in (("left", E), ("right", F)):
         if not X.is_e1():
             raise NotCertifiedError(
@@ -128,7 +129,7 @@ def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
     Returns (verdict, alpha) with alpha = conductor(K) - gamma(S), the only
     possible translation; the verdict compares K against K⁰ + alpha as sets.
     """
-    check_same_dim(K.mu, S.mu)
+    check_frames("is_canonical", K=K, S=S)
     K0 = canonical_normalized(S)
     alpha = sub(K.conductor, S.gamma)
     return (K == K0.shift(alpha), alpha)

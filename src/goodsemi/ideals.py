@@ -634,6 +634,15 @@ def _settle(lo: Point, shape, bits: int, first: Point) -> tuple[Point, Point, in
     return add(lo, first), add(lo, top), _crop(bits, shape, first, out_shape)
 
 
+def check_frames(what: str, **frames) -> None:
+    """Refuse a non-frame argument of ``what`` by name and type, then frames of unequal branch counts."""
+    for name, X in frames.items():
+        if not isinstance(X, IdealFrame):
+            raise FrameError(f"{what} takes an IdealFrame as {name}, got {type(X).__name__}")
+    mus = [X.mu for X in frames.values()]
+    check_same_dim(mus[0], mus[-1])
+
+
 def _frame_box(E: IdealFrame) -> Box:
     return Box(E.mu, E.shape, E._bits)
 

@@ -12,7 +12,7 @@ distance consistent on certified inputs.
 from __future__ import annotations
 
 from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
-from .ideals import IdealFrame, _fill, _strides, is_subset, validate
+from .ideals import IdealFrame, _fill, _strides, check_frames, is_subset, validate
 from .lattice import Point, as_point, check_same_dim, leq, lt, zero
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
@@ -105,7 +105,7 @@ def relative_distance(E: IdealFrame, F: IdealFrame) -> int:
     Computed as d_F(mu_F, c) - d_E(mu_E, c) with c the conductor of E,
     which lies in both ideals; the value is independent of that choice.
     """
-    check_same_dim(E.mu, F.mu)
+    check_frames("relative_distance", E=E, F=F)
     _require_good(E, "the smaller ideal")
     _require_good(F, "the larger ideal")
     if not is_subset(E, F):

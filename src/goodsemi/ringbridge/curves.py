@@ -10,12 +10,10 @@ by generators:
     module E: (t^3, t) ; (t^2, 0)
 
 Every computation is exact over Q.  Truncation orders are chosen
-automatically: a bootstrap probes orders 16, 32, ... until one shows a
-conductor gamma that a Nakayama certificate proves (see :func:`_value`),
-and the value set is committed at the smallest order the certificate
-covers, max_i(gamma_i + max(3, e_i)) with J·Rbar = ∏ t^(e_i)·Q[[t]].
-Each reported value set must also agree bitwise with a rerun at a higher
-order, otherwise a TruncationError is raised.  A module zero on some
+automatically and certified (see :func:`_value`): a span's monomial tail
+is the candidate conductor, a Nakayama certificate proves it, and the
+value set is committed at the least order the certificate covers and
+must agree bitwise with a rerun two orders higher.  A module zero on some
 branch, or a ring that is constant or a series in t^d (d > 1) on some
 branch, has no conductor and is refused up front.  An explicit
 ``truncation:`` line overrides the bootstrap but neither the certificate
@@ -46,6 +44,7 @@ from .modules import (
     ModuleBasis,
     _row,
     colon_solution_basis,
+    monomial_tail,
     require_monomials,
     span_basis,
     value_semigroup_ideal,
@@ -375,92 +374,106 @@ def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> No
     require_monomials(_span(spec, gens, N), gamma, "the span")
 
 
+def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
+    """The commit order of the module generated by ``gens`` (see :func:`_value`)."""
+    s, tried, notes = spec.s, [], []
+
+    def fits(n: int) -> bool:
+        return (n - 1) ** s <= ideals.MAX_CELLS
+
+    top = 16  # the last of 16, 32, ..., 512 whose scan box fits the box limit
+    while top < 512 and fits(2 * top):
+        top *= 2
+    N = rule = 16
+    while fits(N):
+        tried.append(N)
+        c = monomial_tail(_span(spec, gens, N))
+        if N in c:
+            notes.append(f"the precheck refused truncation {N}: the span misses t^{N - 1} on branch {c.index(N)}")
+            rule = 1 << N.bit_length()  # the next of 16, 32, ...
+        elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
+            return commit
+        else:
+            notes.append(f"the certificate refused truncation {N}: the candidate conductor {c} needs truncation {commit}")
+            rule = commit + 2 if N == top else min(max(commit + 2, N + N // 4), 2 * N)
+        if N < top:
+            N = min(rule, top)
+        elif N == top and N not in c:
+            N = rule
+        else:
+            break
+    if fits(rule):
+        notes.append(f"is the ring really a curve with {s} branches?")
+    else:
+        notes.insert(0, f"truncation {rule} was not tried, as its scan box [0, {rule - 2}]^{s} exceeds "
+                     f"the box limit of {ideals.MAX_CELLS} cells")
+    raise TruncationError(f"no stable conductor at truncations {', '.join(map(str, tried))}; " + "; ".join(notes))
+
+
 def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     """Value set of the module M generated by integer terms ``gens``.
 
-    The bootstrap probes orders 16, 32, ... and stops before an order
-    whose scan box [0, N-2]^s exceeds the box limit.  A probe at N builds
-    the span at N and succeeds when three checks pass:
+    The bootstrap tries orders N from 16 on, with one span each.  Its
+    monomial tail c (:func:`modules.monomial_tail`) is the candidate
+    conductor: c <= gamma, M's conductor, as M holds t^gamma·Rbar, and
+    c = gamma once N > gamma, as then M ⊇ t^N·Rbar.  If c_i = N on a
+    branch (the precheck fails), gamma_i >= N, no candidate bounds it,
+    and N moves to the next of 16, 32, 64, ...; back on that grid, a
+    precheck failure after a step to 20 costs a span at 32, not at 40.
+    Else let commit = max_i(c_i + max(3, e_i)), e from
+    :func:`_radical_orders`.  If commit <= N, the span at N is the
+    certificate below, so c = gamma with no higher span.  Else the next
+    order is commit + 2, where a true candidate commits and reruns in one
+    span, held within [N + N // 4, 2N] so that orders grow geometrically
+    and a far-off candidate cannot overshoot gamma by much.
 
-    1. precheck: the span holds t^(N-1) on every branch, which a
-       conductor inside the box forces; otherwise no scan runs;
-    2. scan: the value set over the box has a candidate conductor gamma
-       strictly inside it;
-    3. certificate (:func:`_certify`): with N_c = max_i(gamma_i +
-       max(3, e_i)), e from :func:`_radical_orders`, the span at N_c
-       holds t^k for gamma_i <= k < N_c.
+    Every step is clamped to top, the last of 16, 32, ..., 512 whose scan
+    box [0, top - 2]^s fits the box limit, so the bootstrap always reaches
+    the last order that doubling from 16 reaches.  Past top only a
+    candidate found at top steps, once, to its commit + 2, where it
+    commits if gamma < top, as then c = gamma already at top.  The bootstrap
+    ends when the rule gives no further order, or one whose scan box
+    exceeds the box limit, so a ring with no conductor is refused at top,
+    naming each order tried and the check that refused it.
 
-    Proof that the certificate gives t^gamma·Rbar ⊆ M.  Let A be the
-    closure of R in Rbar = ∏ Q[[t]] and M the closure of the module, which
-    has the same values and the same truncations.  Rbar is finite over A:
-    A holds an element of positive order on every branch, and Q[[t]] is
-    finite over the power series in it.  J, the elements of A with zero
-    constant terms, is an ideal inside the Jacobson radical of A: for x
-    in J, 1 + x is a unit of Rbar whose inverse, the t-adic limit of
-    sum (-x)^k, lies in A.  And J·Rbar = ∏ t^(e_i)·Q[[t]].  The monomials give t^gamma·Rbar ⊆ M +
-    t^(N_c)·Rbar, and N_c >= gamma + e gives t^(N_c)·Rbar ⊆
-    J·t^gamma·Rbar, so t^gamma·Rbar ⊆ M + J·t^gamma·Rbar.  Nakayama's
-    lemma, for the finite A-module t^gamma·Rbar, gives t^gamma·Rbar ⊆ M.
-    Nothing here needs R local: a ring with a (0, 2) generator is
-    semilocal, and J is still its radical.
+    Certificate (:func:`_certify`): the span at an order N_c >= c + e
+    holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A
+    be the closure of R in Rbar = ∏ Q[[t]] and M the closure of the
+    module, which has the same values and the same truncations.  Rbar is
+    finite over A: A holds an element of positive order on every branch,
+    and Q[[t]] is finite over the power series in it.  J, the elements of
+    A with zero constant terms, is an ideal inside the Jacobson radical
+    of A: for x in J, 1 + x is a unit of Rbar whose inverse, the t-adic
+    limit of sum (-x)^k, lies in A.  And J·Rbar = ∏ t^(e_i)·Q[[t]].
+    Truncation keeps monomials, so t^c·Rbar ⊆ M + t^(N_c)·Rbar, and
+    N_c >= c + e gives t^(N_c)·Rbar ⊆ J·t^c·Rbar, so t^c·Rbar ⊆ M +
+    J·t^c·Rbar.  Nakayama's lemma, for the finite A-module t^c·Rbar,
+    gives t^c·Rbar ⊆ M.  Nothing here needs R local: a ring with a
+    (0, 2) generator is semilocal, and J is still its radical.
 
-    M then holds t^(N_c)·Rbar, so it is the full preimage of its span at
-    N_c, and every witness of the scan over [0, N_c - 2]^s lifts to M:
-    the in-box values are exact, the conductor lies strictly inside the
-    box (N_c >= gamma + 3), and capping at the box's corner reproduces
-    the value set.  The commit scan runs at N_c.  Its rerun at a higher
-    order is the probe's own scan when N >= N_c + 2, else a scan at
-    N_c + 2, built first with N_c cut from it when N_c > N; the two must
-    agree and the result must pass the good-ideal axioms.  An explicit
-    truncation commits at its own order N, building N + 2 first, and
-    certifies there with N in place of N_c.
+    M then holds t^commit·Rbar, so it is the full preimage of its span at
+    commit, and every witness of the scan over [0, commit - 2]^s lifts
+    to M: the in-box values are exact, the conductor lies strictly inside
+    the box (commit >= c + 3), and capping at the box's corner reproduces
+    the value set.  It is scanned exactly twice, at commit and commit + 2,
+    both cut from one span (built at commit + 2 if N < commit + 2).  The
+    conductor of the scan at commit must pass the certificate there, which
+    cross-checks the scan against the span; the rerun must agree with it,
+    and the result must pass the good-ideal axioms.  An explicit
+    truncation is the commit order, its scan's conductor the candidate.
     """
     values = spec._store.values
     if gens in values:
         return values[gens]
     _check_conductor_exists(spec, gens)
     e = _radical_orders(spec)
-    s = spec.s
-    if spec.truncation is not None:
-        commit = N = spec.truncation
-        _span(spec, gens, N + 2)
-        probe = _scan(_span(spec, gens, N), "conductor")
-        _certify(spec, gens, probe.conductor, e, N)
-    else:
-        probe, tried, limit, refusal = None, [], None, None
-        for N in (16, 32, 64, 128, 256, 512):
-            if (N - 1) ** s > ideals.MAX_CELLS:
-                limit = f"truncation {N} was not tried, as its scan box [0, {N - 2}]^{s} exceeds"
-                limit += f" the box limit of {ideals.MAX_CELLS} cells"
-                break
-            tried.append(N)
-            B = _span(spec, gens, N)
-            try:
-                check = "precheck"
-                require_monomials(B, (N - 1,) * s, "the span")
-                check = "scan box"
-                G = _scan(B, "conductor")
-                check = "certificate"
-                commit = max(g + max(3, x) for g, x in zip(G.conductor, e))
-                if commit > N:
-                    _span(spec, gens, commit + 2)
-                _certify(spec, gens, G.conductor, e, commit)
-                probe = G
-                break
-            except (TruncationError, FrameError) as exc:
-                refusal = f"the {check} refused truncation {N}: {exc}"
-        if probe is None:
-            question = None if limit else f"is the ring really a curve with {s} branches?"
-            raise TruncationError(
-                f"no stable conductor at truncations {', '.join(map(str, tried))}; "
-                + "; ".join(filter(None, (limit, refusal, question)))
-            )
-    Ga = probe if commit == N else _scan(_span(spec, gens, commit), "conductor")
-    # a probe two orders above the commit order is the rerun itself
-    rerun = N if N >= commit + 2 else commit + 2
-    Gb = probe if rerun == N else _scan(_span(spec, gens, rerun), "conductor")
+    commit = _bootstrap(spec, gens, e) if spec.truncation is None else spec.truncation
+    _span(spec, gens, commit + 2)  # built first, so that commit is cut from it
+    Ga = _scan(_span(spec, gens, commit), "conductor")
+    _certify(spec, gens, Ga.conductor, e, commit)
+    Gb = _scan(_span(spec, gens, commit + 2), "conductor")
     if Ga != Gb:
-        raise TruncationError(f"value set changed between truncations {commit} and {rerun}")
+        raise TruncationError(f"value set changed between truncations {commit} and {commit + 2}")
     report = validate(Ga)
     if not (report.e1_ok and report.e2_ok):
         raise TruncationError(

@@ -151,22 +151,30 @@ class ModuleBasis:
         return out
 
 
-def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
-    """Refuse unless the span holds t^e on branch i for all lo_i <= e < N.
+def monomial_tail(basis: ModuleBasis) -> Point:
+    """The span's monomial tail c: c_i is least with t^k on branch i in the
+    span for c_i <= k < N, so N when t^(N-1) is not.  With p = i·N + k,
+    t^k lies in the span iff rows[p] == {p: 1}: a combination of rows holds
+    c_q·rows[q][q] at each pivot q, as no other row holds q, so t^k, zero
+    off p, is c·rows[p], and a primitive row positive at its pivot is then
+    {p: 1}."""
+    rows, N, tail = basis.rows, basis.N, []
+    for i in range(basis.s):
+        k = N
+        while k and rows.get(i * N + k - 1) == {i * N + k - 1: 1}:
+            k -= 1
+        tail.append(k)
+    return tuple(tail)
 
-    With p = i·N + e, t^e lies in the span iff rows[p] == {p: 1}.  A
-    combination of rows holds c_q·rows[q][q] at each pivot q, as no other
-    row holds q; so t^e, zero off p, is c·rows[p], and a primitive row
-    positive at its pivot is then {p: 1}.
-    """
+
+def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
+    """Refuse unless the :func:`monomial_tail` is at most lo, naming the least t^k missing."""
     rows, N = basis.rows, basis.N
-    for i, low in enumerate(lo):
-        for p in range(i * N + low, (i + 1) * N):
-            if rows.get(p) != {p: 1}:
-                raise TruncationError(
-                    f"{what} misses t^{p - i * N} on branch {i}: "
-                    f"conductor bound {tuple(lo)} is not valid at truncation {N}"
-                )
+    for i, (low, c) in enumerate(zip(lo, monomial_tail(basis))):
+        if c > low:
+            k = next(k for k in range(low, c) if rows.get(i * N + k) != {i * N + k: 1})
+            raise TruncationError(f"{what} misses t^{k} on branch {i}: "
+                                  f"conductor bound {tuple(lo)} is not valid at truncation {N}")
 
 
 def _check_branches(s: int, gens: list, what: str) -> None:

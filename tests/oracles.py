@@ -13,6 +13,7 @@ here imports the library under test.  Window sufficiency notes:
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -332,3 +333,73 @@ def radical_orders(pred, gamma):
     cmax(gamma, 1) keeps it a member and can only lower each coordinate."""
     pts = points_of(pred, (1,) * len(gamma), tuple(max(g, 1) for g in gamma))
     return tuple(min(p[i] for p in pts) for i in range(len(gamma)))
+
+
+# ----------------------------------------------------------- plane curves
+#
+# A plane branch here is (n, b, lam, a): x = t^n, y = lam·t^n + a·t^b with
+# gcd(n, b) = 1 and b > n, so its Puiseux series is y = lam·x + a·x^(b/n).
+# a is 0 only on a smooth branch (n = 1), which is then the line y = lam·x.
+# A plane curve is a tuple of distinct branches, and its ring is generated
+# by (x_1, ..., x_s) and (y_1, ..., y_s).
+
+
+def plane_branch_conductor(n, b):
+    """Conductor of one branch: its value semigroup is <n, b>, or N when
+    n = 1, so c = (n - 1)(b - 1), the Frobenius number of two coprime
+    generators plus one (Sylvester).  See Zariski, The moduli problem for
+    plane branches, AMS University Lecture Series 39 (2006), ch. I."""
+    return (n - 1) * (b - 1)
+
+
+def plane_intersection(B, C):
+    """Intersection number of two distinct branches, by Noether's formula
+    in Halphen's form: the sum, over the n·m pairs of Puiseux conjugates,
+    of the x-order of their difference.  Different tangents (lam) give
+    order 1 for every pair, so n·m.  Equal tangents give a·ζ·x^(b/n) -
+    a'·ζ'·x^(b'/m) for roots of unity ζ, ζ', of order min(b/n, b'/m) with
+    a = 0 counting as infinity: unequal exponents cannot cancel, and equal
+    ones mean equal (n, b), where a ≠ a' are positive, so they cannot
+    either.  See Wall, Singular Points of Plane Curves, LMS Student Texts
+    63 (2004)."""
+    (n, b, lam, a), (m, d, mu, a2) = B, C
+    if lam != mu:
+        return n * m
+    return min(m * b if a else math.inf, n * d if a2 else math.inf)
+
+
+def plane_conductor(curve):
+    """The conductor c of the ring of a plane curve:
+    c_i = c(B_i) + sum over j ≠ i of I(B_i, B_j), Delgado, The semigroup
+    of values of a curve singularity with several branches, Manuscripta
+    Math. 59 (1987)."""
+    return tuple(
+        plane_branch_conductor(*B[:2]) + sum(plane_intersection(B, C) for C in curve if C is not B)
+        for B in curve
+    )
+
+
+def random_plane_curve(rng, s):
+    """s distinct branches with n_i <= 3, b_i <= 4·n_i + 2, lam_i in {0, 1}
+    and a_i in {1, 2, 3} (a_i may be 0 when n_i = 1), drawn from ``rng``."""
+    curve = []
+    while len(curve) < s:
+        n = rng.randint(1, 3)
+        b = rng.choice([b for b in range(n + 1, 4 * n + 3) if math.gcd(n, b) == 1])
+        a = rng.randint(0 if n == 1 else 1, 3)
+        B = (n, b if a else 2, rng.randint(0, 1), a)  # a line forgets b
+        if B not in curve:
+            curve.append(B)
+    return tuple(curve)
+
+
+def plane_curve_text(curve, modules=()):
+    """A curve file for the ring of ``curve`` and the named modules."""
+    def poly(terms):
+        return " + ".join(f"{c}*t^{e}" for e, c in terms if c) or "0"
+
+    x = ", ".join(poly([(n, 1)]) for n, *_ in curve)
+    y = ", ".join(poly([(n, lam), (b, a)]) for n, b, lam, a in curve)
+    lines = [f"branches: {len(curve)}", f"ring: ({x}) ; ({y})"]
+    lines += [f"module {name}: {gens}" for name, gens in modules]
+    return "\n".join(lines) + "\n"

@@ -2,10 +2,12 @@
 refusals, its orders e, and agreement with the fixed-order policy it
 replaced."""
 
+import random
+
 import pytest
 
 import oracles
-from goodsemi import InclusionError, TruncationError, relative_distance
+from goodsemi import FrameError, InclusionError, TruncationError, relative_distance
 from goodsemi.ringbridge import (
     conductor_of,
     curves,
@@ -37,21 +39,30 @@ def test_ring_without_conductor_fails_at_the_precheck(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, check",
+    "ring, tried, last",
     [
-        ("(t^4) ; (t^6 + t^7)", "precheck refused truncation 16: the span misses t^15"),
-        # 15 is a value but 14 is not, so the box's corner is no member
-        ("(t^9) ; (t^15) ; (t^16)", "scan box refused truncation 16: "),
-        # 12..15 are values, 16 is not: the candidate 12 needs N_c = 18
-        ("(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)",
-         "certificate refused truncation 16: the span misses t^16 on branch 0"),
+        pytest.param("(t^4) ; (t^6 + t^7)", "16",
+                     "the precheck refused truncation 16: the span misses t^15 on branch 0",
+                     id="(t^4) ; (t^6 + t^7)-precheck"),
+        # t^15 is in the span at 16 and t^14 is not: the candidate 15
+        # needs 15 + e = 24, and 26 is beyond the box limit
+        pytest.param("(t^9) ; (t^15) ; (t^16)", "16",
+                     "the certificate refused truncation 16: the candidate conductor (15,) needs truncation 24",
+                     id="(t^9) ; (t^15) ; (t^16)-certificate"),
+        # 12..15 are values, 16 is not: the candidate 12 needs 18, so 20
+        # is tried, where the candidate 17 needs 23, and 25 is not tried
+        pytest.param("(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)", "16, 20",
+                     "the certificate refused truncation 16: the candidate conductor (12,) needs truncation 18; "
+                     "the certificate refused truncation 20: the candidate conductor (17,) needs truncation 23",
+                     id="(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)-certificate"),
     ],
 )
-def test_error_names_the_check_that_refused_the_last_order(monkeypatch, ring, check):
+def test_error_names_the_check_that_refused_the_last_order(monkeypatch, ring, tried, last):
     monkeypatch.setattr(curves.ideals, "MAX_CELLS", 20)
-    with pytest.raises(TruncationError, match=r"^no stable conductor at truncations 16; ") as exc:
+    with pytest.raises(TruncationError, match=rf"^no stable conductor at truncations {tried}; ") as exc:
         value_ideal(parse_curve(f"branches: 1\nring: {ring}\n"), "R")
-    assert "box limit of 20 cells; the " + check in str(exc.value)
+    # every order tried is listed with the check that refused it, the last one last
+    assert str(exc.value).endswith("box limit of 20 cells; " + last)
 
 
 def test_certificate_needs_n_at_least_gamma_plus_e():
@@ -106,6 +117,49 @@ def test_certified_values_match_the_fixed_order_policy(name, curve_spec):
         assert G == value_ideal(old, module), module
     gamma, basis = conductor_of(spec)
     assert basis.N == max(gamma) + 1
+
+
+def _random_poly(rng, lead=None):
+    """One or two terms with exponents below 7 and coefficients in
+    ±{1/2, 1, 2}, or 0 now and then; with ``lead``, t^lead and at most one
+    higher term."""
+    if lead is not None:
+        return rng.choice([f"t^{lead}", f"t^{lead} {rng.choice('+-')} 2*t^{rng.randint(lead + 1, 7)}"])
+    a, b = (f"{rng.choice(['', '2*', '1/2*'])}t^{e}" for e in sorted(rng.sample(range(7), 2)))
+    both = f"{rng.choice(['', '-'])}{a} {rng.choice('+-')} {b}"
+    return rng.choice(["0", b, both, both])
+
+
+def _random_curve(rng):
+    """A ring of 1-3 branches and a two-generator module E.  Two ring
+    generators lead with coprime orders p_i, q_i on each branch, so that
+    each branch's projection of R has a conductor; a third generator, if
+    any, and E are free, so that E may be zero on a branch."""
+    s = rng.randint(1, 3)
+    leads = [rng.choice([(1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]) for _ in range(s)]
+    ring = [[_random_poly(rng, pq[k]) for pq in leads] for k in range(2)]
+    ring += [[_random_poly(rng) for _ in range(s)] for _ in range(rng.randint(0, 1))]
+    E = [[_random_poly(rng) for _ in range(s)] for _ in range(2)]
+    vectors = lambda vs: " ; ".join("(" + ", ".join(v) + ")" for v in vs)  # noqa: E731
+    return f"branches: {s}\nring: {vectors(ring)}\nmodule E: {vectors(E)}\n"
+
+
+def _value_or_refusal(text, module):
+    try:
+        return value_ideal(parse_curve(text), module)
+    except (TruncationError, FrameError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_bootstrap_matches_the_fixed_order_policy_on_random_curves(seed):
+    # the fixed-order policy the bootstrap replaced: an explicit truncation
+    # of max(16, 2·max(γ) + 4); a refused module is refused at 64 too
+    text = _random_curve(random.Random(seed))
+    for module in ("R", "E"):
+        got = _value_or_refusal(text, module)
+        N = 64 if isinstance(got, type) else max(16, 2 * max(got.conductor) + 4)
+        assert got == _value_or_refusal(f"truncation: {N}\n" + text, module), (text, module)
 
 
 @pytest.mark.parametrize("name", ["cusp", "ring-6-6", "twobranch"])

@@ -332,6 +332,24 @@ def test_good_semigroup_refuses_a_non_frame_by_type(bad):
         GoodSemigroup(bad)
 
 
+@pytest.mark.parametrize(
+    "call, name, bad",
+    [
+        (lambda E, x: g.validate(x), "validate", "E"),
+        (lambda E, x: g.validate(E, x), "validate", "S"),
+        (lambda E, x: g.sum_ideals(E, x), "sum_ideals", "F"),
+        (lambda E, x: g.is_subset(x, E), "is_subset", "E"),
+        (lambda E, x: g.difference(E, x), "difference", "F"),
+        (lambda E, x: g.is_canonical(x, E), "is_canonical", "K"),
+        (lambda E, x: g.relative_distance(E, x), "relative_distance", "F"),
+    ],
+)
+@pytest.mark.parametrize("x", [[(0, 0)], "x", (0, 0), 3])
+def test_frame_arguments_are_refused_by_name_and_type(fig_s, call, name, bad, x):
+    with pytest.raises(FrameError, match=rf"^{name} takes an IdealFrame as {bad}, got {type(x).__name__}$"):
+        call(fig_s, x)
+
+
 def test_e2_failures_build_the_exchange_tables_once(monkeypatch):
     E = IdealFrame.from_points([(0, 0), (1, 1), (2, 1), (2, 2)], gamma=(2, 2))
     calls = []

@@ -1,5 +1,5 @@
 """The per-curve span store: truncated spans, pivot-lookup membership,
-the bootstrap's box limit and the hot path's freedom from Fractions."""
+the bootstrap's orders and box limit, and the hot path's freedom from Fractions."""
 
 import random
 from fractions import Fraction
@@ -97,9 +97,6 @@ def test_monomial_membership_by_pivot_lookup(curve_spec):
                 assert got == want, (module, i, low)
 
 
-PROBES = (16, 32, 64, 128, 256, 512)
-
-
 def _counting(monkeypatch):
     """Record the order of every span built and every value set scanned."""
     built, scanned = [], []
@@ -121,24 +118,83 @@ def test_bootstrap_stops_before_an_oversized_scan_box(monkeypatch):
     assert built and max(built) < 64
 
 
+@pytest.mark.parametrize(
+    "ring, cells, conductor, spans, scans",
+    [
+        # <6, 9, 10>, conductor 24, e = 6, with 32 the last of 16, 32, ...
+        # whose scan box fits: the candidates at 16, 23 and 28 need 21, 24
+        # and 30, and the step from 28 to 35 is clamped to 32, where 30 commits
+        pytest.param("branches: 1\nring: (t^6) ; (t^9) ; (t^10)\n", 32, (24,), [16, 23, 28, 32], [30, 32],
+                     id="certificate-step"),
+        # <3, 14> x <2, 3>, conductor (26, 2): the candidate 14 at 16 needs
+        # 17, so 20 is next, where t^19 is missing; the precheck's step goes
+        # to 32, not 40, whose scan box exceeds the limit, and 32 commits at 29
+        pytest.param("branches: 2\nring: (1, 0) ; (0, 1) ; (t^3, t^2) ; (t^14, t^3)\n", 1000, (26, 2),
+                     [16, 20, 32], [29, 31], id="precheck-step"),
+    ],
+)
+def test_bootstrap_reaches_the_last_doubling_order_that_fits(monkeypatch, ring, cells, conductor, spans, scans):
+    built, scanned = _counting(monkeypatch)
+    monkeypatch.setattr(ideals, "MAX_CELLS", cells)
+    assert value_ideal(parse_curve(ring), "R").conductor == conductor
+    assert built == spans
+    assert sorted(scanned) == scans
+
+
 def test_value_ideal_builds_one_span_per_order_pair(monkeypatch, curve_spec):
     built, scanned = _counting(monkeypatch)
     value_ideal(parse_curve("truncation: 20\n" + dumps_curve(curve_spec)), "E")
     assert (built, sorted(scanned)) == ([22], [20, 22])
-    GR = value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
-    e = oracles.radical_orders(GR.contains, GR.gamma)
-    spec = parse_curve(dumps_curve(curve_spec))
-    for module in ["R", "Rbar", "C"] + spec.module_names():
-        del built[:], scanned[:]
-        gamma = value_ideal(spec, module).conductor
-        assert len(set(built)) == len(built) <= len(scanned) - 1, (module, built, scanned)
-        # one span per probe order N tried, then N_c + 2 only when it
-        # lies above the last of them; every scan is cut from a build
-        probes = [n for n, p in zip(built, PROBES) if n == p]
-        commit = max(g + max(3, x) for g, x in zip(gamma, e))
-        extra = [commit + 2] if commit + 2 > probes[-1] else []
-        assert built == probes + extra, (module, built, scanned)
-        assert max(scanned) <= max(built), (module, built, scanned)
+    for text in (dumps_curve(curve_spec), *CURVES.values(), RING_34_26):
+        spec = parse_curve(text)
+        for module in ["R", "Rbar", "C"] + spec.module_names():
+            del built[:], scanned[:]
+            G = value_ideal(spec, module)
+            GR = value_ideal(spec, "R")
+            e = oracles.radical_orders(GR.contains, GR.gamma)
+            commit = max(g + max(3, x) for g, x in zip(G.conductor, e))
+            # every certified value set is scanned exactly twice
+            assert sorted(scanned) == [commit, commit + 2], (module, built, scanned)
+            # one span per order tried, from 16 on, each at most twice the
+            # one before; every order but the last lies below commit, as at
+            # or above it the tail is the conductor, and the last reaches
+            # commit; then commit + 2 exactly when the last lies below it
+            tried = built[:-1] if len(built) > 1 and commit <= built[-2] < built[-1] == commit + 2 else built
+            assert tried[0] == 16 and all(a < b <= 2 * a for a, b in zip(tried, tried[1:])), (module, built)
+            assert all(n < commit for n in tried[:-1]) and commit <= tried[-1], (module, built)
+            assert built == tried + ([commit + 2] if tried[-1] < commit + 2 else []), (module, built)
+
+
+RING_34_26 = "branches: 2\nring: (t^4, t^3) ; (t^6 + t^7, t^5)\n"
+
+
+@pytest.mark.parametrize(
+    "text, spans, scans",
+    [
+        # the candidate at 32 needs 38, so 40 is next, where it commits and reruns
+        (RING_34_26, [16, 32, 40], {38, 40}),
+        # the candidate at 16 needs 17, so 20 is next, where it commits and reruns
+        (CURVES["ring-14-12"], [16, 20], {17, 19}),
+        # <11, ..., 21> has conductor 11 = e: the candidate at 16 needs 22,
+        # and 24 commits and reruns in one span where 22 would take two
+        ("branches: 1\nring: " + " ; ".join(f"(t^{k})" for k in range(11, 22)) + "\n", [16, 24], {22, 24}),
+    ],
+)
+def test_bootstrap_reads_the_next_order_off_the_candidate(monkeypatch, text, spans, scans):
+    built, scanned = _counting(monkeypatch)
+    value_ideal(parse_curve(text), "R")
+    assert built == spans
+    assert sorted(scanned) == sorted(scans)
+
+
+def test_bootstrap_passes_512_only_for_the_candidate_found_there(monkeypatch):
+    # <20, 27> has conductor 494 and e = 20: false candidates at 128 and
+    # 256 leave the powers of two, each precheck step returns to them, and
+    # the candidate at 512, the conductor, commits at 514 with one span above
+    built, scanned = _counting(monkeypatch)
+    assert value_ideal(parse_curve("branches: 1\nring: (t^20) ; (t^27)\n"), "R").conductor == (494,)
+    assert built == [16, 32, 64, 128, 160, 256, 320, 512, 516]
+    assert sorted(scanned) == [514, 516]
 
 
 def test_ring_layer_hashes_no_fraction(monkeypatch, curve_spec):
