@@ -21,7 +21,10 @@ nor the rerun.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
 rings) and ``C`` (the conductor module t^gamma * Rbar) are built in;
-names defined in the file shadow them.
+names defined in the file shadow them.  Rbar and C each have Σe_i
+generators, t^k·ε_i and t^(gamma_i + k)·ε_i for 0 <= k < e_i, ε_i the
+idempotent of branch i (see :func:`_gens`); only C needs the ring's
+value set.
 """
 
 from __future__ import annotations
@@ -270,7 +273,19 @@ class _Store:
 
 
 def _gens(spec: CurveSpec, name: str) -> tuple:
-    """Integer generator terms of a named module."""
+    """Integer generator terms of a named module.
+
+    Rbar is generated by the t^k·ε_i with 0 <= k < e_i, ε_i the idempotent
+    of branch i and e from :func:`_radical_orders`, and C = t^gamma·Rbar,
+    gamma the ring's conductor, by the t^(gamma_i + k)·ε_i: Σe_i
+    generators each, and Rbar's need no value set.  Proof: the Q-span of
+    the t^k·ε_i plus J·Rbar = ∏ t^(e_i)·Q[[t]] is all of Rbar, J the ring
+    elements with zero constant terms (proved in :func:`_radical_orders`).
+    With A the closure of R, J lies in the Jacobson radical of A and Rbar
+    is finite over A (both proved in :func:`_value`), so Nakayama's lemma
+    gives Rbar = A·{t^k·ε_i}, whose truncations are those of the span of
+    R·{t^k·ε_i}.  Multiplying by t^gamma gives C.
+    """
     named = spec._store.named
     if name not in named:
         if name not in ("Rbar", "C"):
@@ -278,19 +293,20 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
                 f"unknown module {name!r}; file defines {spec.module_names()!r}, "
                 "built-ins are R, Rbar, C"
             )
-        gamma = value_ideal(spec, "R").conductor
-        lift = gamma if name == "C" else (0,) * spec.s
-        named[name] = (tuple(((k, 1),) for k in lift),) + tuple(
-            tuple(((e + k, 1),) if b == i else () for b, k in enumerate(lift))
+        e = _radical_orders(spec)
+        lift = value_ideal(spec, "R").conductor if name == "C" else (0,) * spec.s
+        named[name] = tuple(
+            tuple(((lift[i] + k, 1),) if b == i else () for b in range(spec.s))
             for i in range(spec.s)
-            for e in range(gamma[i])
+            for k in range(e[i])
         )
     return named[name]
 
 
 def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
     """Generators for a named module; file names shadow the built-ins
-    R, Rbar and C."""
+    R, Rbar and C, whose generators :func:`_gens` gives: 1 for R, and
+    t^k·ε_i for Rbar and t^(gamma_i + k)·ε_i for C, 0 <= k < e_i."""
     return dict(spec.modules).get(name) or tuple(map(poly_vec, _gens(spec, name)))
 
 

@@ -133,21 +133,40 @@ class ModuleBasis:
         return True
 
     def truncated(self, N: int) -> "ModuleBasis":
-        """The basis of this span cut to ∏ Q[t]/(t^N), for N <= self.N.
+        """The basis of this span cut to ∏ Q[t]/(t^N), for 1 <= N <= self.N;
+        any other N is refused, naming both orders.
 
         For spans this is the span at order N: truncation pi from order
         N' to N is a ring map, pi(r·v) = pi(r)·pi(v), so pi(V') holds the
         generators and is closed under the ring, giving V ⊆ pi(V'); and
         pi^-1(V) holds the generators and is closed under the ring too,
         giving V' ⊆ pi^-1(V).  The rows, re-keyed from i·N' + e to
-        i·N + e with e >= N dropped, span pi(V'); reinserted they give the
-        reduced echelon basis of primitive rows, which is unique (so is
-        the reduced row echelon form, and each row's primitive multiple
-        positive at its pivot), hence row for row a fresh build at N.
+        i·N + e with e >= N dropped, span pi(V').  A row whose pivot
+        survives is kept, its content divided out if it lost entries: it
+        is still positive at its pivot, which no other row holds, and it
+        holds no other row's pivot.  Only a row that lost its pivot is
+        reinserted, which clears its new lead from the kept rows; a span
+        cut above its conductor has none with entries left, as its rows
+        there are monomials.  The result is the reduced echelon basis of
+        primitive rows, which is unique (so is the reduced row echelon
+        form, and each row's primitive multiple positive at its pivot),
+        hence row for row a fresh build at N.
         """
-        out, old = ModuleBasis(self.s, N), self.N
-        for row in self.rows.values():
-            out._insert({p // old * N + p % old: c for p, c in row.items() if p % old < N})
+        old = self.N
+        if not 1 <= N <= old:
+            raise TruncationError(f"cannot cut the span at truncation {old} to truncation {N}: "
+                                  f"a cut needs 1 <= {N} <= {old}")
+        out, lost = ModuleBasis(self.s, N), []
+        for p, row in self.rows.items():
+            v = {q // old * N + q % old: c for q, c in row.items() if q % old < N}
+            if p % old >= N:
+                lost.append(v)
+            else:
+                if len(v) < len(row):
+                    _divide_content(v)
+                out.rows[p // old * N + p % old] = v
+        for v in filter(None, lost):
+            out._insert(v)
         return out
 
 

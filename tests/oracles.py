@@ -352,6 +352,31 @@ def plane_branch_conductor(n, b):
     return (n - 1) * (b - 1)
 
 
+def zariski_branch(n, exps):
+    """The minimal generators and the conductor of the value semigroup of
+    the plane branch x = t^n, y = sum of t^b over b in ``exps``.
+
+    The characteristic exponents beta_1 < ... < beta_g are the exponents
+    at which e_i = gcd(n, beta_1, ..., beta_i) drops, down to e_g = 1.
+    With n_i = e_(i-1)/e_i, the generators are n, beta_1 and
+    beta-bar_(i+1) = n_i·beta-bar_i + beta_(i+1) - beta_i, and the
+    conductor is c = sum of (n_i - 1)·beta-bar_i - n + 1.  See Zariski,
+    The moduli problem for plane branches, AMS University Lecture Series
+    39 (2006), ch. II."""
+    chars, divs = [], [n]
+    for b in sorted(exps):
+        if b % divs[-1]:
+            chars.append(b)
+            divs.append(math.gcd(divs[-1], b))
+    if divs[-1] != 1:
+        raise ValueError(f"t^{n} and {exps} do not parametrize a branch: gcd {divs[-1]}")
+    bars = [chars[0]]
+    for i in range(1, len(chars)):
+        bars.append(divs[i - 1] // divs[i] * bars[-1] + chars[i] - chars[i - 1])
+    c = sum((divs[i] // divs[i + 1] - 1) * bar for i, bar in enumerate(bars)) - n + 1
+    return (n, *bars), c
+
+
 def plane_intersection(B, C):
     """Intersection number of two distinct branches, by Noether's formula
     in Halphen's form: the sum, over the n·m pairs of Puiseux conjugates,

@@ -18,7 +18,7 @@ from goodsemi.ringbridge import (
     span_module,
     value_ideal,
 )
-from test_span_store import CURVES, _counting
+from test_span_store import CURVES, RING_34_26, _counting
 
 # semilocal: (0, 2) puts the idempotent (0, 1) in R, so R = R_0 x R_1 with
 # values <2, 3> x <4, 5>; the ring's least branch-1 exponent is 0, not e_1
@@ -104,6 +104,31 @@ def test_semilocal_ring_commits_at_gamma_plus_e():
         value_ideal(parse_curve("truncation: 15\n" + SEMILOCAL))
 
 
+def _builtin_text(name, curve_spec):
+    if name.startswith("plane-"):
+        rng = random.Random(int(name[6:]))
+        return oracles.plane_curve_text(oracles.random_plane_curve(rng, rng.randint(1, 3)))
+    if name == "zariski":
+        return "branches: 1\nring: (t^8) ; (t^12 + t^14 + t^15)\n"
+    return {"semilocal": SEMILOCAL, "ring-34-26": RING_34_26}.get(name) or _text(name, curve_spec)
+
+
+@pytest.mark.parametrize(
+    "name", ["twobranch", "semilocal", "ring-34-26", "zariski", *CURVES, *(f"plane-{k}" for k in range(6))]
+)
+def test_builtins_are_generated_by_the_idempotents_below_e(name, curve_spec):
+    # Rbar by t^k·ε_i and C by t^(γ_i + k)·ε_i, 0 <= k < e_i: Σe_i generators each
+    spec = parse_curve(_builtin_text(name, curve_spec))
+    GR = value_ideal(spec, "R")
+    gamma, e, s = GR.conductor, oracles.radical_orders(GR.contains, GR.gamma), spec.s
+    assert len(curves._gens(spec, "Rbar")) == len(curves._gens(spec, "C")) == sum(e)
+    for module, lo in (("Rbar", (0,) * s), ("C", gamma)):
+        G = value_ideal(spec, module)
+        assert (G.frame_sorted, G.conductor) == ((lo,), lo), module
+    assert length_quotient(spec, "Rbar", "C") == sum(gamma)
+    assert conductor_of(spec)[0] == gamma
+
+
 @pytest.mark.parametrize("name", ["twobranch", *CURVES])
 def test_certified_values_match_the_fixed_order_policy(name, curve_spec):
     text = _text(name, curve_spec)
@@ -111,7 +136,7 @@ def test_certified_values_match_the_fixed_order_policy(name, curve_spec):
     gamma_R = value_ideal(spec, "R").conductor
     for module in ["R", "Rbar", "C"] + spec.module_names():
         G = value_ideal(spec, module)
-        # Rbar and C are built from Γ_R, so R must commit at that order too
+        # C is built from Γ_R, so R must commit at that order too
         top = max(G.conductor + gamma_R)
         old = parse_curve(f"truncation: {max(16, 2 * top + 4)}\n" + text)
         assert G == value_ideal(old, module), module

@@ -7,7 +7,9 @@ symmetric (Kunz, Proc. AMS 25, 1970, for one branch; Delgado, Manuscripta
 Math. 61, 1988, for several), and R a canonical module, so that the
 paper's Γ(K : E) = Γ_K - Γ_E reads Γ(R : E) = Γ_R - Γ_E for every module
 E.  Lengths are distances: ℓ(R/C) = d(Γ_R \\ Γ_C), which for a Gorenstein
-ring is half the sum of the conductor's coordinates.
+ring is half the sum of the conductor's coordinates.  A branch with
+several characteristic exponents has its values from Zariski's recursion
+(``oracles.zariski_branch``).
 """
 
 import random
@@ -16,7 +18,14 @@ import pytest
 
 import oracles
 from goodsemi import GoodSemigroup, difference, is_symmetric, relative_distance
-from goodsemi.ringbridge import colon_value_ideal, curves, length_quotient, parse_curve, value_ideal
+from goodsemi.ringbridge import (
+    colon_value_ideal,
+    conductor_of,
+    curves,
+    length_quotient,
+    parse_curve,
+    value_ideal,
+)
 
 
 def _module(rng, s):
@@ -61,3 +70,24 @@ def test_one_branch_conductor_is_the_frobenius_number_plus_one(n, b, c):
     members = oracles.numerical_members([n, b], c + n * b)
     assert all(k in members for k in range(c, c + n * b))
     assert c == 0 or c - 1 not in members
+
+
+@pytest.mark.parametrize(
+    "n, exps, gens, c",
+    [
+        (4, (6, 7), (4, 6, 13), 16),
+        (4, (6, 9), (4, 6, 15), 18),
+        (6, (8, 9), (6, 8, 25), 36),
+        (6, (9, 10), (6, 9, 19), 42),
+        (8, (12, 14, 15), (8, 12, 26, 53), 84),
+    ],
+)
+def test_plane_branch_values_follow_zariskis_recursion(n, exps, gens, c):
+    assert oracles.zariski_branch(n, exps) == (gens, c)
+    y = " + ".join(f"t^{b}" for b in exps)
+    spec = parse_curve(f"branches: 1\nring: (t^{n}) ; ({y})\n")
+    gamma, basis = conductor_of(spec)
+    assert gamma == (c,) and basis.dim == basis.N - c
+    members = oracles.numerical_members(gens, c)
+    G = value_ideal(spec, "R")
+    assert [k for k in range(c + 1) if G.contains((k,))] == sorted(members), (n, exps)

@@ -74,6 +74,49 @@ def test_truncated_span_is_the_fresh_build_on_random_parametrizations():
             assert _fresh(spec, gens, high).truncated(N).rows == want, (trial, high)
 
 
+def _drops_a_pivot_with_entries_left(basis, N):
+    """Whether cutting ``basis`` to order N drops some row's pivot while the
+    row keeps an entry below N, so that the cut must reinsert the row."""
+    old = basis.N
+    return any(p % old >= N and any(q % old < N for q in row) for p, row in basis.rows.items())
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [
+        # (t^5, t)·(t^2, t^3) = (t^7, t^4): cut below 7 it leads on branch 1
+        ("(t^2, t^3)", "(t^5, t)"),
+        ("(t^2, t^3) ; (t^3, t^5)", "(t^6 + t^7, t^2)"),
+        ("(t, t^2, 0) ; (t^3, 0, t)", "(t^6, 2*t^2 - t^3, t) ; (0, t^5, t^4)"),
+    ],
+)
+def test_truncated_span_is_the_fresh_build_when_a_cut_drops_a_pivot(ring, gens):
+    s = ring.split(";")[0].count(",") + 1
+    spec = parse_curve(f"branches: {s}\nring: {ring}\nmodule M: {gens}\n")
+    gens = module_generators(spec, "M")
+    reinserted = 0
+    for high in (12, 17):
+        top = _fresh(spec, gens, high)
+        for N in range(1, high + 1):
+            reinserted += _drops_a_pivot_with_entries_left(top, N)
+            assert top.truncated(N).rows == _fresh(spec, gens, N).rows, (high, N)
+    assert reinserted
+
+
+def test_a_cut_above_the_span_or_below_order_1_is_refused():
+    # Q[[t^2, t^3]] at order 10 has dimension 9; a "cut" to 20 would keep
+    # those 9 rows, where the span at 20 has dimension 19
+    ring = [(((2, 1),),), (((3, 1),),)]
+    one = [(((0, 1),),)]
+    B = span_basis(ring, one, 10)
+    assert (B.dim, span_basis(ring, one, 20).dim) == (9, 19)
+    for N in (20, 11, 0, -3):
+        with pytest.raises(TruncationError, match=rf"cut the span at truncation 10 to truncation {N}:"):
+            B.truncated(N)
+    assert B.truncated(10).rows == B.rows
+    assert B.truncated(1).rows == {0: {0: 1}}
+
+
 def _reduces_to_zero(basis, row):
     v = dict(row)
     basis._fully_reduce(v)
@@ -146,12 +189,15 @@ def test_value_ideal_builds_one_span_per_order_pair(monkeypatch, curve_spec):
     value_ideal(parse_curve("truncation: 20\n" + dumps_curve(curve_spec)), "E")
     assert (built, sorted(scanned)) == ([22], [20, 22])
     for text in (dumps_curve(curve_spec), *CURVES.values(), RING_34_26):
-        spec = parse_curve(text)
-        for module in ["R", "Rbar", "C"] + spec.module_names():
+        GR = value_ideal(parse_curve(text), "R")
+        e = oracles.radical_orders(GR.contains, GR.gamma)
+        for module in ["R", "Rbar", "C"] + parse_curve(text).module_names():
+            # a fresh store per module, as modules with one generator tuple
+            # share a value set (on twobranch, C's generators are CR's)
+            spec = parse_curve(text)
+            curves._gens(spec, module)  # C's generators need Γ_R
             del built[:], scanned[:]
             G = value_ideal(spec, module)
-            GR = value_ideal(spec, "R")
-            e = oracles.radical_orders(GR.contains, GR.gamma)
             commit = max(g + max(3, x) for g, x in zip(G.conductor, e))
             # every certified value set is scanned exactly twice
             assert sorted(scanned) == [commit, commit + 2], (module, built, scanned)
