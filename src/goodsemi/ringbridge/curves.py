@@ -397,16 +397,19 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
     def fits(n: int) -> bool:
         return (n - 1) ** s <= ideals.MAX_CELLS
 
-    top = 16  # the last of 16, 32, ..., 512 whose scan box fits the box limit
+    top = 8  # the last of 8, 16, ..., 512 whose scan box fits the box limit
     while top < 512 and fits(2 * top):
         top *= 2
-    N = rule = 16
+    N = rule = 8
+    if not fits(N):
+        raise TruncationError(f"no truncation fits the box limit: the first, {N}, has scan box [0, {N - 2}]^{s} "
+                              f"of {(N - 1) ** s} cells, over the box limit of {ideals.MAX_CELLS} cells")
     while fits(N):
         tried.append(N)
         c = monomial_tail(_span(spec, gens, N))
         if N in c:
             notes.append(f"the precheck refused truncation {N}: the span misses t^{N - 1} on branch {c.index(N)}")
-            rule = 1 << N.bit_length()  # the next of 16, 32, ...
+            rule = 1 << N.bit_length()  # the next of 8, 16, 32, ...
         elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
             return commit
         else:
@@ -429,12 +432,12 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
 def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     """Value set of the module M generated by integer terms ``gens``.
 
-    The bootstrap tries orders N from 16 on, with one span each.  Its
+    The bootstrap tries orders N from 8 on, with one span each.  Its
     monomial tail c (:func:`modules.monomial_tail`) is the candidate
     conductor: c <= gamma, M's conductor, as M holds t^gamma·Rbar, and
     c = gamma once N > gamma, as then M ⊇ t^N·Rbar.  If c_i = N on a
     branch (the precheck fails), gamma_i >= N, no candidate bounds it,
-    and N moves to the next of 16, 32, 64, ...; back on that grid, a
+    and N moves to the next of 8, 16, 32, ...; back on that grid, a
     precheck failure after a step to 20 costs a span at 32, not at 40.
     Else let commit = max_i(c_i + max(3, e_i)), e from
     :func:`_radical_orders`.  If commit <= N, the span at N is the
@@ -443,14 +446,15 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     span, held within [N + N // 4, 2N] so that orders grow geometrically
     and a far-off candidate cannot overshoot gamma by much.
 
-    Every step is clamped to top, the last of 16, 32, ..., 512 whose scan
+    Every step is clamped to top, the last of 8, 16, ..., 512 whose scan
     box [0, top - 2]^s fits the box limit, so the bootstrap always reaches
-    the last order that doubling from 16 reaches.  Past top only a
+    the last order that doubling from 8 reaches.  Past top only a
     candidate found at top steps, once, to its commit + 2, where it
     commits if gamma < top, as then c = gamma already at top.  The bootstrap
     ends when the rule gives no further order, or one whose scan box
     exceeds the box limit, so a ring with no conductor is refused at top,
-    naming each order tried and the check that refused it.
+    naming each order tried and the check that refused it; when not even
+    8 fits, the refusal names 8 and its box.
 
     Certificate (:func:`_certify`): the span at an order N_c >= c + e
     holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A
@@ -527,8 +531,20 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     p the poles, is proven too: t^(γ_K - μ_E)·Rbar·E ⊆ t^(γ_K)·Rbar ⊆ K,
     so the colon's conductor is at most γ_K - μ_E, and after the shift by
     p it lies strictly inside the scan box [0, N - 2]^s.  The result must
-    agree with a rerun two orders higher, which runs first so that the
-    span of K at N is cut from the one at N + 2.
+    agree with a rerun two orders higher.
+
+    The colon is solved once, at N + 2, and its basis B is scanned with
+    its cut B.truncated(N), which is row for row the solution basis at N.
+    Proof: below free = gamma_K + p the two eliminations of
+    :func:`modules.colon_solution_basis` are the same system, position
+    for position.  K's rows with pivot below gamma_K hold no entry at or
+    above gamma_K, so cutting K's span to N, which gives K's span at N,
+    leaves them as they are; the products of E stop at free; and an
+    unknown at or above free meets no condition, so both bases hold the
+    monomials {q: 1} from free on, which no other row holds.  So the rows
+    of B with pivot below free are the rows at N, and the cut drops only
+    t^N and t^(N+1) on each branch.  Truncation is a ring map, so the
+    closure check on B covers its cut.
     """
     from ..duality import difference  # only the colon needs duality
 
@@ -540,10 +556,8 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
     if spec.truncation is not None:
         N = max(N, spec.truncation)
-    Gb, Ga = (
-        _scan(colon_solution_basis(ring, _span(spec, K_gens, n), E_gens, gamma_K, poles), "colon conductor")
-        for n in (N + 2, N)
-    )
+    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles)
+    Gb, Ga = _scan(B, "colon conductor"), _scan(B.truncated(N), "colon conductor")
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
     return Gb.shift(tuple(-p for p in poles))

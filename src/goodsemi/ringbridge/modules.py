@@ -70,7 +70,11 @@ def _axpy(target: Row, src: Row, f: int) -> None:
 
 def _cancel(v: Row, row: Row, p: int) -> None:
     """Clear position p of v: v <- m·v - n·row with m > 0, so v keeps
-    the sign of its other entries."""
+    the sign of its other entries.  A primitive row with one entry is
+    {p: ±1}: m = 1 and v only loses p, so it is cleared by deletion."""
+    if len(row) == 1:
+        del v[p]
+        return
     a, b = row[p], v[p]
     g = gcd(a, b)
     m, n = a // g, b // g
@@ -111,7 +115,9 @@ class ModuleBasis:
         """Eliminate every pivot position from the integer row v, in place.
 
         One pass suffices: no row holds another row's pivot, so clearing
-        one pivot from v never brings back another.
+        one pivot from v never brings back another.  A unit row {p: 1},
+        one per position above a span's conductor, clears p by deletion
+        (:func:`_cancel`).
         """
         rows = self.rows
         for p in sorted(p for p in v if p in rows):

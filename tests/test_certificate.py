@@ -32,26 +32,30 @@ def _text(name, curve_spec):
 def test_ring_without_conductor_fails_at_the_precheck(monkeypatch):
     built, scanned = _counting(monkeypatch)
     spec = parse_curve("branches: 3\nring: (t, t, t)\n")
-    with pytest.raises(TruncationError, match="truncations 16, 32, 64, 128, 256;") as exc:
+    with pytest.raises(TruncationError, match="truncations 8, 16, 32, 64, 128, 256;") as exc:
         value_ideal(spec, "R")
     assert "the precheck refused truncation 256: the span misses t^255" in str(exc.value)
-    assert scanned == [] and built == [16, 32, 64, 128, 256]
+    assert scanned == [] and built == [8, 16, 32, 64, 128, 256]
 
 
 @pytest.mark.parametrize(
     "ring, tried, last",
     [
-        pytest.param("(t^4) ; (t^6 + t^7)", "16",
+        pytest.param("(t^4) ; (t^6 + t^7)", "8, 16",
+                     "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the precheck refused truncation 16: the span misses t^15 on branch 0",
                      id="(t^4) ; (t^6 + t^7)-precheck"),
-        # t^15 is in the span at 16 and t^14 is not: the candidate 15
-        # needs 15 + e = 24, and 26 is beyond the box limit
-        pytest.param("(t^9) ; (t^15) ; (t^16)", "16",
+        # the precheck refuses 8; t^15 is in the span at 16 and t^14 is
+        # not: the candidate 15 needs 15 + e = 24, and 26 is beyond the box limit
+        pytest.param("(t^9) ; (t^15) ; (t^16)", "8, 16",
+                     "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the certificate refused truncation 16: the candidate conductor (15,) needs truncation 24",
                      id="(t^9) ; (t^15) ; (t^16)-certificate"),
-        # 12..15 are values, 16 is not: the candidate 12 needs 18, so 20
-        # is tried, where the candidate 17 needs 23, and 25 is not tried
-        pytest.param("(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)", "16, 20",
+        # the precheck refuses 8; 12..15 are values, 16 is not: the
+        # candidate 12 needs 18, so 20 is tried, where the candidate 17
+        # needs 23, and 25 is not tried
+        pytest.param("(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)", "8, 16, 20",
+                     "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the certificate refused truncation 16: the candidate conductor (12,) needs truncation 18; "
                      "the certificate refused truncation 20: the candidate conductor (17,) needs truncation 23",
                      id="(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)-certificate"),

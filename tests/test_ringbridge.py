@@ -475,7 +475,7 @@ def test_bootstrap_failure_lists_the_truncations_tried():
     # both branches carry the same parametrization, so no truncation
     # shows a conductor although every precheck passes
     spec = parse_curve("branches: 2\nring: (t, t)\n")
-    with pytest.raises(TruncationError, match="truncations 16, 32, 64, 128, 256, 512;"):
+    with pytest.raises(TruncationError, match="truncations 8, 16, 32, 64, 128, 256, 512;"):
         value_ideal(spec, "R")
 
 

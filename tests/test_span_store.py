@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_bench_smoke import workloads
 from goodsemi import TruncationError, ideals
 from goodsemi.ringbridge import (
     colon_value_ideal,
@@ -117,6 +118,48 @@ def test_a_cut_above_the_span_or_below_order_1_is_refused():
     assert B.truncated(1).rows == {0: {0: 1}}
 
 
+def _solved_once(spec, K, E):
+    """The arguments of the one ``colon_solution_basis`` call that
+    ``colon_value_ideal(spec, K, E)`` makes, with the orders it scans."""
+    value_ideal(spec, K), value_ideal(spec, E)  # warm, so that only the colon scans
+    calls, real = [], curves.colon_solution_basis
+    with pytest.MonkeyPatch.context() as mp:
+        _, scanned = _counting(mp)
+        mp.setattr(curves, "colon_solution_basis", lambda *a: calls.append(a) or real(*a))
+        colon_value_ideal(spec, K, E)
+    assert len(calls) == 1, (K, E)
+    return calls[0], sorted(scanned)
+
+
+def test_colon_solves_once_and_scans_twice(curve_spec):
+    spec = parse_curve(dumps_curve(curve_spec))
+    for E in ["R", "Rbar", "C"] + spec.module_names():
+        (_, K_basis, *_), scanned = _solved_once(spec, "K0", E)
+        N = K_basis.N - 2
+        assert scanned == [N, N + 2], E
+
+
+def _colon_rings(curve_spec):
+    """twobranch's 8 modules, and R, Rbar, C of the five rings of the
+    ring-colon benchmark, each on 3 seeded value-preserving changes."""
+    two = parse_curve(dumps_curve(curve_spec))
+    yield "twobranch", two, ["R", "Rbar", "C"] + two.module_names()
+    for name, text in workloads.COLON_RINGS.items():
+        for seed in (1, 2, 3):
+            yield name, workloads.transform_curve(text, random.Random(seed)), ["R", "Rbar", "C"]
+
+
+def test_colon_basis_cut_from_n_plus_2_is_the_basis_at_n(curve_spec):
+    for name, spec, names in _colon_rings(curve_spec):
+        for K in names:
+            for E in names:
+                (ring, K_basis, E_gens, gamma_K, poles), _ = _solved_once(spec, K, E)
+                N = K_basis.N - 2
+                cut = modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles).truncated(N)
+                at_n = modules.colon_solution_basis(ring, K_basis.truncated(N), E_gens, gamma_K, poles)
+                assert cut.rows == at_n.rows, (name, K, E)
+
+
 def _reduces_to_zero(basis, row):
     v = dict(row)
     basis._fully_reduce(v)
@@ -155,25 +198,54 @@ def test_bootstrap_stops_before_an_oversized_scan_box(monkeypatch):
     built, _ = _counting(monkeypatch)
     monkeypatch.setattr(ideals, "MAX_CELLS", 40 * 40)
     spec = parse_curve("branches: 2\nring: (t, t)\n")
-    with pytest.raises(TruncationError, match=r"truncations 16, 32; truncation 64 was not tried") as exc:
+    with pytest.raises(TruncationError, match=r"truncations 8, 16, 32; truncation 64 was not tried") as exc:
         value_ideal(spec, "R")
     assert "box limit of 1600 cells" in str(exc.value)
     assert built and max(built) < 64
 
 
+def _smooth_branches(s):
+    """s smooth branches, (t, 0, ..., 0) ; ... ; (0, ..., 0, t): the value
+    set is {0} and (1, ..., 1) + N^s."""
+    units = ("(" + ", ".join("t" if k == i else "0" for k in range(s)) + ")" for i in range(s))
+    return f"branches: {s}\nring: " + " ; ".join(units) + "\n"
+
+
+def test_seven_smooth_branches_commit_at_order_8(monkeypatch):
+    # [0, 14]^7 exceeds the box limit, [0, 6]^7 does not: order 8 is
+    # the only one of 8, 16, ... whose scan box fits, and it commits at 4
+    built, scanned = _counting(monkeypatch)
+    G = value_ideal(parse_curve(_smooth_branches(7)), "R")
+    assert G.conductor == (1,) * 7 and G.frame_sorted == ((0,) * 7, (1,) * 7)
+    assert built == [8] and sorted(scanned) == [4, 6]
+
+
+def test_no_order_fits_the_box_limit_for_nine_branches(monkeypatch):
+    built, _ = _counting(monkeypatch)
+    with pytest.raises(TruncationError) as exc:
+        value_ideal(parse_curve(_smooth_branches(9)), "R")
+    assert str(exc.value) == (
+        "no truncation fits the box limit: the first, 8, has scan box [0, 6]^9 "
+        f"of {7 ** 9} cells, over the box limit of {ideals.MAX_CELLS} cells"
+    )
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "ring, cells, conductor, spans, scans",
     [
-        # <6, 9, 10>, conductor 24, e = 6, with 32 the last of 16, 32, ...
-        # whose scan box fits: the candidates at 16, 23 and 28 need 21, 24
-        # and 30, and the step from 28 to 35 is clamped to 32, where 30 commits
-        pytest.param("branches: 1\nring: (t^6) ; (t^9) ; (t^10)\n", 32, (24,), [16, 23, 28, 32], [30, 32],
+        # <6, 9, 10>, conductor 24, e = 6, with 32 the last of 8, 16, 32, ...
+        # whose scan box fits: the precheck refuses 8, the candidates at 16,
+        # 23 and 28 need 21, 24 and 30, and the step from 28 to 35 is
+        # clamped to 32, where 30 commits
+        pytest.param("branches: 1\nring: (t^6) ; (t^9) ; (t^10)\n", 32, (24,), [8, 16, 23, 28, 32], [30, 32],
                      id="certificate-step"),
-        # <3, 14> x <2, 3>, conductor (26, 2): the candidate 14 at 16 needs
-        # 17, so 20 is next, where t^19 is missing; the precheck's step goes
-        # to 32, not 40, whose scan box exceeds the limit, and 32 commits at 29
+        # <3, 14> x <2, 3>, conductor (26, 2): the precheck refuses 8, the
+        # candidate 14 at 16 needs 17, so 20 is next, where t^19 is missing;
+        # the precheck's step goes to 32, not 40, whose scan box exceeds the
+        # limit, and 32 commits at 29
         pytest.param("branches: 2\nring: (1, 0) ; (0, 1) ; (t^3, t^2) ; (t^14, t^3)\n", 1000, (26, 2),
-                     [16, 20, 32], [29, 31], id="precheck-step"),
+                     [8, 16, 20, 32], [29, 31], id="precheck-step"),
     ],
 )
 def test_bootstrap_reaches_the_last_doubling_order_that_fits(monkeypatch, ring, cells, conductor, spans, scans):
@@ -201,12 +273,12 @@ def test_value_ideal_builds_one_span_per_order_pair(monkeypatch, curve_spec):
             commit = max(g + max(3, x) for g, x in zip(G.conductor, e))
             # every certified value set is scanned exactly twice
             assert sorted(scanned) == [commit, commit + 2], (module, built, scanned)
-            # one span per order tried, from 16 on, each at most twice the
+            # one span per order tried, from 8 on, each at most twice the
             # one before; every order but the last lies below commit, as at
             # or above it the tail is the conductor, and the last reaches
             # commit; then commit + 2 exactly when the last lies below it
             tried = built[:-1] if len(built) > 1 and commit <= built[-2] < built[-1] == commit + 2 else built
-            assert tried[0] == 16 and all(a < b <= 2 * a for a, b in zip(tried, tried[1:])), (module, built)
+            assert tried[0] == 8 and all(a < b <= 2 * a for a, b in zip(tried, tried[1:])), (module, built)
             assert all(n < commit for n in tried[:-1]) and commit <= tried[-1], (module, built)
             assert built == tried + ([commit + 2] if tried[-1] < commit + 2 else []), (module, built)
 
@@ -217,13 +289,19 @@ RING_34_26 = "branches: 2\nring: (t^4, t^3) ; (t^6 + t^7, t^5)\n"
 @pytest.mark.parametrize(
     "text, spans, scans",
     [
-        # the candidate at 32 needs 38, so 40 is next, where it commits and reruns
-        (RING_34_26, [16, 32, 40], {38, 40}),
-        # the candidate at 16 needs 17, so 20 is next, where it commits and reruns
-        (CURVES["ring-14-12"], [16, 20], {17, 19}),
-        # <11, ..., 21> has conductor 11 = e: the candidate at 16 needs 22,
-        # and 24 commits and reruns in one span where 22 would take two
-        ("branches: 1\nring: " + " ; ".join(f"(t^{k})" for k in range(11, 22)) + "\n", [16, 24], {22, 24}),
+        # the precheck refuses 8 and 16; the candidate at 32 needs 38, so 40
+        # is next, where it commits and reruns
+        (RING_34_26, [8, 16, 32, 40], {38, 40}),
+        # the precheck refuses 8; the candidate at 16 needs 17, so 20 is
+        # next, where it commits and reruns
+        (CURVES["ring-14-12"], [8, 16, 20], {17, 19}),
+        # <11, ..., 21> has conductor 11 = e: the precheck refuses 8, the
+        # candidate at 16 needs 22, and 24 commits and reruns in one span
+        # where 22 would take two
+        ("branches: 1\nring: " + " ; ".join(f"(t^{k})" for k in range(11, 22)) + "\n", [8, 16, 24], {22, 24}),
+        # <5, ..., 9> has conductor 5 = e: the candidate at 8 needs 10, so
+        # 12 is next, where it commits and reruns
+        ("branches: 1\nring: " + " ; ".join(f"(t^{k})" for k in range(5, 10)) + "\n", [8, 12], {10, 12}),
     ],
 )
 def test_bootstrap_reads_the_next_order_off_the_candidate(monkeypatch, text, spans, scans):
@@ -239,7 +317,7 @@ def test_bootstrap_passes_512_only_for_the_candidate_found_there(monkeypatch):
     # the candidate at 512, the conductor, commits at 514 with one span above
     built, scanned = _counting(monkeypatch)
     assert value_ideal(parse_curve("branches: 1\nring: (t^20) ; (t^27)\n"), "R").conductor == (494,)
-    assert built == [16, 32, 64, 128, 160, 256, 320, 512, 516]
+    assert built == [8, 16, 32, 64, 128, 160, 256, 320, 512, 516]
     assert sorted(scanned) == [514, 516]
 
 
