@@ -14,11 +14,13 @@ Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
 v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
 
-The value semigroup ideal is read off with one sweep per branch i: rows
-with distinct branch-i orders by forward elimination, then the
-constraints of each axis-line imposed one at a time.  A constraint hits
-the rows filed under it by order, and drops the one of largest branch-i
-order, so every other row keeps its order: the line's dimension drops.
+The value semigroup ideal of a basis whose rows each lie on one branch
+is the product of the branches' pivot sets; any other basis is read off
+with one sweep per branch i: rows with distinct branch-i orders by
+forward elimination, then the constraints of each axis-line imposed one
+at a time.  A constraint hits the rows filed under it by order, and
+drops the one of largest branch-i order, so every other row keeps its
+order: the line's dimension drops.
 
 Spans, value scans, cuts and colons all eliminate through the same two
 steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
@@ -254,6 +256,17 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     a line is one bitset row, the keys left; otherwise the last axis is
     innermost, and key e one run at alpha_i = e, as long as it survived.
 
+    A basis whose rows each lie on one branch (every one-branch basis;
+    Rbar, C, R : Rbar and R : C) is read off its pivots, not walked.  Its
+    module is the direct sum of the parts V_i its rows on branch i span:
+    an element is Σ x_i with x_i in V_i, so its order on branch i is a
+    pivot of branch i, which that pivot's own row, zero elsewhere, attains.
+    The value set in the box is the product of the pivot sets P_i cut at
+    hi_i (Barucci, D'Anna and Fröberg, JPAA 147, 2000, one branch per
+    factor), each holding hi_i, and its exact capping bound is per axis:
+    slices along axis i at levels >= c agree iff P_i holds all of
+    [c, hi_i], so gamma_i is one past the last gap of P_i below hi_i.
+
     hi_i <= N-2 is required so every dimension involved stays inside the
     truncation; the returned capping bound is only trustworthy after the
     caller's stability checks.
@@ -267,6 +280,18 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         raise TruncationError(f"scan box {hi} does not fit below truncation {N}")
     if basis.dim == 0:
         raise FrameError("the zero module has no value semigroup ideal")
+    if all(max(row) // N == p // N for p, row in basis.rows.items()):
+        cut = [sum(1 << p % N for p in basis.rows if p // N == i and p % N <= h) for i, h in enumerate(hi)]
+        if not all(m >> h & 1 for m, h in zip(cut, hi)):
+            raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")
+        mu = tuple((m & -m).bit_length() - 1 for m in cut)
+        gamma = tuple((~m & (1 << h) - 1).bit_length() for m, h in zip(cut, hi))
+        shape = _box_shape(mu, gamma)
+        bits, width = cut[-1] >> mu[-1] & (1 << shape[-1]) - 1, shape[-1]
+        for m, lo, n in zip(cut[-2::-1], mu[-2::-1], shape[-2::-1]):
+            bits = sum(bits << k * width for k in range(n) if m >> lo + k & 1)  # disjoint: sum is OR
+            width *= n
+        return IdealFrame.__new__(IdealFrame)._adopt(mu, gamma, bits)
     shape = _box_shape(zero(s), hi)
     good = -1
     for i in range(s):
@@ -277,8 +302,7 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
                 _cancel(v, rows[lead], lead)
                 _divide_content(v)
             rows[lead] = v
-        rest, last, at = [k for k in range(s) if k != i], i == s - 1, [0] * s
-        out = [] if rest else [((), sum(1 << e for e in rows if e <= hi[i]))]
+        rest, last, at, out = [k for k in range(s) if k != i], i == s - 1, [0] * s, []
         spans = [(((k - i) % s) * N, ((k - i) % s) * N + hi[k]) for k in rest]
 
         def walk(rows: dict[int, Row], buckets: list[dict], depth: int) -> None:
@@ -307,8 +331,7 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
                 at[i] = e
                 out.append((tuple(at[:-1]), (1 << n) - 1))
 
-        if rest:
-            walk(rows, [_file({}, *span, rows.items()) for span in spans], 0)
+        walk(rows, [_file({}, *span, rows.items()) for span in spans], 0)
         good &= _rows_to_bits(shape, out)
     if not good >> prod(shape) - 1 & 1:
         raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")

@@ -17,7 +17,7 @@ import random
 import pytest
 
 import oracles
-from goodsemi import GoodSemigroup, difference, is_symmetric, relative_distance
+from goodsemi import GoodSemigroup, IdealFrame, difference, is_symmetric, relative_distance
 from goodsemi.ringbridge import (
     colon_value_ideal,
     conductor_of,
@@ -46,6 +46,9 @@ def test_plane_curve_matches_the_closed_forms(seed):
     assert GR.conductor == c, curve
     assert is_symmetric(GoodSemigroup(GR)), curve
     assert colon_value_ideal(spec, "R", "E") == difference(GR, GE), curve
+    # R : C = Rbar (proof in test_ringbridge.py)
+    zero = (0,) * len(curve)
+    assert colon_value_ideal(spec, "R", "C") == IdealFrame.from_points([zero], zero), curve
     ell = length_quotient(spec, "R", "C")
     assert ell == relative_distance(value_ideal(spec, "C"), GR) == sum(c) // 2, curve
 

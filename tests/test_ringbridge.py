@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_bench_smoke import workloads
 from goodsemi import (
     DimensionMismatch,
     FrameError,
@@ -15,6 +16,7 @@ from goodsemi import (
     difference,
     relative_distance,
 )
+from goodsemi.ideals import Box, IdealFrame
 from goodsemi.ringbridge import (
     ModuleBasis,
     curves,
@@ -297,6 +299,62 @@ def test_scan_matches_the_dimension_drop_oracle_on_random_modules(rng):
     assert cells > 500 and refused
 
 
+def _separable_case(rng, s):
+    """A basis whose rows each lie on one branch: per branch, 2-3 random
+    polynomials led by a coefficient ±2 or ±3 (like 2t^3 - t^5), inserted
+    through ModuleBasis._insert.  Returns the basis and the polynomials
+    as flat rows."""
+    N = rng.randint(9, 12) if s < 3 else rng.randint(7, 8)
+    basis, polys = ModuleBasis(s, N), []
+    for i in range(s):
+        for _ in range(rng.randint(2, 3)):
+            lead = rng.randint(0, N - 2)
+            v = {i * N + lead: rng.choice((-3, -2, 2, 3))}
+            for e in rng.sample(range(lead + 1, N), min(2, N - 1 - lead)):
+                v[i * N + e] = rng.choice((-3, -2, -1, 1, 2, 3))
+            polys.append(v)
+            basis._insert(dict(v))
+    return basis, polys
+
+
+def test_scan_of_a_separable_basis_reads_its_pivots(rng):
+    # the pivot read against the dimension-drop oracle: every cell, the
+    # frame against the trim of the same cells (so gamma is the least
+    # exact bound), and a corner off the pivots refused by name
+    cases = refused = longer = 0
+    for s in (1, 2, 3):
+        for _ in range(5):
+            basis, polys = _separable_case(rng, s)
+            N = basis.N
+            assert all(max(row) // N == p // N for p, row in basis.rows.items())
+            _, rows = oracles.rref([_dense(v, s * N) for v in polys])
+            pivots = [sorted(p % N for p in basis.rows if p // N == i and p % N <= N - 2) for i in range(s)]
+            if not all(pivots):
+                continue
+            hi = tuple(rng.choice(p) for p in pivots)
+            if s > 1 and len(set(hi)) == 1:
+                continue
+            G = value_semigroup_ideal(basis, hi)
+            bits = 0
+            for k, alpha in enumerate(oracles.box((0,) * s, hi)):
+                member = oracles.in_value_set(rows, s, N, alpha)
+                assert (alpha in G) == member, (s, N, polys, hi, alpha)
+                bits |= member << k
+            shape = tuple(h + 1 for h in hi)
+            assert G == IdealFrame._from_box(Box((0,) * s, shape, bits)), (s, N, polys, hi)
+            cases += 1
+            longer += sum(len(row) > 1 for row in basis.rows.values())
+            i = rng.randrange(s)
+            gaps = [e for e in range(N - 1) if e not in pivots[i]]
+            if gaps:
+                off = hi[:i] + (rng.choice(gaps),) + hi[i + 1 :]
+                assert not oracles.in_value_set(rows, s, N, off)
+                with pytest.raises(FrameError, match=rf"corner {re.escape(str(off))} is not a value of the module"):
+                    value_semigroup_ideal(basis, off)
+                refused += 1
+    assert cases >= 10 and refused >= 5 and longer, (cases, refused, longer)
+
+
 def test_scan_refuses_a_corner_of_the_wrong_length_or_sign(curve_spec):
     basis = span_module(curve_spec, "E", 12)
     for hi in ((6,), (6, 6, 6)):
@@ -498,6 +556,20 @@ def test_colon_agrees_with_combinatorial_difference(curve_spec):
 
 def test_colon_by_ring_is_identity(curve_spec):
     assert colon_value_ideal(curve_spec, "E", "R") == value_ideal(curve_spec, "E")
+
+
+def test_colon_of_the_ring_by_its_conductor_is_the_normalization(curve_spec):
+    """Γ(R : C) = ℕ^s, as R : C = Rbar.  Rbar·C = C ⊆ R gives Rbar ⊆ R : C.
+    Conversely, let x·C ⊆ R.  C is an Rbar-module, so x·C is one too, and
+    an Rbar-module M inside R lies in C = R : Rbar, as M·Rbar = M ⊆ R.  So
+    x·C ⊆ C = t^γ·Rbar; in particular x·t^γ ∈ t^γ·Rbar, and t^γ is a
+    nonzerodivisor, so x ∈ Rbar.  Checked on twobranch and the five rings
+    of the ring-colon benchmark; the plane curves check it in
+    ``test_plane_curves``."""
+    specs = [curve_spec] + [parse_curve(text) for text in workloads.COLON_RINGS.values()]
+    for spec in specs:
+        zero = (0,) * spec.s
+        assert colon_value_ideal(spec, "R", "C") == IdealFrame.from_points([zero], zero), dumps_curve(spec)
 
 
 def test_colon_reaches_negative_values(curve_spec):

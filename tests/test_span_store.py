@@ -160,6 +160,48 @@ def test_colon_basis_cut_from_n_plus_2_is_the_basis_at_n(curve_spec):
                 assert cut.rows == at_n.rows, (name, K, E)
 
 
+def _walks(monkeypatch):
+    """Count the scans, and those that walk: a scan walks iff it files a
+    row by order (modules._file); a basis whose rows each lie on one
+    branch is read off its pivots and files none."""
+    counts, filed = {"scans": 0, "walks": 0}, [False]
+    real_scan, real_file = curves.value_semigroup_ideal, modules._file
+
+    def scan(B, hi):
+        filed[0] = False
+        got = real_scan(B, hi)
+        counts["scans"] += 1
+        counts["walks"] += filed[0]
+        return got
+
+    def file(*args):
+        filed[0] = True
+        return real_file(*args)
+
+    monkeypatch.setattr(modules, "_file", file)
+    monkeypatch.setattr(curves, "value_semigroup_ideal", scan)
+    return counts
+
+
+def test_only_a_basis_that_couples_branches_is_walked(monkeypatch, curve_spec):
+    # R holds 1 = (1, ..., 1), a row on every branch; Rbar, C and the
+    # colons R : Rbar and R : C are spanned by rows on one branch each
+    counts = _walks(monkeypatch)
+    two = parse_curve(dumps_curve(curve_spec))
+    rings = [("twobranch", two)] + [(n, parse_curve(t)) for n, t in workloads.COLON_RINGS.items()]
+    for name, spec in rings:
+        counts.update(scans=0, walks=0)
+        value_ideal(spec, "R")
+        own = 2 if spec.s > 1 else 0
+        assert counts == {"scans": 2, "walks": own}, name
+        conductor_of(spec)
+        colon_value_ideal(spec, "R", "C")
+        assert counts == {"scans": 10, "walks": own}, name
+    counts.update(scans=0, walks=0)
+    value_ideal(two, "E")
+    assert counts == {"scans": 2, "walks": 2}
+
+
 def _reduces_to_zero(basis, row):
     v = dict(row)
     basis._fully_reduce(v)
