@@ -28,6 +28,7 @@ from .ideals import (
     _flip,
     _folds,
     _frame_box,
+    _interleave,
     _suffix_and,
     _suffix_or_strict,
     check_frames,
@@ -216,6 +217,4 @@ def product_canonical(decomp) -> IdealFrame:
     K⁰ of the semigroup that the LocalDecomposition ``decomp`` recombines
     equals the product of the factors' K⁰s, interleaved along the partition.
     """
-    from .products import _interleave
-
     return _interleave(decomp.partition, [canonical_normalized(f) for f in decomp.factors])

@@ -30,17 +30,18 @@ ideals that minimal bound coincides with the conductor; for frames that
 merely satisfy (E1) it can sit strictly above the conductor, which is
 exposed separately as :attr:`IdealFrame.conductor`.
 
-The axiom checks, sums and :class:`GoodSemigroup` live in
-:mod:`goodsemi.axioms`, and decompositions and products in
-:mod:`goodsemi.products`.  This module still reads their public names
-through (PEP 562), importing the owning module on first access, so a
-command that only reads frames compiles neither.
+The one product builder, :func:`_interleave`, lives here too.  The axiom
+checks, sums and :class:`GoodSemigroup` live in :mod:`goodsemi.axioms`,
+and local decompositions in :mod:`goodsemi.products`.  This module still
+reads their public names through (PEP 562), importing the owning module
+on first access, so a command that only reads frames compiles neither.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from itertools import chain, compress, product
 
 from .errors import FrameError, ParseError
@@ -650,6 +651,50 @@ def _frame_box(E: IdealFrame) -> Box:
 def _members(E: IdealFrame) -> list[Point]:
     """The frame points in lex order, not cached."""
     return _points(E._bits, E.shape, E.mu)
+
+
+def _interleave(partition, frames) -> IdealFrame:
+    """The product of the frames, frame b's coordinates placed on the
+    branch indices listed in block b of ``partition``.
+
+    Each frame is read onto the product box by :func:`_regrid`, as it is
+    on its own axes and as one slice repeated on the others, and the
+    product is the AND of these reads.  A block must be increasing: its
+    axes then keep their C order, so the frame's bits do not move.
+
+    A product of exact frames is exact, so it is adopted with no trim:
+    it holds the concatenated mu, as each factor holds its own, and along
+    an axis of block b its slice at a level is frame b's slice there
+    times the other factors' frames, none empty, so two slices agree iff
+    frame b's do, and frame b's gamma is the least exact bound there.
+    """
+    blocks = [tuple(b) for b in partition]
+    if not blocks:
+        raise FrameError("a product needs at least one factor")
+    s = sum(len(b) for b in blocks)
+    if sorted(i for b in blocks for i in b) != list(range(s)):
+        raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
+    if len(frames) != len(blocks):
+        raise FrameError("one factor per block required")
+    mu, gamma = [0] * s, [0] * s
+    for block, f in zip(blocks, frames):
+        if f.s != len(block):
+            raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
+        if list(block) != sorted(block):
+            raise FrameError(f"partition block {block} is not increasing")
+        for i, m, g in zip(block, f.mu, f.gamma):
+            mu[i], gamma[i] = m, g
+    mu, gamma = tuple(mu), tuple(gamma)
+    shape = _box_shape(mu, gamma)
+
+    def read(block, f) -> int:
+        src, spans = [1] * s, [(0, 0, 1, n - 1) for n in shape]
+        for i, n in zip(block, f.shape):
+            src[i], spans[i] = n, (0, 0, n, 0)
+        return _regrid(f._bits, tuple(src), spans)
+
+    bits = reduce(operator.and_, map(read, blocks, frames))
+    return IdealFrame.__new__(IdealFrame)._adopt(mu, gamma, bits)
 
 
 # -- JSON serialization --------------------------------------------------------

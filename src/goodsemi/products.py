@@ -3,9 +3,9 @@
 S is local when 0 is its only element with a zero coordinate.  Every good
 semigroup is the product of local ones, one per block of branches that
 vanish together (:func:`decompose`), and :func:`recombine` interleaves
-factors back along a partition of increasing blocks.
-:mod:`goodsemi.ideals` reads the public names of this module through,
-importing it on first use; ``_interleave`` is read from here.
+factors back along a partition of increasing blocks with the one product
+builder, :func:`goodsemi.ideals._interleave`.  :mod:`goodsemi.ideals`
+reads the public names of this module through, importing it on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import reduce
 
 from .axioms import GoodSemigroup
 from .errors import FrameError
-from .ideals import Box, IdealFrame, _box_shape, _fill, _Frozen, _regrid
+from .ideals import Box, IdealFrame, _fill, _Frozen, _interleave, _regrid
 from .lattice import add, ones, zero
 
 
@@ -78,44 +78,6 @@ def decompose(S: GoodSemigroup) -> LocalDecomposition:
             )
         factors.append(factor)
     return LocalDecomposition(blocks_t, tuple(factors))
-
-
-def _interleave(partition, frames) -> IdealFrame:
-    """The product of the frames, frame b's coordinates placed on the
-    branch indices listed in block b of ``partition``.
-
-    Each frame is read onto the product box by :func:`_regrid`, as it is
-    on its own axes and as one slice repeated on the others, and the
-    product is the AND of these reads.  A block must be increasing: its
-    axes then keep their C order, so the frame's bits do not move.
-    """
-    blocks = [tuple(b) for b in partition]
-    if not blocks:
-        raise FrameError("a product needs at least one factor")
-    s = sum(len(b) for b in blocks)
-    if sorted(i for b in blocks for i in b) != list(range(s)):
-        raise FrameError(f"partition {blocks} does not cover 0..{s - 1}")
-    if len(frames) != len(blocks):
-        raise FrameError("one factor per block required")
-    mu, gamma = [0] * s, [0] * s
-    for block, f in zip(blocks, frames):
-        if f.s != len(block):
-            raise FrameError(f"factor dimension {f.s} != block size {len(block)}")
-        if list(block) != sorted(block):
-            raise FrameError(f"partition block {block} is not increasing")
-        for i, m, g in zip(block, f.mu, f.gamma):
-            mu[i], gamma[i] = m, g
-    mu = tuple(mu)
-    shape = _box_shape(mu, gamma)
-
-    def read(block, f) -> int:
-        src, spans = [1] * s, [(0, 0, 1, n - 1) for n in shape]
-        for i, n in zip(block, f.shape):
-            src[i], spans[i] = n, (0, 0, n, 0)
-        return _regrid(f._bits, tuple(src), spans)
-
-    bits = reduce(operator.and_, map(read, blocks, frames))
-    return IdealFrame._from_box(Box(mu, shape, bits))
 
 
 def recombine(partition, factors) -> GoodSemigroup:

@@ -6,7 +6,7 @@ ring, read off their value semigroup ideals, and transport colon and
 length computations between the ring and the semigroup sides.
 """
 
-from .series import Poly, PolyVec, SeriesVector, poly_mul_vec, poly_shift_vec, poly_vec
+from .series import Poly, PolyVec, SeriesVector, poly_mul_vec, poly_vec
 from .modules import ModuleBasis, colon_solution_basis, span_basis, value_semigroup_ideal
 from .curves import (
     CurveSpec,
@@ -34,7 +34,6 @@ __all__ = [
     "module_generators",
     "parse_curve",
     "poly_mul_vec",
-    "poly_shift_vec",
     "poly_vec",
     "span_basis",
     "span_module",

@@ -554,8 +554,6 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     gamma_K = GK.conductor
     poles = tuple(max(0, -m) for m in difference(GK, GE).mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
-    if spec.truncation is not None:
-        N = max(N, spec.truncation)
     B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles)
     Gb, Ga = _scan(B, "colon conductor"), _scan(B.truncated(N), "colon conductor")
     if Ga != Gb:
@@ -563,19 +561,12 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     return Gb.shift(tuple(-p for p in poles))
 
 
-def _order(spec: CurveSpec, c: Point) -> int:
-    """The truncation at which certified modules are read below their
-    conductors c: max(c) + 1, or an explicit truncation when larger.  A
-    certified module holds t^c·Rbar, so it is the full preimage of its
-    span at any order above c."""
-    N = max(c) + 1
-    return N if spec.truncation is None else max(N, spec.truncation)
-
-
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
-    """Q-dimension of F/E for nested modules E ⊆ F (larger first)."""
+    """Q-dimension of F/E for nested modules E ⊆ F (larger first), read
+    at N = max(c) + 1, c the larger conductor: a certified module holds
+    t^c·Rbar, so it is the full preimage of its span at any order above c."""
     c = cmax(value_ideal(spec, E).conductor, value_ideal(spec, F).conductor)
-    N = _order(spec, c)
+    N = max(c) + 1
     FB, EB = span_module(spec, F, N), span_module(spec, E, N)
     rows = [_row(g, N) for g in _gens(spec, E)]
     for v in rows:
@@ -592,18 +583,22 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
     """The conductor gamma of the module's value set together with the
     monomial module t^gamma * Rbar it cuts out.
 
-    The basis is given at the certified order :func:`_order`, and the
-    module's span there must hold it (:func:`require_monomials`), and the
-    colon computation must give Γ(module : Rbar) = gamma + N^s.
+    The basis is given at N = max(gamma) + 1, as a certified module is
+    the full preimage of its span at any order above gamma; the span
+    there must hold it (:func:`require_monomials`), and the colon
+    computation must give Γ(module : Rbar) = gamma + N^s.
     """
-    gamma = value_ideal(spec, module).conductor
-    N = _order(spec, gamma)
+    from ..duality import conductor_ideal  # the colon below imports duality too
+
+    G = value_ideal(spec, module)
+    gamma = G.conductor
+    N = max(gamma) + 1
     require_monomials(span_module(spec, module, N), gamma, f"module {module!r}")
     basis = ModuleBasis(spec.s, N)
     # the monomials are already a reduced echelon basis of primitive rows
     basis.rows = {p: {p: 1} for i, g in enumerate(gamma) for p in range(i * N + g, (i + 1) * N)}
     got = colon_value_ideal(spec, module, "Rbar")
-    if got != IdealFrame(spec.s, gamma, gamma, [gamma], _normalized=True):
+    if got != conductor_ideal(G):
         raise NotCertifiedError(
             f"colon against the full ring gives {got.frame_sorted}, not the orthant at {gamma}"
         )

@@ -15,12 +15,12 @@ v <- (a/g)·v - (b/g)·row clears position p, with a = row[p], b = v[p],
 g = gcd(a, b), and the content is divided out once per reduction.
 
 The value semigroup ideal of a basis whose rows each lie on one branch
-is the product of the branches' pivot sets; any other basis is read off
-with one sweep per branch i: rows with distinct branch-i orders by
-forward elimination, then the constraints of each axis-line imposed one
-at a time.  A constraint hits the rows filed under it by order, and
-drops the one of largest branch-i order, so every other row keeps its
-order: the line's dimension drops.
+is the product of the branches' pivot sets (:func:`ideals._interleave`);
+any other basis is read off with one sweep per branch i: rows with
+distinct branch-i orders by forward elimination, then the constraints of
+each axis-line imposed one at a time.  A constraint hits the rows filed
+under it by order, and drops the one of largest branch-i order, so every
+other row keeps its order: the line's dimension drops.
 
 Spans, value scans, cuts and colons all eliminate through the same two
 steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
-from ..ideals import Box, IdealFrame, _box_shape, _rows_to_bits
+from ..ideals import Box, IdealFrame, _box_shape, _interleave, _rows_to_bits
 from ..lattice import Point, zero
 
 __all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
@@ -263,9 +263,9 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     pivot of branch i, which that pivot's own row, zero elsewhere, attains.
     The value set in the box is the product of the pivot sets P_i cut at
     hi_i (Barucci, D'Anna and Fröberg, JPAA 147, 2000, one branch per
-    factor), each holding hi_i, and its exact capping bound is per axis:
-    slices along axis i at levels >= c agree iff P_i holds all of
-    [c, hi_i], so gamma_i is one past the last gap of P_i below hi_i.
+    factor), each holding hi_i, built by :func:`ideals._interleave` from
+    the exact one-axis frames P_i ∩ [min P_i, gamma_i], gamma_i one past
+    the last gap of P_i below hi_i, as P_i holds all of [gamma_i, hi_i].
 
     hi_i <= N-2 is required so every dimension involved stays inside the
     truncation; the returned capping bound is only trustworthy after the
@@ -284,14 +284,11 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         cut = [sum(1 << p % N for p in basis.rows if p // N == i and p % N <= h) for i, h in enumerate(hi)]
         if not all(m >> h & 1 for m, h in zip(cut, hi)):
             raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")
-        mu = tuple((m & -m).bit_length() - 1 for m in cut)
-        gamma = tuple((~m & (1 << h) - 1).bit_length() for m, h in zip(cut, hi))
-        shape = _box_shape(mu, gamma)
-        bits, width = cut[-1] >> mu[-1] & (1 << shape[-1]) - 1, shape[-1]
-        for m, lo, n in zip(cut[-2::-1], mu[-2::-1], shape[-2::-1]):
-            bits = sum(bits << k * width for k in range(n) if m >> lo + k & 1)  # disjoint: sum is OR
-            width *= n
-        return IdealFrame.__new__(IdealFrame)._adopt(mu, gamma, bits)
+        frames = []
+        for m, h in zip(cut, hi):
+            mu, gamma = (m & -m).bit_length() - 1, (~m & (1 << h) - 1).bit_length()
+            frames.append(IdealFrame.__new__(IdealFrame)._adopt((mu,), (gamma,), m >> mu & (2 << gamma - mu) - 1))
+        return _interleave([(i,) for i in range(s)], frames)
     shape = _box_shape(zero(s), hi)
     good = -1
     for i in range(s):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ..errors import FrameError
 
-__all__ = ["Poly", "PolyVec", "SeriesVector", "poly_vec", "poly_mul_vec", "poly_shift_vec"]
+__all__ = ["Poly", "PolyVec", "SeriesVector", "poly_vec", "poly_mul_vec"]
 
 # One branch: ((exp, coeff), ...) with strictly increasing exponents,
 # no zero coefficients.  A vector is one Poly per branch.
@@ -51,15 +51,6 @@ def poly_mul_vec(a: PolyVec, b: PolyVec) -> PolyVec:
                 acc[e] = acc.get(e, Fraction(0)) + ca * cb
         out.append(tuple(sorted((e, c) for e, c in acc.items() if c)))
     return tuple(out)
-
-
-def poly_shift_vec(a: PolyVec, shift) -> PolyVec:
-    """Multiply branch i by t^shift[i] (shifts must be nonnegative)."""
-    if any(k < 0 for k in shift):
-        raise FrameError("polynomial shift must be nonnegative")
-    return tuple(
-        tuple((e + k, c) for e, c in pa) for pa, k in zip(a, shift)
-    )
 
 
 class SeriesVector:

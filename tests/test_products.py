@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,9 @@ def test_interleave_matches_factorwise_membership():
             for x in oracles.box(lo, hi)
         ]
         assert [bool(got.bits >> k & 1) for k in range(got.size)] == want, partition
+        # adopted untrimmed, the product must hold the state that the trim
+        # of its cells on the wider box gives: least mu, least exact gamma
+        assert P.fingerprint() == ideals.IdealFrame._from_box(got).fingerprint(), partition
     assert shifted >= 10  # ideals with mu != 0 are reached
 
 
@@ -55,6 +59,12 @@ def test_recombine_refuses_bad_partitions():
         recombine([(1, 0)], [P])
     with pytest.raises(FrameError, match="at least one factor"):
         product_semigroups()
+    with pytest.raises(FrameError, match=re.escape("partition [(0,), (2,)] does not cover 0..1")):
+        recombine([(0,), (2,)], [A, A])
+    with pytest.raises(FrameError, match="one factor per block required"):
+        recombine([(0,), (1,)], [A])
+    with pytest.raises(FrameError, match="factor dimension 1 != block size 2"):
+        recombine([(0, 1)], [A])
 
 
 def test_interleave_refuses_a_box_over_the_cell_limit(monkeypatch):

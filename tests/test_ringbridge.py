@@ -443,6 +443,30 @@ def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_
         colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], gamma_K, poles)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IdealFrame(0, (), (), [()]), "branch count must be >= 1"),
+        (lambda: IdealFrame(2, (0,), (1, 1), [(0, 0)]), "mu/gamma must have 2 coordinates"),
+        (lambda: IdealFrame(2, (0, 0), (1,), [(0, 0)]), "mu/gamma must have 2 coordinates"),
+        (lambda: IdealFrame(2, (0, 0), (1, 1), []), "frame must be nonempty"),
+        (lambda: IdealFrame(2, (0, 0), (1, 1), [(0, 0), (1,)]), "frame point (1,) has wrong dimension"),
+        (lambda: IdealFrame(2, (0, 0), (1, 1), [(0, 0), (2, 1)]), "frame point (2, 1) outside [(0, 0), (1, 1)]"),
+        (lambda: span_basis([(((1, 1),),)], [], 8), "a module needs at least one generator"),
+        (lambda: value_semigroup_ideal(ModuleBasis(2, 10), (3, 3)), "the zero module has no value semigroup ideal"),
+        (
+            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (3,), (1,)),
+            "truncation 5 too small for conductor (3,) plus poles (1,)",
+        ),
+    ],
+    ids=["s-zero", "short-mu", "short-gamma", "empty", "point-dimension", "point-outside",
+         "span-no-generator", "scan-zero-module", "colon-truncation"],
+)
+def test_frame_and_module_inputs_are_refused_by_name(build, message):
+    with pytest.raises((FrameError, TruncationError), match=re.escape(message)):
+        build()
+
+
 def test_colon_refuses_a_solution_space_not_closed_under_the_ring():
     # K, spanned by 1, t^3 and t^5, ..., t^11, holds every monomial from
     # its conductor 5 on but is no module of k[[t^2, t^3]]: t^2·1 is
@@ -649,6 +673,18 @@ def test_conductor_of_cusp():
     spec = parse_curve(CUSP)
     gamma, _ = conductor_of(spec, "R")
     assert gamma == (2,)
+
+
+def test_an_explicit_truncation_sets_only_the_commit_order(curve_spec):
+    # colons, lengths and conductors are read at their own proven orders,
+    # so a truncation: line far above them changes none of their answers
+    spec = parse_curve("truncation: 30\n" + dumps_curve(curve_spec))
+    for x in ("R", "E", "F", "K0", "CR", "CF"):
+        assert colon_value_ideal(spec, "K0", x) == colon_value_ideal(curve_spec, "K0", x), x
+    assert length_quotient(spec, "R", "CR") == length_quotient(curve_spec, "R", "CR")
+    (gamma, basis), (want_gamma, want) = conductor_of(spec), conductor_of(curve_spec)
+    assert gamma == want_gamma and basis.rows == want.rows
+    assert basis.N == want.N == max(gamma) + 1
 
 
 # ------------------------------------------------------------------ parsing

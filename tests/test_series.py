@@ -7,7 +7,6 @@ from goodsemi import FrameError
 from goodsemi.ringbridge import (
     SeriesVector,
     poly_mul_vec,
-    poly_shift_vec,
     poly_vec,
 )
 
@@ -33,13 +32,6 @@ def test_poly_mul_vec_hand_product():
     assert got == poly_vec([{1: 1, 3: -1}, {2: 6}])
     with pytest.raises(FrameError, match="branch count"):
         poly_mul_vec(a, poly_vec([{0: 1}]))
-
-
-def test_poly_shift_vec():
-    a = poly_vec([{0: 1, 2: 5}, {1: 1}])
-    assert poly_shift_vec(a, (3, 0)) == poly_vec([{3: 1, 5: 5}, {1: 1}])
-    with pytest.raises(FrameError, match="nonnegative"):
-        poly_shift_vec(a, (-1, 0))
 
 
 def test_series_construction_and_value():
