@@ -173,10 +173,6 @@ class CanonicalIdeal(_Frozen):
         K0 = canonical_normalized(semigroup)
         return cls(K0, semigroup, zero(K0.s))
 
-    @property
-    def s(self) -> int:
-        return self.ideal.s
-
 
 def dualize(K: CanonicalIdeal, E: IdealFrame) -> IdealFrame:
     """The dual K - E of a good ideal E with respect to a canonical ideal.

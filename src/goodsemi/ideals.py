@@ -52,8 +52,6 @@ from .lattice import (
     as_point,
     check_same_dim,
     leq,
-    ones,
-    sub,
     zero,
 )
 
@@ -579,10 +577,6 @@ class IdealFrame:
             mins = (_lowest(above, shape, ax) for ax in range(self.s))
             self._conductor = tuple(c + m for c, m in zip(mins, self.mu))
         return self._conductor
-
-    @property
-    def tau(self) -> Point:
-        return sub(self.conductor, ones(self.s))
 
     def shift(self, alpha) -> "IdealFrame":
         """The translate alpha + E (an ideal again, same validation status)."""

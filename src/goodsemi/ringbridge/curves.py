@@ -411,7 +411,11 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
             notes.append(f"the precheck refused truncation {N}: the span misses t^{N - 1} on branch {c.index(N)}")
             rule = 1 << N.bit_length()  # the next of 8, 16, 32, ...
         elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
-            return commit
+            if fits(commit + 2):
+                return commit
+            raise TruncationError(f"the candidate conductor {c} commits at truncation {commit}, but the rerun at "
+                                  f"{commit + 2} scans [0, {commit}]^{s}, of {(commit + 1) ** s} cells, over the "
+                                  f"box limit of {ideals.MAX_CELLS} cells")
         else:
             notes.append(f"the certificate refused truncation {N}: the candidate conductor {c} needs truncation {commit}")
             rule = commit + 2 if N == top else min(max(commit + 2, N + N // 4), 2 * N)
@@ -454,7 +458,9 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     ends when the rule gives no further order, or one whose scan box
     exceeds the box limit, so a ring with no conductor is refused at top,
     naming each order tried and the check that refused it; when not even
-    8 fits, the refusal names 8 and its box.
+    8 fits, the refusal names 8 and its box.  A candidate commits only if
+    the rerun's box [0, commit]^s fits too; else it is refused, naming
+    that box, before any scan.
 
     Certificate (:func:`_certify`): the span at an order N_c >= c + e
     holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A

@@ -27,6 +27,7 @@ from goodsemi import (
     random_good_ideal,
     random_good_semigroup,
     random_pair,
+    recombine,
     relative_distance,
     sum_ideals,
     to_json,
@@ -279,7 +280,7 @@ def test_acceptance_09_decomposition_randomized():
         dec = decompose(P)
         assert dec.partition == ((0,), (1,))
         assert dec.factors == (A, B)
-        assert dec.recombine() == P
+        assert recombine(dec.partition, dec.factors) == P
         assert product_canonical(dec) == canonical_normalized(P)
         done += 1
     for trial in range(10):
@@ -287,7 +288,7 @@ def test_acceptance_09_decomposition_randomized():
         B = random_good_semigroup(rng, 2, max_gamma=5)
         P = product_semigroups(A, B)
         dec = decompose(P)
-        assert dec.recombine() == P
+        assert recombine(dec.partition, dec.factors) == P
         assert product_canonical(dec) == canonical_normalized(P)
         done += 1
     assert done >= 20

@@ -286,6 +286,14 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gamma_of_refuses_json_that_is_not_an_object(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[[0, 0], [3, 1]]\n")
+    assert main(["gamma-of", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "list.json" in err and "expected a JSON object" in err
+
+
 def test_bad_json_position(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"s": 2,\n "mu": [0, "x"]}\n')

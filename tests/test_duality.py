@@ -184,6 +184,12 @@ def test_dualize_semigroup_gives_canonical(fig_s):
     assert dualize(K, fig_s.ideal) == K.ideal
 
 
+def test_dualize_refuses_a_plain_frame_on_the_left(fig_s):
+    # K⁰ as a frame has the right set but carries no certificate
+    with pytest.raises(NotCertifiedError, match="requires a certified CanonicalIdeal on the left"):
+        dualize(canonical_normalized(fig_s), fig_s)
+
+
 def test_dualize_refuses_uncertified(wide_s, wide_e):
     K = CanonicalIdeal.normalized(wide_s)
     with pytest.raises(NotCertifiedError, match="involution"):

@@ -198,6 +198,19 @@ def test_membership_box_windows():
         grid[7, 0]
 
 
+def test_membership_box_of_no_cells_or_below_mu():
+    S = g.numerical_semigroup(3, 5)  # gamma 8
+    P = product_semigroups(S, S)
+    # an axis with hi = lo - 1 above gamma holds no cells, so no bits
+    for E, lo, hi, shape in [(S, (9,), (8,), (0,)), (S, (20,), (19,), (0,)), (P, (9, 0), (8, 3), (0, 4))]:
+        box = E.membership_box(lo, hi)
+        assert box.shape == shape and box.size == 0 and box.bits == 0 and box.points() == []
+    # a box wholly below mu holds no members
+    assert S.shift((2,)).membership_box((-3,), (1,)).bits == 0
+    box = P.shift((1, 4)).membership_box((-2, 5), (0, 9))
+    assert box.shape == (3, 5) and box.bits == 0
+
+
 def test_shift_translates_everything():
     E = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
     T = E.shift((-2, 5))
@@ -222,11 +235,6 @@ def test_cached_bitmap_is_read_only(gamma):
     assert bits != T._bits
     assert (1, 0) not in E and (2, 2) not in T
     assert E.members_in_box((0, 0), (3, 1)) == [(0, 0), (3, 1)]
-
-
-def test_tau_is_conductor_minus_one():
-    E = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
-    assert E.tau == (2, 0)
 
 
 # -------------------------------------------------------------- validation
@@ -323,7 +331,7 @@ def test_good_semigroup_is_a_frame(fig_s):
     assert type(GoodSemigroup._from_box(ideals.Box((0,), (4,), 0b1011))) is IdealFrame
     assert repr(S).startswith("GoodSemigroup(s=2, mu=(0, 0), gamma=(3, 1)")
     twin = pickle.loads(pickle.dumps(S))
-    assert type(twin) is GoodSemigroup and twin == S and twin.tau == S.tau == (2, 0)
+    assert type(twin) is GoodSemigroup and twin == S and twin.conductor == S.conductor == (3, 1)
 
 
 @pytest.mark.parametrize("bad", [[(0, 0)], (0, 0), "corner_s.json", None])
@@ -683,7 +691,6 @@ def test_decompose_product_roundtrip():
     dec = decompose(P)
     assert [tuple(m) for m in dec.partition] == [(0, 1), (2,)]
     assert dec.factors[0] == A and dec.factors[1] == B
-    assert dec.recombine() == P
     assert recombine(dec.partition, dec.factors) == P
 
 
@@ -734,6 +741,12 @@ def test_from_json_rejects_bad_keys():
         from_json(
             '{"s": 1, "mu": [0], "gamma": [0], "frame": [[0]], "extra": 1}'
         )
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"frame"', "null"])
+def test_from_json_refuses_a_non_object(text):
+    with pytest.raises(ParseError, match="expected a JSON object"):
+        from_json(text, filename="list.json")
 
 
 def test_from_json_reports_position():

@@ -75,3 +75,37 @@ def test_interleave_refuses_a_box_over_the_cell_limit(monkeypatch):
         products._interleave([(0,), (1,)], [A, B])
     monkeypatch.setattr(ideals, "MAX_CELLS", cells)
     assert products._interleave([(0,), (1,)], [A, B]).shape == (A.shape[0], B.shape[0])
+
+
+def test_is_local_is_one_zero_block_and_decompose_recombines():
+    # seeded semigroups of s = 1-4, local and not, and products along
+    # consecutive and interleaved partitions: is_local agrees with the
+    # point oracle and with a one-block decomposition, and the factors
+    # recombine to S along a partition that refines the built one
+    rng = random.Random(20261020)
+    seen = {"local": 0, "not local": 0, "consecutive": 0, "interleaved": 0}
+    for trial in range(80):
+        built = None
+        if trial % 2:
+            S = random_good_semigroup(rng, rng.randint(1, 4), 5, local=rng.random() < 0.5)
+        else:
+            sizes = [2] + [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+            factors = [random_good_semigroup(rng, n, 4) for n in sizes]
+            if trial % 4:
+                built = _random_partition(rng, sizes)
+                S = recombine(built, factors)
+            else:
+                built = [tuple(range(sum(sizes[:k]), sum(sizes[: k + 1]))) for k in range(len(sizes))]
+                S = product_semigroups(*factors)
+            seen["consecutive"] += all(b[-1] - b[0] < len(b) for b in built)
+            seen["interleaved"] += any(b[-1] - b[0] >= len(b) for b in built)
+        zero, hi = (0,) * S.s, tuple(g + 1 for g in S.gamma)
+        local = all(0 not in x or x == zero for x in S.members_in_box(zero, hi))
+        dec = products.decompose(S)
+        assert products.is_local(S) == local == (len(dec.partition) == 1), (trial, S)
+        assert recombine(dec.partition, dec.factors) == S, trial
+        assert all(products.is_local(f) for f in dec.factors)
+        if built is not None:
+            assert all(any(set(b) <= set(c) for c in built) for b in dec.partition), (built, dec.partition)
+        seen["local" if local else "not local"] += 1
+    assert min(seen.values()) >= 10, seen

@@ -246,6 +246,33 @@ def test_bootstrap_stops_before_an_oversized_scan_box(monkeypatch):
     assert built and max(built) < 64
 
 
+@pytest.mark.parametrize(
+    "ring, cells, refusal",
+    [
+        # <3, 10> x <1>: the candidate (28, 10) at 32, the last order that
+        # fits, commits at 31, whose rerun at 33 needs [0, 31]^2
+        pytest.param("branches: 2\nring: (t^3, t) ; (t^10, t^4)\n", 1000,
+                     "the candidate conductor (28, 10) commits at truncation 31, but the rerun at 33 "
+                     "scans [0, 31]^2, of 1024 cells, over the box limit of 1000 cells", id="two-branches"),
+        # <4, 21> x N^3 at the real limit: the candidate commits at 64,
+        # whose rerun at 66 needs [0, 64]^4
+        pytest.param("branches: 4\nring: (t^4, 0, 0, 0) ; (t^21, 0, 0, 0) ; (0, t, 0, 0) ; (0, 0, t, 0) ; "
+                     "(0, 0, 0, t)\n", None,
+                     "the candidate conductor (60, 1, 1, 1) commits at truncation 64, but the rerun at 66 "
+                     f"scans [0, 64]^4, of {65 ** 4} cells, over the box limit of {ideals.MAX_CELLS} cells",
+                     id="four-branches"),
+    ],
+)
+def test_bootstrap_refuses_a_commit_whose_rerun_box_exceeds_the_limit(monkeypatch, ring, cells, refusal):
+    _, scanned = _counting(monkeypatch)
+    if cells is not None:
+        monkeypatch.setattr(ideals, "MAX_CELLS", cells)
+    with pytest.raises(TruncationError) as exc:
+        value_ideal(parse_curve(ring), "R")
+    assert str(exc.value) == refusal
+    assert scanned == []
+
+
 def _smooth_branches(s):
     """s smooth branches, (t, 0, ..., 0) ; ... ; (0, ..., 0, t): the value
     set is {0} and (1, ..., 1) + N^s."""
