@@ -23,12 +23,13 @@ kept in one store, ``_MASKS``, of at most :data:`MAX_CELLS` cells in all,
 cleared when the next mask would not fit.
 
 The frame's point tuples (``frame``, ``frame_sorted``) are built only when
-read.  ``gamma`` is always normalized to the smallest bound for which the
-rule reproduces the set (the per-axis slice-stability scan in
-:func:`_settle`), so equal sets have equal state.  For validated-good
-ideals that minimal bound coincides with the conductor; for frames that
-merely satisfy (E1) it can sit strictly above the conductor, which is
-exposed separately as :attr:`IdealFrame.conductor`.
+read, and :func:`to_json` builds none: it writes the frame box row by row
+and formats each coordinate once per axis.  ``gamma`` is always normalized
+to the smallest bound for which the rule reproduces the set (the per-axis
+slice-stability scan in :func:`_settle`), so equal sets have equal state.
+For validated-good ideals that minimal bound coincides with the conductor;
+for frames that merely satisfy (E1) it can sit strictly above the
+conductor, which is exposed separately as :attr:`IdealFrame.conductor`.
 
 The one product builder, :func:`_interleave`, lives here too.  The axiom
 checks, sums and :class:`GoodSemigroup` live in :mod:`goodsemi.axioms`,
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat
 
 from .errors import FrameError, ParseError
 from .lattice import (
@@ -336,12 +337,12 @@ def _flip(bits: int, size: int) -> int:
     return int.from_bytes(bits.to_bytes(n, "little").translate(_REVERSED), "big") >> 8 * n - size
 
 
-def _rows(bits: int, shape):
+def _rows(bits: int, shape, labels=None):
     """(index tuple of the other axes, cell string) of each nonempty row
-    along the last axis, in C order."""
+    along the last axis, in C order; ``labels[i][k]`` stands for index k."""
     n = shape[-1]
     cells = _cells(bits, math.prod(shape))
-    for row, u in enumerate(product(*map(range, shape[:-1]))):
+    for row, u in enumerate(product(*(map(range, shape[:-1]) if labels is None else labels))):
         line = cells[row * n : row * n + n]
         if "1" in line:
             yield u, line
@@ -438,23 +439,26 @@ class IdealFrame:
         mu, gamma = (_coords(v, "mu/gamma") for v in (mu, gamma))
         if len(mu) != s or len(gamma) != s:
             raise FrameError(f"mu/gamma must have {s} coordinates")
-        pts = list(map(tuple, frame))
+        pts = list(frame)
         if not pts:
             raise FrameError("frame must be nonempty")
-        if set(map(type, chain.from_iterable(pts))) != {int}:
+        if not {list, tuple}.issuperset(map(type, pts)):  # tuple() reads the rest, or refuses it
+            pts = list(map(tuple, pts))
+        flat = list(chain.from_iterable(pts))
+        if set(map(type, flat)) != {int}:
             pts = [_coords(p, "frame point") for p in pts]
+            flat = list(chain.from_iterable(pts))
         if set(map(len, pts)) != {s}:
             bad = next(p for p in pts if len(p) != s)
-            raise FrameError(f"frame point {bad} has wrong dimension")
-        cols = list(zip(*pts))
+            raise FrameError(f"frame point {tuple(bad)} has wrong dimension")
+        cols = [flat[i::s] for i in range(s)]
         if not (leq(mu, tuple(map(min, cols))) and leq(tuple(map(max, cols)), gamma)):
             bad = next(p for p in pts if not (leq(mu, p) and leq(p, gamma)))
-            raise FrameError(f"frame point {bad} outside [{mu}, {gamma}]")
+            raise FrameError(f"frame point {tuple(bad)} outside [{mu}, {gamma}]")
         shape = _box_shape(mu, gamma)
-        flags = bytearray(math.prod(shape))
-        at = [0] * len(pts)
-        for col, m, t in zip(cols, mu, _strides(shape)):
-            at = [k + (x - m) * t for k, x in zip(at, col)]
+        flags, at = bytearray(math.prod(shape)), repeat(-_index(mu, shape))
+        for col, t in zip(cols, _strides(shape)):  # at = (x - mu)·st, summed by maps
+            at = map(operator.add, at, map(t.__mul__, col))
         for k in at:
             flags[k] = 1
         if not flags[0]:
@@ -696,19 +700,17 @@ def _interleave(partition, frames) -> IdealFrame:
 
 def to_json(E: IdealFrame) -> str:
     """Canonical JSON text: keys s/mu/gamma/frame, frame lex-sorted, one
-    frame point per line.  Byte-stable."""
-    point = "    [" + ", ".join(["%d"] * E.s) + "]"  # one template, the text of list(p)
-    lines = [
-        "{",
-        f'  "s": {E.s},',
-        f'  "mu": {list(E.mu)},',
-        f'  "gamma": {list(E.gamma)},',
-        '  "frame": [',
-        ",\n".join(map(point.__mod__, _members(E))),
-        "  ]",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
+    frame point per line.  Byte-stable.  No point is formatted: the texts
+    ``x]`` and ``u, `` of each axis are, once, and each nonempty row along
+    the last axis is one join of the ``x]`` its cells pick."""
+    last = [f"{x}]" for x in range(E.mu[-1], E.gamma[-1] + 1)]
+    heads = [[f"{x}, " for x in range(m, g + 1)] for m, g in zip(E.mu[:-1], E.gamma[:-1])]
+    rows = []
+    for u, line in _rows(E._bits, E.shape, heads):
+        head = "".join(u)
+        rows.append(head + (",\n    [" + head).join(compress(last, line.encode().translate(_CELL_FLAGS))))
+    return (f'{{\n  "s": {E.s},\n  "mu": {list(E.mu)},\n  "gamma": {list(E.gamma)},\n  "frame": [\n    ['
+            + ",\n    [".join(rows) + "\n  ]\n}\n")
 
 
 def from_json(text: str, filename=None) -> IdealFrame:

@@ -390,6 +390,16 @@ def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> No
     require_monomials(_span(spec, gens, N), gamma, "the span")
 
 
+def _checked_commit(s: int, commit: int, what: str) -> int:
+    """``commit``, the commit order of ``what``, refused if the rerun at
+    commit + 2 exceeds the box limit."""
+    if (commit + 1) ** s > ideals.MAX_CELLS:
+        raise TruncationError(f"{what} commits at truncation {commit}, but the rerun at {commit + 2} scans "
+                              f"[0, {commit}]^{s}, of {(commit + 1) ** s} cells, over the box limit of "
+                              f"{ideals.MAX_CELLS} cells")
+    return commit
+
+
 def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
     """The commit order of the module generated by ``gens`` (see :func:`_value`)."""
     s, tried, notes = spec.s, [], []
@@ -411,11 +421,7 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
             notes.append(f"the precheck refused truncation {N}: the span misses t^{N - 1} on branch {c.index(N)}")
             rule = 1 << N.bit_length()  # the next of 8, 16, 32, ...
         elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
-            if fits(commit + 2):
-                return commit
-            raise TruncationError(f"the candidate conductor {c} commits at truncation {commit}, but the rerun at "
-                                  f"{commit + 2} scans [0, {commit}]^{s}, of {(commit + 1) ** s} cells, over the "
-                                  f"box limit of {ideals.MAX_CELLS} cells")
+            return _checked_commit(s, commit, f"the candidate conductor {c}")
         else:
             notes.append(f"the certificate refused truncation {N}: the candidate conductor {c} needs truncation {commit}")
             rule = commit + 2 if N == top else min(max(commit + 2, N + N // 4), 2 * N)
@@ -486,14 +492,16 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     conductor of the scan at commit must pass the certificate there, which
     cross-checks the scan against the span; the rerun must agree with it,
     and the result must pass the good-ideal axioms.  An explicit
-    truncation is the commit order, its scan's conductor the candidate.
+    truncation is the commit order, its scan's conductor the candidate,
+    and its rerun's box is checked like a candidate's, before any span.
     """
     values = spec._store.values
     if gens in values:
         return values[gens]
     _check_conductor_exists(spec, gens)
     e = _radical_orders(spec)
-    commit = _bootstrap(spec, gens, e) if spec.truncation is None else spec.truncation
+    t = spec.truncation
+    commit = _bootstrap(spec, gens, e) if t is None else _checked_commit(spec.s, t, f"the line 'truncation: {t}'")
     _span(spec, gens, commit + 2)  # built first, so that commit is cut from it
     Ga = _scan(_span(spec, gens, commit), "conductor")
     _certify(spec, gens, Ga.conductor, e, commit)

@@ -428,3 +428,20 @@ def plane_curve_text(curve, modules=()):
     lines = [f"branches: {len(curve)}", f"ring: ({x}) ; ({y})"]
     lines += [f"module {name}: {gens}" for name, gens in modules]
     return "\n".join(lines) + "\n"
+
+
+def frame_json(s, mu, gamma, points):
+    """The canonical frame JSON text, one %-formatted line per point of the
+    lex-sorted ``points``: the per-point writer the row writer replaced."""
+    point = "    [" + ", ".join(["%d"] * s) + "]"
+    lines = [
+        "{",
+        f'  "s": {s},',
+        f'  "mu": {list(mu)},',
+        f'  "gamma": {list(gamma)},',
+        '  "frame": [',
+        ",\n".join(map(point.__mod__, points)),
+        "  ]",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"

@@ -273,6 +273,38 @@ def test_bootstrap_refuses_a_commit_whose_rerun_box_exceeds_the_limit(monkeypatc
     assert scanned == []
 
 
+@pytest.mark.parametrize(
+    "truncation, refusal",
+    [
+        # the explicit order is the commit order: its rerun at 42 needs [0, 40]^2
+        ("truncation: 40\n", "the line 'truncation: 40' commits at truncation 40, but the rerun at 42 scans "
+                             "[0, 40]^2, of 1681 cells, over the box limit of 1000 cells"),
+        # the same ring without the line: the bootstrap's refusal, unchanged
+        ("", "the candidate conductor (28, 10) commits at truncation 31, but the rerun at 33 scans "
+             "[0, 31]^2, of 1024 cells, over the box limit of 1000 cells"),
+    ],
+    ids=["explicit", "bootstrap"],
+)
+def test_an_explicit_truncation_is_refused_before_any_span_when_its_rerun_box_exceeds_the_limit(
+    monkeypatch, truncation, refusal
+):
+    built, scanned = _counting(monkeypatch)
+    monkeypatch.setattr(ideals, "MAX_CELLS", 1000)
+    with pytest.raises(TruncationError) as exc:
+        value_ideal(parse_curve(f"branches: 2\n{truncation}ring: (t^3, t) ; (t^10, t^4)\n"), "R")
+    assert str(exc.value) == refusal
+    assert scanned == []
+    assert (built == []) == bool(truncation)
+
+
+def test_an_explicit_truncation_whose_rerun_box_fits_is_still_scanned(monkeypatch):
+    # [0, 31]^2 fits 1024 cells: the line's order is scanned and rerun as before
+    built, scanned = _counting(monkeypatch)
+    monkeypatch.setattr(ideals, "MAX_CELLS", 1024)
+    G = value_ideal(parse_curve("branches: 2\ntruncation: 31\nring: (t^3, t) ; (t^10, t^4)\n"), "R")
+    assert G.conductor == (28, 10) and sorted(scanned) == [31, 33]
+
+
 def _smooth_branches(s):
     """s smooth branches, (t, 0, ..., 0) ; ... ; (0, ..., 0, t): the value
     set is {0} and (1, ..., 1) + N^s."""
