@@ -34,7 +34,7 @@ from functools import reduce
 from . import ideals
 from .errors import FrameError, NotCertifiedError
 from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box,
-                     _index, _members, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
+                     _index, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
                      _suffix_or, _suffix_or_strict, check_frames)
 from .lattice import add, cmax, cmin, ones, sub, zero
 
@@ -51,70 +51,53 @@ def _window_op(op, table: int, r: int) -> int:
     return op(table, table >> (r - width)) if r > width else table
 
 
-def _tail_translates(E: IdealFrame, lo, hi, by: Box, sign: int, fold):
-    """Translates fold_T(E) over [lo + o, hi + o], one per member c of
-    ``by``, o = sign·c: E's membership with ``fold`` (a cumulative sweep)
-    applied along each axis in T, the axes where c reaches the top of
-    ``by``.  The tables are cut from one window of E over [lo + min o,
-    hi + max o] (o over the corners of ``by``), one mask at a time, and
-    each caller says why that window suffices for its fold.
+def _reduce_translates(erode: bool, E: IdealFrame, lo, hi, by: Box) -> Box:
+    """The erosion (AND, at x + c) or dilation (OR, at x - c) of E over
+    [lo, hi] by the members c of ``by``, each read through E's suffix-AND
+    or prefix-OR along T, the axes where c reaches the top of ``by``.  One
+    window of E over [lo + min o, hi + max o], o = ±c over the corners of
+    ``by``, holds every translate; each caller says why it suffices.
 
-    A table is an int over the window's C layout, strides st; o is the
-    shift k = (o - min o)·st, and its translate is table >> k, whose cells
-    (x - lo)·st, all below L = (shape - 1)·st + 1, form [lo, hi].  The
-    cells between are row ends, and bits at or past L are left over from
-    the shift: neither is ever read.  Along the last axis of ``by`` the
-    shifts are consecutive, so each row of ``by`` is a pattern (its cell
-    string, reversed when sign < 0) at a base shift B, with k = B + e for
-    the pattern's set cells e.  Returns (grid, L, tables): ``tables``
-    yields (table, rows) per mask T, rows a list of (pattern, bases), and
-    ``grid`` reads an int in the window's layout back onto [lo, hi].
+    A table is an int in the window's C layout; o is the shift k, the
+    :func:`_index` of o - min o, and its translate table >> k holds
+    [lo, hi] at the indices of x - lo, all below L, one past that of
+    hi - lo.  The cells between (row ends) and bits at or past L (left
+    over from the shift) are never read.  Along the last axis of ``by``
+    the shifts are consecutive, so each row of ``by`` is a pattern (its
+    cell string, reversed for a dilation) at a base shift B, and k = B + e
+    for its set cells e.  A pattern's translates reduce to one int P, the
+    op over its runs of r cells at a of the table's r-cell window op
+    (:func:`_window_op`) shifted by a, and each row with that pattern adds
+    P >> B: every cell of P read this way is one that the row's own
+    translates would read.
     """
     n = by.shape
     s = len(n)
     top = tuple(m - 1 for m in n)
     far = add(by.lo, top)
-    if sign > 0:
-        window = E.membership_box(add(lo, by.lo), add(hi, far))
+    if erode:
+        op, window = operator.and_, E.membership_box(add(lo, by.lo), add(hi, far))
     else:
-        window = E.membership_box(sub(lo, far), sub(hi, by.lo))
-    st = _strides(window.shape)
+        op, window = operator.or_, E.membership_box(sub(lo, far), sub(hi, by.lo))
     shape = _box_shape(lo, hi)
-    L = sum((m - 1) * t for m, t in zip(shape, st)) + 1
-    reach = sum(x * t for x, t in zip(top, st))
-    edge = top[-1]
+    reach, edge = _index(top, window.shape), top[-1]
     groups: dict[int, dict[str, list[int]]] = {}
     for u, line in _rows(by.bits, n):
-        base = sum(x * t for x, t in zip(u, st))
+        base = _index(u, window.shape)  # u holds the leading axes only
         T = sum(1 << j for j, (x, m) in enumerate(zip(u, top)) if x == m)
-        if sign < 0:
+        if not erode:
             base = reach - base - edge
         # the cell at the edge also reaches the top of the last axis
         for mask, pattern in ((T, line[:-1] + "0"), (T | 1 << (s - 1), "0" * edge + line[-1])):
             if "1" in pattern:
-                pattern = pattern if sign > 0 else pattern[::-1]
+                pattern = pattern if erode else pattern[::-1]
                 groups.setdefault(mask, {}).setdefault(pattern, []).append(base)
-    folded = _folds(window.bits, window.shape, fold)
-
-    def grid(bits: int) -> Box:
-        return Box(lo, shape, _crop(bits, window.shape, zero(s), shape))
-
-    return grid, L, ((folded(T), rows.items()) for T, rows in groups.items())
-
-
-def _reduce_translates(op, *args) -> Box:
-    """The OR or AND ``op`` of all translates of _tail_translates(*args).
-
-    A pattern's translates reduce to one int P, the op over its runs of r
-    cells at a of the table's r-cell window op (:func:`_window_op`)
-    shifted by a, and each row with that pattern adds P >> B: every cell
-    of P read this way is one that the row's own translates would read.
-    """
-    grid, L, tables = _tail_translates(*args)
-    acc = (1 << L) - 1 if op is operator.and_ else 0
-    for table, rows in tables:
-        windows: dict[int, int] = {}
-        for pattern, bases in rows:
+    tables = _folds(window.bits, window.shape, _suffix_and if erode else _prefix_or)
+    L = _index([m - 1 for m in shape], window.shape) + 1
+    acc = (1 << L) - 1 if erode else 0
+    for T, rows in groups.items():
+        table, windows = tables(T), {}
+        for pattern, bases in rows.items():
             parts = []
             for run in _RUN.finditer(pattern):
                 a, b = run.span()
@@ -125,7 +108,7 @@ def _reduce_translates(op, *args) -> Box:
             P = reduce(op, parts)
             for B in bases:
                 acc = op(acc, P >> B)
-    return grid(acc)
+    return Box(lo, shape, _crop(acc, window.shape, zero(s), shape))
 
 
 def _e1_holds(E: IdealFrame) -> bool:
@@ -155,7 +138,7 @@ def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
         return []
     shape, frame = E.shape, E._bits
     out = []
-    for p in _members(E):
+    for p in E.frame_sorted:
         idx = sub(p, E.mu)
         capped = _regrid(frame, shape, [(0, 0, i + 1, n - 1 - i) for i, n in zip(idx, shape)])
         k = _index(idx, shape) + 1
@@ -235,7 +218,7 @@ def _e2_failures(E: IdealFrame) -> list[tuple[Point, Point, int]]:
     if _e2_holds(E, built):
         return []
     grid, tables = built
-    pts = _members(E)
+    pts = E.frame_sorted
     failures: list[tuple[Point, Point, int]] = []
     for j, table in enumerate(tables):
         groups: dict[int, list[Point]] = {}
@@ -325,7 +308,7 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     by induction.  The converse is plain, so the verdict is exact.
     """
     by = _apery_families(S)
-    held = _reduce_translates(operator.and_, E, E.mu, E.gamma, by, 1, _suffix_and)
+    held = _reduce_translates(True, E, E.mu, E.gamma, by)
     return not E._bits & ~held.bits
 
 
@@ -500,7 +483,7 @@ def sum_ideals(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     check_frames("sum_ideals", E=E, F=F)
     lo = add(E.mu, F.mu)
     hi = add(E.gamma, F.gamma)
-    out = _reduce_translates(operator.or_, E, lo, hi, _frame_box(F), -1, _prefix_or)
+    out = _reduce_translates(False, E, lo, hi, _frame_box(F))
     return IdealFrame._from_box(out)
 
 

@@ -15,7 +15,6 @@ along all axes but one, shared through :func:`goodsemi.ideals._folds`.
 from __future__ import annotations
 
 import math
-import operator
 
 from .axioms import _reduce_translates
 from .errors import InclusionError, NotCertifiedError
@@ -29,7 +28,6 @@ from .ideals import (
     _folds,
     _frame_box,
     _interleave,
-    _suffix_and,
     _suffix_or_strict,
     check_frames,
     is_subset,
@@ -70,9 +68,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
             )
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
-    out = IdealFrame._from_box(
-        _reduce_translates(operator.and_, E, xlo, xhi, _frame_box(F), 1, _suffix_and)
-    )
+    out = IdealFrame._from_box(_reduce_translates(True, E, xlo, xhi, _frame_box(F)))
     out._e1 = True
     return out
 

@@ -10,9 +10,10 @@ arbitrary point is *defined* by the min-capping rule
 
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
-shape, so bits ascend in lex order of the points.  Only the helpers below,
-the translates of :mod:`goodsemi.axioms` and the chain walk of
-:mod:`goodsemi.metric` work out strides.  Boxes are cut, moved and
+shape, so bits ascend in lex order of the points.  Outside the helpers
+below only the Apéry families of :mod:`goodsemi.axioms` and the chain
+walk of :mod:`goodsemi.metric` work out strides; other offsets are read
+with :func:`_index`.  Boxes are cut, moved and
 reversed by masked shifts of the whole int: only :func:`_rows` and
 :func:`_points` read cells as a '0'/'1' string.  No box may hold more than
 :data:`MAX_CELLS` cells; a larger one is refused before anything is
@@ -267,19 +268,6 @@ def _lowest(bits: int, shape, axis: int) -> int:
     return a
 
 
-def _highest(bits: int, shape, axis: int) -> int:
-    """The greatest coordinate on ``axis`` of a set cell (bits != 0)."""
-    n = shape[axis]
-    a, b = 0, n - 1
-    while a < b:
-        m = (a + b + 1) // 2
-        if bits & _fill(shape, axis, m, n):
-            a = m
-        else:
-            b = m - 1
-    return a
-
-
 def _regrid(bits: int, shape, spans) -> int:
     """Read a bitset over ``shape`` onto a new grid.
 
@@ -518,7 +506,7 @@ class IdealFrame:
     def frame_sorted(self) -> tuple[Point, ...]:
         """The frame points, lex-sorted; built on first read."""
         if self._sorted is None:
-            self._sorted = tuple(_members(self))
+            self._sorted = tuple(_points(self._bits, self.shape, self.mu))
         return self._sorted
 
     @property
@@ -625,10 +613,11 @@ def _settle(lo: Point, shape, bits: int, first: Point) -> tuple[Point, Point, in
     slice differs from the next one.  Cells below ``first`` are empty, so
     the slices compare the same on the whole box.
     """
-    top = []
+    top, size = [], math.prod(shape)
     for ax, (n, st) in enumerate(zip(shape, _strides(shape))):
         diff = (bits ^ (bits >> st)) & _fill(shape, ax, 0, n - 1)
-        top.append(max(first[ax], _highest(diff, shape, ax) + 1) if diff else first[ax])
+        # one past the highest differing level: the lowest of the reversed box
+        top.append(max(first[ax], n - _lowest(_flip(diff, size), shape, ax)) if diff else first[ax])
     out_shape = tuple(t - f + 1 for f, t in zip(first, top))
     return add(lo, first), add(lo, top), _crop(bits, shape, first, out_shape)
 
@@ -644,11 +633,6 @@ def check_frames(what: str, **frames) -> None:
 
 def _frame_box(E: IdealFrame) -> Box:
     return Box(E.mu, E.shape, E._bits)
-
-
-def _members(E: IdealFrame) -> list[Point]:
-    """The frame points in lex order, not cached."""
-    return _points(E._bits, E.shape, E.mu)
 
 
 def _interleave(partition, frames) -> IdealFrame:

@@ -7,13 +7,17 @@ current point, step to the lexicographically smallest member of
 {delta in E : cur < delta <= beta}.  That point is automatically a minimal
 element of the set, hence a cover, and every cover keeps the remaining
 distance consistent on certified inputs.
+
+Past gamma the chain runs straight: the box [cut, beta], cut =
+cmin(beta, cmax(alpha, gamma)), lies in E, so only [alpha, cut] is walked
+and the tail adds |beta - cut|_1 unit steps.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
 from .ideals import IdealFrame, _fill, _strides, check_frames, is_subset, validate
-from .lattice import Point, as_point, check_same_dim, leq, lt, zero
+from .lattice import Point, as_point, check_same_dim, cmax, cmin, leq, lt, zero
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
 
@@ -49,11 +53,16 @@ def distance_between(E: IdealFrame, alpha, beta) -> int:
     """
     _require_good(E, "the ideal")
     alpha, beta = _check_endpoints(E, alpha, beta)
-    box = E.membership_box(alpha, beta)
+    # alpha <= cut <= beta, and cut_i >= gamma_i where cut_i < beta_i, so
+    # each x in [cut, beta] caps to cmin(beta, gamma), in the frame: the box
+    # lies in E, its covers are unit steps, and the chain through cut has
+    # d(alpha, cut) + |beta - cut|_1 links, as all saturated chains do
+    cut = cmin(beta, cmax(alpha, E.gamma))
+    box = E.membership_box(alpha, cut)
     shape, st = box.shape, _strides(box.shape)
-    live, cur, k, steps = box.bits, zero(len(alpha)), 0, 0
-    while k != box.size - 1:  # beta is the box's last cell
-        # the lex-smallest of {delta : cur < delta <= beta} is a minimal element
+    live, cur, k, steps = box.bits, zero(len(alpha)), 0, sum(beta) - sum(cut)
+    while k != box.size - 1:  # cut is the box's last cell
+        # the lex-smallest of {delta : cur < delta <= cut} is a minimal element
         # and therefore a cover: the lowest set cell past cur's, once the cells
         # with delta >= cur are kept (cur only grows, so each axis's mask is
         # ANDed in when its coordinate moves)

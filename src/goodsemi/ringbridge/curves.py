@@ -327,11 +327,16 @@ def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
 
 
 def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
-    """Value set over [0, N-2]^s, whose capping bound must lie inside."""
+    """Value set over [0, N-2]^s, refused unless its capping bound lies inside:
+    a corner that is no value (the scan's only FrameError here) puts it outside."""
     hi = tuple(basis.N - 2 for _ in range(basis.s))
-    G = value_semigroup_ideal(basis, hi)
+    where = f"{what} not strictly inside the scan box at truncation {basis.N}"
+    try:
+        G = value_semigroup_ideal(basis, hi)
+    except FrameError as exc:
+        raise TruncationError(f"{where}: {exc}") from exc
     if any(g >= h for g, h in zip(G.gamma, hi)):
-        raise TruncationError(f"{what} not strictly inside the scan box at truncation {basis.N}")
+        raise TruncationError(where)
     return G
 
 

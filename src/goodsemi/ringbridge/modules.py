@@ -35,7 +35,7 @@ from math import gcd, prod
 
 from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
 from ..ideals import Box, IdealFrame, _box_shape, _interleave, _rows_to_bits
-from ..lattice import Point, zero
+from ..lattice import Point, as_point, zero
 
 __all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
 
@@ -271,11 +271,11 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     truncation; the returned capping bound is only trustworthy after the
     caller's stability checks.
     """
-    s, N = basis.s, basis.N
+    s, N, hi = basis.s, basis.N, as_point(hi)
     if len(hi) != s:
-        raise DimensionMismatch(f"scan box corner {tuple(hi)} has {len(hi)} coordinates for {s} branches")
+        raise DimensionMismatch(f"scan box corner {hi} has {len(hi)} coordinates for {s} branches")
     if min(hi) < 0:
-        raise FrameError(f"scan box corner {tuple(hi)} has a negative coordinate")
+        raise FrameError(f"scan box corner {hi} has a negative coordinate")
     if any(h > N - 2 for h in hi):
         raise TruncationError(f"scan box {hi} does not fit below truncation {N}")
     if basis.dim == 0:
@@ -283,7 +283,7 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
     if all(max(row) // N == p // N for p, row in basis.rows.items()):
         cut = [sum(1 << p % N for p in basis.rows if p // N == i and p % N <= h) for i, h in enumerate(hi)]
         if not all(m >> h & 1 for m, h in zip(cut, hi)):
-            raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")
+            raise FrameError(f"scan box corner {hi} is not a value of the module")
         frames = []
         for m, h in zip(cut, hi):
             mu, gamma = (m & -m).bit_length() - 1, (~m & (1 << h) - 1).bit_length()
@@ -331,7 +331,7 @@ def value_semigroup_ideal(basis: ModuleBasis, hi: Point) -> IdealFrame:
         walk(rows, [_file({}, *span, rows.items()) for span in spans], 0)
         good &= _rows_to_bits(shape, out)
     if not good >> prod(shape) - 1 & 1:
-        raise FrameError(f"scan box corner {tuple(hi)} is not a value of the module")
+        raise FrameError(f"scan box corner {hi} is not a value of the module")
     return IdealFrame._from_box(Box(zero(s), shape, good))
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from goodsemi import duality, ideals
 from goodsemi.generate import numerical_semigroup
+from goodsemi.lattice import add
 
 
 def _offset(idx, shape) -> int:
@@ -166,7 +167,34 @@ def test_fill_lowest_and_highest_match_the_cell_oracle(rng):
         if bits:
             levels = [x[axis] for x, c in _cell_map(bits, shape).items() if c]
             assert ideals._lowest(bits, shape, axis) == min(levels), (bits, shape, axis)
-            assert ideals._highest(bits, shape, axis) == max(levels), (bits, shape, axis)
+    # the highest level is read as the lowest of the reversed box, in
+    # _settle: test_settle_cuts_to_the_least_exact_bound checks it
+
+
+def test_settle_cuts_to_the_least_exact_bound(rng):
+    # the bound on an axis is the least level c >= first at and past which
+    # every slice equals the top slice; the kept cells are the box's from
+    # first to that bound
+    seen = set()
+    for bits, shape, _ in _sweep_draws(rng, 400):
+        if not bits:
+            continue
+        cells = _cell_map(bits, shape)
+        first = tuple(min(x[ax] for x, c in cells.items() if c) for ax in range(len(shape)))
+        top = []
+        for ax, n in enumerate(shape):
+            same = [all(c == cells[x[:ax] + (n - 1,) + x[ax + 1 :]] for x, c in cells.items() if x[ax] == lv)
+                    for lv in range(n)]
+            top.append(next(c for c in range(first[ax], n) if all(same[c:])))
+        lo = tuple(rng.randint(-3, 3) for _ in shape)
+        out_shape = tuple(t - f + 1 for f, t in zip(first, top))
+        want = sum(cells[tuple(f + y for f, y in zip(first, x))] << _offset(x, out_shape)
+                   for x in product(*map(range, out_shape)))
+        got = ideals._settle(lo, shape, bits, first)
+        assert got == (add(lo, first), add(lo, tuple(top)), want), (bits, shape, first)
+        seen.add((len(shape), 1 in shape))
+    # every s from 1 to 4, with and without a one-level axis
+    assert seen == {(s, one) for s in range(1, 5) for one in (False, True)}, seen
 
 
 def test_mask_store_is_cleared_when_the_next_mask_would_not_fit():

@@ -337,7 +337,9 @@ def test_duals_run_without_translates(monkeypatch):
     def broken(*args):
         raise AssertionError("translate sweep called")
 
-    monkeypatch.setattr(axioms, "_tail_translates", broken)
+    # duality binds the name itself, so both bindings are broken
+    monkeypatch.setattr(axioms, "_reduce_translates", broken)
+    monkeypatch.setattr(duality, "_reduce_translates", broken)
     with pytest.raises(AssertionError, match="translate sweep"):
         difference(K.ideal, E)
     got = (canonical_normalized(S).shift((2, -1)), dualize(K, E), push_forward(K, Sp).ideal)

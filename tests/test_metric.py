@@ -13,6 +13,8 @@ from goodsemi import (
     conductor_ideal,
     difference,
     distance_between,
+    numerical_semigroup,
+    product_semigroups,
     random_good_semigroup,
     relative_distance,
 )
@@ -58,6 +60,40 @@ def test_chains_split_lengths_without_exchange(wide_s, wide_e):
     assert lens == oracles.chain_lengths(D.contains, (4, 2), (7, 4))
     with pytest.raises(NotCertifiedError):
         distance_between(D, (4, 2), (7, 4))
+
+
+def test_distance_runs_straight_past_the_conductor():
+    # the tail past gamma is counted, not walked: a million on <2,3> and a
+    # box of 25 million cells on the product are answered at once
+    S = numerical_semigroup(2, 3)
+    assert distance_between(S, (0,), (40_000,)) == 39_999
+    assert distance_between(S, (0,), (10**6,)) == 10**6 - 1
+    P = product_semigroups(S, numerical_semigroup(3, 4))
+    assert distance_between(P, (0, 0), (5000, 5000)) == 9996
+    assert distance_between(P, (4, 3), (5000, 3)) == 4996
+
+
+def test_distance_matches_one_saturated_chain_on_randoms(rng):
+    # endpoints up to gamma + 3, so the tail is cut (beta past gamma) and
+    # not cut (beta <= gamma, the metric queries' case); the oracle
+    # follows one chain of covers, found cell by cell
+    tails = heads = 0
+    for _ in range(40):
+        S = random_good_semigroup(rng, rng.choice((1, 2, 2)), max_gamma=4)
+        E = S.ideal
+        pts = E.members_in_box(E.mu, [g + 3 for g in E.gamma])
+        a = rng.choice(pts)
+        above = [p for p in pts if all(x <= y for x, y in zip(a, p))]
+        inside = [p for p in above if all(y <= g for y, g in zip(p, E.gamma))]
+        b = rng.choice(inside if inside and rng.random() < 0.5 else above)
+        steps, cur = 0, a
+        while cur != b:
+            cur = min(oracles.covers(E.contains, cur, b))
+            steps += 1
+        assert distance_between(E, a, b) == steps, (E, a, b)
+        past = any(y > g for y, g in zip(b, E.gamma))
+        tails, heads = tails + past, heads + (not past)
+    assert tails >= 10 and heads >= 5, (tails, heads)
 
 
 def test_chain_cap():

@@ -362,6 +362,11 @@ def test_scan_refuses_a_corner_of_the_wrong_length_or_sign(curve_spec):
             value_semigroup_ideal(basis, hi)
     with pytest.raises(FrameError, match=r"corner \(-1, 3\) has a negative coordinate"):
         value_semigroup_ideal(basis, (-1, 3))
+    # a corner coordinate that is not an integer is refused by name, and a
+    # bool is not read as 1
+    for bad in (8.0, "3", True):
+        with pytest.raises(FrameError, match=rf"non-integer coordinate {re.escape(repr(bad))}"):
+            value_semigroup_ideal(basis, (6, bad))
 
 
 def test_value_ideal_inserts_no_row_while_scanning(monkeypatch, curve_spec):
@@ -624,9 +629,18 @@ def test_default_pole_bound_is_proven_on_every_pair(name, curve_spec):
 
 
 def test_truncation_too_small_is_detected():
-    spec = parse_curve("branches: 1\ntruncation: 4\nring: (t^2) ; (t^3)\n")
-    with pytest.raises(TruncationError):
-        value_ideal(spec, "R")
+    # a truncation at or below the conductor is one error, whether the
+    # conductor lands on the scan box's edge (<2,3> at 4) or the box's
+    # corner is no value (the other two)
+    msg = "conductor not strictly inside the scan box at truncation "
+    for text, corner in [
+        ("branches: 1\ntruncation: 4\nring: (t^2) ; (t^3)\n", None),
+        ("branches: 1\ntruncation: 4\nring: (t^3) ; (t^4)\n", "(2,)"),
+        ("branches: 2\ntruncation: 8\nring: (t^4, t^3) ; (t^6 + t^7, t^5)\n", "(6, 6)"),
+    ]:
+        tail = r"\d+$" if corner is None else rf"\d+: scan box corner {re.escape(corner)} is not a value of the module$"
+        with pytest.raises(TruncationError, match=msg + tail):
+            value_ideal(parse_curve(text), "R")
 
 
 # ------------------------------------------------------------------ lengths
