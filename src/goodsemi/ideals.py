@@ -613,11 +613,12 @@ def _settle(lo: Point, shape, bits: int, first: Point) -> tuple[Point, Point, in
     slice differs from the next one.  Cells below ``first`` are empty, so
     the slices compare the same on the whole box.
     """
-    top, size = [], math.prod(shape)
+    # on the reversed box, slice y against y + 1 is slice n - 1 - y against
+    # n - 2 - y: one past the highest differing level is n - 1 - the lowest
+    top, flipped = [], _flip(bits, math.prod(shape))
     for ax, (n, st) in enumerate(zip(shape, _strides(shape))):
-        diff = (bits ^ (bits >> st)) & _fill(shape, ax, 0, n - 1)
-        # one past the highest differing level: the lowest of the reversed box
-        top.append(max(first[ax], n - _lowest(_flip(diff, size), shape, ax)) if diff else first[ax])
+        diff = (flipped ^ (flipped >> st)) & _fill(shape, ax, 0, n - 1)
+        top.append(max(first[ax], n - 1 - _lowest(diff, shape, ax)) if diff else first[ax])
     out_shape = tuple(t - f + 1 for f, t in zip(first, top))
     return add(lo, first), add(lo, top), _crop(bits, shape, first, out_shape)
 

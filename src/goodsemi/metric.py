@@ -83,7 +83,9 @@ def _minimal_covers(E: IdealFrame, cur: Point, beta: Point) -> list[Point]:
 
 
 def all_saturated_chains(E: IdealFrame, alpha, beta, cap: int = 1_000_000) -> list[Chain]:
-    """Every saturated chain from alpha to beta in E, by depth-first search.
+    """Every saturated chain from alpha to beta in E, by depth-first search
+    in the order of :func:`_minimal_covers`, on an explicit stack so that a
+    chain of any length is walked.
 
     Raises CapExceededError once more than ``cap`` chains are found.  Does
     not require certification: on a merely (E1) ideal the chains may have
@@ -91,20 +93,18 @@ def all_saturated_chains(E: IdealFrame, alpha, beta, cap: int = 1_000_000) -> li
     """
     alpha, beta = _check_endpoints(E, alpha, beta)
     chains: list[Chain] = []
-    stack: list[Point] = [alpha]
-
-    def walk(cur: Point) -> None:
+    path: list[Point] = []
+    todo = [(0, alpha)]  # (depth, point) still to walk, the next one last
+    while todo:
+        depth, cur = todo.pop()
+        del path[depth:]
+        path.append(cur)
         if cur == beta:
             if len(chains) >= cap:
                 raise CapExceededError(f"more than {cap} saturated chains; raise the cap")
-            chains.append(tuple(stack))
-            return
-        for nxt in _minimal_covers(E, cur, beta):
-            stack.append(nxt)
-            walk(nxt)
-            stack.pop()
-
-    walk(alpha)
+            chains.append(tuple(path))
+        else:
+            todo.extend((depth + 1, nxt) for nxt in reversed(_minimal_covers(E, cur, beta)))
     return chains
 
 

@@ -256,10 +256,13 @@ class _Store:
 
     ``ring`` and ``named`` hold generators cleared once to primitive
     integer terms, which do not depend on the truncation: products stop
-    at it.  ``spans`` keeps per generator tuple the highest-order span
-    built and the lower orders cut from it, each row for row a fresh
-    build (:meth:`ModuleBasis.truncated`); ``values`` the certified value
-    sets.  No lookup hashes a Fraction.
+    at it.  ``spans`` keeps per generator tuple one span, the highest-order
+    one built; read at order n, it is scanned over [0, n - 2]^s, where it
+    has the values of the span at n: truncation to n is a ring map onto
+    that span whose kernel, of positions at or above n, lies in the
+    filtration levels at alpha and alpha + e_i that decide a value alpha
+    of the box.  ``values`` the certified value sets.  No lookup hashes a
+    Fraction.
     """
 
     __slots__ = ("ring", "named", "spans", "values")
@@ -268,7 +271,7 @@ class _Store:
         self.ring = tuple(map(integer_terms, spec.ring))
         self.named = {"R": ((((0, 1),),) * spec.s,)}
         self.named.update((n, tuple(map(integer_terms, g))) for n, g in spec.modules)
-        self.spans: dict[tuple, dict[int, ModuleBasis]] = {}
+        self.spans: dict[tuple, ModuleBasis] = {}
         self.values: dict[tuple, IdealFrame] = {}
 
 
@@ -311,26 +314,25 @@ def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
 
 
 def _span(spec: CurveSpec, gens: tuple, N: int) -> ModuleBasis:
-    """The span of ``gens`` at order N: cut from the highest span built
-    when that is at least as high, else built, replacing it and its cuts."""
-    got = spec._store.spans.setdefault(gens, {})
-    if N not in got:
-        top = max(got, default=0)
-        if top < N:
-            got.clear()
-        got[N] = got[top].truncated(N) if top > N else span_basis(spec._store.ring, gens, N)
-    return got[N]
+    """The held span of ``gens`` when its order is at least N, else the
+    span built at N, which replaces it."""
+    spans = spec._store.spans
+    if gens not in spans or spans[gens].N < N:
+        spans[gens] = span_basis(spec._store.ring, gens, N)
+    return spans[gens]
 
 
 def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
+    """The module's span at order N or above: its values in every box
+    [0, hi] with hi <= N - 2 are those of the span at N (see :class:`_Store`)."""
     return _span(spec, _gens(spec, name), N)
 
 
-def _scan(basis: ModuleBasis, what: str) -> IdealFrame:
-    """Value set over [0, N-2]^s, refused unless its capping bound lies inside:
-    a corner that is no value (the scan's only FrameError here) puts it outside."""
-    hi = tuple(basis.N - 2 for _ in range(basis.s))
-    where = f"{what} not strictly inside the scan box at truncation {basis.N}"
+def _scan(basis: ModuleBasis, n: int, what: str) -> IdealFrame:
+    """Value set at order n <= basis.N, over [0, n-2]^s, refused unless its capping bound
+    lies inside: a corner that is no value (the scan's only FrameError here) puts it outside."""
+    hi = (n - 2,) * basis.s
+    where = f"{what} not strictly inside the scan box at truncation {n}"
     try:
         G = value_semigroup_ideal(basis, hi)
     except FrameError as exc:
@@ -385,8 +387,8 @@ def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
 
 
 def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> None:
-    """Refuse unless the span at N proves t^gamma·Rbar ⊆ M: N >= gamma + e
-    on every branch, and the span holds t^k for gamma_i <= k < N."""
+    """Refuse unless the held span, of order N' >= N, proves t^gamma·Rbar ⊆ M:
+    N >= gamma + e on every branch, and the span holds t^k for gamma_i <= k < N'."""
     if any(g + x > N for g, x in zip(gamma, e)):
         low = tuple(g + x for g, x in zip(gamma, e))
         raise TruncationError(
@@ -421,9 +423,11 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
                               f"of {(N - 1) ** s} cells, over the box limit of {ideals.MAX_CELLS} cells")
     while fits(N):
         tried.append(N)
-        c = monomial_tail(_span(spec, gens, N))
-        if N in c:
-            notes.append(f"the precheck refused truncation {N}: the span misses t^{N - 1} on branch {c.index(N)}")
+        B = _span(spec, gens, N)  # at N, unless a higher span is held
+        c = monomial_tail(B)
+        if B.N in c:
+            notes.append(f"the precheck refused truncation {B.N}: "
+                         f"the span misses t^{B.N - 1} on branch {c.index(B.N)}")
             rule = 1 << N.bit_length()  # the next of 8, 16, 32, ...
         elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
             return _checked_commit(s, commit, f"the candidate conductor {c}")
@@ -492,11 +496,12 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     commit, and every witness of the scan over [0, commit - 2]^s lifts
     to M: the in-box values are exact, the conductor lies strictly inside
     the box (commit >= c + 3), and capping at the box's corner reproduces
-    the value set.  It is scanned exactly twice, at commit and commit + 2,
-    both cut from one span (built at commit + 2 if N < commit + 2).  The
-    conductor of the scan at commit must pass the certificate there, which
-    cross-checks the scan against the span; the rerun must agree with it,
-    and the result must pass the good-ideal axioms.  An explicit
+    the value set.  It is scanned exactly twice, over [0, commit - 2]^s
+    and [0, commit]^s, on the one span held, of order at least commit + 2
+    (see :class:`_Store`).  The conductor of the scan at commit must pass
+    the certificate on that span, valid as its order is at least c + e,
+    which cross-checks the scan against the span; the rerun must agree
+    with it, and the result must pass the good-ideal axioms.  An explicit
     truncation is the commit order, its scan's conductor the candidate,
     and its rerun's box is checked like a candidate's, before any span.
     """
@@ -507,10 +512,10 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     e = _radical_orders(spec)
     t = spec.truncation
     commit = _bootstrap(spec, gens, e) if t is None else _checked_commit(spec.s, t, f"the line 'truncation: {t}'")
-    _span(spec, gens, commit + 2)  # built first, so that commit is cut from it
-    Ga = _scan(_span(spec, gens, commit), "conductor")
+    B = _span(spec, gens, commit + 2)
+    Ga = _scan(B, commit, "conductor")
     _certify(spec, gens, Ga.conductor, e, commit)
-    Gb = _scan(_span(spec, gens, commit + 2), "conductor")
+    Gb = _scan(B, commit + 2, "conductor")
     if Ga != Gb:
         raise TruncationError(f"value set changed between truncations {commit} and {commit + 2}")
     report = validate(Ga)
@@ -552,18 +557,13 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     p it lies strictly inside the scan box [0, N - 2]^s.  The result must
     agree with a rerun two orders higher.
 
-    The colon is solved once, at N + 2, and its basis B is scanned with
-    its cut B.truncated(N), which is row for row the solution basis at N.
-    Proof: below free = gamma_K + p the two eliminations of
-    :func:`modules.colon_solution_basis` are the same system, position
-    for position.  K's rows with pivot below gamma_K hold no entry at or
-    above gamma_K, so cutting K's span to N, which gives K's span at N,
-    leaves them as they are; the products of E stop at free; and an
-    unknown at or above free meets no condition, so both bases hold the
-    monomials {q: 1} from free on, which no other row holds.  So the rows
-    of B with pivot below free are the rows at N, and the cut drops only
-    t^N and t^(N+1) on each branch.  Truncation is a ring map, so the
-    closure check on B covers its cut.
+    The colon is solved once, at N + 2, from K's held span, and its basis
+    B is scanned over [0, N - 2]^s and [0, N]^s.  Over the first box B
+    gives the values of the solution basis at N: truncation from N + 2 to
+    N is a ring map taking the colon at N + 2 onto the colon at N, as
+    both are the preimages of t^p·K under multiplication by E, and its
+    kernel holds only positions at or above N, so it lies in every
+    filtration level of the box (see :class:`_Store`).
     """
     from ..duality import difference  # only the colon needs duality
 
@@ -573,8 +573,8 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     gamma_K = GK.conductor
     poles = tuple(max(0, -m) for m in difference(GK, GE).mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
-    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles)
-    Gb, Ga = _scan(B, "colon conductor"), _scan(B.truncated(N), "colon conductor")
+    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles, N + 2)
+    Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
     return Gb.shift(tuple(-p for p in poles))
@@ -582,12 +582,12 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
 
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     """Q-dimension of F/E for nested modules E ⊆ F (larger first), read
-    at N = max(c) + 1, c the larger conductor: a certified module holds
-    t^c·Rbar, so it is the full preimage of its span at any order above c."""
+    off each module's held span at its own order, at least max(c) + 1, c
+    the larger conductor: a certified module holds t^c·Rbar, so it is the
+    full preimage of its span at any order above c."""
     c = cmax(value_ideal(spec, E).conductor, value_ideal(spec, F).conductor)
-    N = max(c) + 1
-    FB, EB = span_module(spec, F, N), span_module(spec, E, N)
-    rows = [_row(g, N) for g in _gens(spec, E)]
+    FB, EB = (span_module(spec, name, max(c) + 1) for name in (F, E))
+    rows = [_row(g, FB.N) for g in _gens(spec, E)]
     for v in rows:
         FB._fully_reduce(v)
     if any(rows):
@@ -595,7 +595,7 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     for name, B in ((E, EB), (F, FB)):
         require_monomials(B, c, f"module {name!r}")
     # a pivot below c is one dimension of the module modulo t^c·Rbar
-    return sum(p % N < c[p // N] for p in FB.rows) - sum(p % N < c[p // N] for p in EB.rows)
+    return sum(p % FB.N < c[p // FB.N] for p in FB.rows) - sum(p % EB.N < c[p // EB.N] for p in EB.rows)
 
 
 def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis]:
@@ -603,8 +603,8 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
     monomial module t^gamma * Rbar it cuts out.
 
     The basis is given at N = max(gamma) + 1, as a certified module is
-    the full preimage of its span at any order above gamma; the span
-    there must hold it (:func:`require_monomials`), and the colon
+    the full preimage of its span at any order above gamma; the held span,
+    at N or above, must hold it (:func:`require_monomials`), and the colon
     computation must give Γ(module : Rbar) = gamma + N^s.
     """
     from ..duality import conductor_ideal  # the colon below imports duality too

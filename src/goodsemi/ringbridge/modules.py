@@ -22,7 +22,7 @@ each axis-line imposed one at a time.  A constraint hits the rows filed
 under it by order, and drops the one of largest branch-i order, so every
 other row keeps its order: the line's dimension drops.
 
-Spans, value scans, cuts and colons all eliminate through the same two
+Spans, value scans and colons all eliminate through the same two
 steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
 solutions are the rows whose products reduce to zero, read off one row
 reduction that carries each unknown as a tag, against t^poles·K read
@@ -139,43 +139,6 @@ class ModuleBasis:
                 _divide_content(row)
         self.rows[lead] = v
         return True
-
-    def truncated(self, N: int) -> "ModuleBasis":
-        """The basis of this span cut to ∏ Q[t]/(t^N), for 1 <= N <= self.N;
-        any other N is refused, naming both orders.
-
-        For spans this is the span at order N: truncation pi from order
-        N' to N is a ring map, pi(r·v) = pi(r)·pi(v), so pi(V') holds the
-        generators and is closed under the ring, giving V ⊆ pi(V'); and
-        pi^-1(V) holds the generators and is closed under the ring too,
-        giving V' ⊆ pi^-1(V).  The rows, re-keyed from i·N' + e to
-        i·N + e with e >= N dropped, span pi(V').  A row whose pivot
-        survives is kept, its content divided out if it lost entries: it
-        is still positive at its pivot, which no other row holds, and it
-        holds no other row's pivot.  Only a row that lost its pivot is
-        reinserted, which clears its new lead from the kept rows; a span
-        cut above its conductor has none with entries left, as its rows
-        there are monomials.  The result is the reduced echelon basis of
-        primitive rows, which is unique (so is the reduced row echelon
-        form, and each row's primitive multiple positive at its pivot),
-        hence row for row a fresh build at N.
-        """
-        old = self.N
-        if not 1 <= N <= old:
-            raise TruncationError(f"cannot cut the span at truncation {old} to truncation {N}: "
-                                  f"a cut needs 1 <= {N} <= {old}")
-        out, lost = ModuleBasis(self.s, N), []
-        for p, row in self.rows.items():
-            v = {q // old * N + q % old: c for q, c in row.items() if q % old < N}
-            if p % old >= N:
-                lost.append(v)
-            else:
-                if len(v) < len(row):
-                    _divide_content(v)
-                out.rows[p // old * N + p % old] = v
-        for v in filter(None, lost):
-            out._insert(v)
-        return out
 
 
 def monomial_tail(basis: ModuleBasis) -> Point:
@@ -347,9 +310,10 @@ def _file(bucket: dict, lo: int, end: int, rows) -> dict:
 
 
 def colon_solution_basis(
-    ring_gens: list, K_basis: ModuleBasis, E_gens: list, gamma_K: Point, poles: Point
+    ring_gens: list, K_basis: ModuleBasis, E_gens: list, gamma_K: Point, poles: Point, N: int
 ) -> ModuleBasis:
-    """Basis of t^poles * (K : E) = {x honest : x * E ⊆ t^poles * K}.
+    """Basis of t^poles * (K : E) = {x honest : x * E ⊆ t^poles * K} in
+    ∏ Q[t]/(t^N), from K's span at any order from N on (a higher N is refused).
 
     Requires K ⊇ t^gamma_K * (full space) — checked by
     :func:`require_monomials` — and N >= gamma_K + poles + 2 per branch,
@@ -373,10 +337,12 @@ def colon_solution_basis(
     of the ring, ``gamma_K`` or ``poles`` without K's branch count is
     refused by name.
     """
-    s, N = K_basis.s, K_basis.N
+    s, M = K_basis.s, K_basis.N
     for name, v in (("gamma_K", gamma_K), ("poles", poles)):
         if len(v) != s:
             raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of K")
+    if N > M:
+        raise TruncationError(f"colon order {N} is above the order {M} of K's span")
     if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
         raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
     _check_branches(s, E_gens, "generator of E")
@@ -384,21 +350,23 @@ def colon_solution_basis(
     require_monomials(K_basis, gamma_K, "left module")
 
     # t^poles·K mod t^N is the monomials {p: 1} at or above free =
-    # gamma_K + poles and K's rows with pivot below gamma_K moved up by
-    # poles: those rows hold no position at or above gamma_K, each the
-    # pivot of a monomial row of K, so moved up they stay below free and
-    # reduced.  The monomials only delete a product entry: such entries
-    # are never built, a generator with no term below puts no condition on
-    # x, and only the rows below are copied once per block; disjoint
-    # copies of a reduced basis are reduced
+    # gamma_K + poles and K's rows with pivot below gamma_K, re-keyed from
+    # order M to N and moved up by poles: those rows hold no position at
+    # or above gamma_K, each the pivot of a monomial row of K, so they
+    # lose nothing and, moved up, stay below free and reduced.  The
+    # monomials only delete a product entry: such entries are never
+    # built, a generator with no term below puts no condition on x, and
+    # only the rows below are copied once per block; disjoint copies of a
+    # reduced basis are reduced
     free = [g + p for g, p in zip(gamma_K, poles)]
     E = [g for g in E_gens if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
     width = s * N
     tag = len(E) * width
+    shift = [i * (N - M) + p for i, p in enumerate(poles)]  # i·M + e to i·N + e + poles_i
     low = [
-        (p + poles[p // N], {q + poles[q // N]: c for q, c in row.items()})
+        (p + shift[p // M], {q + shift[q // M]: c for q, c in row.items()})
         for p, row in K_basis.rows.items()
-        if p % N < gamma_K[p // N]
+        if p % M < gamma_K[p // M]
     ]
     target = ModuleBasis(s, N)
     target.rows = {

@@ -6,10 +6,11 @@ Run from the repository root:
     python -W error tests/smoke.py
 
 It reads every committed frame JSON fixture and checks that writing it
-back gives the same bytes, then runs ``curve-gamma`` and ``colon`` on
-``tests/fixtures/twobranch.curve`` through the CLI and checks the colon
-against the lattice difference of the two value sets.  Exits nonzero on
-the first failure.
+back gives the same bytes, then runs ``curve-gamma``, ``colon`` and
+``length`` on ``tests/fixtures/twobranch.curve`` through the CLI and
+checks the colon against the lattice difference of the two value sets
+and the length of Rbar / R against the relative distance of theirs.
+Exits nonzero on the first failure.
 """
 
 import os
@@ -20,20 +21,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from goodsemi import difference, from_json, to_json  # noqa: E402
+from goodsemi import difference, from_json, relative_distance, to_json  # noqa: E402
 
 CURVE = ROOT / "tests" / "fixtures" / "twobranch.curve"
 
 
-def cli(*argv: str) -> str:
+def run(*argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "goodsemi.cli", *argv],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"goodsemi {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    if to_json(from_json(proc.stdout)) != proc.stdout:
-        sys.exit(f"goodsemi {' '.join(argv)} wrote JSON that does not round-trip")
     return proc.stdout
+
+
+def cli(*argv: str) -> str:
+    """The JSON frame that ``goodsemi *argv`` writes, checked to round-trip."""
+    out = run(*argv)
+    if to_json(from_json(out)) != out:
+        sys.exit(f"goodsemi {' '.join(argv)} wrote JSON that does not round-trip")
+    return out
 
 
 def main() -> None:
@@ -49,7 +56,10 @@ def main() -> None:
     K, E = (from_json(cli("curve-gamma", str(CURVE), "--module", m)) for m in ("K0", "E"))
     if from_json(cli("colon", str(CURVE), "K0", "E")) != difference(K, E):
         sys.exit("colon K0 : E differs from the lattice difference of the value sets")
-    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma and colon on {CURVE.name}")
+    Rbar = from_json(cli("curve-gamma", str(CURVE), "--module", "Rbar"))
+    if int(run("length", str(CURVE), "Rbar", "R")) != relative_distance(R, Rbar):
+        sys.exit("length Rbar / R differs from the relative distance of the value sets")
+    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon and length on {CURVE.name}")
 
 
 if __name__ == "__main__":

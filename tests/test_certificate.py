@@ -74,7 +74,7 @@ def test_certificate_needs_n_at_least_gamma_plus_e():
     # lie in the span, yet the conductor is 12: 11 < 8 + e with e = 4
     spec = parse_curve("branches: 1\ntruncation: 11\nring: (t^4) ; (t^5)\n")
     gens = curves._gens(spec, "R")
-    assert curves._scan(span_module(spec, "R", 11), "conductor").conductor == (8,)
+    assert curves._scan(span_module(spec, "R", 11), 11, "conductor").conductor == (8,)
     modules.require_monomials(span_module(spec, "R", 11), (8,), "R")
     with pytest.raises(TruncationError, match=r"below γ \+ e = \(12,\)"):
         curves._certify(spec, gens, (8,), (4,), 11)
@@ -86,7 +86,7 @@ def test_certificate_needs_n_at_least_gamma_plus_e():
 def test_certificate_refuses_a_false_conductor_inside_the_box():
     spec = parse_curve(CURVES["ring-16"])
     gens = curves._gens(spec, "R")
-    assert curves._scan(span_module(spec, "R", 16), "conductor").conductor == (12,)
+    assert curves._scan(span_module(spec, "R", 16), 16, "conductor").conductor == (12,)
     with pytest.raises(TruncationError, match=r"the span misses t\^13 on branch 0"):
         curves._certify(spec, gens, (12,), curves._radical_orders(spec), 16)
     assert value_ideal(spec, "R").conductor == (16,)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import oracles
@@ -18,6 +20,7 @@ from goodsemi import (
     random_good_semigroup,
     relative_distance,
 )
+from goodsemi import metric
 
 
 def test_distance_on_corner_semigroup(fig_s):
@@ -100,6 +103,31 @@ def test_chain_cap():
     big = GoodSemigroup.from_points([(0, 0), (1, 1)], gamma=(1, 1))
     with pytest.raises(CapExceededError):
         all_saturated_chains(big.ideal, (0, 0), (6, 6), cap=5)
+
+
+def _recursive_chains(E, cur, beta):
+    """The saturated chains from cur to beta, by recursion over the covers."""
+    if cur == beta:
+        return [(cur,)]
+    return [(cur, *c) for nxt in metric._minimal_covers(E, cur, beta) for c in _recursive_chains(E, nxt, beta)]
+
+
+def test_chains_are_walked_without_recursion(wide_s, wide_e):
+    # <2, 3> from 0 to 301 is one chain of 300 links, 0, 2, 3, ..., 301:
+    # deeper than the lowered recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        chains = all_saturated_chains(numerical_semigroup(2, 3), (0,), (301,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chains == [((0,), *((k,) for k in range(2, 302)))]
+    # the chains come in the order of a recursive depth-first search
+    D = difference(canonical_normalized(wide_s), wide_e)
+    P = product_semigroups(numerical_semigroup(2, 3), numerical_semigroup(3, 4)).ideal
+    for E, alpha, beta in ((D, (4, 2), (7, 4)), (P, (0, 0), (5, 6))):
+        want = _recursive_chains(E, alpha, beta)
+        assert len(want) > 1 and all_saturated_chains(E, alpha, beta) == want
 
 
 def test_endpoint_errors(fig_s):

@@ -168,8 +168,15 @@ def test_colon_solution_basis_matches_dense_oracle(rng):
         E_gens.append(_rand_terms(rng, s, 0, N - 1))
         K = span_basis([_terms(g) for g in ring], [_terms(g) for g in K_gens], N)
         got = colon_solution_basis(
-            [_terms(g) for g in ring], K, [_terms(g) for g in E_gens], gamma, poles
+            [_terms(g) for g in ring], K, [_terms(g) for g in E_gens], gamma, poles, N
         )
+        # solved at N from K's span three orders up, given its monomials up
+        # there too, the basis is the same row for row
+        up = [tuple({e: 1} if b == i else {} for b in range(s)) for i in range(s) for e in range(N, N + 3)]
+        K_up = span_basis([_terms(g) for g in ring], [_terms(g) for g in K_gens + up], N + 3)
+        assert colon_solution_basis(
+            [_terms(g) for g in ring], K_up, [_terms(g) for g in E_gens], gamma, poles, N
+        ).rows == got.rows
 
         size = s * N
         shifted = []
@@ -407,7 +414,7 @@ def test_colon_by_one_returns_the_module_itself(poles):
         want._insert({p + poles[0]: c for p, c in row.items() if p + poles[0] < N})
     for e in range(2 + poles[0], N):
         want._insert({e: 1})
-    got = colon_solution_basis(ring, K, [(((0, 1),),)], (2,), poles)
+    got = colon_solution_basis(ring, K, [(((0, 1),),)], (2,), poles, N)
     assert got.rows == want.rows
 
 
@@ -431,7 +438,7 @@ def test_colon_refuses_a_generator_of_E_with_another_branch_count():
     ring = [(((2, 1),),), (((3, 1),),)]
     K = span_basis(ring, [(((0, 1),),)], N)
     with pytest.raises(DimensionMismatch, match=re.escape("generator of E (((0, 1),), ((0, 1),)) has 2 branches, not 1")):
-        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], (2,), (0,))
+        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], (2,), (0,), N)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +452,7 @@ def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_
     K = span_basis(ring, [(((0, 1),), ()), ((), ((0, 1),))], 12)
     bad = gamma_K if name == "gamma_K" else poles
     with pytest.raises(DimensionMismatch, match=re.escape(f"{name} {bad} has {len(bad)} coordinates, not the 2")):
-        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], gamma_K, poles)
+        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], gamma_K, poles, 12)
 
 
 @pytest.mark.parametrize(
@@ -460,12 +467,16 @@ def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_
         (lambda: span_basis([(((1, 1),),)], [], 8), "a module needs at least one generator"),
         (lambda: value_semigroup_ideal(ModuleBasis(2, 10), (3, 3)), "the zero module has no value semigroup ideal"),
         (
-            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (3,), (1,)),
+            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (3,), (1,), 5),
             "truncation 5 too small for conductor (3,) plus poles (1,)",
+        ),
+        (
+            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (1,), (0,), 7),
+            "colon order 7 is above the order 5 of K's span",
         ),
     ],
     ids=["s-zero", "short-mu", "short-gamma", "empty", "point-dimension", "point-outside",
-         "span-no-generator", "scan-zero-module", "colon-truncation"],
+         "span-no-generator", "scan-zero-module", "colon-truncation", "colon-order-above-K"],
 )
 def test_frame_and_module_inputs_are_refused_by_name(build, message):
     with pytest.raises((FrameError, TruncationError), match=re.escape(message)):
@@ -482,7 +493,7 @@ def test_colon_refuses_a_solution_space_not_closed_under_the_ring():
     for e in (0, 3, *range(5, N)):
         K._insert({e: 1})
     with pytest.raises(PoleBoundError, match="not closed under the ring action"):
-        colon_solution_basis(ring, K, [(((0, 1),),)], (5,), (0,))
+        colon_solution_basis(ring, K, [(((0, 1),),)], (5,), (0,), N)
 
 
 def test_value_set_oracle_on_one_branch():

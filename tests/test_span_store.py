@@ -1,5 +1,6 @@
-"""The per-curve span store: truncated spans, pivot-lookup membership,
-the bootstrap's orders and box limit, and the hot path's freedom from Fractions."""
+"""The per-curve span store: one held span per module, read at lower
+orders over smaller boxes, pivot-lookup membership, the bootstrap's orders
+and box limit, and the hot path's freedom from Fractions."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from test_bench_smoke import workloads
-from goodsemi import TruncationError, ideals
+from goodsemi import FrameError, TruncationError, ideals
 from goodsemi.ringbridge import (
     colon_value_ideal,
     conductor_of,
@@ -21,6 +22,7 @@ from goodsemi.ringbridge import (
     span_basis,
     span_module,
     value_ideal,
+    value_semigroup_ideal,
 )
 
 CURVES = {
@@ -41,20 +43,45 @@ def _fresh(spec, gens, N):
     return span_basis(list(map(curves.integer_terms, spec.ring)), list(map(curves.integer_terms, gens)), N)
 
 
+def _outcome(scan, *args):
+    """What ``scan(*args)`` gives: a frame, or the type and message of its refusal."""
+    try:
+        return scan(*args)
+    except (FrameError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_values_at(held, fresh, n, what) -> bool:
+    """Check that ``held``, a span of order at least n, has the values of
+    ``fresh``, the span at n, over [0, n - 2]^s, read directly and through
+    the store's scan at order n; return whether the corner is a value."""
+    hi = (n - 2,) * fresh.s
+    got = _outcome(value_semigroup_ideal, held, hi)
+    if not fresh.dim:  # zero at n: no value in the box, refused with another message
+        assert isinstance(got, tuple) and got[0] is FrameError, what
+        return False
+    assert got == _outcome(value_semigroup_ideal, fresh, hi), what
+    assert _outcome(curves._scan, held, n, "it") == _outcome(curves._scan, fresh, n, "it"), what
+    return not isinstance(got, tuple)
+
+
 @pytest.mark.parametrize("name", ["twobranch", *CURVES])
 def test_truncated_span_is_the_fresh_build(name, curve_spec):
+    # the store holds one span, at the highest order built, and reads it at
+    # a lower order n over [0, n - 2]^s: it has the values of the span at
+    # n, below the conductor (where the scans refuse alike) and above it
     text = dumps_curve(curve_spec) if name == "twobranch" else CURVES[name]
     spec = parse_curve(text)
     for module in ["R", "Rbar", "C"] + spec.module_names():
         gens = module_generators(spec, module)
-        N = max(16, 2 * max(value_ideal(spec, module).conductor) + 4)
-        want = _fresh(spec, gens, N).rows
-        for high in (N + 2, 2 * N):
-            assert _fresh(spec, gens, high).truncated(N).rows == want, (module, high)
-            # the store cuts the order-N span from the highest one it holds
-            store = parse_curve(text)
-            assert span_module(store, module, high).N == high
-            assert span_module(store, module, N).rows == want, (module, high)
+        c = max(value_ideal(spec, module).conductor)
+        for n in sorted({4, 8, c + 2, max(16, 2 * c + 4)}):
+            fresh = _fresh(spec, gens, n)
+            for high in (n + 2, 2 * n):
+                store = parse_curve(text)
+                held = span_module(store, module, high)
+                assert held.N == high and span_module(store, module, n) is held, (module, n, high)
+                _same_values_at(held, fresh, n, (module, n, high))
 
 
 def _random_poly(rng, span):
@@ -64,20 +91,22 @@ def _random_poly(rng, span):
 
 def test_truncated_span_is_the_fresh_build_on_random_parametrizations():
     rng = random.Random(20260817)
+    values = 0
     for trial in range(12):
         s = rng.randint(1, 3)
         ring = [tuple(_random_poly(rng, 7) for _ in range(s)) for _ in range(rng.randint(1, 3))]
         gens = [tuple(_random_poly(rng, 5) for _ in range(s)) for _ in range(rng.randint(1, 2))]
         spec = curves.CurveSpec(s, None, tuple(ring), ())
         N = rng.randint(5, 11)
-        want = _fresh(spec, gens, N).rows
+        fresh = _fresh(spec, gens, N)
         for high in (N + 2, 2 * N):
-            assert _fresh(spec, gens, high).truncated(N).rows == want, (trial, high)
+            values += _same_values_at(_fresh(spec, gens, high), fresh, N, (trial, high))
+    assert values >= 6
 
 
 def _drops_a_pivot_with_entries_left(basis, N):
     """Whether cutting ``basis`` to order N drops some row's pivot while the
-    row keeps an entry below N, so that the cut must reinsert the row."""
+    row keeps an entry below N: the held rows are then not the rows at N."""
     old = basis.N
     return any(p % old >= N and any(q % old < N for q in row) for p, row in basis.rows.items())
 
@@ -85,7 +114,7 @@ def _drops_a_pivot_with_entries_left(basis, N):
 @pytest.mark.parametrize(
     "ring, gens",
     [
-        # (t^5, t)·(t^2, t^3) = (t^7, t^4): cut below 7 it leads on branch 1
+        # (t^5, t)·(t^2, t^3) = (t^7, t^4): below order 7 it leads on branch 1
         ("(t^2, t^3)", "(t^5, t)"),
         ("(t^2, t^3) ; (t^3, t^5)", "(t^6 + t^7, t^2)"),
         ("(t, t^2, 0) ; (t^3, 0, t)", "(t^6, 2*t^2 - t^3, t) ; (0, t^5, t^4)"),
@@ -95,27 +124,27 @@ def test_truncated_span_is_the_fresh_build_when_a_cut_drops_a_pivot(ring, gens):
     s = ring.split(";")[0].count(",") + 1
     spec = parse_curve(f"branches: {s}\nring: {ring}\nmodule M: {gens}\n")
     gens = module_generators(spec, "M")
-    reinserted = 0
-    for high in (12, 17):
-        top = _fresh(spec, gens, high)
-        for N in range(1, high + 1):
-            reinserted += _drops_a_pivot_with_entries_left(top, N)
-            assert top.truncated(N).rows == _fresh(spec, gens, N).rows, (high, N)
-    assert reinserted
+    spans = {n: _fresh(spec, gens, n) for n in range(2, 35)}
+    dropped = values = 0
+    for n in range(2, 18):
+        for high in (n + 2, 2 * n):
+            dropped += _drops_a_pivot_with_entries_left(spans[high], n)
+            values += _same_values_at(spans[high], spans[n], n, (high, n))
+    assert dropped and values
 
 
-def test_a_cut_above_the_span_or_below_order_1_is_refused():
-    # Q[[t^2, t^3]] at order 10 has dimension 9; a "cut" to 20 would keep
-    # those 9 rows, where the span at 20 has dimension 19
+def test_a_scan_or_colon_above_the_held_span_is_refused():
+    # Q[[t^2, t^3]] at order 10 has dimension 9, at 20 dimension 19: the
+    # span at 10 cannot be read at 12, nor a colon solved at 12 from it
     ring = [(((2, 1),),), (((3, 1),),)]
     one = [(((0, 1),),)]
     B = span_basis(ring, one, 10)
     assert (B.dim, span_basis(ring, one, 20).dim) == (9, 19)
-    for N in (20, 11, 0, -3):
-        with pytest.raises(TruncationError, match=rf"cut the span at truncation 10 to truncation {N}:"):
-            B.truncated(N)
-    assert B.truncated(10).rows == B.rows
-    assert B.truncated(1).rows == {0: {0: 1}}
+    with pytest.raises(TruncationError, match=r"scan box \(10,\) does not fit below truncation 10"):
+        curves._scan(B, 12, "conductor")
+    with pytest.raises(TruncationError, match="colon order 12 is above the order 10 of K's span"):
+        modules.colon_solution_basis(ring, B, one, (2,), (0,), 12)
+    assert curves._scan(B, 10, "conductor") == curves._scan(span_basis(ring, one, 20), 10, "conductor")
 
 
 def _solved_once(spec, K, E):
@@ -134,9 +163,9 @@ def _solved_once(spec, K, E):
 def test_colon_solves_once_and_scans_twice(curve_spec):
     spec = parse_curve(dumps_curve(curve_spec))
     for E in ["R", "Rbar", "C"] + spec.module_names():
-        (_, K_basis, *_), scanned = _solved_once(spec, "K0", E)
-        N = K_basis.N - 2
-        assert scanned == [N, N + 2], E
+        (_, K_basis, *_, order), scanned = _solved_once(spec, "K0", E)
+        N = order - 2
+        assert scanned == [N, N + 2] and K_basis.N >= order, E
 
 
 def _colon_rings(curve_spec):
@@ -149,15 +178,34 @@ def _colon_rings(curve_spec):
             yield name, workloads.transform_curve(text, random.Random(seed)), ["R", "Rbar", "C"]
 
 
-def test_colon_basis_cut_from_n_plus_2_is_the_basis_at_n(curve_spec):
+def test_colon_basis_at_n_plus_2_has_the_values_of_the_basis_at_n(curve_spec):
+    # the colon solved at N + 2, from K's held span, and the colon solved
+    # at N, from that span and from K's span at N, have one value set
+    # over [0, N - 2]^s
     for name, spec, names in _colon_rings(curve_spec):
         for K in names:
             for E in names:
-                (ring, K_basis, E_gens, gamma_K, poles), _ = _solved_once(spec, K, E)
-                N = K_basis.N - 2
-                cut = modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles).truncated(N)
-                at_n = modules.colon_solution_basis(ring, K_basis.truncated(N), E_gens, gamma_K, poles)
-                assert cut.rows == at_n.rows, (name, K, E)
+                (ring, K_basis, E_gens, gamma_K, poles, order), _ = _solved_once(spec, K, E)
+                N, hi = order - 2, (order - 4,) * spec.s
+                K_at_n = span_basis(ring, curves._gens(spec, K), N)
+                at_n = modules.colon_solution_basis(ring, K_at_n, E_gens, gamma_K, poles, N)
+                want = value_semigroup_ideal(at_n, hi)
+                for B in (modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles, order),
+                          modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles, N)):
+                    assert value_semigroup_ideal(B, hi) == want, (name, K, E)
+
+
+@pytest.mark.parametrize("name", sorted({**workloads.RING_VALUE_RINGS, **workloads.COLON_RINGS}))
+def test_a_span_held_above_the_bootstrap_gives_the_same_answers(name):
+    # span_module may hold R's span at 120, far above every order the
+    # bootstrap tries; the value set, and the length of Rbar / R read off
+    # spans of two orders, are those of a fresh store
+    text = {**workloads.RING_VALUE_RINGS, **workloads.COLON_RINGS}[name]
+    spec, fresh = parse_curve(text), parse_curve(text)
+    assert span_module(spec, "R", 120).N == 120
+    assert value_ideal(spec, "R") == value_ideal(fresh, "R")
+    assert span_module(spec, "R", 8).N == 120
+    assert length_quotient(spec, "Rbar", "R") == length_quotient(fresh, "Rbar", "R")
 
 
 def _walks(monkeypatch):
@@ -226,12 +274,13 @@ def test_monomial_membership_by_pivot_lookup(curve_spec):
 
 
 def _counting(monkeypatch):
-    """Record the order of every span built and every value set scanned."""
+    """Record the order of every span built and every value set scanned,
+    a scan over [0, hi] being at order max(hi) + 2."""
     built, scanned = [], []
     real_span, real_scan = curves.span_basis, curves.value_semigroup_ideal
     monkeypatch.setattr(curves, "span_basis", lambda r, g, N: built.append(N) or real_span(r, g, N))
     monkeypatch.setattr(
-        curves, "value_semigroup_ideal", lambda B, hi: scanned.append(B.N) or real_scan(B, hi)
+        curves, "value_semigroup_ideal", lambda B, hi: scanned.append(max(hi) + 2) or real_scan(B, hi)
     )
     return built, scanned
 
