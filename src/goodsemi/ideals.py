@@ -11,12 +11,11 @@ arbitrary point is *defined* by the min-capping rule
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
 shape, so bits ascend in lex order of the points.  Outside the helpers
-below only the Apéry families of :mod:`goodsemi.axioms` and the chain
-walk of :mod:`goodsemi.metric` work out strides; other offsets are read
-with :func:`_index`.  Boxes are cut, moved and
-reversed by masked shifts of the whole int: only :func:`_rows` and
-:func:`_points` read cells as a '0'/'1' string.  No box may hold more than
-:data:`MAX_CELLS` cells; a larger one is refused before anything is
+below only the Apéry families of :mod:`goodsemi.axioms` work out
+strides; other offsets are read with :func:`_index`.  Boxes are cut,
+moved and reversed by masked shifts of the whole int: only :func:`_rows`
+and :func:`_points` read cells as a '0'/'1' string.  No box may hold more
+than :data:`MAX_CELLS` cells; a larger one is refused before anything is
 allocated.
 
 The masks of :func:`_fill` and :func:`_regrid` are built by doubling and

@@ -41,7 +41,7 @@ from ..errors import (
     TruncationError,
 )
 from .. import ideals
-from ..ideals import IdealFrame, _Frozen, validate
+from ..ideals import IdealFrame, _Frozen, is_subset, validate
 from ..lattice import Point, cmax
 from .modules import (
     ModuleBasis,
@@ -564,28 +564,45 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     both are the preimages of t^p·K under multiplication by E, and its
     kernel holds only positions at or above N, so it lies in every
     filtration level of the box (see :class:`_Store`).
+
+    The result is certified: it must pass the good-ideal axioms and lie
+    in Γ_K - Γ_E, or NotCertifiedError names the check, K, E and N.
     """
     from ..duality import difference  # only the colon needs duality
 
     GK = value_ideal(spec, K)
     GE = value_ideal(spec, E)
     K_gens, E_gens, ring = _gens(spec, K), _gens(spec, E), spec._store.ring
-    gamma_K = GK.conductor
-    poles = tuple(max(0, -m) for m in difference(GK, GE).mu)
+    gamma_K, bound = GK.conductor, difference(GK, GE)
+    poles = tuple(max(0, -m) for m in bound.mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
     B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles, N + 2)
     Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
-    return Gb.shift(tuple(-p for p in poles))
+    G = Gb.shift(tuple(-p for p in poles))
+    what = f"colon {K!r} : {E!r} at truncation {N}"
+    report = validate(G)
+    if not (report.e1_ok and report.e2_ok):
+        raise NotCertifiedError(f"{what} fails the good-ideal axioms:\n" + report.summary(), report)
+    if not is_subset(G, bound):
+        raise NotCertifiedError(f"{what} fails the inclusion Γ(K : E) ⊆ Γ_K - Γ_E")
+    return G
 
 
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     """Q-dimension of F/E for nested modules E ⊆ F (larger first), read
     off each module's held span at its own order, at least max(c) + 1, c
     the larger conductor: a certified module holds t^c·Rbar, so it is the
-    full preimage of its span at any order above c."""
-    c = cmax(value_ideal(spec, E).conductor, value_ideal(spec, F).conductor)
+    full preimage of its span at any order above c.
+
+    The count is certified against ℓ(F/E) = d(Γ_F \\ Γ_E) (D'Anna 1997):
+    a mismatch with :func:`~goodsemi.metric.relative_distance` raises
+    NotCertifiedError."""
+    from ..metric import relative_distance  # only the length needs the metric
+
+    GE, GF = value_ideal(spec, E), value_ideal(spec, F)
+    c = cmax(GE.conductor, GF.conductor)
     FB, EB = (span_module(spec, name, max(c) + 1) for name in (F, E))
     rows = [_row(g, FB.N) for g in _gens(spec, E)]
     for v in rows:
@@ -595,7 +612,11 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     for name, B in ((E, EB), (F, FB)):
         require_monomials(B, c, f"module {name!r}")
     # a pivot below c is one dimension of the module modulo t^c·Rbar
-    return sum(p % FB.N < c[p // FB.N] for p in FB.rows) - sum(p % EB.N < c[p // EB.N] for p in EB.rows)
+    ell = sum(p % FB.N < c[p // FB.N] for p in FB.rows) - sum(p % EB.N < c[p // EB.N] for p in EB.rows)
+    d = relative_distance(GE, GF)
+    if ell != d:
+        raise NotCertifiedError(f"length of {F!r} / {E!r} is {ell} by pivots, but d(Γ_F \\ Γ_E) = {d}")
+    return ell
 
 
 def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis]:

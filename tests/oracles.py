@@ -205,6 +205,37 @@ def chain_lengths(pred, a, b, cap=100000):
     return lengths
 
 
+def greedy_distance(pred, a, b):
+    """Links of the chain from a to b that steps, each time, to the
+    lex-smallest member of (cur, b]: that member is minimal there, hence a
+    cover.  On a good ideal every saturated chain has this length."""
+    pts = members_between(pred, a, b)  # lex order
+    steps, cur, k = 0, a, 0
+    while cur != b:
+        k = next(j for j in range(k + 1, len(pts)) if lt(cur, pts[j]))
+        cur, steps = pts[k], steps + 1
+    return steps
+
+
+def is_level(pred, gamma, p, i):
+    """Whether some member x >= p has x_i = p_i.  A witness can be lowered
+    into [p, cmax(p, gamma)] under the capping rule at gamma."""
+    top = list(cmax(p, gamma))
+    top[i] = p[i]
+    return any(pred(x) for x in box(p, top))
+
+
+def level_count(pred, gamma, a, b, order):
+    """The levels (see :func:`is_level`) on the path from a to b that
+    raises the axes one at a time, in ``order``."""
+    count, p = 0, list(a)
+    for i in order:
+        while p[i] < b[i]:
+            count += is_level(pred, gamma, tuple(p), i)
+            p[i] += 1
+    return count
+
+
 # ---------------------------------------------- dense exact linear algebra
 
 

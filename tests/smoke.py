@@ -10,20 +10,24 @@ back gives the same bytes, then runs ``curve-gamma``, ``colon`` and
 ``length`` on ``tests/fixtures/twobranch.curve`` through the CLI and
 checks the colon against the lattice difference of the two value sets
 and the length of Rbar / R against the relative distance of theirs.
-Exits nonzero on the first failure.
+Last it runs ``distance`` on ``tests/fixtures/corner_s.json`` and
+``rel-distance`` on the value sets of R and Rbar, and checks both
+against the library.  Exits nonzero on the first failure.
 """
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from goodsemi import difference, from_json, relative_distance, to_json  # noqa: E402
+from goodsemi import difference, distance_between, from_json, relative_distance, to_json  # noqa: E402
 
 CURVE = ROOT / "tests" / "fixtures" / "twobranch.curve"
+CORNER = ROOT / "tests" / "fixtures" / "corner_s.json"
 
 
 def run(*argv: str) -> str:
@@ -59,7 +63,17 @@ def main() -> None:
     Rbar = from_json(cli("curve-gamma", str(CURVE), "--module", "Rbar"))
     if int(run("length", str(CURVE), "Rbar", "R")) != relative_distance(R, Rbar):
         sys.exit("length Rbar / R differs from the relative distance of the value sets")
-    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon and length on {CURVE.name}")
+    S = from_json(CORNER.read_text(encoding="utf-8"))
+    if int(run("distance", str(CORNER), "0,0", "5,3")) != distance_between(S, (0, 0), (5, 3)):
+        sys.exit("distance from 0,0 to 5,3 on corner_s.json differs from the library")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "R.json", Path(tmp) / "Rbar.json"]
+        for path, G in zip(paths, (R, Rbar)):
+            path.write_text(to_json(G), encoding="utf-8")
+        if int(run("rel-distance", *map(str, paths))) != relative_distance(R, Rbar):
+            sys.exit("rel-distance of the value sets of R and Rbar differs from the library")
+    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon and length on {CURVE.name}; "
+          f"distance and rel-distance")
 
 
 if __name__ == "__main__":

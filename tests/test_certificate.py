@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from goodsemi import FrameError, InclusionError, TruncationError, relative_distance
+from goodsemi import FrameError, InclusionError, NotCertifiedError, TruncationError, difference, metric, relative_distance
 from goodsemi.ringbridge import (
     conductor_of,
     curves,
@@ -16,6 +16,7 @@ from goodsemi.ringbridge import (
     modules,
     parse_curve,
     span_module,
+    colon_value_ideal,
     value_ideal,
 )
 from test_span_store import CURVES, RING_34_26, _counting
@@ -206,3 +207,30 @@ def test_length_equals_distance_on_nested_pairs(name, curve_spec):
             want = relative_distance(value_ideal(spec, E), value_ideal(spec, F))
             assert ell == want, (F, E)
     assert nested >= 2 * len(names)
+
+
+def test_colon_outside_the_difference_is_refused_by_name(curve_spec, monkeypatch):
+    # a colon basis with one row too many, of the least value in the pole
+    # window outside Γ_K - Γ_E: the colon's certificate names the failed check
+    spec = parse_curve(dumps_curve(curve_spec))
+    D = difference(value_ideal(spec, "K0"), value_ideal(spec, "E"))
+    poles = tuple(max(0, -m) for m in D.mu)
+    v = next(x for x in oracles.box([-p for p in poles], D.gamma) if x not in D)
+    real = curves.colon_solution_basis
+
+    def one_row_too_many(ring, K_basis, E_gens, gamma_K, poles_, N):
+        B = real(ring, K_basis, E_gens, gamma_K, poles_, N)
+        B._insert({i * N + x + p: 1 for i, (x, p) in enumerate(zip(v, poles))})
+        return B
+
+    monkeypatch.setattr(curves, "colon_solution_basis", one_row_too_many)
+    with pytest.raises(NotCertifiedError, match=r"colon 'K0' : 'E' at truncation \d+ fails the "):
+        colon_value_ideal(spec, "K0", "E")
+
+
+def test_length_that_differs_from_the_distance_is_refused(curve_spec, monkeypatch):
+    spec = parse_curve(dumps_curve(curve_spec))
+    assert length_quotient(spec, "Rbar", "R") == 3
+    monkeypatch.setattr(metric, "relative_distance", lambda E, F: relative_distance(E, F) + 1)
+    with pytest.raises(NotCertifiedError, match=r"length of 'Rbar' / 'R' is 3 by pivots, but d\(Γ_F \\ Γ_E\) = 4"):
+        length_quotient(spec, "Rbar", "R")

@@ -448,7 +448,8 @@ CURVE_ONLY = ["goodsemi.duality", "goodsemi.generate", "goodsemi.metric", "goods
         (["distance", "corner_s.json", "0,0", "3,1"], ["goodsemi.duality", *LATTICE_ONLY]),
         (["curve-gamma", "cusp.curve"], CURVE_ONLY),
         (["colon", "twobranch.curve", "K0", "E"], ["goodsemi.generate", "goodsemi.metric", "goodsemi.products"]),
-        (["length", "twobranch.curve", "R", "CR"], CURVE_ONLY),
+        # the length is certified against the metric's relative distance
+        (["length", "twobranch.curve", "R", "CR"], ["goodsemi.duality", "goodsemi.generate", "goodsemi.products"]),
         (["curve-gamma", "bad.curve"], CURVE_ONLY),
     ],
     ids=[

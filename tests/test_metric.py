@@ -1,8 +1,12 @@
+import functools
+import itertools
 import sys
+import time
 
 import pytest
 
 import oracles
+from test_ringbridge import _random_scan_case, _terms
 from goodsemi import (
     CapExceededError,
     GoodSemigroup,
@@ -18,9 +22,12 @@ from goodsemi import (
     numerical_semigroup,
     product_semigroups,
     random_good_semigroup,
+    random_pair,
     relative_distance,
 )
 from goodsemi import metric
+from goodsemi.lattice import cmax, leq
+from goodsemi.ringbridge import span_basis, value_semigroup_ideal
 
 
 def test_distance_on_corner_semigroup(fig_s):
@@ -130,6 +137,15 @@ def test_chains_are_walked_without_recursion(wide_s, wide_e):
         assert len(want) > 1 and all_saturated_chains(E, alpha, beta) == want
 
 
+def test_a_two_thousand_link_chain_is_found_in_under_a_second():
+    # each cover is sought in [cur, cmin(beta, cmax(cur + 1, gamma))], not
+    # in all of [cur, beta], which made the search quadratic in the chain
+    start = time.perf_counter()
+    chains = all_saturated_chains(numerical_semigroup(2, 3), (0,), (2001,))
+    assert time.perf_counter() - start < 1
+    assert chains == [((0,), *((k,) for k in range(2, 2002)))]
+
+
 def test_endpoint_errors(fig_s):
     E = fig_s.ideal
     with pytest.raises(MetricError, match="comparable"):
@@ -190,3 +206,108 @@ def test_relative_distance_matches_oracle_on_randoms(rng):
         lens_small = oracles.chain_lengths(C.contains, C.mu, far)
         assert len(lens_big) == 1 and len(lens_small) == 1
         assert d == lens_big.pop() - lens_small.pop()
+
+
+def _pairs(rng, E, count, over=2):
+    """``count`` random pairs a <= b of members of E in [mu, gamma + over]."""
+    pts = E.members_in_box(E.mu, [g + over for g in E.gamma])
+    for _ in range(count):
+        a = rng.choice(pts)
+        yield a, rng.choice([p for p in pts if leq(a, p)])
+
+
+def _random_ideals(rng, s):
+    """A random good semigroup's ideal and a random good ideal of it,
+    possibly translated off the origin."""
+    S, E = random_pair(rng, s, max_gamma=6 if s < 3 else 4)
+    return S.ideal, E
+
+
+def test_levels_match_the_greedy_walk_for_s_1_to_4(rng):
+    # the library's level count against the greedy chain walk over the
+    # whole box [a, b]; pairs with b past gamma count levels there
+    tails = 0
+    for s in (1, 2, 3, 4):
+        for _ in range(12 if s < 4 else 6):
+            for E in _random_ideals(rng, s):
+                for a, b in _pairs(rng, E, 3):
+                    assert distance_between(E, a, b) == oracles.greedy_distance(E.contains, a, b), (E, a, b)
+                    tails += not leq(b, E.gamma)
+    assert tails >= 30, tails
+
+
+def _permuted(E, order):
+    return IdealFrame.from_points([tuple(p[i] for i in order) for p in E.frame], [E.gamma[i] for i in order])
+
+
+def test_levels_do_not_depend_on_the_axis_order(rng):
+    # the law on every path order at s <= 3: the oracle's count along the
+    # order equals the walk, and so does the library's count on the frame
+    # with its axes permuted, which walks the path in that order
+    for s in (1, 2, 3):
+        for _ in range(8):
+            for E in _random_ideals(rng, s):
+                for a, b in _pairs(rng, E, 2):
+                    d = oracles.greedy_distance(E.contains, a, b)
+                    for order in itertools.permutations(range(s)):
+                        assert oracles.level_count(E.contains, E.gamma, a, b, order) == d, (E, a, b, order)
+                        P = _permuted(E, order)
+                        assert distance_between(P, [a[i] for i in order], [b[i] for i in order]) == d
+
+
+def _above(F, p):
+    """F^p = F ∩ (p + N^s), a good ideal for every p."""
+    top = cmax(p, F.gamma)
+    return IdealFrame.from_points(F.members_in_box(p, top), top)
+
+
+def test_relative_distance_from_below_the_smaller_minimum(rng):
+    # E ⊆ F with mu_F < mu_E: E = F^p or a + F with a in S, whose
+    # conductors lie above gamma_F, so the path from mu_F to c starts
+    # outside E and runs past gamma_F; on every axis order at s <= 3 the
+    # levels of E along it are the walk from mu_E
+    below = 0
+    for s in (1, 2, 3):
+        for _ in range(10):
+            S, F = _random_ideals(rng, s)
+            for E in (_above(F, rng.choice(F.members_in_box(F.mu, [g + 2 for g in F.gamma]))),
+                      F.shift(rng.choice(S.members_in_box(S.mu, [g + 1 for g in S.gamma])))):
+                c = E.conductor
+                want = oracles.greedy_distance(F.contains, F.mu, c) - oracles.greedy_distance(E.contains, E.mu, c)
+                assert relative_distance(E, F) == want, (E, F)
+                for order in itertools.permutations(range(s)):
+                    assert oracles.level_count(E.contains, E.gamma, F.mu, c, order) == (
+                        oracles.greedy_distance(E.contains, E.mu, c))
+                below += E.mu != F.mu
+    assert below >= 20, below
+
+
+def test_level_is_the_ring_dimension_drop_on_random_modules(rng):
+    # D'Anna's count on the ring side: the floor p -> p + e_i drops the
+    # dimension of a module's span by one exactly at a level of its value
+    # set, so the drops along a path from p to the scan corner hi sum to
+    # the library's distance (from the value set's least point above p)
+    tails = 0
+    for s in (1, 2, 3):
+        scanned = 0
+        for _ in range(40):
+            ring, module, N, hi = _random_scan_case(rng, s)
+            rows = oracles.span_rows(ring, module, s, N)
+            if not oracles.in_value_set(rows, s, N, hi):
+                continue
+            G = value_semigroup_ideal(span_basis(list(map(_terms, ring)), list(map(_terms, module)), N), hi)
+            dim = functools.cache(lambda p: oracles.dim_with_floor(rows, s, N, p))
+            for p in oracles.box((0,) * s, hi):
+                for i in range(s):
+                    q = tuple(x + (j == i) for j, x in enumerate(p))
+                    assert dim(p) - dim(q) == oracles.is_level(G.contains, G.gamma, p, i), (ring, module, N, p, i)
+                drops = dim(p) - dim(hi)
+                assert metric._levels(G.membership_box(p, hi)) == drops
+                if p in G:
+                    assert distance_between(G, p, hi) == drops
+            tails += not leq(hi, G.gamma)
+            scanned += 1
+            if scanned == 3:
+                break
+        assert scanned == 3, f"only {scanned} of 40 draws on {s} branches had a corner to scan"
+    assert tails, "no value set had its conductor below the scan corner"
