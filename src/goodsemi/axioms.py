@@ -8,9 +8,12 @@ ideal property E + S ⊆ E are each decided by sweeps of the frame bitset
 By the capping rule a frame point c stands for the members c + N^T, T the
 axes where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold
 each such family into one translate of a table built once per T: a shift
-of the table's int per run of frame points along the last axis, at most
-2^s tables, and one read back onto the result's grid
-(:func:`_reduce_translates`).  Every table swept along a set of axes,
+of the table's int per run of frame points along the last axis, one
+table per T met, and one read back onto the result's grid
+(:func:`_reduce_translates`).  An erosion leaves out of T the axes on
+which every translate at the top lands at or past gamma_E, where E does
+not vary; E + S ⊆ E on a good ideal E then sweeps no axis at all, nor
+does K⁰ - (alpha + S).  Every table swept along a set of axes,
 here and in :mod:`goodsemi.duality`, comes from :func:`goodsemi.ideals._folds`:
 the table of T is the table of T minus its highest axis, folded once more.
 
@@ -70,6 +73,16 @@ def _reduce_translates(erode: bool, E: IdealFrame, lo, hi, by: Box) -> Box:
     (:func:`_window_op`) shifted by a, and each row with that pattern adds
     P >> B: every cell of P read this way is one that the row's own
     translates would read.
+
+    An erosion sweeps only the axes j with lo_j + far_j < gamma_E,j, far
+    = by.lo + top.  On any other axis, every translate at the top of
+    ``by`` is read at x + c with x_j + c_j >= lo_j + far_j >= gamma_E,j.
+    The window is a :meth:`membership_box` of E, constant along j past
+    gamma_E,j by the capping rule, and a suffix-AND along other axes acts
+    on each slice along j alone, so it keeps that.  So there the
+    suffix-AND along j is the cell itself.  If the last axis is not swept,
+    a row's edge cell shares the row's table, and the whole row is one
+    pattern.  A dilation sweeps every axis.
     """
     n = by.shape
     s = len(n)
@@ -80,15 +93,19 @@ def _reduce_translates(erode: bool, E: IdealFrame, lo, hi, by: Box) -> Box:
     else:
         op, window = operator.or_, E.membership_box(sub(lo, far), sub(hi, by.lo))
     shape = _box_shape(lo, hi)
-    reach, edge = _index(top, window.shape), top[-1]
+    reach, edge, last = _index(top, window.shape), top[-1], 1 << (s - 1)
+    sweep = sum(1 << j for j in range(s) if lo[j] + far[j] < E.gamma[j]) if erode else (1 << s) - 1
     groups: dict[int, dict[str, list[int]]] = {}
     for u, line in _rows(by.bits, n):
         base = _index(u, window.shape)  # u holds the leading axes only
-        T = sum(1 << j for j, (x, m) in enumerate(zip(u, top)) if x == m)
+        T = sweep & sum(1 << j for j, (x, m) in enumerate(zip(u, top)) if x == m)
         if not erode:
             base = reach - base - edge
-        # the cell at the edge also reaches the top of the last axis
-        for mask, pattern in ((T, line[:-1] + "0"), (T | 1 << (s - 1), "0" * edge + line[-1])):
+        if sweep & last:  # the cell at the edge also reaches the top of the last axis
+            parts = ((T, line[:-1] + "0"), (T | last, "0" * edge + line[-1]))
+        else:
+            parts = ((T, line),)
+        for mask, pattern in parts:
             if "1" in pattern:
                 pattern = pattern if erode else pattern[::-1]
                 groups.setdefault(mask, {}).setdefault(pattern, []).append(base)
@@ -293,8 +310,11 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     the union over c in S ∩ [0, top] of c + N^T, T the axes where c_i =
     top_i (reading S on [mu_S, gamma_S] drops these tails on an axis where
     gamma_S < 0).  e + c + N^T ⊆ E iff e + c lies in E's suffix-AND along
-    T; the window reaches past gamma_E, so the AND is exact.  Frame points
-    e suffice, because sigma >= 0 keeps capped coordinates capped.
+    T; the window reaches past gamma_E, so the AND is exact, and on an
+    axis where mu_E + top reaches gamma_E it is e + c itself, not swept
+    (:func:`_reduce_translates`): on every axis when E is a good ideal of
+    S.  Frame points e suffice, because sigma >= 0 keeps capped
+    coordinates capped.
 
     Only the families of :func:`_apery_families` are translated: the
     cells of G0, the minimal elements of (S ∩ [0, top]) minus 0, cell 0 when
@@ -405,7 +425,13 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     check; without it only (E0)-(E2) are examined.  All scans are exact
     for the represented set; see the per-check helpers for the boxes used.
     (E1) and (E2) are decided by bitmap sweeps; witnesses are listed only
-    for an axiom that fails.
+    for an axiom that fails.  The conductor is compared with gamma only
+    then: when both hold, the normalized gamma is the conductor c.  Let
+    x_i >= c_i, and y_i = x_i, y_j > max(x_j, c_j) elsewhere, so that y
+    is in E.  By (E1), x + e_i in E puts x = min(x + e_i, y) in E.  By
+    (E2) on x in E and y, some x + k e_i with k >= 1 is in E, and then so
+    is x + e_i, by (E1) read down from there.  So E is constant along i
+    from c_i on, and the normalization cuts gamma to c.
     """
     check_frames("validate", E=E, **({} if S is None else {"S": S}))
     ax = E._report_cache.get("axioms")
@@ -413,7 +439,7 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
         e1_fail = [] if E._e1 else _e1_failures(E)
         e2_fail = _e2_failures(E)
         notes = []
-        if E.conductor != E.gamma:
+        if (e1_fail or e2_fail) and E.conductor != E.gamma:
             notes.append(
                 f"capping bound {E.gamma} exceeds the conductor {E.conductor}; "
                 "the stored frame is definitional for this (non-good) set"

@@ -54,10 +54,14 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     Both arguments must be closed under componentwise min (E1).  The
     result then is as well, and carries that without a sweep: with x + F
     and y + F in E, min(x, y) + f = min(x + f, y + f) lies in E.  It is
-    exactly representable with capping bound gamma_E - mu_F.  A frame point c of F stands for c + N^T, T the axes
-    where c_i = gamma_F,i, and x + c + N^T ⊆ E iff x + c lies in E's
-    suffix-AND along T.  The window [mu_E, gamma_E - mu_F + gamma_F]
-    reaches past gamma_E, where E is constant, so that AND is exact.
+    exactly representable with capping bound gamma_E - mu_F.  A frame
+    point c of F stands for c + N^T, T the axes where c_i = gamma_F,i, and
+    x + c + N^T ⊆ E iff x + c lies in E's suffix-AND along T.  The window
+    [mu_E, gamma_E - mu_F + gamma_F] reaches past gamma_E, where E is
+    constant, so that AND is exact.  On an axis where mu_E - mu_F +
+    gamma_F reaches gamma_E it is x + c itself, and that axis is not swept
+    (:func:`goodsemi.axioms._reduce_translates`); for K⁰ - (alpha + S) no
+    axis is.
     """
     check_frames("difference", E=E, F=F)
     for name, X in (("left", E), ("right", F)):

@@ -163,6 +163,43 @@ def sum_points(pred_e, pred_f, lo, hi, e_lo, f_lo):
     return out
 
 
+def swept_translates(erode, pred, lo, hi, by_lo, offsets, top):
+    """The translate reduction with every tail swept: the x in [lo, hi]
+    with, for every offset u (erode) or some offset u (dilate), c = by_lo
+    + u and T = {j : u_j = top_j}, every cell (erode) or some cell
+    (dilate) of the window that agrees with x + c (erode) or x - c
+    (dilate) off T and lies at or past it (erode) or at or before it
+    (dilate) on T a member.  The window is [lo + by_lo, hi + far] (erode)
+    or [lo - far, hi - by_lo] (dilate), far = by_lo + top: the one E's
+    suffix-AND or prefix-OR tables are read over, whether or not E is
+    constant along T there."""
+    s = len(lo)
+    far = add(by_lo, top)
+    end = add(hi, far) if erode else sub(lo, far)
+    step = 1 if erode else -1
+    held = {}
+
+    def table(T, y):
+        # the sweep along the highest axis j of T, of the table of T - {j}
+        key = (T, y)
+        if key not in held:
+            if not T:
+                held[key] = bool(pred(y))
+            else:
+                j = max(T)
+                here = table(T - {j}, y)
+                if y[j] != end[j]:
+                    nxt = table(T, y[:j] + (y[j] + step,) + y[j + 1 :])
+                    here = (here and nxt) if erode else (here or nxt)
+                held[key] = here
+        return held[key]
+
+    moves = [(add(by_lo, u) if erode else sub((0,) * s, add(by_lo, u)),
+              frozenset(j for j in range(s) if u[j] == top[j])) for u in offsets]
+    reduce_ = all if erode else any
+    return {x for x in box(lo, hi) if reduce_(table(T, add(x, c)) for c, T in moves)}
+
+
 # ----------------------------------------------------------------- chains
 
 

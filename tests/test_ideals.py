@@ -306,6 +306,28 @@ def test_validation_report_is_cached(wide_s, wide_e):
     assert r1 is r2
 
 
+def test_validate_leaves_the_conductor_of_a_good_frame_unread():
+    # when (E1) and (E2) hold the normalized gamma is the conductor
+    S = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
+    assert validate(S, S).ok
+    assert S._conductor is None
+    assert S.conductor == S.gamma
+
+
+def test_validate_notes_a_gamma_above_the_conductor_of_a_non_good_frame():
+    E = IdealFrame.from_points(
+        [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 4), (6, 5), (7, 5)],
+        gamma=(7, 5),
+    )
+    rep = validate(E)
+    assert not rep.ok
+    assert rep.notes[0] == (
+        "capping bound (7, 5) exceeds the conductor (6, 5); "
+        "the stored frame is definitional for this (non-good) set"
+    )
+    assert "  note: capping bound (7, 5) exceeds the conductor (6, 5); " in rep.summary()
+
+
 def test_good_semigroup_certification():
     S = GoodSemigroup.from_points([(0, 0), (3, 1)], gamma=(3, 1))
     assert S.gamma == (3, 1)
@@ -628,6 +650,83 @@ def test_additivity_sweep_matches_bruteforce_verdict():
         assert (validate(E, S).additivity_failures == []) == want
         seen[want] += 1
     assert min(seen) >= 30 and tails >= 40, (seen, tails)
+
+
+def test_erosions_skip_only_the_axes_where_the_window_is_flat():
+    # the reducer against a reference that sweeps every tail: Apéry and
+    # frame boxes, erosions and dilations, with the corners of [lo, hi]
+    # moved by up to two cells, and every fourth lo put at lo_j + far_j =
+    # gamma_E,j - d, d in {0, 1, 2}, with hi > lo so that the window
+    # reaches gamma_E; (skipped, swept) counts erosion axes with a tail
+    rng = random.Random(20261020)
+    seen = [0, 0]
+    for k in range(160):
+        s = rng.randint(1, 3)
+        S, E = g.random_pair(rng, s, max_gamma=5)
+        if k % 2:
+            E = _raw_frame(rng, s, False)[0]
+        kind = k % 3
+        if kind == 0:
+            erode, by, lo, hi = True, axioms._apery_families(S), E.mu, E.gamma
+        else:
+            F = rng.choice([S, g.random_good_ideal(rng, S, max_shift=3)])
+            by = ideals._frame_box(F)
+            if kind == 1:
+                erode, lo, hi = True, oracles.sub(E.mu, F.mu), oracles.sub(E.gamma, F.mu)
+            else:
+                erode, lo, hi = False, oracles.add(E.mu, F.mu), oracles.add(E.gamma, F.gamma)
+        top = tuple(n - 1 for n in by.shape)
+        if k % 4 == 3:
+            lo = tuple(gm - a - b - rng.randint(0, 2) for gm, a, b in zip(E.gamma, by.lo, top))
+            hi = tuple(a + rng.randint(1, 3) for a in lo)
+        else:
+            lo = tuple(a + rng.randint(-2, 2) for a in lo)
+            hi = oracles.cmax(lo, tuple(b + rng.randint(-2, 2) for b in hi))
+        offsets = [oracles.sub(c, by.lo) for c in by.points()]
+        got = axioms._reduce_translates(erode, E, lo, hi, by)
+        want = oracles.swept_translates(erode, E.contains, lo, hi, by.lo, offsets, top)
+        assert set(got.points()) == want, (erode, E, lo, hi, by.lo, offsets)
+        if erode:
+            far = oracles.add(by.lo, top)
+            for j in range(s):
+                if any(u[j] == top[j] for u in offsets):
+                    seen[lo[j] + far[j] < E.gamma[j]] += 1
+    assert min(seen) >= 30, seen
+
+
+def test_an_erosion_one_cell_short_of_gamma_still_sweeps(fig_s):
+    # S = {0} ∪ ((3,1) + N^2); the one cell of ``by`` reaches the top of
+    # axis 1 only, and x + c at x = lo lands at gamma_S,1 - 1 = 0 on it:
+    # 0 is in S, but 0 + N e_1 is not
+    by = ideals.Box((0, 0), (2, 1), 1)
+    got = axioms._reduce_translates(True, fig_s, (0, 0), (1, 1), by)
+    want = oracles.swept_translates(True, fig_s.contains, (0, 0), (1, 1), (0, 0), [(0, 0)], (1, 0))
+    assert set(got.points()) == want == set()
+
+
+def test_additivity_and_k0_minus_s_fold_no_axis(monkeypatch):
+    # on a good ideal E of S every translate at the top of S's box lands
+    # at or past gamma_E, so the reducer sweeps nothing: E + S ⊆ E folds only
+    # S's own box (for its Apéry families), and K⁰ - S folds nothing
+    S = product_semigroups(g.numerical_semigroup(7, 9, 11), g.numerical_semigroup(5, 7),
+                           g.numerical_semigroup(4, 9))
+    K0 = canonical_normalized(S)
+    calls = []
+    real = ideals._suffix_and
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "_suffix_and", counted)
+    monkeypatch.setattr(axioms, "_suffix_and", counted)
+    axioms._apery_families(S)
+    families = len(calls)
+    assert families > 0
+    assert axioms._additivity_holds(S, S)
+    assert len(calls) == 2 * families
+    assert difference(K0, S) == K0
+    assert len(calls) == 2 * families
 
 
 def test_sweeps_build_no_point_tuples(wide_s):
