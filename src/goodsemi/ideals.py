@@ -22,9 +22,11 @@ The masks of :func:`_fill` and :func:`_regrid` are built by doubling and
 kept in one store, ``_MASKS``, of at most :data:`MAX_CELLS` cells in all,
 cleared when the next mask would not fit.
 
-The frame's point tuples (``frame``, ``frame_sorted``) are built only when
-read, and :func:`to_json` builds none: it writes the frame box row by row
-and formats each coordinate once per axis.  ``gamma`` is always normalized
+``frame`` is a read-only set view over the bitset: its size and membership
+read the bits, and it equals and hashes like the frozenset of its points.
+The point tuples (``frame_sorted``) are built only when read, and
+:func:`to_json` builds none: it writes the frame box row by row and
+formats each coordinate once per axis.  ``gamma`` is always normalized
 to the smallest bound for which the rule reproduces the set (the per-axis
 slice-stability scan in :func:`_settle`), so equal sets have equal state.
 For validated-good ideals that minimal bound coincides with the conductor;
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Set
 from functools import lru_cache, reduce
 from itertools import chain, compress, product, repeat
 
@@ -402,6 +405,36 @@ def _coords(p, name: str) -> Point:
     return cs
 
 
+class _FrameView(Set):
+    """E ∩ [mu, gamma] as a read-only set of points over E's bitset: size
+    and membership read the bits, iteration is lex order, and it equals
+    and hashes like the frozenset of its points."""
+
+    __slots__ = ("_E",)
+
+    def __init__(self, E: "IdealFrame"):
+        self._E = E
+
+    def __len__(self) -> int:
+        return self._E._bits.bit_count()
+
+    def __iter__(self):
+        return iter(self._E.frame_sorted)
+
+    def __contains__(self, p) -> bool:
+        E = self._E
+        if type(p) is not tuple or len(p) != E.s or not {int}.issuperset(map(type, p)):
+            return p in frozenset(self)  # the frozenset's answer, or its TypeError
+        idx = tuple(map(operator.sub, p, E.mu))
+        return min(idx) >= 0 and leq(p, E.gamma) and bool(E._bits >> _index(idx, E.shape) & 1)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({set(self)})"
+
+    __hash__ = Set._hash
+    _from_iterable = frozenset  # |, & and - give frozensets
+
+
 class IdealFrame:
     """Exact finite representation of a semigroup ideal of Z^s."""
 
@@ -409,7 +442,6 @@ class IdealFrame:
         "s",
         "mu",
         "gamma",
-        "_frame",
         "_sorted",
         "_bits",
         "_conductor",
@@ -461,7 +493,7 @@ class IdealFrame:
     def _adopt(self, mu: Point, gamma: Point, bits: int) -> "IdealFrame":
         """Take the state, a bitset over [mu, gamma], unchecked."""
         self.s, self.mu, self.gamma, self._bits = len(mu), mu, gamma, bits
-        self._frame = self._sorted = self._conductor = self._e1 = None
+        self._sorted = self._conductor = self._e1 = None
         self._report_cache = {}
         return self
 
@@ -509,11 +541,9 @@ class IdealFrame:
         return self._sorted
 
     @property
-    def frame(self) -> frozenset[Point]:
-        """E ∩ [mu, gamma] as a set of points; built on first read."""
-        if self._frame is None:
-            self._frame = frozenset(self.frame_sorted)
-        return self._frame
+    def frame(self) -> Set[Point]:
+        """E ∩ [mu, gamma] as a read-only set view over the bitset."""
+        return _FrameView(self)
 
     def fingerprint(self):
         return (self.s, self.mu, self.gamma, self._bits)

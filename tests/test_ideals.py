@@ -237,6 +237,48 @@ def test_cached_bitmap_is_read_only(gamma):
     assert E.members_in_box((0, 0), (3, 1)) == [(0, 0), (3, 1)]
 
 
+def test_frame_view_matches_the_frozenset_of_its_points():
+    # good ideals as drawn, shifted by up to 3 cells either way, and raw
+    # frames with mu in [-3, 2]^s; each X is a fresh shift, so its points
+    # are built only when the view is iterated
+    rng = random.Random(20261021)
+    for k in range(240):
+        s = rng.randint(1, 3)
+        if k % 3 == 2:
+            E, alpha = _raw_frame(rng, s, False)[0], (0,) * s
+        else:
+            E = g.random_pair(rng, s, max_gamma=4)[1]
+            alpha = (0,) * s if k % 3 == 0 else tuple(rng.randint(-3, 3) for _ in range(s))
+        X = E.shift(alpha)
+        view, want = X.frame, frozenset(E.shift(alpha).frame_sorted)
+        assert len(view) == len(want)
+        for p in oracles.box(oracles.add(X.mu, (-2,) * s), oracles.add(X.gamma, (2,) * s)):
+            assert (p in view) == (p in want), (X, p)
+            assert X.contains(p) == (oracles.cmin(p, X.gamma) in view), (X, p)
+        assert X._sorted is None, X
+        assert view == want and want == view and not view != want
+        assert hash(view) == hash(want)
+        assert tuple(view) == X.frame_sorted
+        other = frozenset(oracles.add(p, (1,) * s) for p in want)
+        for got, ref in [(view | other, want | other), (other | view, other | want),
+                         (view & other, want & other), (other & view, other & want),
+                         (view - other, want - other), (other - view, other - want)]:
+            assert type(got) is frozenset and got == ref
+
+
+@pytest.mark.parametrize("p", [[3, 2], ([3], 2), (3,), (3, 2, 0), (3.0, 2), (3.5, 2), 3.0, 3.5, True, (True, 0),
+                               (False, False), (np.int64(3), np.int64(2)), np.int64(3), "ab", ""])
+def test_frame_view_answers_odd_points_like_the_frozenset(p):
+    E = IdealFrame.from_points([(0, 0), (1, 0), (3, 2), (5, 4)], gamma=(5, 4))
+    answers = []
+    for frame in (E.frame, frozenset(E.frame_sorted)):
+        try:
+            answers.append(p in frame)
+        except TypeError as exc:
+            answers.append((TypeError, str(exc)))
+    assert answers[0] == answers[1]
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -733,7 +775,7 @@ def test_sweeps_build_no_point_tuples(wide_s):
     # frames hold (s, mu, gamma, bitmap); the point tuples are built on read
     S = wide_s
     E = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
-    E.frame  # the inputs' caches must not leak into the results
+    E.frame_sorted  # the inputs' caches must not leak into the results
     K = canonical_normalized(S)
     out = [
         sum_ideals(K, E),
@@ -743,9 +785,13 @@ def test_sweeps_build_no_point_tuples(wide_s):
         IdealFrame._from_box(ideals.Box((0, 0), (2, 3), (1 << 6) - 1)),
     ]
     for X in out:
-        assert X._frame is None and X._sorted is None, X
-        pts = X.frame_sorted
-        assert X._frame is None and X.frame == frozenset(pts)
+        assert X._sorted is None, X
+        # size and membership read the bitset
+        assert len(X.frame) == X._bits.bit_count()
+        assert X.mu in X.frame and X.gamma in X.frame
+        assert tuple(g + 1 for g in X.gamma) not in X.frame
+        assert X._sorted is None, X
+        assert X.frame == frozenset(X.frame_sorted)
 
 
 def test_subset_checks():

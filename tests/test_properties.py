@@ -4,7 +4,10 @@ Each strategy draws a PRNG seed and rebuilds the objects from it, so
 failures shrink to a single small integer that reproduces the case.
 """
 
+import pathlib
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -187,3 +190,24 @@ def test_duality_keeps_lengths(seed, s):
     alpha = rng.choice(S.ideal.frame_sorted[1:] + (tuple(x + 1 for x in S.gamma),))
     F = E.shift(alpha)
     assert relative_distance(F, E) == relative_distance(difference(K, E), difference(K, F))
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis reports a failure through libcst, which warns on import:
+    # under the repository's config the next test must still run
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_runs_after_it():\n"
+        "    pass\n"
+    )
+    config = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout
