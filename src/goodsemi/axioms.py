@@ -8,21 +8,23 @@ ideal property E + S ⊆ E are each decided by sweeps of the frame bitset
 By the capping rule a frame point c stands for the members c + N^T, T the
 axes where c_i = gamma_i.  Sums, differences and the check E + S ⊆ E fold
 each such family into one translate of a table built once per T: a shift
-of the table's int per run of frame points along the last axis, one
-table per T met, and one read back onto the result's grid
-(:func:`_reduce_translates`).  An erosion leaves out of T the axes on
-which every translate at the top lands at or past gamma_E, where E does
-not vary; E + S ⊆ E on a good ideal E then sweeps no axis at all, nor
-does K⁰ - (alpha + S).  Every table swept along a set of axes,
-here and in :mod:`goodsemi.duality`, comes from :func:`goodsemi.ideals._folds`:
-the table of T is the table of T minus its highest axis, folded once more.
+of the table's int per run of frame points along the last axis, walking
+the nonempty rows alone, one table per T met, and one read back onto the
+result's grid (:func:`_reduce_translates`).  An erosion leaves out of T
+the axes on which every translate at the top lands at or past gamma_E,
+where E does not vary; E + S ⊆ E on a good ideal E then sweeps no axis
+at all, nor does K⁰ - (alpha + S).  Every table swept along a set of
+axes, here and in :mod:`goodsemi.duality`, comes from
+:func:`goodsemi.ideals._folds`: the table of T is the table of T minus
+its highest axis, folded once more.
 
 E + S ⊆ E translates E only by S's Apéry families, those that are not
 sums (:func:`_apery_families`): the minimal nonzero cells G0 of S's box
 [0, top], each cell c with no g in G0, g <= c, and c - g + N^T ⊆ S, and
 cell 0 when some top_i = 0: its family 0 + N^T then holds the
 multiples of e_i, a generator outside the box.  The verdict stays exact
-by induction on |sigma| (:func:`_additivity_holds`).
+by induction on |sigma| (:func:`_additivity_holds`).  A
+:class:`GoodSemigroup` keeps these families, and its K⁰, once built.
 
 :mod:`goodsemi.ideals` reads the public names of this module through,
 importing it on first use; its private helpers are read from here.
@@ -72,7 +74,9 @@ def _reduce_translates(erode: bool, E: IdealFrame, lo, hi, by: Box) -> Box:
     op over its runs of r cells at a of the table's r-cell window op
     (:func:`_window_op`) shifted by a, and each row with that pattern adds
     P >> B: every cell of P read this way is one that the row's own
-    translates would read.
+    translates would read.  Only the nonempty rows are walked
+    (:func:`goodsemi.ideals._rows`); B and T come from the row number,
+    one divmod per leading axis.
 
     An erosion sweeps only the axes j with lo_j + far_j < gamma_E,j, far
     = by.lo + top.  On any other axis, every translate at the top of
@@ -95,10 +99,14 @@ def _reduce_translates(erode: bool, E: IdealFrame, lo, hi, by: Box) -> Box:
     shape = _box_shape(lo, hi)
     reach, edge, last = _index(top, window.shape), top[-1], 1 << (s - 1)
     sweep = sum(1 << j for j in range(s) if lo[j] + far[j] < E.gamma[j]) if erode else (1 << s) - 1
+    lead = [(sweep & 1 << j, n[j], t) for j, t in reversed(list(enumerate(_strides(window.shape)[:-1])))]
     groups: dict[int, dict[str, list[int]]] = {}
-    for u, line in _rows(by.bits, n):
-        base = _index(u, window.shape)  # u holds the leading axes only
-        T = sweep & sum(1 << j for j, (x, m) in enumerate(zip(u, top)) if x == m)
+    for row, line in _rows(by.bits, n):
+        base = T = 0
+        for bit, m, t in lead:  # one digit of the row number each
+            row, x = divmod(row, m)
+            base += x * t
+            T |= bit if x == m - 1 else 0
         if not erode:
             base = reach - base - edge
         if sweep & last:  # the cell at the edge also reaches the top of the last axis
@@ -327,7 +335,10 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     in E, as g's family is kept, and e + sigma = (e + g) + sigma' is in E
     by induction.  The converse is plain, so the verdict is exact.
     """
-    by = _apery_families(S)
+    if not isinstance(S, GoodSemigroup):
+        by = _apery_families(S)
+    elif (by := S._families) is None:  # built once, then kept on S
+        by = S._families = _apery_families(S)
     held = _reduce_translates(True, E, E.mu, E.gamma, by)
     return not E._bits & ~held.bits
 
@@ -463,9 +474,11 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
 
 class GoodSemigroup(IdealFrame):
     """A good semigroup: a frame with mu = 0 certified to satisfy (E0)-(E2)
-    and closure under addition, so S is a good ideal of itself."""
+    and closure under addition, so S is a good ideal of itself.  It keeps
+    its Apéry families and its K⁰ after their first build, and shares them
+    with every caller, so treat them as values."""
 
-    __slots__ = ()
+    __slots__ = ("_families", "_k0")
 
     def __init__(self, ideal: IdealFrame):
         if not isinstance(ideal, IdealFrame):
@@ -474,6 +487,7 @@ class GoodSemigroup(IdealFrame):
             raise NotCertifiedError(f"a semigroup must have minimum 0, got mu={ideal.mu}")
         self._adopt(ideal.mu, ideal.gamma, ideal._bits)
         self._report_cache = ideal._report_cache  # the same set, so the same verdicts
+        self._families = self._k0 = None
         # read on goodsemi.ideals, the name's public home, so that a wrapper
         # bound there (a profiler's, say) sees this check too
         report = ideals.validate(self, self)

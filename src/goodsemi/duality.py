@@ -120,8 +120,13 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
 
 
 def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
-    """The normalized canonical ideal K⁰ of S, as K⁰ - S."""
-    return _dual_normalized(S, S)
+    """The normalized canonical ideal K⁰ of S, as K⁰ - S.  A GoodSemigroup
+    keeps it, and every call returns that one frame: treat it as a value."""
+    if not isinstance(S, GoodSemigroup):
+        return _dual_normalized(S, S)
+    if S._k0 is None:
+        S._k0 = _dual_normalized(S, S)
+    return S._k0
 
 
 def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:

@@ -11,12 +11,12 @@ arbitrary point is *defined* by the min-capping rule
 Every box [lo, hi] of the package, the frame box included, is laid out in
 C order: the cell of x is bit (x - lo)·st, st the C strides of the box's
 shape, so bits ascend in lex order of the points.  Outside the helpers
-below only the Apéry families of :mod:`goodsemi.axioms` work out
-strides; other offsets are read with :func:`_index`.  Boxes are cut,
-moved and reversed by masked shifts of the whole int: only :func:`_rows`
-and :func:`_points` read cells as a '0'/'1' string.  No box may hold more
-than :data:`MAX_CELLS` cells; a larger one is refused before anything is
-allocated.
+below only :mod:`goodsemi.axioms` works out strides, for the Apéry
+families and the translates; other offsets are read with :func:`_index`.
+Boxes are cut, moved and reversed by masked shifts of the whole int: only
+:func:`_points` and the one row walker :func:`_rows`, which visits the
+nonempty rows alone, read cells as a '0'/'1' string.  No box may hold
+more than :data:`MAX_CELLS` cells; a larger one is refused first.
 
 The masks of :func:`_fill` and :func:`_regrid` are built by doubling and
 kept in one store, ``_MASKS``, of at most :data:`MAX_CELLS` cells in all,
@@ -34,8 +34,9 @@ for frames that merely satisfy (E1) it can sit strictly above the
 conductor, which is exposed separately as :attr:`IdealFrame.conductor`.
 
 The one product builder, :func:`_interleave`, lives here too.  The axiom
-checks, sums and :class:`GoodSemigroup` live in :mod:`goodsemi.axioms`,
-and local decompositions in :mod:`goodsemi.products`.  This module still
+checks, sums and :class:`GoodSemigroup`, which keeps its Apéry families
+and K⁰ once built, live in :mod:`goodsemi.axioms`, and local
+decompositions in :mod:`goodsemi.products`.  This module still
 reads their public names through (PEP 562), importing the owning module
 on first access, so a command that only reads frames compiles neither.
 """
@@ -327,15 +328,16 @@ def _flip(bits: int, size: int) -> int:
     return int.from_bytes(bits.to_bytes(n, "little").translate(_REVERSED), "big") >> 8 * n - size
 
 
-def _rows(bits: int, shape, labels=None):
-    """(index tuple of the other axes, cell string) of each nonempty row
-    along the last axis, in C order; ``labels[i][k]`` stands for index k."""
+def _rows(bits: int, shape):
+    """(row number, cell string) of each nonempty row along the last axis,
+    in C order; ``str.find`` jumps over the empty rows."""
     n = shape[-1]
     cells = _cells(bits, math.prod(shape))
-    for row, u in enumerate(product(*(map(range, shape[:-1]) if labels is None else labels))):
-        line = cells[row * n : row * n + n]
-        if "1" in line:
-            yield u, line
+    k = cells.find("1")
+    while k >= 0:
+        row = k // n
+        yield row, cells[row * n : row * n + n]
+        k = cells.find("1", row * n + n)
 
 
 _CELL_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -718,10 +720,11 @@ def to_json(E: IdealFrame) -> str:
     ``x]`` and ``u, `` of each axis are, once, and each nonempty row along
     the last axis is one join of the ``x]`` its cells pick."""
     last = [f"{x}]" for x in range(E.mu[-1], E.gamma[-1] + 1)]
-    heads = [[f"{x}, " for x in range(m, g + 1)] for m, g in zip(E.mu[:-1], E.gamma[:-1])]
+    axes = ([f"{x}, " for x in range(m, g + 1)] for m, g in zip(E.mu[:-1], E.gamma[:-1]))
+    heads = ["".join(u) for u in product(*axes)]  # by row number
     rows = []
-    for u, line in _rows(E._bits, E.shape, heads):
-        head = "".join(u)
+    for row, line in _rows(E._bits, E.shape):
+        head = heads[row]
         rows.append(head + (",\n    [" + head).join(compress(last, line.encode().translate(_CELL_FLAGS))))
     return (f'{{\n  "s": {E.s},\n  "mu": {list(E.mu)},\n  "gamma": {list(E.gamma)},\n  "frame": [\n    ['
             + ",\n    [".join(rows) + "\n  ]\n}\n")

@@ -13,11 +13,13 @@ import operator
 import random
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from goodsemi import duality, ideals
-from goodsemi.generate import numerical_semigroup
+import oracles
+from goodsemi import axioms, duality, ideals
+from goodsemi.generate import numerical_semigroup, random_pair
 from goodsemi.lattice import add
 
 
@@ -258,3 +260,122 @@ def test_mask_cache_stays_small_over_a_dualize_pass():
     assert ideals._MASKS
     assert sum(map(_key_cells, ideals._MASKS)) <= ideals.MAX_CELLS
     assert all(m.bit_length() <= _key_cells(key) for key, m in ideals._MASKS.items())
+
+
+# ------------------------------------------------------------ the row walker
+
+
+def _rows_oracle(bits, shape) -> list:
+    """(row number, cell string) of every row along the last axis that
+    holds a set cell, each cell decoded on its own."""
+    n = shape[-1]
+    out = []
+    for row in range(math.prod(shape[:-1]) if n else 0):
+        line = "".join(str(bits >> row * n + e & 1) for e in range(n))
+        if "1" in line:
+            out.append((row, line))
+    return out
+
+
+def _walker_boxes(rng):
+    """Random bitsets over 1-4 axes, sparse, even and dense, then the edge
+    cases: boxes of no cell, boxes with no set cell, the last cell alone,
+    rows of one cell and rows all set."""
+    for bits, shape, _ in _sweep_draws(rng, 600):
+        yield bits, shape
+    for shape in [(0,), (3, 0), (0, 4), (2, 0, 3)]:
+        yield 0, shape
+    for shape in [(1,), (5,), (3, 4), (2, 3, 4), (2, 2, 2, 3)]:
+        size = math.prod(shape)
+        yield 0, shape
+        yield 1 << size - 1, shape
+        yield (1 << size) - 1, shape
+    for shape in [(4, 1), (2, 3, 1), (3, 1, 2, 1)]:
+        yield rng.getrandbits(math.prod(shape)), shape
+    for shape in [(4, 5), (3, 2, 6)]:  # every other row full, the rest empty
+        n = shape[-1]
+        yield sum(((1 << n) - 1) << row * n for row in range(0, math.prod(shape[:-1]), 2)), shape
+
+
+def test_rows_match_the_cell_oracle(rng):
+    kinds = set()
+    for bits, shape in _walker_boxes(rng):
+        got = list(ideals._rows(bits, shape))
+        assert got == _rows_oracle(bits, shape), (bits, shape)
+        kinds.add((len(shape), "empty" if not got else "full" if all("0" not in c for _, c in got) else ""))
+    assert {(s, "") for s in range(1, 5)} <= kinds and {(1, "empty"), (2, "full"), (3, "full")} <= kinds
+
+
+def test_rows_yield_each_nonempty_row_once_in_c_order(rng):
+    for bits, shape in _walker_boxes(rng):
+        n = shape[-1]
+        got = [row for row, _ in ideals._rows(bits, shape)]
+        assert got == sorted(set(got)), (bits, shape)
+        nonempty = {k // n for k in range(math.prod(shape)) if bits >> k & 1}
+        assert set(got) == nonempty, (bits, shape)
+        for row, cells in ideals._rows(bits, shape):
+            assert len(cells) == n and "1" in cells
+            assert int(cells[::-1], 2) == bits >> row * n & (1 << n) - 1
+
+
+def _sparse_by(rng, s):
+    """A raw box over 2-4 axes of 1-5 cells, its last axis of 2-6, with a
+    few set cells in at most two rows: most rows are empty."""
+    shape = tuple(rng.randint(1, 5) for _ in range(s - 1)) + (rng.randint(2, 6),)
+    n, rows = shape[-1], math.prod(shape[:-1])
+    bits = 0
+    for row in rng.sample(range(rows), min(rows, rng.randint(1, 2))):
+        bits |= (rng.getrandbits(n) or 1) << row * n
+    by_lo = tuple(rng.randint(-2, 2) for _ in range(s))
+    return ideals.Box(by_lo, shape, bits)
+
+
+def _small_frame(rng, s):
+    """A small frame over s axes holding both corners of [mu, mu + B]."""
+    B = tuple(rng.randint(0, 2) for _ in range(s))
+    mu = tuple(rng.randint(-2, 2) for _ in range(s))
+    pts = {(0,) * s, B} | {tuple(rng.randint(0, b) for b in B) for _ in range(6)}
+    return ideals.IdealFrame(s, mu, add(mu, B), [add(mu, p) for p in pts])
+
+
+def test_reducer_on_sparse_boxes_matches_the_swept_oracle():
+    # erosions and dilations by the mostly empty Apéry boxes of s = 3
+    # semigroups, and by raw boxes with most rows empty
+    rng = random.Random(20261020)
+    empty_rows, apery_rows = 0, [0, 0]  # (nonempty, all) rows of the Apéry boxes
+    for k in range(90):
+        s = 3 if k % 2 == 0 else rng.randint(2, 4)
+        if s == 3 and k % 4 == 0:
+            S, E = random_pair(rng, 3, max_gamma=5)
+            E, by = rng.choice((S, E)), axioms._apery_families(S)
+            apery_rows[0] += len(_rows_oracle(by.bits, by.shape))
+            apery_rows[1] += math.prod(by.shape[:-1])
+        else:
+            E = random_pair(rng, s, max_gamma=4)[1] if s <= 3 else _small_frame(rng, s)
+            by = _sparse_by(rng, s)
+        erode = k % 3 != 2
+        n = by.shape
+        empty_rows += math.prod(n[:-1]) - len(_rows_oracle(by.bits, n))
+        top = tuple(m - 1 for m in n)
+        if erode:
+            lo, hi = oracles.sub(E.mu, by.lo), oracles.sub(E.gamma, by.lo)
+        else:
+            lo, hi = oracles.add(E.mu, by.lo), oracles.add(E.gamma, oracles.add(by.lo, top))
+        lo = tuple(a + rng.randint(-1, 1) for a in lo)
+        hi = oracles.cmax(lo, tuple(b + rng.randint(-1, 1) for b in hi))
+        offsets = [oracles.sub(c, by.lo) for c in by.points()]
+        got = axioms._reduce_translates(erode, E, lo, hi, by)
+        want = oracles.swept_translates(erode, E.contains, lo, hi, by.lo, offsets, top)
+        assert set(got.points()) == want, (erode, E, lo, hi, by.lo, offsets)
+    assert empty_rows >= 500 and 2 * apery_rows[0] < apery_rows[1], (empty_rows, apery_rows)
+
+
+def test_to_json_by_row_numbers_is_byte_identical_on_the_benchmark_frames():
+    frames = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "frames").glob("*.json"))
+    assert len(frames) == 14
+    for path in frames:
+        text = path.read_text()
+        E = ideals.from_json(text)
+        assert ideals.to_json(E) == text, path.name
+        points = [p for p in oracles.box(E.mu, E.gamma) if E.contains(p)]
+        assert text == oracles.frame_json(E.s, E.mu, E.gamma, points), path.name

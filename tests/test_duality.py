@@ -91,6 +91,45 @@ def test_numerical_canonical_via_gap_reflection():
 # ------------------------------------------------------------- difference
 
 
+def test_a_semigroup_keeps_its_k0_and_apery_families():
+    # built once and kept: the same K⁰ object on every call, equal to a
+    # fresh build, and Apéry families equal to those of a plain frame
+    rng = random.Random(20261021)
+    for k in range(30):
+        S = random_good_semigroup(rng, k % 3 + 1, max_gamma=6)
+        K0 = canonical_normalized(S)
+        assert canonical_normalized(S) is K0 and S._k0 is K0
+        assert K0 == duality._dual_normalized(S, S) and K0.is_e1()
+        plain = IdealFrame(S.s, S.mu, S.gamma, S.frame_sorted)
+        assert type(plain) is IdealFrame
+        fresh, kept = axioms._apery_families(plain), S._families
+        assert axioms._additivity_holds(plain, S) and S._families is kept
+        assert (kept.lo, kept.shape, kept.bits) == (fresh.lo, fresh.shape, fresh.bits)
+        assert canonical_normalized(plain) == K0 and canonical_normalized(plain) is not K0
+
+
+def test_canonical_queries_on_one_semigroup_build_k0_once(monkeypatch):
+    S = numerical_semigroup(4, 5, 7)
+    calls = []
+    real = duality._dual_normalized
+
+    def counted(S, E):
+        calls.append(E)
+        return real(S, E)
+
+    monkeypatch.setattr(duality, "_dual_normalized", counted)
+    K0 = canonical_normalized(S)
+    assert not is_symmetric(S)
+    CK = CanonicalIdeal.normalized(S)
+    assert CK.ideal is K0 and is_canonical(K0.shift((2,)), S) == (True, (2,))
+    assert canonical_normalized(S) is K0
+    assert len(calls) == 1
+    # a plain frame keeps nothing: each call builds afresh
+    plain = IdealFrame(1, (0,), S.gamma, S.frame_sorted)
+    assert canonical_normalized(plain) == canonical_normalized(plain) == K0
+    assert len(calls) == 3
+
+
 def test_difference_of_worked_ideals():
     E = IdealFrame.from_points(
         [(2, 1), (2, 2), (3, 1), (5, 2)], gamma=(5, 2)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pickle
@@ -398,6 +399,40 @@ def test_good_semigroup_is_a_frame(fig_s):
     assert type(twin) is GoodSemigroup and twin == S and twin.conductor == S.conductor == (3, 1)
 
 
+def test_a_plain_frame_keeps_no_families(monkeypatch):
+    E = IdealFrame.from_points([(3, 1), (3, 2)], gamma=(3, 2))
+    plain = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
+    assert not hasattr(plain, "_families") and not hasattr(plain, "_k0")
+    built = []
+    real = axioms._apery_families
+    monkeypatch.setattr(axioms, "_apery_families", lambda S: built.append(S) or real(S))
+    assert axioms._additivity_holds(E, plain) and axioms._additivity_holds(E, plain)
+    assert built == [plain, plain]
+    S = GoodSemigroup(plain)  # its own check E + S ⊆ E builds the families once
+    assert built == [plain, plain, S] and S._families is not None
+    assert axioms._additivity_holds(E, S) and validate(E.shift((1, 0)), S).ok
+    assert built == [plain, plain, S]
+    assert not hasattr(plain, "_families")
+
+
+@pytest.mark.parametrize("twin_of", [copy.copy, copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_semigroup_with_kept_results_round_trips(twin_of):
+    S = product_semigroups(g.numerical_semigroup(3, 5), g.numerical_semigroup(2, 3))
+    K0, families = canonical_normalized(S), S._families
+    twin = twin_of(S)
+    assert type(twin) is GoodSemigroup and twin == S and hash(twin) == hash(S)
+    assert twin._k0 == K0 and canonical_normalized(twin) is twin._k0
+    assert (twin._families.lo, twin._families.shape, twin._families.bits) == (
+        families.lo, families.shape, families.bits)
+    assert g.is_symmetric(twin) == g.is_symmetric(S)
+    E = S.shift((1,) * S.s)
+    assert validate(E, twin).ok and validate(K0, twin).ok
+    assert g.dualize(g.CanonicalIdeal.normalized(twin), E) == g.dualize(g.CanonicalIdeal.normalized(S), E)
+    corner = IdealFrame.from_points([(0,) * S.s, S.gamma], gamma=S.gamma)  # {0} ∪ (gamma + N^s)
+    assert validate(corner, twin).additivity_failures == validate(corner, S).additivity_failures != []
+
+
 @pytest.mark.parametrize("bad", [[(0, 0)], (0, 0), "corner_s.json", None])
 def test_good_semigroup_refuses_a_non_frame_by_type(bad):
     with pytest.raises(FrameError, match=f"built from an IdealFrame, got {type(bad).__name__}"):
@@ -749,7 +784,8 @@ def test_an_erosion_one_cell_short_of_gamma_still_sweeps(fig_s):
 def test_additivity_and_k0_minus_s_fold_no_axis(monkeypatch):
     # on a good ideal E of S every translate at the top of S's box lands
     # at or past gamma_E, so the reducer sweeps nothing: E + S ⊆ E folds only
-    # S's own box (for its Apéry families), and K⁰ - S folds nothing
+    # S's own box, once, for the Apéry families that S then keeps, and K⁰ - S
+    # folds nothing
     S = product_semigroups(g.numerical_semigroup(7, 9, 11), g.numerical_semigroup(5, 7),
                            g.numerical_semigroup(4, 9))
     K0 = canonical_normalized(S)
@@ -762,19 +798,20 @@ def test_additivity_and_k0_minus_s_fold_no_axis(monkeypatch):
 
     monkeypatch.setattr(ideals, "_suffix_and", counted)
     monkeypatch.setattr(axioms, "_suffix_and", counted)
-    axioms._apery_families(S)
+    assert axioms._apery_families(S) is not S._families  # a fresh build, on top of the kept one
     families = len(calls)
     assert families > 0
     assert axioms._additivity_holds(S, S)
-    assert len(calls) == 2 * families
+    assert len(calls) == families
     assert difference(K0, S) == K0
-    assert len(calls) == 2 * families
+    assert len(calls) == families
 
 
-def test_sweeps_build_no_point_tuples(wide_s):
+def test_sweeps_build_no_point_tuples():
     # frames hold (s, mu, gamma, bitmap); the point tuples are built on read
-    S = wide_s
     E = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
+    # a fresh S: the K⁰ a semigroup keeps would carry what earlier readers built
+    S = GoodSemigroup(E)
     E.frame_sorted  # the inputs' caches must not leak into the results
     K = canonical_normalized(S)
     out = [
