@@ -23,8 +23,8 @@ sums (:func:`_apery_families`): the minimal nonzero cells G0 of S's box
 [0, top], each cell c with no g in G0, g <= c, and c - g + N^T ⊆ S, and
 cell 0 when some top_i = 0: its family 0 + N^T then holds the
 multiples of e_i, a generator outside the box.  The verdict stays exact
-by induction on |sigma| (:func:`_additivity_holds`).  A
-:class:`GoodSemigroup` keeps these families, and its K⁰, once built.
+by induction on |sigma| (:func:`_additivity_holds`).  S keeps these
+families, and its K⁰, in its store once built.
 
 :mod:`goodsemi.ideals` reads the public names of this module through,
 importing it on first use; its private helpers are read from here.
@@ -159,7 +159,7 @@ def _e1_failures(E: IdealFrame) -> list[tuple[Point, Point]]:
     listed only after the sweep finds a failure.  For each p, cmin(q, p) is
     q capped at p, so the q whose min with p is a member are E's frame
     read with the capping rule of [mu, p]: one regrid per frame point."""
-    if _e1_holds(E):
+    if E.is_e1():
         return []
     shape, frame = E.shape, E._bits
     out = []
@@ -335,11 +335,7 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
     in E, as g's family is kept, and e + sigma = (e + g) + sigma' is in E
     by induction.  The converse is plain, so the verdict is exact.
     """
-    if not isinstance(S, GoodSemigroup):
-        by = _apery_families(S)
-    elif (by := S._families) is None:  # built once, then kept on S
-        by = S._families = _apery_families(S)
-    held = _reduce_translates(True, E, E.mu, E.gamma, by)
+    held = _reduce_translates(True, E, E.mu, E.gamma, S._memo("families", lambda: _apery_families(S)))
     return not E._bits & ~held.bits
 
 
@@ -442,12 +438,13 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
     is in E.  By (E1), x + e_i in E puts x = min(x + e_i, y) in E.  By
     (E2) on x in E and y, some x + k e_i with k >= 1 is in E, and then so
     is x + e_i, by (E1) read down from there.  So E is constant along i
-    from c_i on, and the normalization cuts gamma to c.
+    from c_i on, and the normalization cuts gamma to c.  Reports are
+    kept in E's store, and each call returns a copy the caller owns.
     """
     check_frames("validate", E=E, **({} if S is None else {"S": S}))
-    ax = E._report_cache.get("axioms")
-    if ax is None:
-        e1_fail = [] if E._e1 else _e1_failures(E)
+
+    def axioms() -> ValidationReport:
+        e1_fail = _e1_failures(E)
         e2_fail = _e2_failures(E)
         notes = []
         if (e1_fail or e2_fail) and E.conductor != E.gamma:
@@ -458,27 +455,24 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
         if e1_fail:
             notes.append("E2 was checked on the capped box only (E1 fails)")
         # e0: gamma is in the frame, so gamma + N^s is in E by the rule
-        ax = ValidationReport(True, not e1_fail, not e2_fail, None, e1_fail, e2_fail, notes=notes)
-        E._report_cache["axioms"] = ax
-    if S is None:
-        return ax
-    key = ("full", S.fingerprint())
-    got = E._report_cache.get(key)
-    if got is None:
+        return ValidationReport(True, not e1_fail, not e2_fail, None, e1_fail, e2_fail, notes=notes)
+
+    def full() -> ValidationReport:
         add_fail = _additivity_failures(E, S)
-        got = ValidationReport(True, ax.e1_ok, ax.e2_ok, not add_fail, ax.e1_failures, ax.e2_failures,
-                               add_fail, list(ax.notes))
-        E._report_cache[key] = got
-    return got
+        return ValidationReport(True, ax.e1_ok, ax.e2_ok, not add_fail, ax.e1_failures, ax.e2_failures,
+                                add_fail, ax.notes)
+
+    ax = E._memo(("report", None), axioms)
+    kept = ax if S is None else E._memo(("report", S.fingerprint()), full)
+    return ValidationReport(*(list(v) if type(v) is list else v for v in kept._key()))
 
 
 class GoodSemigroup(IdealFrame):
     """A good semigroup: a frame with mu = 0 certified to satisfy (E0)-(E2)
-    and closure under addition, so S is a good ideal of itself.  It keeps
-    its Apéry families and its K⁰ after their first build, and shares them
-    with every caller, so treat them as values."""
+    and closure under addition, so S is a good ideal of itself.  The
+    constructor only certifies, and S shares its source frame's store."""
 
-    __slots__ = ("_families", "_k0")
+    __slots__ = ()
 
     def __init__(self, ideal: IdealFrame):
         if not isinstance(ideal, IdealFrame):
@@ -486,8 +480,7 @@ class GoodSemigroup(IdealFrame):
         if ideal.mu != zero(ideal.s):
             raise NotCertifiedError(f"a semigroup must have minimum 0, got mu={ideal.mu}")
         self._adopt(ideal.mu, ideal.gamma, ideal._bits)
-        self._report_cache = ideal._report_cache  # the same set, so the same verdicts
-        self._families = self._k0 = None
+        self._store = ideal._store  # the same set at the same place, so the same results
         # read on goodsemi.ideals, the name's public home, so that a wrapper
         # bound there (a profiler's, say) sees this check too
         report = ideals.validate(self, self)

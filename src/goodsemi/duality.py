@@ -73,7 +73,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     xlo = sub(E.mu, F.mu)
     xhi = sub(E.gamma, F.mu)
     out = IdealFrame._from_box(_reduce_translates(True, E, xlo, xhi, _frame_box(F)))
-    out._e1 = True
+    out._memo("e1", lambda: True)
     return out
 
 
@@ -115,18 +115,14 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     size = math.prod(shape)
     good = ~_flip(_crop(bad, M.shape, zero(s), shape), size) & ((1 << size) - 1)
     out = IdealFrame._from_box(Box(sub(zero(s), E.mu), shape, good))
-    out._e1 = True
+    out._memo("e1", lambda: True)
     return out
 
 
 def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
-    """The normalized canonical ideal K⁰ of S, as K⁰ - S.  A GoodSemigroup
-    keeps it, and every call returns that one frame: treat it as a value."""
-    if not isinstance(S, GoodSemigroup):
-        return _dual_normalized(S, S)
-    if S._k0 is None:
-        S._k0 = _dual_normalized(S, S)
-    return S._k0
+    """The normalized canonical ideal K⁰ of S, as K⁰ - S.  S keeps it in
+    its store, and every call returns that one frame: treat it as a value."""
+    return S._memo("k0", lambda: _dual_normalized(S, S))
 
 
 def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:

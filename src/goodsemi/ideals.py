@@ -33,10 +33,12 @@ For validated-good ideals that minimal bound coincides with the conductor;
 for frames that merely satisfy (E1) it can sit strictly above the
 conductor, which is exposed separately as :attr:`IdealFrame.conductor`.
 
+A frame keeps all it computes in one store (:meth:`IdealFrame._memo`); a
+:class:`GoodSemigroup` shares its source frame's store.
+
 The one product builder, :func:`_interleave`, lives here too.  The axiom
-checks, sums and :class:`GoodSemigroup`, which keeps its Apéry families
-and K⁰ once built, live in :mod:`goodsemi.axioms`, and local
-decompositions in :mod:`goodsemi.products`.  This module still
+checks, sums and :class:`GoodSemigroup` live in :mod:`goodsemi.axioms`,
+and local decompositions in :mod:`goodsemi.products`.  This module still
 reads their public names through (PEP 562), importing the owning module
 on first access, so a command that only reads frames compiles neither.
 """
@@ -440,16 +442,7 @@ class _FrameView(Set):
 class IdealFrame:
     """Exact finite representation of a semigroup ideal of Z^s."""
 
-    __slots__ = (
-        "s",
-        "mu",
-        "gamma",
-        "_sorted",
-        "_bits",
-        "_conductor",
-        "_report_cache",
-        "_e1",
-    )
+    __slots__ = ("s", "mu", "gamma", "_bits", "_store")
 
     def __init__(self, s: int, mu, gamma, frame, *, _normalized: bool = False):
         if _integer(s) is None:
@@ -495,9 +488,17 @@ class IdealFrame:
     def _adopt(self, mu: Point, gamma: Point, bits: int) -> "IdealFrame":
         """Take the state, a bitset over [mu, gamma], unchecked."""
         self.s, self.mu, self.gamma, self._bits = len(mu), mu, gamma, bits
-        self._sorted = self._conductor = self._e1 = None
-        self._report_cache = {}
+        self._store = {}
         return self
+
+    def _memo(self, key, build):
+        """The result kept under ``key`` ("points", "conductor", "e1",
+        ("report", ambient fingerprint or None), "families", "k0"), from
+        ``build()`` on first read: the one store of the frame's results."""
+        got = self._store.get(key)
+        if got is None:
+            got = self._store[key] = build()
+        return got
 
     # -- construction helpers -------------------------------------------------
 
@@ -538,9 +539,7 @@ class IdealFrame:
     @property
     def frame_sorted(self) -> tuple[Point, ...]:
         """The frame points, lex-sorted; built on first read."""
-        if self._sorted is None:
-            self._sorted = tuple(_points(self._bits, self.shape, self.mu))
-        return self._sorted
+        return self._memo("points", lambda: tuple(_points(self._bits, self.shape, self.mu)))
 
     @property
     def frame(self) -> Set[Point]:
@@ -594,27 +593,26 @@ class IdealFrame:
         """The minimal c with c + N^s contained in E (componentwise minimum
         over all such c; realized as an element of the conductor ideal
         whenever E satisfies (E1))."""
-        if self._conductor is None:
+        def build():
             shape = self.shape
             above = _folds(self._bits, shape, _suffix_and)((1 << self.s) - 1)
             mins = (_lowest(above, shape, ax) for ax in range(self.s))
-            self._conductor = tuple(c + m for c, m in zip(mins, self.mu))
-        return self._conductor
+            return tuple(c + m for c, m in zip(mins, self.mu))
+
+        return self._memo("conductor", build)
 
     def shift(self, alpha) -> "IdealFrame":
-        """The translate alpha + E (an ideal again, same validation status)."""
+        """The translate alpha + E (an ideal again, same validation status).
+        Clean reports and (E1) carry over, the conductor moves by alpha, and
+        nothing tied to the place (points, witnesses, families, K⁰) does."""
         alpha = as_point(alpha)
         check_same_dim(alpha, self.mu)
-        out = IdealFrame.__new__(IdealFrame)
-        out._adopt(add(self.mu, alpha), add(self.gamma, alpha), self._bits)
-        if self._conductor is not None:
-            out._conductor = add(self._conductor, alpha)
-        out._e1 = self._e1
-        for key, rep in self._report_cache.items():
-            # Axiom status is translation invariant; witnesses are not, so
-            # only clean reports travel with the shift.
-            if rep.ok:
-                out._report_cache[key] = rep
+        out = IdealFrame.__new__(IdealFrame)._adopt(add(self.mu, alpha), add(self.gamma, alpha), self._bits)
+        for key, got in self._store.items():
+            if key == "conductor":
+                out._store[key] = add(got, alpha)
+            elif key == "e1" or type(key) is tuple and got.ok:
+                out._store[key] = got
         return out
 
     def is_e1(self) -> bool:
@@ -625,12 +623,9 @@ class IdealFrame:
         without a sweep on the results of ``duality.difference`` and the
         duals, which are min-closed by construction.
         """
-        if self._e1 is None:
-            from .axioms import _e1_holds
+        from .axioms import _e1_holds
 
-            rep = self._report_cache.get("axioms")
-            self._e1 = rep.e1_ok if rep is not None else _e1_holds(self)
-        return self._e1
+        return self._memo("e1", lambda: _e1_holds(self))
 
 
 def _settle(lo: Point, shape, bits: int, first: Point) -> tuple[Point, Point, int]:

@@ -98,14 +98,35 @@ def test_a_semigroup_keeps_its_k0_and_apery_families():
     for k in range(30):
         S = random_good_semigroup(rng, k % 3 + 1, max_gamma=6)
         K0 = canonical_normalized(S)
-        assert canonical_normalized(S) is K0 and S._k0 is K0
+        assert canonical_normalized(S) is K0 and S._store["k0"] is K0
         assert K0 == duality._dual_normalized(S, S) and K0.is_e1()
         plain = IdealFrame(S.s, S.mu, S.gamma, S.frame_sorted)
         assert type(plain) is IdealFrame
-        fresh, kept = axioms._apery_families(plain), S._families
-        assert axioms._additivity_holds(plain, S) and S._families is kept
+        fresh, kept = axioms._apery_families(plain), S._store["families"]
+        assert axioms._additivity_holds(plain, S) and S._store["families"] is kept
         assert (kept.lo, kept.shape, kept.bits) == (fresh.lo, fresh.shape, fresh.bits)
         assert canonical_normalized(plain) == K0 and canonical_normalized(plain) is not K0
+        assert canonical_normalized(plain) is plain._store["k0"]
+
+
+def test_each_result_is_built_once_per_set(monkeypatch):
+    # a semigroup shares its source frame's store: certifying the frame
+    # builds the Apéry families that every later check of S reads
+    E = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
+    families, duals = [], []
+    real_families, real_dual = axioms._apery_families, duality._dual_normalized
+    monkeypatch.setattr(axioms, "_apery_families", lambda S: families.append(S) or real_families(S))
+    monkeypatch.setattr(duality, "_dual_normalized", lambda S, F: duals.append(F) or real_dual(S, F))
+    assert validate(E, E).ok
+    S = GoodSemigroup(E)
+    K0 = canonical_normalized(S)
+    assert not is_symmetric(S)
+    CK = CanonicalIdeal.normalized(S)
+    I = S.shift((1, 2))
+    once = dualize(CK, I)
+    assert once == K0.shift((-1, -2)) and dualize(CK, once) == I
+    assert families == [E]
+    assert duals == [S, I, once]
 
 
 def test_canonical_queries_on_one_semigroup_build_k0_once(monkeypatch):
@@ -124,10 +145,10 @@ def test_canonical_queries_on_one_semigroup_build_k0_once(monkeypatch):
     assert CK.ideal is K0 and is_canonical(K0.shift((2,)), S) == (True, (2,))
     assert canonical_normalized(S) is K0
     assert len(calls) == 1
-    # a plain frame keeps nothing: each call builds afresh
+    # a plain frame of the same set keeps its own K⁰: two calls build once
     plain = IdealFrame(1, (0,), S.gamma, S.frame_sorted)
-    assert canonical_normalized(plain) == canonical_normalized(plain) == K0
-    assert len(calls) == 3
+    assert canonical_normalized(plain) is canonical_normalized(plain) == K0
+    assert len(calls) == 2
 
 
 def test_difference_of_worked_ideals():

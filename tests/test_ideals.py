@@ -256,7 +256,7 @@ def test_frame_view_matches_the_frozenset_of_its_points():
         for p in oracles.box(oracles.add(X.mu, (-2,) * s), oracles.add(X.gamma, (2,) * s)):
             assert (p in view) == (p in want), (X, p)
             assert X.contains(p) == (oracles.cmin(p, X.gamma) in view), (X, p)
-        assert X._sorted is None, X
+        assert "points" not in X._store, X
         assert view == want and want == view and not view != want
         assert hash(view) == hash(want)
         assert tuple(view) == X.frame_sorted
@@ -343,17 +343,23 @@ def test_validate_additivity_failure():
     assert rep.additivity_failures == want
 
 
-def test_validation_report_is_cached(wide_s, wide_e):
+def test_validation_report_is_cached(monkeypatch, wide_s, wide_e):
+    # kept in the frame's store: a second call scans nothing, and each
+    # caller gets an equal report of its own
     r1 = validate(wide_e, wide_s)
+    scans = []
+    for name in ("_e1_failures", "_e2_failures", "_additivity_failures"):
+        monkeypatch.setattr(axioms, name, lambda *a, name=name: scans.append(name))
     r2 = validate(wide_e, wide_s)
-    assert r1 is r2
+    assert r1 == r2 and r1 is not r2 and r2 is not wide_e._store[("report", wide_s.fingerprint())]
+    assert scans == []
 
 
 def test_validate_leaves_the_conductor_of_a_good_frame_unread():
     # when (E1) and (E2) hold the normalized gamma is the conductor
     S = IdealFrame.from_points([(0, 0), (3, 2), (5, 4), (6, 4), (5, 6), (8, 6)], gamma=(8, 6))
     assert validate(S, S).ok
-    assert S._conductor is None
+    assert "conductor" not in S._store
     assert S.conductor == S.gamma
 
 
@@ -399,31 +405,97 @@ def test_good_semigroup_is_a_frame(fig_s):
     assert type(twin) is GoodSemigroup and twin == S and twin.conductor == S.conductor == (3, 1)
 
 
-def test_a_plain_frame_keeps_no_families(monkeypatch):
+def test_a_frame_and_its_semigroup_build_the_families_once(monkeypatch):
     E = IdealFrame.from_points([(3, 1), (3, 2)], gamma=(3, 2))
     plain = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
-    assert not hasattr(plain, "_families") and not hasattr(plain, "_k0")
+    assert plain._store == {}
     built = []
     real = axioms._apery_families
     monkeypatch.setattr(axioms, "_apery_families", lambda S: built.append(S) or real(S))
     assert axioms._additivity_holds(E, plain) and axioms._additivity_holds(E, plain)
-    assert built == [plain, plain]
-    S = GoodSemigroup(plain)  # its own check E + S ⊆ E builds the families once
-    assert built == [plain, plain, S] and S._families is not None
+    assert built == [plain] and isinstance(plain._store["families"], ideals.Box)
+    S = GoodSemigroup(plain)  # the same store, so its own check E + S ⊆ E builds nothing
+    assert S._store is plain._store and not hasattr(S, "__dict__")
     assert axioms._additivity_holds(E, S) and validate(E.shift((1, 0)), S).ok
-    assert built == [plain, plain, S]
-    assert not hasattr(plain, "_families")
+    assert built == [plain]
+    twin = IdealFrame(2, (0, 0), (3, 1), plain.frame_sorted)  # the same set, a store of its own
+    assert axioms._additivity_holds(E, twin) and built == [plain, twin]
 
 
-@pytest.mark.parametrize("twin_of", [copy.copy, copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S))],
-                         ids=["copy", "deepcopy", "pickle"])
+def test_validate_hands_out_reports_the_caller_owns():
+    # an edit to a returned report changes no later answer
+    E = IdealFrame.from_points([(0, 0), (3, 1)], gamma=(3, 1))
+    validate(E).e2_ok = False
+    S = GoodSemigroup(E)  # certified from the kept report, not the edited copy
+    moved = S.shift((1, 2))  # carries S's clean reports
+    validate(moved).notes.append("edited")
+    assert validate(S).notes == validate(moved).notes == [] and validate(E).e2_ok
+    bad = IdealFrame.from_points([(0, 0), (1, 2), (2, 1), (2, 2)], gamma=(2, 2))  # (1, 1) is missing
+    full, alone = validate(bad, S), validate(bad)
+    assert full.e1_failures == alone.e1_failures == [((1, 2), (2, 1))]
+    assert full.e1_failures is not alone.e1_failures
+    text = full.summary()
+    alone.e1_failures.clear()
+    alone.notes.clear()
+    assert validate(bad, S) == full and validate(bad, S).summary() == text
+    assert validate(bad).e1_failures == full.e1_failures and validate(bad).notes == full.notes != []
+
+
+_ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda X: pickle.loads(pickle.dumps(X))]
+
+
+def _store_answers(X, A):
+    """What a frame's store holds, asked afresh: the reports on their own
+    and over the ambient A, (E1), conductor, points, E + S ⊆ E with X and
+    A as S, and K⁰ - X (or the error it raises on a raw frame)."""
+    try:
+        K0 = canonical_normalized(X)
+    except (FrameError, ValueError) as exc:
+        K0 = repr(exc)
+    return (validate(X), validate(X, A), X.is_e1(), X.conductor, X.frame_sorted,
+            axioms._additivity_holds(X, X), axioms._additivity_holds(X, A), K0)
+
+
+def test_what_travels_with_a_frame():
+    # good ideals and semigroups as drawn, and raw frames that fail (E1) or
+    # (E2): a shift answers as a fresh frame of the same points, and carries
+    # only clean reports, the (E1) status and the moved conductor
+    rng = random.Random(20261020)
+    frames = []
+    for k in range(30):
+        S, E = g.random_pair(rng, k % 3 + 1, max_gamma=5)
+        frames += [(S, S), (E, S)]
+    while len(frames) < 100:
+        X = _raw_frame(rng, rng.randint(1, 3), rng.random() < 0.5)[0]
+        if not validate(X).ok:
+            frames.append((X, X))
+    reports = []
+    for k, (X, A) in enumerate(frames):
+        before = _store_answers(X, A)
+        reports.append(before[0])
+        alpha = tuple(rng.randint(-3, 3) for _ in range(X.s))
+        Y = X.shift(alpha)
+        carried = {key for key, got in X._store.items() if type(key) is tuple and got.ok}
+        assert set(Y._store) == {"e1", "conductor"} | carried, (X, alpha)
+        assert Y._store["conductor"] == oracles.add(X.conductor, alpha)
+        fresh = IdealFrame(X.s, Y.mu, Y.gamma, [oracles.add(p, alpha) for p in X.frame_sorted])
+        assert _store_answers(Y, A) == _store_answers(fresh, A), (X, alpha)
+        twin = _ROUND_TRIPS[k % 3](X)
+        assert type(twin) is type(X) and twin == X and set(twin._store) == set(X._store)
+        assert _store_answers(twin, A) == before, (X, k % 3)
+    assert sum(not r.ok for r in reports) == 40
+    assert any(not r.e1_ok for r in reports) and any(r.e1_ok and not r.e2_ok for r in reports)
+
+
+@pytest.mark.parametrize("twin_of", _ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
 def test_a_semigroup_with_kept_results_round_trips(twin_of):
     S = product_semigroups(g.numerical_semigroup(3, 5), g.numerical_semigroup(2, 3))
-    K0, families = canonical_normalized(S), S._families
+    K0, families = canonical_normalized(S), S._store["families"]
     twin = twin_of(S)
     assert type(twin) is GoodSemigroup and twin == S and hash(twin) == hash(S)
-    assert twin._k0 == K0 and canonical_normalized(twin) is twin._k0
-    assert (twin._families.lo, twin._families.shape, twin._families.bits) == (
+    kept = twin._store["families"]
+    assert twin._store["k0"] == K0 and canonical_normalized(twin) is twin._store["k0"]
+    assert (kept.lo, kept.shape, kept.bits) == (
         families.lo, families.shape, families.bits)
     assert g.is_symmetric(twin) == g.is_symmetric(S)
     E = S.shift((1,) * S.s)
@@ -798,7 +870,7 @@ def test_additivity_and_k0_minus_s_fold_no_axis(monkeypatch):
 
     monkeypatch.setattr(ideals, "_suffix_and", counted)
     monkeypatch.setattr(axioms, "_suffix_and", counted)
-    assert axioms._apery_families(S) is not S._families  # a fresh build, on top of the kept one
+    assert axioms._apery_families(S) is not S._store["families"]  # a fresh build, on top of the kept one
     families = len(calls)
     assert families > 0
     assert axioms._additivity_holds(S, S)
@@ -822,12 +894,12 @@ def test_sweeps_build_no_point_tuples():
         IdealFrame._from_box(ideals.Box((0, 0), (2, 3), (1 << 6) - 1)),
     ]
     for X in out:
-        assert X._sorted is None, X
+        assert "points" not in X._store, X
         # size and membership read the bitset
         assert len(X.frame) == X._bits.bit_count()
         assert X.mu in X.frame and X.gamma in X.frame
         assert tuple(g + 1 for g in X.gamma) not in X.frame
-        assert X._sorted is None, X
+        assert "points" not in X._store, X
         assert X.frame == frozenset(X.frame_sorted)
 
 
