@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 
-from .axioms import _reduce_translates
+from .axioms import _reduce_translates, require_good
 from .errors import InclusionError, NotCertifiedError
 from .ideals import (
     Box,
-    GoodSemigroup,
     IdealFrame,
     _Frozen,
     _crop,
@@ -31,7 +30,6 @@ from .ideals import (
     _suffix_or_strict,
     check_frames,
     is_subset,
-    validate,
 )
 from .lattice import Point, add, cmax, ones, sub, zero
 
@@ -61,7 +59,8 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
     constant, so that AND is exact.  On an axis where mu_E - mu_F +
     gamma_F reaches gamma_E it is x + c itself, and that axis is not swept
     (:func:`goodsemi.axioms._reduce_translates`); for K⁰ - (alpha + S) no
-    axis is.
+    axis is.  The result need not be good: S - M fails (E2) for S the value
+    semigroup of tests/fixtures/not_good_difference.curve, M = S minus {0}.
     """
     check_frames("difference", E=E, F=F)
     for name, X in (("left", E), ("right", F)):
@@ -83,7 +82,7 @@ def conductor_ideal(E: IdealFrame) -> IdealFrame:
     return IdealFrame(len(c), c, c, [c], _normalized=True)
 
 
-def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
+def _dual_normalized(S: IdealFrame, E: IdealFrame) -> IdealFrame:
     """K⁰ - E for any E with E + S ⊆ E, K⁰ the normalized canonical ideal.
 
     Let tau = gamma_S - 1, Delta_j(b) = {x : x_j = b_j, x_i > b_i for
@@ -119,13 +118,20 @@ def _dual_normalized(S: GoodSemigroup, E: IdealFrame) -> IdealFrame:
     return out
 
 
-def canonical_normalized(S: GoodSemigroup) -> IdealFrame:
-    """The normalized canonical ideal K⁰ of S, as K⁰ - S.  S keeps it in
-    its store, and every call returns that one frame: treat it as a value."""
-    return S._memo("k0", lambda: _dual_normalized(S, S))
+def canonical_normalized(S: IdealFrame) -> IdealFrame:
+    """The normalized canonical ideal K⁰ of S, as K⁰ - S.  S must certify
+    as a good semigroup, a GoodSemigroup or a raw frame, or is refused by
+    name.  S keeps K⁰ in its store, and every call returns that one
+    frame: treat it as a value."""
+
+    def build() -> IdealFrame:
+        require_good(S, "canonical_normalized needs a good semigroup S", S)
+        return _dual_normalized(S, S)
+
+    return S._memo("k0", build)
 
 
-def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
+def is_canonical(K: IdealFrame, S: IdealFrame) -> tuple[bool, Point]:
     """Decide whether K is a canonical ideal of S, i.e. a translate of K⁰.
 
     Returns (verdict, alpha) with alpha = conductor(K) - gamma(S), the only
@@ -137,7 +143,7 @@ def is_canonical(K: IdealFrame, S: GoodSemigroup) -> tuple[bool, Point]:
     return (K == K0.shift(alpha), alpha)
 
 
-def is_symmetric(S: GoodSemigroup) -> bool:
+def is_symmetric(S: IdealFrame) -> bool:
     """S is symmetric iff S itself is one of its canonical ideals."""
     return is_canonical(S, S)[0]
 
@@ -147,20 +153,18 @@ class CanonicalIdeal(_Frozen):
 
     Instances are produced by :meth:`certify` (or :meth:`normalized`),
     which verifies the translate property and records the shift; a
-    semigroup that is not a :class:`GoodSemigroup` is refused.
+    semigroup that does not certify as good is refused, and a raw frame
+    that does is accepted.
     """
 
     __slots__ = _fields = ("ideal", "semigroup", "shift_from_normalized")
 
-    def __init__(self, ideal: IdealFrame, semigroup: GoodSemigroup, shift_from_normalized: Point):
-        if not isinstance(semigroup, GoodSemigroup):
-            raise NotCertifiedError(
-                f"a canonical ideal needs a certified GoodSemigroup, got {type(semigroup).__name__}"
-            )
+    def __init__(self, ideal: IdealFrame, semigroup: IdealFrame, shift_from_normalized: Point):
+        require_good(semigroup, "CanonicalIdeal needs a good semigroup", semigroup)
         self._init(ideal, semigroup, shift_from_normalized)
 
     @classmethod
-    def certify(cls, ideal: IdealFrame, semigroup: GoodSemigroup) -> "CanonicalIdeal":
+    def certify(cls, ideal: IdealFrame, semigroup: IdealFrame) -> "CanonicalIdeal":
         verdict, alpha = is_canonical(ideal, semigroup)
         if not verdict:
             raise NotCertifiedError(
@@ -170,7 +174,7 @@ class CanonicalIdeal(_Frozen):
         return cls(ideal, semigroup, alpha)
 
     @classmethod
-    def normalized(cls, semigroup: GoodSemigroup) -> "CanonicalIdeal":
+    def normalized(cls, semigroup: IdealFrame) -> "CanonicalIdeal":
         K0 = canonical_normalized(semigroup)
         return cls(K0, semigroup, zero(K0.s))
 
@@ -185,21 +189,17 @@ def dualize(K: CanonicalIdeal, E: IdealFrame) -> IdealFrame:
     """
     if not isinstance(K, CanonicalIdeal):
         raise NotCertifiedError("dualize requires a certified CanonicalIdeal on the left")
-    report = validate(E, K.semigroup)
-    if not report.ok:
-        raise NotCertifiedError(
-            "input not (E2)-certified; involution not guaranteed:\n" + report.summary(),
-            report,
-        )
+    require_good(E, "dualize: input not (E2)-certified; involution not guaranteed", K.semigroup)
     return _dual_normalized(K.semigroup, E).shift(K.shift_from_normalized)
 
 
-def push_forward(K: CanonicalIdeal, Sp: GoodSemigroup) -> CanonicalIdeal:
+def push_forward(K: CanonicalIdeal, Sp: IdealFrame) -> CanonicalIdeal:
     """Transport a canonical ideal of S to one of an oversemigroup S ⊆ S'.
 
-    The result is K - S' (difference taken in Z^s), certified canonical
-    over S' before being returned.
+    S' must certify as a good semigroup.  The result is K - S' (difference
+    taken in Z^s), certified canonical over S' before being returned.
     """
+    require_good(Sp, "push_forward needs a good semigroup S'", Sp)
     S = K.semigroup
     if not is_subset(S, Sp):
         raise InclusionError("push_forward requires S ⊆ S'")

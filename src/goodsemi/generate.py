@@ -15,8 +15,8 @@ import random
 
 from . import ideals
 from .errors import FrameError
-from .axioms import _additivity_failures, _e1_failures, _e2_failures
-from .ideals import GoodSemigroup, IdealFrame, validate
+from .axioms import _additivity_failures, _e1_failures, _e2_failures, require_good
+from .ideals import GoodSemigroup, IdealFrame
 from .lattice import Point, _integer, add, cmin, unit, zero
 
 __all__ = [
@@ -94,9 +94,8 @@ def random_good_ideal(
     while _closure_pass(pts, mu, B, S):
         pass
     E = IdealFrame(s, mu, B, pts)
-    report = validate(E, S)
-    if not report.ok:  # cannot happen: the repair loop is a fixpoint of these scans
-        raise FrameError("repair loop produced an uncertified ideal:\n" + report.summary())
+    # cannot fail: the repair loop is a fixpoint of these scans
+    require_good(E, "repair loop produced an uncertified ideal", S)
     if max_shift:
         delta = tuple(rng.randint(-max_shift, max_shift) for _ in range(s))
         E = E.shift(delta)

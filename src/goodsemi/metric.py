@@ -56,22 +56,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceededError, InclusionError, MetricError, NotCertifiedError
-from .ideals import Box, IdealFrame, _fill, _frame_box, _index, _suffix_or, check_frames, validate
+from .axioms import require_good
+from .errors import CapExceededError, InclusionError, MetricError
+from .ideals import Box, IdealFrame, _fill, _frame_box, _index, _suffix_or, check_frames
 from .lattice import Point, as_point, check_same_dim, cmax, cmin, leq, lt
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
 
 Chain = tuple[Point, ...]
-
-
-def _require_good(E: IdealFrame, role: str) -> None:
-    report = validate(E)
-    if not (report.e1_ok and report.e2_ok):
-        raise NotCertifiedError(
-            f"distance requires {role} to be a certified good ideal:\n" + report.summary(),
-            report,
-        )
 
 
 def _check_endpoints(E: IdealFrame, alpha, beta) -> tuple[Point, Point]:
@@ -108,7 +100,7 @@ def distance_between(E: IdealFrame, alpha, beta) -> int:
 
     Preconditions: E certified good, both endpoints in E, alpha <= beta.
     """
-    _require_good(E, "the ideal")
+    require_good(E, "distance requires the ideal to be a certified good ideal")
     alpha, beta = _check_endpoints(E, alpha, beta)
     cut = cmin(beta, cmax(alpha, E.gamma))
     return _levels(E.membership_box(alpha, cut)) + sum(beta) - sum(cut)
@@ -161,8 +153,8 @@ def relative_distance(E: IdealFrame, F: IdealFrame) -> int:
     the same cap at gamma_F.
     """
     check_frames("relative_distance", E=E, F=F)
-    _require_good(E, "the smaller ideal")
-    _require_good(F, "the larger ideal")
+    require_good(E, "distance requires the smaller ideal to be a certified good ideal")
+    require_good(F, "distance requires the larger ideal to be a certified good ideal")
     c = E.gamma
     if not leq(F.gamma, c) or E._bits & ~F.membership_box(E.mu, c).bits:
         raise InclusionError("relative_distance expects the smaller ideal first: E ⊆ F fails")

@@ -41,6 +41,7 @@ from ..errors import (
     TruncationError,
 )
 from .. import ideals
+from ..axioms import require_good
 from ..ideals import IdealFrame, _Frozen, is_subset, validate
 from ..lattice import Point, cmax
 from .modules import (
@@ -582,9 +583,7 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
     G = Gb.shift(tuple(-p for p in poles))
     what = f"colon {K!r} : {E!r} at truncation {N}"
-    report = validate(G)
-    if not (report.e1_ok and report.e2_ok):
-        raise NotCertifiedError(f"{what} fails the good-ideal axioms:\n" + report.summary(), report)
+    require_good(G, f"{what} fails the good-ideal axioms")
     if not is_subset(G, bound):
         raise NotCertifiedError(f"{what} fails the inclusion Γ(K : E) ⊆ Γ_K - Γ_E")
     return G

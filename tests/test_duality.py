@@ -23,11 +23,13 @@ from goodsemi import (
     push_forward,
     random_good_semigroup,
     random_pair,
+    relative_distance,
     sum_ideals,
     to_json,
     validate,
 )
 from goodsemi.duality import CanonicalIdeal
+from goodsemi.ringbridge.curves import parse_curve, value_ideal
 
 
 def staircase_pred(p):
@@ -127,6 +129,16 @@ def test_each_result_is_built_once_per_set(monkeypatch):
     assert once == K0.shift((-1, -2)) and dualize(CK, once) == I
     assert families == [E]
     assert duals == [S, I, once]
+    # a raw good frame is certified once, by whichever call comes first
+    # (canonical_normalized here), and every later one reads that report
+    raw = IdealFrame.from_points(E.frame_sorted, gamma=E.gamma)
+    families.clear()
+    scans, real_scan = [], axioms._additivity_failures
+    monkeypatch.setattr(axioms, "_additivity_failures", lambda E, S: scans.append(E) or real_scan(E, S))
+    assert canonical_normalized(raw) == K0
+    assert CanonicalIdeal.normalized(raw).ideal is canonical_normalized(raw)
+    assert not is_symmetric(raw) and GoodSemigroup(raw) == S
+    assert families == scans == [raw]
 
 
 def test_canonical_queries_on_one_semigroup_build_k0_once(monkeypatch):
@@ -407,16 +419,60 @@ def test_duals_run_without_translates(monkeypatch):
 
 
 def test_canonical_ideal_refuses_a_semigroup_that_is_not_certified():
-    # T fails the semigroup axioms: 1 + 1 = 2 is not in T
+    # T fails the semigroup axioms: 1 + 1 = 2 is not in T.  Each refusal
+    # names the function that certifies T and carries that witness
     T = IdealFrame(1, (0,), (3,), [(0,), (1,), (3,)])
     S = numerical_semigroup(3, 4, 5)
     assert is_subset(S, T)
-    with pytest.raises(NotCertifiedError, match="needs a certified GoodSemigroup, got IdealFrame"):
-        push_forward(CanonicalIdeal.normalized(S), T)
-    with pytest.raises(NotCertifiedError, match="got IdealFrame"):
-        CanonicalIdeal.certify(canonical_normalized(T), T)
-    with pytest.raises(NotCertifiedError, match="got IdealFrame"):
-        CanonicalIdeal.normalized(T)
+    K0 = canonical_normalized(S)
+    for call, name in [
+        (lambda: push_forward(CanonicalIdeal.normalized(S), T), "push_forward"),
+        (lambda: CanonicalIdeal.certify(K0, T), "canonical_normalized"),
+        (lambda: CanonicalIdeal.normalized(T), "canonical_normalized"),
+        (lambda: CanonicalIdeal(K0, T, (0,)), "CanonicalIdeal"),
+    ]:
+        with pytest.raises(NotCertifiedError, match=f"^{name} needs a good semigroup") as exc:
+            call()
+        assert exc.value.report.additivity_failures == [((1,), (1,))]
+
+
+@pytest.mark.parametrize(
+    "call, X, why",
+    [
+        (canonical_normalized, IdealFrame(1, (-1,), (-1,), [(-1,)]), r"minimum 0, got mu=\(-1,\)"),
+        (canonical_normalized, IdealFrame(2, (-2, -2), (-2, -2), [(-2, -2)]), r"minimum 0, got mu=\(-2, -2\)"),
+        # 1 + N passes E + E ⊆ E, but holds no 0
+        (canonical_normalized, IdealFrame(1, (1,), (1,), [(1,)]), r"minimum 0, got mu=\(1,\)"),
+        (canonical_normalized, IdealFrame(2, (0, 0), (2, 2), [(0, 0), (0, 2), (2, 2)]),
+         r"E2 witness: pair \(0, 0\), \(0, 2\) agreeing in coordinate 0"),
+        # is_symmetric certifies S through canonical_normalized
+        (is_symmetric, IdealFrame(1, (0,), (3,), [(0,), (1,), (3,)]), r"ideal witness: \(1,\) \+ \(1,\) is missing"),
+    ],
+    ids=["gamma-1", "gamma-2-2", "mu-1", "not-e2", "symmetric-not-additive"],
+)
+def test_functions_relative_to_s_refuse_a_non_semigroup_by_name(call, X, why):
+    with pytest.raises(NotCertifiedError, match=f"^canonical_normalized needs a good semigroup S:(?s:.*){why}"):
+        call(X)
+    assert "k0" not in X._store
+
+
+def test_differences_and_sums_of_good_ideals_need_not_be_good(fixture_dir):
+    # S = Γ_R of a curve and its maximal ideal M = S ∖ {0} are good, but
+    # S - M and K⁰ + M fail (E2)
+    spec = parse_curve((fixture_dir / "not_good_difference.curve").read_text())
+    S = GoodSemigroup(value_ideal(spec))
+    assert S.conductor == (7, 16)
+    M = IdealFrame.from_points([p for p in S.frame_sorted if any(p)], gamma=S.gamma)
+    assert validate(M, S).ok
+    D = difference(S, M)
+    report = validate(D)
+    assert report.e1_ok and not report.e2_ok
+    assert report.e2_failures[0] == ((3, 6), (4, 6), 1)
+    with pytest.raises(NotCertifiedError, match="^distance requires the larger ideal") as exc:
+        relative_distance(S, D)
+    assert exc.value.report.e2_failures == report.e2_failures
+    report = validate(sum_ideals(canonical_normalized(S), M))
+    assert report.e1_ok and report.e2_failures[0] == ((3, 8), (4, 8), 1)
 
 
 def test_product_canonical_matches_product(fig_s):

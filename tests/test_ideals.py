@@ -447,10 +447,11 @@ _ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda X: pickle.loads(pickle.dumps(X)
 def _store_answers(X, A):
     """What a frame's store holds, asked afresh: the reports on their own
     and over the ambient A, (E1), conductor, points, E + S ⊆ E with X and
-    A as S, and K⁰ - X (or the error it raises on a raw frame)."""
+    A as S, and K⁰ - X (or its refusal of X, when X is not a good
+    semigroup)."""
     try:
         K0 = canonical_normalized(X)
-    except (FrameError, ValueError) as exc:
+    except NotCertifiedError as exc:
         K0 = repr(exc)
     return (validate(X), validate(X, A), X.is_e1(), X.conductor, X.frame_sorted,
             axioms._additivity_holds(X, X), axioms._additivity_holds(X, A), K0)

@@ -84,18 +84,19 @@ def test_distance_runs_straight_past_the_conductor():
 
 
 def test_distance_matches_one_saturated_chain_on_randoms(rng):
-    # endpoints up to gamma + 3, so the tail is cut (beta past gamma) and
-    # not cut (beta <= gamma, the metric queries' case); the oracle
-    # follows one chain of covers, found cell by cell
+    # endpoints up to gamma + 3, so the tail is cut (beta past gamma, odd
+    # draws) and not cut (beta <= gamma, the metric queries' case, even
+    # draws); the oracle follows one chain of covers, found cell by cell
     tails = heads = 0
-    for _ in range(40):
+    for k in range(40):
         S = random_good_semigroup(rng, rng.choice((1, 2, 2)), max_gamma=4)
         E = S.ideal
         pts = E.members_in_box(E.mu, [g + 3 for g in E.gamma])
-        a = rng.choice(pts)
-        above = [p for p in pts if all(x <= y for x, y in zip(a, p))]
-        inside = [p for p in above if all(y <= g for y, g in zip(p, E.gamma))]
-        b = rng.choice(inside if inside and rng.random() < 0.5 else above)
+        inside = [p for p in pts if all(y <= g for y, g in zip(p, E.gamma))]
+        odd = bool(k % 2)
+        a = rng.choice(pts if odd else inside)
+        # a itself, or gamma + 3, is always a choice
+        b = rng.choice([p for p in pts if all(x <= y for x, y in zip(a, p)) and (p not in inside) == odd])
         steps, cur = 0, a
         while cur != b:
             cur = min(oracles.covers(E.contains, cur, b))
