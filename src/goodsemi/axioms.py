@@ -21,10 +21,12 @@ its highest axis, folded once more.
 
 E + S ⊆ E translates E only by S's Apéry families, those that are not
 sums (:func:`_apery_families`): the minimal nonzero cells G0 of S's box
-[0, top], each cell c with no g in G0, g <= c, and c - g + N^T ⊆ S, and
-cell 0 when some top_i = 0: its family 0 + N^T then holds the
-multiples of e_i, a generator outside the box.  The verdict stays exact
-by induction on |sigma| (:func:`_additivity_holds`).  S keeps these
+[0, top], each cell c that is not g + sigma' for a g in G0 that is 0
+where c reaches top and a member sigma' of the box (one masked shift of
+the box per g), and cell 0 when some top_i = 0: its family 0 + N^T then
+holds the multiples of e_i, a generator outside the box.  The verdict
+stays exact by induction on |sigma| (:func:`_additivity_holds`): a
+dropped family's sigma - g lies in the family of c - g.  S keeps these
 families, and its K⁰, in its store once built.
 
 :mod:`goodsemi.ideals` reads the public names of this module through,
@@ -269,12 +271,13 @@ def _apery_families(S: IdealFrame) -> Box:
     A cell c stands for the family c + N^T, T the axes where c_i = top_i.
     G0 is the set of minimal members of the box other than 0: the members
     c != 0 with no member other than 0 at or below c - e_i for any axis
-    i, read off the up-closure (one prefix-OR per axis).  A family is
-    dropped when c - g + N^T ⊆ S for some g in G0 with g <= c: the
-    suffix-AND of the box along T, read at c - g by a shift of g's cell
-    index and masked to the cells c >= g.  The cells of G0 are kept, and
-    cell 0 is kept exactly when its family is more than {0} (top_i = 0
-    on some axis).  :func:`_additivity_holds` says why this is exact.
+    i, read off the up-closure (one prefix-OR per axis).  A cell c is
+    dropped when c = g + sigma' for some g in G0 and a member sigma' of
+    the box, with g_i = 0 on T: the box shifted by g's cell index, masked
+    to the cells with g_i <= c_i, and c_i < top_i where g_i > 0.  The
+    cells of G0 are kept, and cell 0 is kept exactly when its family is
+    more than {0} (top_i = 0 on some axis).  :func:`_additivity_holds`
+    says why this is exact.
     """
     s = S.s
     top = cmax(S.gamma, zero(s))
@@ -286,26 +289,15 @@ def _apery_families(S: IdealFrame) -> Box:
     for axis, t in enumerate(st):
         below |= up << t & _fill(shape, axis, 1, shape[axis])
     gens = bits & ~1 & ~below
-    shifts = []  # (cell index of g, the cells c >= g) per g in G0
-    rest = gens
+    drop, rest = 0, gens
     while rest:
         k = (rest & -rest).bit_length() - 1
         rest ^= 1 << k
-        ge = (1 << box.size) - 1
+        inside = (1 << box.size) - 1
         for axis, (t, n) in enumerate(zip(st, shape)):
-            if k // t % n:
-                ge &= _fill(shape, axis, k // t % n, n)
-        shifts.append((k, ge))
-    tail_and = _folds(bits, shape, _suffix_and)  # the cells c with c + N^T ⊆ S
-    drop = 0
-    for T in range(1 << s):
-        on = bits
-        for axis, x in enumerate(top):
-            on &= _fill(shape, axis, x, x + 1) if T >> axis & 1 else _fill(shape, axis, 0, x)
-        if on:
-            A = tail_and(T)
-            for k, ge in shifts:
-                drop |= A << k & ge & on
+            if k // t % n:  # g_i > 0: g_i <= c_i < top_i
+                inside &= _fill(shape, axis, k // t % n, n - 1)
+        drop |= bits << k & inside
     keep = bits & ~drop | gens
     if all(top):
         keep &= ~1
@@ -327,14 +319,16 @@ def _additivity_holds(E: IdealFrame, S: IdealFrame) -> bool:
 
     Only the families of :func:`_apery_families` are translated: the
     cells of G0, the minimal elements of (S ∩ [0, top]) minus 0, cell 0 when
-    its family has a tail, and each other cell c with no g in G0, g <= c,
-    and c - g + N^T ⊆ S.  If those translates lie in E, so does e + sigma
-    for every sigma in S ∩ N^s, by induction on |sigma|: sigma = 0 is
-    trivial, and a sigma of a kept family is checked.  A sigma of a dropped
-    family c + N^T is g + sigma' with sigma' = sigma - g in c - g + N^T, so
-    sigma' lies in S ∩ N^s, and |sigma'| < |sigma| as g != 0; then e + g is
-    in E, as g's family is kept, and e + sigma = (e + g) + sigma' is in E
-    by induction.  The converse is plain, so the verdict is exact.
+    its family has a tail, and each other cell c that is not g + sigma'
+    for a g in G0 that is 0 on T and a member sigma' of the box.  If those
+    translates lie in E, so does e + sigma for every sigma in S ∩ N^s, by
+    induction on |sigma|: sigma = 0 is trivial, and a sigma of a kept
+    family is checked.  A sigma of a dropped family c + N^T is g +
+    (sigma - g), and sigma - g lies in (c - g) + N^T, inside the family of
+    the member c - g, as g is 0 on T; |sigma - g| < |sigma| as g != 0.  Then
+    e + g is in E, as g's family is kept, and e + sigma = (e + g) +
+    (sigma - g) is in E by induction.  The converse is plain, so the
+    verdict is exact.
     """
     held = _reduce_translates(True, E, E.mu, E.gamma, S._memo("families", lambda: _apery_families(S)))
     return not E._bits & ~held.bits

@@ -12,6 +12,8 @@ from .lattice import Point, add, as_point, cmin, ones, zero
 
 __all__ = ["ascii_lattice", "svg_lattice"]
 
+CELL = 28  # SVG pixels per lattice cell
+
 
 def _window(E: IdealFrame, lo, hi) -> tuple[Point, Point]:
     if E.s != 2:
@@ -45,14 +47,14 @@ def ascii_lattice(E: IdealFrame, lo=None, hi=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def svg_lattice(E: IdealFrame, lo=None, hi=None, cell: int = 28) -> str:
+def svg_lattice(E: IdealFrame, lo=None, hi=None) -> str:
     lo, hi = _window(E, lo, hi)
     grid = E.membership_box(lo, hi)
     nx = hi[0] - lo[0] + 1
     ny = hi[1] - lo[1] + 1
     pad = 40
-    w = pad + nx * cell + 16
-    h = pad + ny * cell + 16
+    w = pad + nx * CELL + 16
+    h = pad + ny * CELL + 16
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -60,10 +62,10 @@ def svg_lattice(E: IdealFrame, lo=None, hi=None, cell: int = 28) -> str:
     ]
 
     def cx(x):
-        return pad + (x - lo[0]) * cell + cell // 2
+        return pad + (x - lo[0]) * CELL + CELL // 2
 
     def cy(y):
-        return h - pad - (y - lo[1]) * cell - cell // 2
+        return h - pad - (y - lo[1]) * CELL - CELL // 2
 
     ax = pad - 6
     out.append(
@@ -84,7 +86,7 @@ def svg_lattice(E: IdealFrame, lo=None, hi=None, cell: int = 28) -> str:
             f'<text x="{pad - 14}" y="{cy(y) + 4}" font-size="11" text-anchor="end" '
             f'font-family="monospace">{y}</text>'
         )
-    r = cell // 3
+    r = CELL // 3
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
             if grid[x - lo[0], y - lo[1]]:

@@ -2,12 +2,14 @@
 refusals, its orders e, and agreement with the fixed-order policy it
 replaced."""
 
+import itertools
 import random
 
 import pytest
 
 import oracles
-from goodsemi import FrameError, InclusionError, NotCertifiedError, TruncationError, difference, metric, relative_distance
+from goodsemi import (FrameError, IdealFrame, InclusionError, NotCertifiedError, TruncationError, difference,
+                      metric, relative_distance, validate)
 from goodsemi.ringbridge import (
     conductor_of,
     curves,
@@ -234,3 +236,47 @@ def test_length_that_differs_from_the_distance_is_refused(curve_spec, monkeypatc
     monkeypatch.setattr(metric, "relative_distance", lambda E, F: relative_distance(E, F) + 1)
     with pytest.raises(NotCertifiedError, match=r"length of 'Rbar' / 'R' is 3 by pivots, but d\(Γ_F \\ Γ_E\) = 4"):
         length_quotient(spec, "Rbar", "R")
+
+
+def _scans_with(monkeypatch, what, change):
+    """Bind curves._scan so that the k-th scan labelled ``what`` (k from
+    0) returns change(k, G) in place of its value set G."""
+    real, count = curves._scan, itertools.count()
+
+    def scan(basis, n, label):
+        G = real(basis, n, label)
+        return change(next(count), G) if label == what else G
+
+    monkeypatch.setattr(curves, "_scan", scan)
+
+
+def test_a_value_set_that_changes_on_the_rerun_is_refused(monkeypatch):
+    _scans_with(monkeypatch, "conductor", lambda k, G: G.shift((k,)))
+    with pytest.raises(TruncationError, match=r"value set changed between truncations \d+ and \d+"):
+        value_ideal(parse_curve("branches: 1\nring: (t^2) ; (t^3)\n"), "R")
+
+
+def test_a_value_set_that_fails_the_axioms_is_refused(curve_spec, monkeypatch):
+    # R's values {0} ∪ ((3, 1) + N^2) with (1, 0) added fail (E2) at the
+    # pair (0, 0), (1, 0), at the same conductor: the certificate and the
+    # rerun pass, and only the axioms refuse it
+    G = value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
+    bad = IdealFrame.from_points(G.frame_sorted + ((1, 0),), G.gamma)
+    assert bad.conductor == G.conductor and not validate(bad).e2_ok
+    _scans_with(monkeypatch, "conductor", lambda k, G: bad)
+    with pytest.raises(TruncationError, match="computed value set fails the good-ideal axioms"):
+        value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
+
+
+def test_a_colon_that_changes_on_the_rerun_is_refused(monkeypatch):
+    _scans_with(monkeypatch, "colon conductor", lambda k, G: G.shift((k,)))
+    with pytest.raises(TruncationError, match=r"colon value set changed between truncations \d+ and \d+"):
+        colon_value_ideal(parse_curve("branches: 1\nring: (t^2) ; (t^3)\n"), "R", "Rbar")
+
+
+def test_a_conductor_whose_colon_is_not_the_orthant_is_refused(monkeypatch):
+    spec = parse_curve("branches: 1\nring: (t^2) ; (t^3)\n")
+    real = curves.colon_value_ideal
+    monkeypatch.setattr(curves, "colon_value_ideal", lambda spec, K, E: real(spec, K, E).shift((1,)))
+    with pytest.raises(NotCertifiedError, match=r"colon against the full ring gives .*, not the orthant at \(2,\)"):
+        conductor_of(spec)

@@ -96,6 +96,8 @@ def test_dual_twice_warns_on_uncertified(stair_s, stair_e, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "not (E2)-certified" in captured.err
+    # dualize's report goes with the refusal
+    assert any(line.strip().startswith("E2 witness") for line in captured.err.splitlines())
     assert "strictly contains" in captured.err
     got = from_json(captured.out)
     assert got.frame_sorted == ((1, 2), (2, 2), (3, 2), (4, 4))

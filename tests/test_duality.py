@@ -284,6 +284,28 @@ def test_uncapped_difference_breaks_involution(wide_s, wide_e):
     assert is_subset(wide_e, DD) and wide_e != DD
 
 
+def test_double_difference_contains_every_e1_frame(rng):
+    # e + x lies in K⁰ for e in E and x in K⁰ - E, so E ⊆ K⁰ - (K⁰ - E) for
+    # any E: good ideals, and min-closed frames that fail (E2) or E + S ⊆ E
+    seen = [0, 0]  # [uncertified, good]
+    for _ in range(120):
+        s = rng.randint(1, 3)
+        S = random_good_semigroup(rng, s, max_gamma=5)
+        if rng.random() < 0.3:
+            E = g.random_good_ideal(rng, S, max_shift=2)
+        else:
+            B = tuple(rng.randint(0, 4) for _ in range(s))
+            pts = {(0,) * s, B} | {tuple(rng.randint(0, b) for b in B) for _ in range(rng.randint(0, 6))}
+            while not oracles.min_closed(pts):
+                pts |= {oracles.cmin(p, q) for p in pts for q in pts}
+            mu = tuple(rng.randint(-2, 2) for _ in range(s))
+            E = IdealFrame.from_points([oracles.add(p, mu) for p in pts], oracles.add(B, mu))
+        K = canonical_normalized(S)
+        assert is_subset(E, difference(K, difference(K, E))), (S, E)
+        seen[validate(E, S).ok] += 1
+    assert min(seen) >= 30, seen
+
+
 def test_is_canonical_accepts_translates(fig_s):
     K0 = canonical_normalized(fig_s)
     ok, shift = is_canonical(K0, fig_s)
