@@ -79,7 +79,7 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
     """The translated orthant gamma_E + N^s as an ideal frame."""
     c = E.conductor
-    return IdealFrame(len(c), c, c, [c], _normalized=True)
+    return IdealFrame(len(c), c, c, [c])
 
 
 def _dual_normalized(S: IdealFrame, E: IdealFrame) -> IdealFrame:

@@ -27,27 +27,28 @@ __all__ = [
 ]
 
 
-def _closure_pass(pts: set[Point], mu: Point, B: Point, ambient: IdealFrame | None) -> bool:
-    """One repair round; returns True when ``pts`` grew.
+def _repair(pts: set[Point], B: Point, ambient: IdealFrame | None) -> IdealFrame:
+    """Add what the scans report missing until a round adds nothing, and
+    return that round's frame, E ∩ [min pts, B].
 
-    A witness already in ``pts`` adds nothing, so a scan that keeps
-    reporting stale witnesses ends the loop instead of spinning; the
-    caller's final certification then passes or raises.
+    (E1) is settled before the other scans are trusted.  A witness already
+    in ``pts`` adds nothing, so a scan that keeps reporting stale witnesses
+    ends the loop instead of spinning; the caller's certification then
+    passes or raises.
     """
     s = len(B)
-    frame = IdealFrame(s, mu, B, pts, _normalized=True)
-    before = len(pts)
-    for a, b in _e1_failures(frame):
-        pts.add(cmin(a, b))
-    if len(pts) > before:
-        return True  # settle E1 before trusting the other scans
-    for a, b, j in _e2_failures(frame):
-        m = cmin(a, b)
-        pts.add(add(m, unit(s, j)))
-    sums_vs = ambient if ambient is not None else frame
-    for e, sigma in _additivity_failures(frame, sums_vs):
-        pts.add(cmin(add(e, sigma), B))
-    return len(pts) > before
+    while True:
+        frame = IdealFrame.from_points(pts, B)
+        before = len(pts)
+        for a, b in _e1_failures(frame):
+            pts.add(cmin(a, b))
+        if len(pts) == before:
+            for a, b, j in _e2_failures(frame):
+                pts.add(add(cmin(a, b), unit(s, j)))
+            for e, sigma in _additivity_failures(frame, frame if ambient is None else ambient):
+                pts.add(cmin(add(e, sigma), B))
+        if len(pts) == before:
+            return frame
 
 
 def _at_least(value, name: str, least: int) -> int:
@@ -71,9 +72,7 @@ def random_good_semigroup(
     pts: set[Point] = {zero(s), B}
     for _ in range(rng.randint(1, 4)):
         pts.add(tuple(rng.randint(lo, B[i]) for i in range(s)))
-    while _closure_pass(pts, zero(s), B, None):
-        pass
-    return GoodSemigroup(IdealFrame(s, zero(s), B, pts))
+    return GoodSemigroup(_repair(pts, B, None))
 
 
 def random_good_ideal(
@@ -89,11 +88,8 @@ def random_good_ideal(
     for _ in range(rng.randint(1, 3)):
         pts.add(tuple(rng.randint(0, B[i]) for i in range(s)))
     # the minimum lies in the min-closure, so the repair keeps it as mu
-    mu = tuple(min(p[i] for p in pts) for i in range(s))
-    pts.add(mu)
-    while _closure_pass(pts, mu, B, S):
-        pass
-    E = IdealFrame(s, mu, B, pts)
+    pts.add(tuple(map(min, zip(*pts))))
+    E = _repair(pts, B, S)
     # cannot fail: the repair loop is a fixpoint of these scans
     require_good(E, "repair loop produced an uncertified ideal", S)
     if max_shift:

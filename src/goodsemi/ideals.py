@@ -444,7 +444,7 @@ class IdealFrame:
 
     __slots__ = ("s", "mu", "gamma", "_bits", "_store")
 
-    def __init__(self, s: int, mu, gamma, frame, *, _normalized: bool = False):
+    def __init__(self, s: int, mu, gamma, frame):
         if _integer(s) is None:
             raise FrameError(f"branch count {s!r} is not an integer")
         s = _integer(s)
@@ -480,10 +480,7 @@ class IdealFrame:
         if not flags[-1]:
             raise FrameError(f"gamma={gamma} must belong to the frame")
         bits = int(flags.translate(_CELL_CHARS)[::-1], 2)
-        if _normalized:
-            self._adopt(mu, gamma, bits)
-        else:
-            self._adopt(*_settle(mu, shape, bits, zero(s)))
+        self._adopt(*_settle(mu, shape, bits, zero(s)))
 
     def _adopt(self, mu: Point, gamma: Point, bits: int) -> "IdealFrame":
         """Take the state, a bitset over [mu, gamma], unchecked."""

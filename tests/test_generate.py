@@ -10,6 +10,7 @@ import oracles
 import goodsemi.generate as gen
 from goodsemi import (
     FrameError,
+    IdealFrame,
     ideals,
     NotCertifiedError,
     numerical_semigroup,
@@ -190,3 +191,23 @@ def test_stale_scan_witnesses_cannot_hang_the_generator(monkeypatch):
         except NotCertifiedError:
             continue
         assert validate(S).ok
+
+
+def test_the_repair_loop_scans_normalized_frames(monkeypatch, rng):
+    # every frame the repair scans has the least exact capping bound, as
+    # every other frame does; a frame held at the box corner differs
+    # from its rebuild in gamma and in its bits
+    seen = []
+    real = gen._e1_failures
+
+    def recording(frame):
+        seen.append(frame)
+        return real(frame)
+
+    monkeypatch.setattr(gen, "_e1_failures", recording)
+    for i in range(40):
+        s = i % 4 + 1
+        random_pair(rng, s, 8 if s <= 2 else 4)
+    assert len(seen) >= 80, len(seen)
+    for F in seen:
+        assert F == IdealFrame(F.s, F.mu, F.gamma, F.frame_sorted), F
