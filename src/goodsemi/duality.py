@@ -77,9 +77,10 @@ def difference(E: IdealFrame, F: IdealFrame) -> IdealFrame:
 
 
 def conductor_ideal(E: IdealFrame) -> IdealFrame:
-    """The translated orthant gamma_E + N^s as an ideal frame."""
+    """The translated orthant gamma_E + N^s as an ideal frame: one cell,
+    exact at itself, so adopted as it is."""
     c = E.conductor
-    return IdealFrame(len(c), c, c, [c])
+    return IdealFrame.__new__(IdealFrame)._adopt(c, c, 1)
 
 
 def _dual_normalized(S: IdealFrame, E: IdealFrame) -> IdealFrame:

@@ -490,8 +490,9 @@ class IdealFrame:
 
     def _memo(self, key, build):
         """The result kept under ``key`` ("points", "conductor", "e1",
-        ("report", ambient fingerprint or None), "families", "k0"), from
-        ``build()`` on first read: the one store of the frame's results."""
+        ("report", ambient fingerprint or None), "families", "k0",
+        "levels"), from ``build()`` on first read: the one store of the
+        frame's results."""
         got = self._store.get(key)
         if got is None:
             got = self._store[key] = build()
@@ -601,7 +602,7 @@ class IdealFrame:
     def shift(self, alpha) -> "IdealFrame":
         """The translate alpha + E (an ideal again, same validation status).
         Clean reports and (E1) carry over, the conductor moves by alpha, and
-        nothing tied to the place (points, witnesses, families, K⁰) does."""
+        nothing else (points, witnesses, families, K⁰, level count) does."""
         alpha = as_point(alpha)
         check_same_dim(alpha, self.mu)
         out = IdealFrame.__new__(IdealFrame)._adopt(add(self.mu, alpha), add(self.gamma, alpha), self._bits)

@@ -49,7 +49,9 @@ the step at p.  So E is read on the box [p_0, cut] only: the step of
 axis i at p_i < cut_i is a level when the box holds a member x with
 x_i = p_i and x_j = cut_j on every axis j < i.  Both functions below
 take the least cut; on a path from mu to c >= gamma it is gamma, so
-:func:`relative_distance` reads each ideal on its own frame box.
+:func:`relative_distance` reads each ideal on its own frame box, and
+keeps that count in the frame's store: a certified ring length asks it
+twice of the same value sets.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ def _levels(box: Box) -> int:
         block = box.bits >> at & (1 << math.prod(rows)) - 1
         count += (_suffix_or(block, rows, 1) & _fill(rows, 1, 0, 1)).bit_count()
     return count
+
+
+def _kept_levels(X: IdealFrame) -> int:
+    """The levels of X's frame box, kept in X's store."""
+    return X._memo("levels", lambda: _levels(_frame_box(X)))
 
 
 def distance_between(E: IdealFrame, alpha, beta) -> int:
@@ -158,4 +165,4 @@ def relative_distance(E: IdealFrame, F: IdealFrame) -> int:
     c = E.gamma
     if not leq(F.gamma, c) or E._bits & ~F.membership_box(E.mu, c).bits:
         raise InclusionError("relative_distance expects the smaller ideal first: E ⊆ F fails")
-    return _levels(_frame_box(F)) + sum(c) - sum(F.gamma) - _levels(_frame_box(E))
+    return _kept_levels(F) + sum(c) - sum(F.gamma) - _kept_levels(E)

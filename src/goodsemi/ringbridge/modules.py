@@ -147,11 +147,11 @@ def monomial_tail(basis: ModuleBasis) -> Point:
     t^k lies in the span iff rows[p] == {p: 1}: a combination of rows holds
     c_q·rows[q][q] at each pivot q, as no other row holds q, so t^k, zero
     off p, is c·rows[p], and a primitive row positive at its pivot is then
-    {p: 1}."""
+    {p: 1}.  A row holds its pivot, so that is a row of one entry."""
     rows, N, tail = basis.rows, basis.N, []
     for i in range(basis.s):
         k = N
-        while k and rows.get(i * N + k - 1) == {i * N + k - 1: 1}:
+        while k and len(rows.get(i * N + k - 1, ())) == 1:
             k -= 1
         tail.append(k)
     return tuple(tail)
@@ -162,7 +162,7 @@ def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
     rows, N = basis.rows, basis.N
     for i, (low, c) in enumerate(zip(lo, monomial_tail(basis))):
         if c > low:
-            k = next(k for k in range(low, c) if rows.get(i * N + k) != {i * N + k: 1})
+            k = next(k for k in range(low, c) if len(rows.get(i * N + k, ())) != 1)
             raise TruncationError(f"{what} misses t^{k} on branch {i}: "
                                   f"conductor bound {tuple(lo)} is not valid at truncation {N}")
 

@@ -237,6 +237,22 @@ def test_conductor_ideal():
     assert is_subset(C, E)
 
 
+def test_conductor_ideal_is_the_constructed_one_cell_frame(rng):
+    # adopted without the constructor, it is the frame the constructor
+    # builds from the one cell, on semigroups and translated ideals, with
+    # conductors below the origin too
+    below = 0
+    for k in range(60):
+        S, E = random_pair(rng, k % 4 + 1, max_gamma=5 if k % 4 < 2 else 3)
+        for X in (S, E.shift(tuple(rng.randint(-4, 4) for _ in range(E.s)))):
+            c = X.conductor
+            C, built = conductor_ideal(X), IdealFrame(X.s, c, c, [c])
+            assert type(C) is IdealFrame and C.fingerprint() == built.fingerprint(), (X, C)
+            assert (C.conductor, C.frame_sorted, validate(C, S).ok) == (c, (c,), True)
+            below += min(c) < 0
+    assert below >= 10, below
+
+
 # ------------------------------------------------- dualization, involution
 
 

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from conftest import load_text
 import goodsemi as g
-from goodsemi import axioms, ideals
+from goodsemi import axioms, ideals, metric
 from goodsemi import (
     FrameError,
     GoodSemigroup,
@@ -448,14 +448,14 @@ _ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda X: pickle.loads(pickle.dumps(X)
 def _store_answers(X, A):
     """What a frame's store holds, asked afresh: the reports on their own
     and over the ambient A, (E1), conductor, points, E + S ⊆ E with X and
-    A as S, and K⁰ - X (or its refusal of X, when X is not a good
-    semigroup)."""
+    A as S, K⁰ - X (or its refusal of X, when X is not a good semigroup)
+    and the frame box's level count."""
     try:
         K0 = canonical_normalized(X)
     except NotCertifiedError as exc:
         K0 = repr(exc)
     return (validate(X), validate(X, A), X.is_e1(), X.conductor, X.frame_sorted,
-            axioms._additivity_holds(X, X), axioms._additivity_holds(X, A), K0)
+            axioms._additivity_holds(X, X), axioms._additivity_holds(X, A), K0, metric._kept_levels(X))
 
 
 def test_what_travels_with_a_frame():

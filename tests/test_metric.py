@@ -19,6 +19,7 @@ from goodsemi import (
     conductor_ideal,
     difference,
     distance_between,
+    is_subset,
     numerical_semigroup,
     product_semigroups,
     random_good_semigroup,
@@ -26,8 +27,10 @@ from goodsemi import (
     relative_distance,
 )
 from goodsemi import metric
+from goodsemi.ideals import _frame_box
 from goodsemi.lattice import cmax, leq
 from goodsemi.ringbridge import span_basis, value_semigroup_ideal
+from goodsemi.ringbridge.curves import value_ideal
 
 
 def test_distance_on_corner_semigroup(fig_s):
@@ -312,3 +315,57 @@ def test_level_is_the_ring_dimension_drop_on_random_modules(rng):
                 break
         assert scanned == 3, f"only {scanned} of 40 draws on {s} branches had a corner to scan"
     assert tails, "no value set had its conductor below the scan corner"
+
+
+def _nested(rng, s):
+    """Nested good pairs (E, F), E ⊆ F, from one random pair (S, F): the
+    conductor ideal and a translate of F, and the semigroup under K⁰ and
+    over its conductor ideal, with the semigroup built anew from a plain
+    frame, its source, which it shares its store with."""
+    S, F = random_pair(rng, s, max_gamma=5 if s < 3 else 3)
+    source = IdealFrame(S.s, S.mu, S.gamma, S.frame_sorted)
+    S = GoodSemigroup(source)
+    shifted = F.shift(rng.choice(S.members_in_box(S.mu, [g + 1 for g in S.gamma])))
+    pairs = [(conductor_ideal(F), F), (shifted, F), (S, canonical_normalized(S)), (conductor_ideal(S), S)]
+    return pairs, source
+
+
+def _distance_by_walks(E, F):
+    c = E.conductor
+    return oracles.greedy_distance(F.contains, F.mu, c) - oracles.greedy_distance(E.contains, E.mu, c)
+
+
+def _check_kept_levels(*frames):
+    for X in frames:
+        assert X._store["levels"] == metric._levels(_frame_box(X)), X
+
+
+def test_relative_distance_keeps_each_frames_level_count(rng, curve_spec):
+    # the distance reads each frame's level count through its store: asked
+    # again, interleaved across frames, through a semigroup that shares its
+    # source's store and on translates (which leave the count behind), every
+    # answer is the walks' difference and every kept count the frame box's.
+    # Keeping the count under "e1" (which a shift carries) or in a cache
+    # keyed by the box shape (so reused across frames) fails here
+    drawn = [_nested(rng, s) for s in (1, 2, 3, 4) for _ in range(4)]
+    pairs = [pair for nested, _ in drawn for pair in nested]
+    names = ["R", "E", "F", "K0", "CR", "CF", "Rbar"]
+    G = {n: value_ideal(curve_spec, n) for n in names}
+    pairs += [(G[a], G[b]) for a in names for b in names if a != b and is_subset(G[a], G[b])]
+    want = [_distance_by_walks(E, F) for E, F in pairs]
+    for _ in range(3):
+        for k in rng.sample(range(len(pairs)), len(pairs)):
+            E, F = pairs[k]
+            assert relative_distance(E, F) == want[k], (E, F)
+            _check_kept_levels(E, F)
+    for nested, source in drawn:
+        S = nested[-1][1]
+        assert type(S) is GoodSemigroup and S._store is source._store
+        _check_kept_levels(source)
+    for (E, F), d in zip(pairs, want):
+        alpha = tuple(rng.randint(-3, 3) for _ in range(E.s))
+        Y, Z = E.shift(alpha), F.shift(alpha)
+        assert "levels" not in Y._store and "levels" not in Z._store
+        assert Y.is_e1() is True and Y.conductor == oracles.add(E.conductor, alpha)
+        assert relative_distance(Y, Z) == d == relative_distance(E, F), (E, F, alpha)
+        _check_kept_levels(Y, Z, E, F)
