@@ -41,9 +41,9 @@ from functools import reduce
 
 from . import ideals
 from .errors import FrameError, NotCertifiedError
-from .ideals import (Box, IdealFrame, _Record, _box_shape, _crop, _fill, _folds, _frame_box,
-                     _index, _points, _prefix_or, _regrid, _rows, _strides, _suffix_and,
-                     _suffix_or, _suffix_or_strict, check_frames)
+from .ideals import (Box, IdealFrame, _Record, _box_bits, _box_shape, _crop, _fill, _folds,
+                     _frame_box, _index, _points, _prefix_or, _regrid, _rows, _strides,
+                     _suffix_and, _suffix_or, _suffix_or_strict, check_frames)
 from .lattice import add, cmax, cmin, ones, sub, zero
 
 _RUN = re.compile("1+")
@@ -459,7 +459,8 @@ def validate(E: IdealFrame, S=None) -> ValidationReport:
 
     ax = E._memo(("report", None), axioms)
     kept = ax if S is None else E._memo(("report", S.fingerprint()), full)
-    return ValidationReport(*(list(v) if type(v) is list else v for v in kept._key()))
+    return ValidationReport(kept.e0_ok, kept.e1_ok, kept.e2_ok, kept.additivity_ok, kept.e1_failures[:],
+                            kept.e2_failures[:], kept.additivity_failures[:], kept.notes[:])
 
 
 def require_good(E: IdealFrame, what: str, S=None) -> None:
@@ -524,4 +525,4 @@ def is_subset(E: IdealFrame, F: IdealFrame) -> bool:
     check_frames("is_subset", E=E, F=F)
     lo = cmin(E.mu, F.mu)
     hi = cmax(E.gamma, F.gamma)
-    return not E.membership_box(lo, hi).bits & ~F.membership_box(lo, hi).bits
+    return not _box_bits(E, lo, hi) & ~_box_bits(F, lo, hi)

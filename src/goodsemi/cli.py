@@ -204,6 +204,15 @@ def _cmd_length(args) -> int:
     return 0
 
 
+def _cmd_type(args) -> int:
+    from .duality import is_symmetric
+    from .ringbridge import curves
+    spec = _load_curve(args.curve)
+    print(f"type: {curves.type_of(spec)}")
+    print(f"symmetric: {str(is_symmetric(curves.value_ideal(spec))).lower()}")
+    return 0
+
+
 def _cmd_plot(args) -> int:
     from . import plot
     E = _load_ideal(args.ideal)
@@ -254,6 +263,8 @@ COMMANDS = {
               _OUTPUT),
     "length": (_cmd_length, "Q-dimension of F/E for nested curve modules", _arg("curve"), _arg("larger"),
                _arg("smaller")),
+    "type": (_cmd_type, "type t(R) of a local curve ring, and whether its value semigroup is symmetric",
+             _arg("curve")),
     "plot": (_cmd_plot, "draw a 2-branch ideal (ASCII, or SVG with --svg)", _arg("ideal"),
              _arg("--svg", help="write an SVG file instead of ASCII output"),
              _arg("--lo", help="lower window corner, e.g. '0,0'"), _arg("--hi", help="upper window corner, e.g. '8,6'")),

@@ -286,23 +286,26 @@ def _regrid(bits: int, shape, spans) -> int:
     and the post copies are made by doubling.  Axes that shrink go first,
     so no step holds more cells than the larger of source and result.
     """
-    if any(b <= a for _, a, b, _ in spans):
-        return 0
-    cur = list(shape)
-    counts = [pre + b - a + post for pre, a, b, post in spans]
-    for j in sorted(range(len(cur)), key=lambda j: counts[j] > cur[j]):
+    counts = []
+    for pre, a, b, post in spans:
+        if b <= a:
+            return 0
+        counts.append(pre + b - a + post)
+    cur, axes = list(shape), range(len(shape))
+    for j in [j for j in axes if counts[j] <= cur[j]] + [j for j in axes if counts[j] > cur[j]]:
         (pre, a, b, post), n = spans[j], cur[j]
-        if (pre, a, b, post) == (0, 0, n, 0):
+        if not (pre or a or post) and b == n:
             continue
         st, rows = math.prod(cur[j + 1 :]), math.prod(cur[:j])
         w, v = n * st, counts[j] * st
         if a or b < n:
             bits = (bits & _periodic(w, a * st, b * st, rows * w)) >> a * st
-        lo, hi = sorted((w, v))
-        ks = [1 << i for i in range((rows - 1).bit_length())] if w != v else []
-        for k in ks if v < w else ks[::-1]:
-            x = bits & _periodic(2 * k * hi, k * w, k * (w + lo), rows * hi)
-            bits ^= x ^ (x << k * (v - w) if v > w else x >> k * (w - v))
+        if rows > 1 and w != v:
+            lo, hi = (w, v) if w < v else (v, w)
+            ks = [1 << i for i in range((rows - 1).bit_length())]
+            for k in ks if v < w else ks[::-1]:
+                x = bits & _periodic(2 * k * hi, k * w, k * (w + lo), rows * hi)
+                bits ^= x ^ (x << k * (v - w) if v > w else x >> k * (w - v))
         bits <<= pre * st
         if post:
             x, c = bits & _periodic(v, v - (post + 1) * st, v - post * st, rows * v), 1
@@ -363,6 +366,14 @@ def _capped_span(lo: int, hi: int, m: int, g: int) -> tuple[int, int, int, int]:
     a = min(max(lo, m), g) - m
     b = min(hi, g) - m + 1
     return (pre, a, b, count - pre - (b - a))
+
+
+def _box_bits(E: "IdealFrame", lo: Point, hi: Point) -> int:
+    """The bits of :meth:`IdealFrame.membership_box` over [lo, hi], for
+    points lo and hi of E's dimension, unchecked: the reader of the
+    library's own inclusion tests."""
+    spans = [_capped_span(*a) for a in zip(lo, hi, E.mu, E.gamma)]
+    return _regrid(E._bits, E.shape, spans)
 
 
 def _rows_to_bits(shape, rows) -> int:
@@ -577,9 +588,7 @@ class IdealFrame:
         hi = as_point(hi)
         check_same_dim(lo, self.mu)
         check_same_dim(hi, self.mu)
-        shape = _box_shape(lo, hi)
-        spans = [_capped_span(*a) for a in zip(lo, hi, self.mu, self.gamma)]
-        return Box(lo, shape, _regrid(self._bits, self.shape, spans))
+        return Box(lo, _box_shape(lo, hi), _box_bits(self, lo, hi))
 
     def members_in_box(self, lo, hi) -> list[Point]:
         return self.membership_box(lo, hi).points()

@@ -60,7 +60,7 @@ import math
 
 from .axioms import require_good
 from .errors import CapExceededError, InclusionError, MetricError
-from .ideals import Box, IdealFrame, _fill, _frame_box, _index, _suffix_or, check_frames
+from .ideals import Box, IdealFrame, _box_bits, _fill, _frame_box, _index, _suffix_or, check_frames
 from .lattice import Point, as_point, check_same_dim, cmax, cmin, leq, lt
 
 __all__ = ["distance_between", "all_saturated_chains", "relative_distance"]
@@ -163,6 +163,6 @@ def relative_distance(E: IdealFrame, F: IdealFrame) -> int:
     require_good(E, "distance requires the smaller ideal to be a certified good ideal")
     require_good(F, "distance requires the larger ideal to be a certified good ideal")
     c = E.gamma
-    if not leq(F.gamma, c) or E._bits & ~F.membership_box(E.mu, c).bits:
+    if not leq(F.gamma, c) or E._bits & ~_box_bits(F, E.mu, c):
         raise InclusionError("relative_distance expects the smaller ideal first: E ⊆ F fails")
     return _kept_levels(F) + sum(c) - sum(F.gamma) - _kept_levels(E)

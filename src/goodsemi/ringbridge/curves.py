@@ -20,11 +20,13 @@ branch, has no conductor and is refused up front.  An explicit
 nor the rerun.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
-rings) and ``C`` (the conductor module t^gamma * Rbar) are built in;
-names defined in the file shadow them.  Rbar and C each have Σe_i
-generators, t^k·ε_i and t^(gamma_i + k)·ε_i for 0 <= k < e_i, ε_i the
-idempotent of branch i (see :func:`_gens`); only C needs the ring's
-value set.
+rings), ``C`` (the conductor module t^gamma * Rbar) and ``m`` (the
+maximal ideal of a local ring) are built in; names defined in the file
+shadow them.  Rbar and C each have Σe_i generators, t^k·ε_i and
+t^(gamma_i + k)·ε_i for 0 <= k < e_i, ε_i the idempotent of branch i
+(see :func:`_gens`); only C needs the ring's value set.  m is generated
+by the g - c_g, c_g the constant term of ring generator g, and
+:func:`type_of` reads the type t(R) = ℓ((R : m)/R) off it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "colon_value_ideal",
     "length_quotient",
     "conductor_of",
+    "type_of",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -258,12 +261,15 @@ class _Store:
     ``ring`` and ``named`` hold generators cleared once to primitive
     integer terms, which do not depend on the truncation: products stop
     at it.  ``spans`` keeps per generator tuple one span, the highest-order
-    one built; read at order n, it is scanned over [0, n - 2]^s, where it
-    has the values of the span at n: truncation to n is a ring map onto
-    that span whose kernel, of positions at or above n, lies in the
-    filtration levels at alpha and alpha + e_i that decide a value alpha
-    of the box.  ``values`` the certified value sets.  No lookup hashes a
-    Fraction.
+    one built, with its monomial tail (:func:`modules.monomial_tail`),
+    taken when the span is built: a held span is never changed, only
+    replaced together with its tail, so every certificate that reads the
+    tail reads the held span's.  Read at order n, the span is scanned over
+    [0, n - 2]^s, where it has the values of the span at n: truncation to
+    n is a ring map onto that span whose kernel, of positions at or above
+    n, lies in the filtration levels at alpha and alpha + e_i that decide
+    a value alpha of the box.  ``values`` the certified value sets.  No
+    lookup hashes a Fraction.
     """
 
     __slots__ = ("ring", "named", "spans", "values")
@@ -272,7 +278,7 @@ class _Store:
         self.ring = tuple(map(integer_terms, spec.ring))
         self.named = {"R": ((((0, 1),),) * spec.s,)}
         self.named.update((n, tuple(map(integer_terms, g))) for n, g in spec.modules)
-        self.spans: dict[tuple, ModuleBasis] = {}
+        self.spans: dict[tuple, tuple[ModuleBasis, Point]] = {}
         self.values: dict[tuple, IdealFrame] = {}
 
 
@@ -289,14 +295,24 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
     is finite over A (both proved in :func:`_value`), so Nakayama's lemma
     gives Rbar = A·{t^k·ε_i}, whose truncations are those of the span of
     R·{t^k·ε_i}.  Multiplying by t^gamma gives C.
+
+    m is generated by the g - c_g, g a ring generator and c_g its constant
+    term, which must be the same on every branch; zero vectors are
+    dropped.  Proof: the constant term on a branch is a ring map R -> Q,
+    onto, the same map on every branch when every generator's constant
+    terms agree, and m is its kernel.  An element P(g) of R, P a
+    polynomial in the generators, lies in m iff P(c) = 0, and
+    P(x) - P(c) lies in the ideal of Q[x] generated by the x_j - c_j, so
+    P(g) lies in the ideal generated by the g - c_g.  A semilocal ring
+    has no one maximal ideal, and m is refused, naming a generator and
+    its constant term on each branch.
     """
     named = spec._store.named
-    if name not in named:
-        if name not in ("Rbar", "C"):
-            raise FrameError(
-                f"unknown module {name!r}; file defines {spec.module_names()!r}, "
-                "built-ins are R, Rbar, C"
-            )
+    if name in named:
+        return named[name]
+    if name == "m":
+        named[name] = tuple(_maximal_ideal(spec))
+    elif name in ("Rbar", "C"):
         e = _radical_orders(spec)
         lift = value_ideal(spec, "R").conductor if name == "C" else (0,) * spec.s
         named[name] = tuple(
@@ -304,29 +320,50 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
             for i in range(spec.s)
             for k in range(e[i])
         )
+    else:
+        raise FrameError(
+            f"unknown module {name!r}; file defines {spec.module_names()!r}, "
+            "built-ins are R, Rbar, C, m"
+        )
     return named[name]
+
+
+def _maximal_ideal(spec: CurveSpec):
+    """The integer terms of the nonzero g - c_g, g a ring generator and c_g
+    its constant term on every branch; a generator whose constant terms
+    differ is refused (see :func:`_gens`)."""
+    for g, terms in zip(spec.ring, spec._store.ring):
+        consts = [dict(p).get(0, 0) for p in g]
+        if len(set(consts)) > 1:
+            where = ", ".join(f"{c} on branch {i}" for i, c in enumerate(consts))
+            raise FrameError(f"the built-in module 'm' needs a local ring, but ring generator {_fmt_vec(g)} "
+                             f"has constant terms {where}: the ring is semilocal")
+        if any(e for p in terms for e, _ in p):
+            yield integer_terms(tuple(p[1:] if p and not p[0][0] else p for p in terms))
 
 
 def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
     """Generators for a named module; file names shadow the built-ins
-    R, Rbar and C, whose generators :func:`_gens` gives: 1 for R, and
-    t^k·ε_i for Rbar and t^(gamma_i + k)·ε_i for C, 0 <= k < e_i."""
+    R, Rbar, C and m, whose generators :func:`_gens` gives: 1 for R,
+    t^k·ε_i for Rbar and t^(gamma_i + k)·ε_i for C, 0 <= k < e_i, and the
+    nonzero g - c_g for m."""
     return dict(spec.modules).get(name) or tuple(map(poly_vec, _gens(spec, name)))
 
 
-def _span(spec: CurveSpec, gens: tuple, N: int) -> ModuleBasis:
-    """The held span of ``gens`` when its order is at least N, else the
-    span built at N, which replaces it."""
+def _span(spec: CurveSpec, gens: tuple, N: int) -> tuple[ModuleBasis, Point]:
+    """The held span of ``gens`` and its monomial tail when its order is at
+    least N, else the span built at N and its tail, which replace them."""
     spans = spec._store.spans
-    if gens not in spans or spans[gens].N < N:
-        spans[gens] = span_basis(spec._store.ring, gens, N)
+    if gens not in spans or spans[gens][0].N < N:
+        B = span_basis(spec._store.ring, gens, N)
+        spans[gens] = B, monomial_tail(B)
     return spans[gens]
 
 
 def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
     """The module's span at order N or above: its values in every box
     [0, hi] with hi <= N - 2 are those of the span at N (see :class:`_Store`)."""
-    return _span(spec, _gens(spec, name), N)
+    return _span(spec, _gens(spec, name), N)[0]
 
 
 def _scan(basis: ModuleBasis, n: int, what: str) -> IdealFrame:
@@ -395,7 +432,8 @@ def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> No
         raise TruncationError(
             f"truncation {N} is below γ + e = {low} for the candidate conductor {gamma}"
         )
-    require_monomials(_span(spec, gens, N), gamma, "the span")
+    B, tail = _span(spec, gens, N)
+    require_monomials(B, gamma, "the span", tail)
 
 
 def _checked_commit(s: int, commit: int, what: str) -> int:
@@ -424,8 +462,7 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
                               f"of {(N - 1) ** s} cells, over the box limit of {ideals.MAX_CELLS} cells")
     while fits(N):
         tried.append(N)
-        B = _span(spec, gens, N)  # at N, unless a higher span is held
-        c = monomial_tail(B)
+        B, c = _span(spec, gens, N)  # at N, unless a higher span is held
         if B.N in c:
             notes.append(f"the precheck refused truncation {B.N}: "
                          f"the span misses t^{B.N - 1} on branch {c.index(B.N)}")
@@ -442,7 +479,9 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
         else:
             break
     if fits(rule):
-        notes.append(f"is the ring really a curve with {s} branches?")
+        if top == 512:
+            notes.append("the probes stop at their ceiling of 512, and the conductor may lie past it")
+        notes.append(f"is the ring really a curve with {s} branch{'es' if s > 1 else ''}?")
     else:
         notes.insert(0, f"truncation {rule} was not tried, as its scan box [0, {rule - 2}]^{s} exceeds "
                      f"the box limit of {ideals.MAX_CELLS} cells")
@@ -473,10 +512,13 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     commits if gamma < top, as then c = gamma already at top.  The bootstrap
     ends when the rule gives no further order, or one whose scan box
     exceeds the box limit, so a ring with no conductor is refused at top,
-    naming each order tried and the check that refused it; when not even
-    8 fits, the refusal names 8 and its box.  A candidate commits only if
-    the rerun's box [0, commit]^s fits too; else it is refused, naming
-    that box, before any scan.
+    naming each order tried and the check that refused it.  So is a ring
+    whose conductor lies past the ceiling of 512, such as Q[[t^100000,
+    t^100001]], and when the probes end there the refusal says that the
+    conductor may lie past them.  When not even 8 fits, the refusal names
+    8 and its box.  A candidate commits only if the rerun's box
+    [0, commit]^s fits too; else it is refused, naming that box, before
+    any scan.
 
     Certificate (:func:`_certify`): the span at an order N_c >= c + e
     holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A
@@ -513,7 +555,7 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     e = _radical_orders(spec)
     t = spec.truncation
     commit = _bootstrap(spec, gens, e) if t is None else _checked_commit(spec.s, t, f"the line 'truncation: {t}'")
-    B = _span(spec, gens, commit + 2)
+    B = _span(spec, gens, commit + 2)[0]
     Ga = _scan(B, commit, "conductor")
     _certify(spec, gens, Ga.conductor, e, commit)
     Gb = _scan(B, commit + 2, "conductor")
@@ -577,7 +619,7 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     gamma_K, bound = GK.conductor, difference(GK, GE)
     poles = tuple(max(0, -m) for m in bound.mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
-    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2), E_gens, gamma_K, poles, N + 2)
+    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2)[0], E_gens, gamma_K, poles, N + 2)
     Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
@@ -602,16 +644,18 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
 
     GE, GF = value_ideal(spec, E), value_ideal(spec, F)
     c = cmax(GE.conductor, GF.conductor)
-    FB, EB = (span_module(spec, name, max(c) + 1) for name in (F, E))
+    (FB, F_tail), (EB, E_tail) = (_span(spec, _gens(spec, name), max(c) + 1) for name in (F, E))
     rows = [_row(g, FB.N) for g in _gens(spec, E)]
     for v in rows:
         FB._fully_reduce(v)
     if any(rows):
         raise InclusionError(f"module {E!r} is not contained in {F!r}")
-    for name, B in ((E, EB), (F, FB)):
-        require_monomials(B, c, f"module {name!r}")
-    # a pivot below c is one dimension of the module modulo t^c·Rbar
-    ell = sum(p % FB.N < c[p // FB.N] for p in FB.rows) - sum(p % EB.N < c[p // EB.N] for p in EB.rows)
+    for name, B, tail in ((E, EB, E_tail), (F, FB, F_tail)):
+        require_monomials(B, c, f"module {name!r}", tail)
+    # a pivot below c is one dimension of the module modulo t^c·Rbar; a
+    # span of order N holds t^k for c_i <= k < N (checked above), each the
+    # row at its own pivot, so it has dim - Σ(N - c_i) pivots below c
+    ell = FB.dim - EB.dim - spec.s * (FB.N - EB.N)
     d = relative_distance(GE, GF)
     if ell != d:
         raise NotCertifiedError(f"length of {F!r} / {E!r} is {ell} by pivots, but d(Γ_F \\ Γ_E) = {d}")
@@ -632,7 +676,8 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
     G = value_ideal(spec, module)
     gamma = G.conductor
     N = max(gamma) + 1
-    require_monomials(span_module(spec, module, N), gamma, f"module {module!r}")
+    B, tail = _span(spec, _gens(spec, module), N)
+    require_monomials(B, gamma, f"module {module!r}", tail)
     basis = ModuleBasis(spec.s, N)
     # the monomials are already a reduced echelon basis of primitive rows
     basis.rows = {p: {p: 1} for i, g in enumerate(gamma) for p in range(i * N + g, (i + 1) * N)}
@@ -642,3 +687,15 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
             f"colon against the full ring gives {got.frame_sorted}, not the orthant at {gamma}"
         )
     return gamma, basis
+
+
+def type_of(spec: CurveSpec) -> int:
+    """The Cohen–Macaulay type t(R) = ℓ((R : m)/R) of a local ring, m its
+    maximal ideal (the module named m, built in unless the file defines
+    one), read as d(Γ(R : m) ∖ Γ_R) by the length formula ℓ(F/E) =
+    d(Γ_F ∖ Γ_E) (D'Anna 1997): the colon is certified, and so is the
+    distance.  R is Gorenstein iff t(R) = 1, iff Γ_R is symmetric (Kunz
+    1970 for one branch, Delgado 1988 for several)."""
+    from ..metric import relative_distance  # only the type needs the metric
+
+    return relative_distance(value_ideal(spec, "R"), colon_value_ideal(spec, "R", "m"))

@@ -157,10 +157,11 @@ def monomial_tail(basis: ModuleBasis) -> Point:
     return tuple(tail)
 
 
-def require_monomials(basis: ModuleBasis, lo: Point, what: str) -> None:
-    """Refuse unless the :func:`monomial_tail` is at most lo, naming the least t^k missing."""
+def require_monomials(basis: ModuleBasis, lo: Point, what: str, tail: Point | None = None) -> None:
+    """Refuse unless the :func:`monomial_tail` is at most lo, naming the least t^k missing;
+    ``tail``, when given, is the basis's monomial tail, already read."""
     rows, N = basis.rows, basis.N
-    for i, (low, c) in enumerate(zip(lo, monomial_tail(basis))):
+    for i, (low, c) in enumerate(zip(lo, tail or monomial_tail(basis))):
         if c > low:
             k = next(k for k in range(low, c) if len(rows.get(i * N + k, ())) != 1)
             raise TruncationError(f"{what} misses t^{k} on branch {i}: "

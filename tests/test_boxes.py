@@ -231,6 +231,28 @@ def test_crop_matches_the_cell_oracle(rng):
         assert ideals._crop(bits, shape, start, out) == want
 
 
+def test_box_bits_are_the_membership_box_read_cell_by_cell(rng):
+    # the library's inclusion checks read _box_bits with no argument checks:
+    # on random frames and good ideals it must give membership_box's bits,
+    # each cell the frame's own contains, on boxes from below mu to above
+    # gamma, and empty ones
+    below = above = empty = 0
+    for _ in range(200):
+        s = rng.randint(1, 3)
+        E = _small_frame(rng, s) if rng.random() < 0.5 else random_pair(rng, s, max_gamma=5)[1]
+        lo = tuple(rng.randint(m - 3, g + 1) for m, g in zip(E.mu, E.gamma))
+        hi = tuple(rng.randint(a - 1, g + 3) for a, g in zip(lo, E.gamma))
+        box = E.membership_box(lo, hi)
+        bits = ideals._box_bits(E, lo, hi)
+        assert bits == box.bits, (E, lo, hi)
+        cells = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        assert bits == sum(E.contains(p) << k for k, p in enumerate(cells))
+        below += any(a < m for a, m in zip(lo, E.mu))
+        above += any(b > g for b, g in zip(hi, E.gamma))
+        empty += not box.size
+    assert min(below, above) >= 80 and empty >= 10, (below, above, empty)
+
+
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 17_500])
 def test_flip_matches_the_cell_oracle(rng, size):
     for bits in (0, (1 << size) - 1, rng.getrandbits(size), 1, 1 << max(size - 1, 0)):

@@ -256,6 +256,14 @@ def test_length_command(curve, capsys):
     assert "not contained" in capsys.readouterr().err
 
 
+def test_type_command(curve, fixture_dir, capsys):
+    # t = 1 exactly when the value semigroup is symmetric
+    assert main(["type", curve]) == 0
+    assert capsys.readouterr().out == "type: 3\nsymmetric: false\n"
+    assert main(["type", str(fixture_dir / "cusp.curve")]) == 0
+    assert capsys.readouterr().out == "type: 1\nsymmetric: true\n"
+
+
 def test_plot_ascii(corner, capsys):
     assert main(["plot", corner, "--hi", "4,2"]) == 0
     out = capsys.readouterr().out
@@ -500,7 +508,7 @@ def test_help_lists_every_command(capsys, monkeypatch):
         main(["-h"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert len(COMMANDS) == 15
+    assert len(COMMANDS) == 16
     for name, (_fn, help, *_args) in COMMANDS.items():
         assert re.search(rf"^    {re.escape(name)} +{re.escape(help)}$", out, re.M), name
 

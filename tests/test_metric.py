@@ -22,6 +22,7 @@ from goodsemi import (
     is_subset,
     numerical_semigroup,
     product_semigroups,
+    random_good_ideal,
     random_good_semigroup,
     random_pair,
     relative_distance,
@@ -174,6 +175,42 @@ def test_relative_distance_argument_order(fig_s):
     C = IdealFrame.from_points([(3, 1)], gamma=(3, 1))
     with pytest.raises(InclusionError, match="smaller"):
         relative_distance(fig_s.ideal, C)
+
+
+def _subset_by_cells(E, F):
+    lo, hi = [min(a, b) for a, b in zip(E.mu, F.mu)], [max(a, b) for a, b in zip(E.gamma, F.gamma)]
+    return all(F.contains(p) for p in itertools.product(*map(range, lo, [h + 1 for h in hi])) if E.contains(p))
+
+
+def test_inclusion_checks_refuse_every_pair_that_is_not_nested(rng):
+    # relative_distance and is_subset read frame bits with no argument
+    # checks; pairs of good ideals of one semigroup, nested or not, must
+    # still be told apart cell by cell, also where F's conductor lies
+    # below E's and only the bits decide, as for alpha + X against X
+    refused = by_bits = 0
+    for _ in range(60):
+        S, X = random_pair(rng, rng.randint(1, 3), max_gamma=5)
+        alpha = tuple(rng.randint(0, 2) for _ in range(S.s))
+        for E, F in [*itertools.permutations((X, random_good_ideal(rng, S))), (X.shift(alpha), X)]:
+            nested = _subset_by_cells(E, F)
+            assert is_subset(E, F) == nested, (E, F)
+            if nested:
+                assert relative_distance(E, F) == _distance_by_walks(E, F)
+                continue
+            with pytest.raises(InclusionError, match="smaller ideal first"):
+                relative_distance(E, F)
+            refused += 1
+            by_bits += leq(F.gamma, E.gamma)
+    assert refused >= 40 and by_bits >= 20, (refused, by_bits)
+
+
+def test_relative_distance_refuses_an_argument_that_is_not_good(wide_s, wide_e):
+    # wide_e satisfies (E1) but not (E2); its orthant at gamma is good
+    orthant = IdealFrame.from_points([wide_e.gamma], gamma=wide_e.gamma)
+    with pytest.raises(NotCertifiedError, match="smaller ideal"):
+        relative_distance(wide_e, wide_s)
+    with pytest.raises(NotCertifiedError, match="larger ideal"):
+        relative_distance(orthant, wide_e)
 
 
 def test_relative_distance_additive_in_chains(rng):

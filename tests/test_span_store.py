@@ -208,6 +208,41 @@ def test_a_span_held_above_the_bootstrap_gives_the_same_answers(name):
     assert length_quotient(spec, "Rbar", "R") == length_quotient(fresh, "Rbar", "R")
 
 
+def _kept_tails(spec) -> dict:
+    """{generators: (order, tail)} of the held spans, each kept tail
+    checked against a fresh monomial tail of its span."""
+    held = {}
+    for gens, (B, tail) in spec._store.spans.items():
+        assert tail == modules.monomial_tail(B), (gens, B.N)
+        held[gens] = B.N, tail
+    return held
+
+
+def test_each_held_span_keeps_its_own_monomial_tail(curve_spec):
+    # the length and conductor certificates read the tail kept with the
+    # held span; span_module calls at rising orders, interleaved across
+    # modules, replace spans whose tail moves, so a tail kept across a
+    # replacement shows, before and after the answers that read it
+    rng = random.Random(11)
+    moved = 0
+    for spec in (parse_curve(dumps_curve(curve_spec)), parse_curve(CURVES["ring-6-6"]),
+                 parse_curve(CURVES["three-branch"]), parse_curve(CURVES["ring-16"])):
+        names = ["R", "Rbar", "C", "m"] + spec.module_names()
+        rising = {name: range(2, 15, rng.randint(1, 3)) for name in names}
+        calls = [name for name, orders in rising.items() for _ in orders]
+        rng.shuffle(calls)
+        rising = {name: iter(orders) for name, orders in rising.items()}
+        before = _kept_tails(spec)
+        for name in calls:
+            span_module(spec, name, next(rising[name]))
+            after = _kept_tails(spec)
+            moved += sum(got[1] != before[g][1] for g, got in after.items() if g in before)
+            before = after
+        length_quotient(spec, "Rbar", "R"), conductor_of(spec), value_ideal(spec, "m")
+        _kept_tails(spec)
+    assert moved >= 20, moved
+
+
 def _walks(monkeypatch):
     """Count the scans, and those that walk: a scan walks iff it files a
     row by order (modules._file); a basis whose rows each lie on one
@@ -469,6 +504,23 @@ def test_bootstrap_passes_512_only_for_the_candidate_found_there(monkeypatch):
     assert value_ideal(parse_curve("branches: 1\nring: (t^20) ; (t^27)\n"), "R").conductor == (494,)
     assert built == [8, 16, 32, 64, 128, 160, 256, 320, 512, 516]
     assert sorted(scanned) == [514, 516]
+
+
+@pytest.mark.parametrize("text, curve", [
+    ("branches: 1\nring: (t^100000) ; (t^100001)\n", "1 branch"),
+    ("branches: 2\nring: (t, t)\n", "2 branches"),
+])
+def test_probes_that_stop_at_512_say_the_conductor_may_lie_past_it(text, curve):
+    # Q[[t^100000, t^100001]] is a curve whose conductor lies far past the
+    # ceiling, and (t, t) repeats one branch and has none: the probes tell
+    # them apart from neither, so the refusal names both readings
+    with pytest.raises(TruncationError) as exc:
+        value_ideal(parse_curve(text), "R")
+    assert str(exc.value).endswith(
+        "the precheck refused truncation 512: the span misses t^511 on branch 0; "
+        "the probes stop at their ceiling of 512, and the conductor may lie past it; "
+        f"is the ring really a curve with {curve}?"
+    )
 
 
 def test_ring_layer_hashes_no_fraction(monkeypatch, curve_spec):

@@ -1,7 +1,8 @@
 """The type law on curves, and a census of two goodness questions.
 
-For a local curve ring R with maximal ideal m, the type of R is the length
-of (R : m)/R, read here as t = d(Γ(R : m) ∖ Γ_R).  R is Gorenstein, that
+For a local curve ring R with maximal ideal m (the built-in module m), the
+type of R is the length of (R : m)/R, read by ``curves.type_of`` as
+t = d(Γ(R : m) ∖ Γ_R).  R is Gorenstein, that
 is t = 1, iff Γ_R is symmetric (Kunz 1970 for one branch, Delgado 1988
 for several).  On value semigroups S = Γ_R and M = Γ_m = S ∖ {0}, the
 difference S − M holds Γ(R : m), so t ≤ d((S − M) ∖ S) wherever S − M is
@@ -32,9 +33,10 @@ def _poly(terms) -> str:
     return " + ".join(f"{c}*t^{e}" for e, c in sorted(terms.items())) or "0"
 
 
-def _spec(s: int, ring: str):
-    """The curve with ring generators ``ring`` and the module m they generate."""
-    return curves.parse_curve(f"branches: {s}\nring: {ring}\nmodule m: {ring}\n")
+def _spec(s: int, ring: str, file_m: bool = False):
+    """The curve with ring generators ``ring``, and with a file module m
+    they generate, which shadows the built-in m, if ``file_m``."""
+    return curves.parse_curve(f"branches: {s}\nring: {ring}\n" + (f"module m: {ring}\n" if file_m else ""))
 
 
 def _ring_text(gens) -> str:
@@ -67,7 +69,8 @@ def _law(spec):
     top = tuple(g + 1 for g in S.gamma)
     zero = (0,) * spec.s
     assert M == IdealFrame.from_points(set(S.members_in_box(zero, top)) - {zero}, top)
-    t = relative_distance(S, curves.colon_value_ideal(spec, "R", "m"))
+    t = curves.type_of(spec)
+    assert t == relative_distance(S, curves.colon_value_ideal(spec, "R", "m"))
     assert (t == 1) == is_symmetric(S), (t, spec)
     SM = difference(S, M)
     if validate(SM, S).ok:
@@ -88,15 +91,53 @@ def test_type_of_monomial_curves(gens, want):
 
 
 def _fixture_spec(fixture_dir):
-    text = (fixture_dir / "not_good_difference.curve").read_text()
-    ring = next(ln for ln in text.splitlines() if ln.startswith("ring:"))
-    return curves.parse_curve(text + f"module m:{ring[len('ring:'):]}\n")
+    return curves.parse_curve((fixture_dir / "not_good_difference.curve").read_text())
 
 
 def test_not_good_difference_fixture_has_type_3(fixture_dir):
     S, M, SM, t = _law(_fixture_spec(fixture_dir))
     assert t == 3 and not is_symmetric(S)
     assert not validate(SM, S).ok  # the fixture's reason to be
+
+
+def test_a_file_module_m_gives_the_built_in_answers(rng):
+    # a file module m generated by the ring generators, which have no
+    # constant terms, shadows the built-in m: it must have the same integer
+    # generators, cleared to primitive terms, and give the same Γ_m,
+    # Γ(R : m) and type, each on its own store
+    checked = 0
+    while checked < 12:
+        draw = _draw(rng)
+        if draw is None:
+            continue
+        built_in, from_file = _spec(*draw), _spec(*draw, file_m=True)
+        try:
+            want = curves.value_ideal(built_in, "m")
+        except (FrameError, TruncationError):  # the precheck or the bootstrap
+            continue
+        assert curves._gens(built_in, "m") == curves._gens(from_file, "m")
+        assert curves.value_ideal(from_file, "m") == want
+        assert curves.colon_value_ideal(from_file, "R", "m") == curves.colon_value_ideal(built_in, "R", "m")
+        assert curves.type_of(from_file) == curves.type_of(built_in)
+        checked += 1
+
+
+def test_built_in_m_drops_the_constant_terms():
+    # m is generated by the g - c_g; a constant generator gives none
+    spec = curves.parse_curve("branches: 2\nring: (2 + t^2, 2 + t) ; (t^3, t^2) ; (3, 3)\n")
+    assert curves._gens(spec, "m") == ((((2, 1),), ((1, 1),)), (((3, 1),), ((2, 1),)))
+    S, M = curves.value_ideal(spec), curves.value_ideal(spec, "m")
+    top = tuple(g + 1 for g in S.gamma)
+    assert M == IdealFrame.from_points(set(S.members_in_box((0, 0), top)) - {(0, 0)}, top)
+    assert curves.type_of(spec) == 1 and is_symmetric(S)
+
+
+def test_built_in_m_is_refused_on_a_semilocal_ring():
+    spec = curves.parse_curve("branches: 3\nring: (t, t, t) ; (1 + t, 1 + t^2, t^3)\n")
+    with pytest.raises(FrameError, match=r"'m' needs a local ring, but ring generator \(1 \+ t, 1 \+ t\^2, t\^3\) "
+                       r"has constant terms 1 on branch 0, 1 on branch 1, 0 on branch 2"):
+        curves.type_of(spec)
+    curves.value_ideal(spec)  # the ring itself has a conductor
 
 
 def test_type_law_and_goodness_census_on_random_curves(rng, fixture_dir):
