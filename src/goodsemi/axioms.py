@@ -189,7 +189,7 @@ def _exchange_tables(E: IdealFrame):
     return grid, [_folds(_suffix_or_strict(grid.bits, shape, j), shape, _suffix_or) for j in range(E.s)]
 
 
-def _e2_holds(E: IdealFrame, built=None) -> bool:
+def _e2_holds(E: IdealFrame, built) -> bool:
     """Decide (E2) by suffix sweeps of the frame bitmap.
 
     For frame points p != q with p_j = q_j and min m, both equal m on every
@@ -203,9 +203,9 @@ def _e2_holds(E: IdealFrame, built=None) -> bool:
     run on the frame embedded in the table grid, whose top slices are
     empty; a strict suffix leaves them empty, so no crop is needed.
     Work: s * 3^(s-1) box passes.  ``built`` is E's
-    :func:`_exchange_tables`, when the caller has them.
+    :func:`_exchange_tables`.
     """
-    grid, tables = built or _exchange_tables(E)
+    grid, tables = built
     shape = grid.shape
     frame = grid.bits
     for ax in range(E.s):

@@ -438,7 +438,9 @@ def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> No
 
 def _checked_commit(s: int, commit: int, what: str) -> int:
     """``commit``, the commit order of ``what``, refused if the rerun at
-    commit + 2 exceeds the box limit."""
+    commit + 2 would scan more than the box limit: its box [0, commit]^s
+    is the largest a certified value set or colon scans, so this is the
+    one box test, made before any scan."""
     if (commit + 1) ** s > ideals.MAX_CELLS:
         raise TruncationError(f"{what} commits at truncation {commit}, but the rerun at {commit + 2} scans "
                               f"[0, {commit}]^{s}, of {(commit + 1) ** s} cells, over the box limit of "
@@ -449,43 +451,30 @@ def _checked_commit(s: int, commit: int, what: str) -> int:
 def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
     """The commit order of the module generated by ``gens`` (see :func:`_value`)."""
     s, tried, notes = spec.s, [], []
-
-    def fits(n: int) -> bool:
-        return (n - 1) ** s <= ideals.MAX_CELLS
-
-    top = 8  # the last of 8, 16, ..., 512 whose scan box fits the box limit
-    while top < 512 and fits(2 * top):
-        top *= 2
-    N = rule = 8
-    if not fits(N):
-        raise TruncationError(f"no truncation fits the box limit: the first, {N}, has scan box [0, {N - 2}]^{s} "
-                              f"of {(N - 1) ** s} cells, over the box limit of {ideals.MAX_CELLS} cells")
-    while fits(N):
+    N = 8
+    while True:
         tried.append(N)
         B, c = _span(spec, gens, N)  # at N, unless a higher span is held
+        commit = max(g + max(3, x) for g, x in zip(c, e))
         if B.N in c:
             notes.append(f"the precheck refused truncation {B.N}: "
                          f"the span misses t^{B.N - 1} on branch {c.index(B.N)}")
             rule = 1 << N.bit_length()  # the next of 8, 16, 32, ...
-        elif (commit := max(g + max(3, x) for g, x in zip(c, e))) <= N:
+        elif commit <= N:
             return _checked_commit(s, commit, f"the candidate conductor {c}")
         else:
             notes.append(f"the certificate refused truncation {N}: the candidate conductor {c} needs truncation {commit}")
-            rule = commit + 2 if N == top else min(max(commit + 2, N + N // 4), 2 * N)
-        if N < top:
-            N = min(rule, top)
-        elif N == top and N not in c:
+            rule = commit + 2 if N == 512 else min(max(commit + 2, N + N // 4), 2 * N)
+        refused = f"no stable conductor at truncations {', '.join(map(str, tried))}; " + "; ".join(notes)
+        _checked_commit(s, commit, f"{refused}; the least conductor they allow, {c},")
+        if N < 512:
+            N = min(rule, 512)
+        elif N == 512 and N not in c:
             N = rule
         else:
             break
-    if fits(rule):
-        if top == 512:
-            notes.append("the probes stop at their ceiling of 512, and the conductor may lie past it")
-        notes.append(f"is the ring really a curve with {s} branch{'es' if s > 1 else ''}?")
-    else:
-        notes.insert(0, f"truncation {rule} was not tried, as its scan box [0, {rule - 2}]^{s} exceeds "
-                     f"the box limit of {ideals.MAX_CELLS} cells")
-    raise TruncationError(f"no stable conductor at truncations {', '.join(map(str, tried))}; " + "; ".join(notes))
+    raise TruncationError(f"{refused}; the probes stop at their ceiling of 512, and the conductor may lie past it; "
+                          f"is the ring really a curve with {s} branch{'es' if s > 1 else ''}?")
 
 
 def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
@@ -505,20 +494,16 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     span, held within [N + N // 4, 2N] so that orders grow geometrically
     and a far-off candidate cannot overshoot gamma by much.
 
-    Every step is clamped to top, the last of 8, 16, ..., 512 whose scan
-    box [0, top - 2]^s fits the box limit, so the bootstrap always reaches
-    the last order that doubling from 8 reaches.  Past top only a
-    candidate found at top steps, once, to its commit + 2, where it
-    commits if gamma < top, as then c = gamma already at top.  The bootstrap
-    ends when the rule gives no further order, or one whose scan box
-    exceeds the box limit, so a ring with no conductor is refused at top,
-    naming each order tried and the check that refused it.  So is a ring
-    whose conductor lies past the ceiling of 512, such as Q[[t^100000,
-    t^100001]], and when the probes end there the refusal says that the
-    conductor may lie past them.  When not even 8 fits, the refusal names
-    8 and its box.  A candidate commits only if the rerun's box
-    [0, commit]^s fits too; else it is refused, naming that box, before
-    any scan.
+    Every step is clamped to the ceiling 512.  Past it only a candidate
+    found at 512 steps, once, to its commit + 2, where it commits if
+    gamma < 512, as then c = gamma already at 512.  So a ring with no
+    conductor, or one whose conductor lies past the ceiling, such as
+    Q[[t^100000, t^100001]], is refused there, naming each order tried,
+    the check that refused it, and that the conductor may lie past it.
+    Every probe's commit is tested against the box limit: as c <= gamma,
+    no conductor the probe allows commits lower, so a rerun box
+    [0, commit]^s over the limit is refused at once, before any scan,
+    and a module whose own rerun box fits is never refused for its box.
 
     Certificate (:func:`_certify`): the span at an order N_c >= c + e
     holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A
@@ -606,7 +591,8 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     N is a ring map taking the colon at N + 2 onto the colon at N, as
     both are the preimages of t^p·K under multiplication by E, and its
     kernel holds only positions at or above N, so it lies in every
-    filtration level of the box (see :class:`_Store`).
+    filtration level of the box (see :class:`_Store`).  The rerun's box
+    [0, N]^s is tested against the box limit before the colon is solved.
 
     The result is certified: it must pass the good-ideal axioms and lie
     in Γ_K - Γ_E, or NotCertifiedError names the check, K, E and N.
@@ -619,6 +605,7 @@ def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
     gamma_K, bound = GK.conductor, difference(GK, GE)
     poles = tuple(max(0, -m) for m in bound.mu)
     N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
+    _checked_commit(spec.s, N, f"colon {K!r} : {E!r}")
     B = colon_solution_basis(ring, _span(spec, K_gens, N + 2)[0], E_gens, gamma_K, poles, N + 2)
     Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
     if Ga != Gb:

@@ -157,11 +157,11 @@ def monomial_tail(basis: ModuleBasis) -> Point:
     return tuple(tail)
 
 
-def require_monomials(basis: ModuleBasis, lo: Point, what: str, tail: Point | None = None) -> None:
-    """Refuse unless the :func:`monomial_tail` is at most lo, naming the least t^k missing;
-    ``tail``, when given, is the basis's monomial tail, already read."""
+def require_monomials(basis: ModuleBasis, lo: Point, what: str, tail: Point) -> None:
+    """Refuse unless ``tail``, the basis's :func:`monomial_tail`, is at most lo,
+    naming the least t^k missing."""
     rows, N = basis.rows, basis.N
-    for i, (low, c) in enumerate(zip(lo, tail or monomial_tail(basis))):
+    for i, (low, c) in enumerate(zip(lo, tail)):
         if c > low:
             k = next(k for k in range(low, c) if len(rows.get(i * N + k, ())) != 1)
             raise TruncationError(f"{what} misses t^{k} on branch {i}: "
@@ -348,7 +348,7 @@ def colon_solution_basis(
         raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
     _check_branches(s, E_gens, "generator of E")
     _check_branches(s, ring_gens, "ring generator")
-    require_monomials(K_basis, gamma_K, "left module")
+    require_monomials(K_basis, gamma_K, "left module", monomial_tail(K_basis))
 
     # t^poles·K mod t^N is the monomials {p: 1} at or above free =
     # gamma_K + poles and K's rows with pivot below gamma_K, re-keyed from

@@ -6,10 +6,12 @@ Run from the repository root:
     python -W error tests/smoke.py
 
 It reads every committed frame JSON fixture and checks that writing it
-back gives the same bytes, then runs ``curve-gamma``, ``colon`` and
-``length`` on ``tests/fixtures/twobranch.curve`` through the CLI and
-checks the colon against the lattice difference of the two value sets
-and the length of Rbar / R against the relative distance of theirs.
+back gives the same bytes, then runs ``curve-gamma``, ``colon``,
+``length`` and ``type`` on ``tests/fixtures/twobranch.curve`` through
+the CLI and checks the colon against the lattice difference of the two
+value sets, the length of Rbar / R against the relative distance of
+theirs, and the type against the relative distance of the value sets of
+R and of R : m, with its symmetry verdict against ``is_symmetric``.
 Last it runs ``distance`` on ``tests/fixtures/corner_s.json`` and
 ``rel-distance`` on the value sets of R and Rbar, and checks both
 against the library.  Exits nonzero on the first failure.
@@ -24,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from goodsemi import difference, distance_between, from_json, relative_distance, to_json  # noqa: E402
+from goodsemi import difference, distance_between, from_json, is_symmetric, relative_distance, to_json  # noqa: E402
 
 CURVE = ROOT / "tests" / "fixtures" / "twobranch.curve"
 CORNER = ROOT / "tests" / "fixtures" / "corner_s.json"
@@ -63,6 +65,11 @@ def main() -> None:
     Rbar = from_json(cli("curve-gamma", str(CURVE), "--module", "Rbar"))
     if int(run("length", str(CURVE), "Rbar", "R")) != relative_distance(R, Rbar):
         sys.exit("length Rbar / R differs from the relative distance of the value sets")
+    t = relative_distance(R, from_json(cli("colon", str(CURVE), "R", "m")))
+    want = f"type: {t}\nsymmetric: {str(is_symmetric(R)).lower()}\n"
+    got = run("type", str(CURVE))
+    if got != want:
+        sys.exit(f"type: expected {want!r} from the colon R : m and is_symmetric, got {got!r}")
     S = from_json(CORNER.read_text(encoding="utf-8"))
     if int(run("distance", str(CORNER), "0,0", "5,3")) != distance_between(S, (0, 0), (5, 3)):
         sys.exit("distance from 0,0 to 5,3 on corner_s.json differs from the library")
@@ -72,7 +79,7 @@ def main() -> None:
             path.write_text(to_json(G), encoding="utf-8")
         if int(run("rel-distance", *map(str, paths))) != relative_distance(R, Rbar):
             sys.exit("rel-distance of the value sets of R and Rbar differs from the library")
-    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon and length on {CURVE.name}; "
+    print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon, length and type on {CURVE.name}; "
           f"distance and rel-distance")
 
 

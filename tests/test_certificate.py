@@ -42,34 +42,45 @@ def test_ring_without_conductor_fails_at_the_precheck(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, tried, last",
+    "ring, tried, last, box",
     [
+        # the precheck refuses 8 and 16, so the conductor is at least 16
+        # and commits at 16 + e = 20 or above, whose rerun box [0, 20]
+        # exceeds the box limit
         pytest.param("(t^4) ; (t^6 + t^7)", "8, 16",
                      "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the precheck refused truncation 16: the span misses t^15 on branch 0",
+                     "the least conductor they allow, (16,), commits at truncation 20, but the rerun at 22 "
+                     "scans [0, 20]^1, of 21 cells",
                      id="(t^4) ; (t^6 + t^7)-precheck"),
         # the precheck refuses 8; t^15 is in the span at 16 and t^14 is
-        # not: the candidate 15 needs 15 + e = 24, and 26 is beyond the box limit
+        # not: the candidate 15 needs 15 + e = 24, whose rerun box [0, 24]
+        # exceeds the box limit
         pytest.param("(t^9) ; (t^15) ; (t^16)", "8, 16",
                      "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the certificate refused truncation 16: the candidate conductor (15,) needs truncation 24",
+                     "the least conductor they allow, (15,), commits at truncation 24, but the rerun at 26 "
+                     "scans [0, 24]^1, of 25 cells",
                      id="(t^9) ; (t^15) ; (t^16)-certificate"),
         # the precheck refuses 8; 12..15 are values, 16 is not: the
         # candidate 12 needs 18, so 20 is tried, where the candidate 17
-        # needs 23, and 25 is not tried
+        # needs 23, whose rerun box [0, 23] exceeds the box limit
         pytest.param("(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)", "8, 16, 20",
                      "the precheck refused truncation 8: the span misses t^7 on branch 0; "
                      "the certificate refused truncation 16: the candidate conductor (12,) needs truncation 18; "
                      "the certificate refused truncation 20: the candidate conductor (17,) needs truncation 23",
+                     "the least conductor they allow, (17,), commits at truncation 23, but the rerun at 25 "
+                     "scans [0, 23]^1, of 24 cells",
                      id="(t^6) ; (t^13) ; (t^14) ; (t^15) ; (t^17)-certificate"),
     ],
 )
-def test_error_names_the_check_that_refused_the_last_order(monkeypatch, ring, tried, last):
+def test_error_names_the_check_that_refused_the_last_order(monkeypatch, ring, tried, last, box):
     monkeypatch.setattr(curves.ideals, "MAX_CELLS", 20)
     with pytest.raises(TruncationError, match=rf"^no stable conductor at truncations {tried}; ") as exc:
         value_ideal(parse_curve(f"branches: 1\nring: {ring}\n"), "R")
-    # every order tried is listed with the check that refused it, the last one last
-    assert str(exc.value).endswith("box limit of 20 cells; " + last)
+    # every order tried is listed with the check that refused it, the last
+    # one last, then the box test that ended the probes
+    assert str(exc.value).endswith(f"{last}; {box}, over the box limit of 20 cells")
 
 
 def test_certificate_needs_n_at_least_gamma_plus_e():
@@ -78,7 +89,8 @@ def test_certificate_needs_n_at_least_gamma_plus_e():
     spec = parse_curve("branches: 1\ntruncation: 11\nring: (t^4) ; (t^5)\n")
     gens = curves._gens(spec, "R")
     assert curves._scan(span_module(spec, "R", 11), 11, "conductor").conductor == (8,)
-    modules.require_monomials(span_module(spec, "R", 11), (8,), "R")
+    B = span_module(spec, "R", 11)
+    modules.require_monomials(B, (8,), "R", modules.monomial_tail(B))
     with pytest.raises(TruncationError, match=r"below γ \+ e = \(12,\)"):
         curves._certify(spec, gens, (8,), (4,), 11)
     with pytest.raises(TruncationError, match=r"truncation 11 is below γ \+ e = \(12,\) .* \(8,\)"):

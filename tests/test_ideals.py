@@ -597,7 +597,7 @@ def test_axiom_scans_match_oracles_on_failing_and_passing_sets(rng):
         assert set(rep.e2_failures) == set(bad)
         # the sweeps alone, which also decide whether witnesses are listed
         assert axioms._e1_holds(E) == rep.e1_ok
-        assert axioms._e2_holds(E) == rep.e2_ok
+        assert axioms._e2_holds(E, axioms._exchange_tables(E)) == rep.e2_ok
         seen["e1"][rep.e1_ok] += 1
         seen["e2"][rep.e2_ok] += 1
     # [failing, passing] per axiom: both sides must be exercised

@@ -300,7 +300,7 @@ def test_monomial_membership_by_pivot_lookup(curve_spec):
                 lo = tuple(low if k == i else N for k in range(s))
                 want = all(_reduces_to_zero(B, {i * N + e: 1}) for e in range(low, N))
                 try:
-                    modules.require_monomials(B, lo, module)
+                    modules.require_monomials(B, lo, module, modules.monomial_tail(B))
                     got = True
                 except TruncationError as exc:
                     assert f"{module} misses t^" in str(exc)
@@ -321,13 +321,20 @@ def _counting(monkeypatch):
 
 
 def test_bootstrap_stops_before_an_oversized_scan_box(monkeypatch):
-    built, _ = _counting(monkeypatch)
+    # (t, t) has no conductor: the precheck refuses 8, ..., 64, so the
+    # conductor is at least (64, 64) and commits at 67 or above, whose
+    # rerun box [0, 67]^2 exceeds the limit; the probes stop there, by proof
+    built, scanned = _counting(monkeypatch)
     monkeypatch.setattr(ideals, "MAX_CELLS", 40 * 40)
     spec = parse_curve("branches: 2\nring: (t, t)\n")
-    with pytest.raises(TruncationError, match=r"truncations 8, 16, 32; truncation 64 was not tried") as exc:
+    with pytest.raises(TruncationError, match=r"^no stable conductor at truncations 8, 16, 32, 64; ") as exc:
         value_ideal(spec, "R")
-    assert "box limit of 1600 cells" in str(exc.value)
-    assert built and max(built) < 64
+    assert str(exc.value).endswith(
+        "the precheck refused truncation 64: the span misses t^63 on branch 0; the least conductor they allow, "
+        "(64, 64), commits at truncation 67, but the rerun at 69 scans [0, 67]^2, of 4624 cells, over the box "
+        "limit of 1600 cells"
+    )
+    assert built == [8, 16, 32, 64] and scanned == []
 
 
 @pytest.mark.parametrize(
@@ -389,6 +396,63 @@ def test_an_explicit_truncation_whose_rerun_box_fits_is_still_scanned(monkeypatc
     assert G.conductor == (28, 10) and sorted(scanned) == [31, 33]
 
 
+def test_the_box_limit_refuses_exactly_the_modules_whose_rerun_box_exceeds_it(monkeypatch, rng):
+    # need = (commit + 1)^s, the cells of the rerun box of a run under the
+    # real limit: under a limit of need or more the module certifies as
+    # there, with the same spans, and under a smaller one it is refused,
+    # naming the limit, before any scan (a box test on commit - 1 lets
+    # need - 1 through to a scan)
+    from test_type_law import _draw
+
+    built, scanned = _counting(monkeypatch)
+    real, checked = ideals.MAX_CELLS, 0
+    while checked < 30:
+        draw = _draw(rng)
+        if draw is None:
+            continue
+        s, ring = draw
+        text = f"branches: {s}\nring: {ring}\n"
+        for module in ("R", "m"):
+            monkeypatch.setattr(ideals, "MAX_CELLS", real)
+            del built[:], scanned[:]
+            try:
+                want = value_ideal(parse_curve(text), module)
+            except (FrameError, TruncationError):  # the precheck or the bootstrap
+                break
+            spans, need = built[:], (min(scanned) + 1) ** s
+            for limit in (need - 1, need, need + 1, 2 * need, 7 ** s):
+                monkeypatch.setattr(ideals, "MAX_CELLS", limit)
+                del built[:], scanned[:]
+                spec = parse_curve(text)
+                if limit >= need:
+                    assert value_ideal(spec, module) == want and built == spans, (text, module, limit)
+                else:
+                    with pytest.raises(TruncationError, match=f"over the box limit of {limit} cells$"):
+                        value_ideal(spec, module)
+                    assert scanned == [], (text, module, limit)
+        else:
+            checked += 1
+
+
+def test_colon_is_refused_before_it_is_solved_when_its_rerun_box_exceeds_the_limit(monkeypatch, curve_spec):
+    # K0 : E on twobranch is read at N = 7 and rerun at 9 over [0, 7]^2,
+    # 64 cells; its value sets are certified first, under the real limit
+    spec = parse_curve(dumps_curve(curve_spec))
+    want = colon_value_ideal(parse_curve(dumps_curve(curve_spec)), "K0", "E")
+    for module in ("K0", "E"):
+        value_ideal(spec, module)
+    solved, real = [], curves.colon_solution_basis
+    monkeypatch.setattr(curves, "colon_solution_basis", lambda *args: solved.append(args[-1]) or real(*args))
+    monkeypatch.setattr(ideals, "MAX_CELLS", 63)
+    with pytest.raises(TruncationError) as exc:
+        colon_value_ideal(spec, "K0", "E")
+    assert str(exc.value) == ("colon 'K0' : 'E' commits at truncation 7, but the rerun at 9 scans [0, 7]^2, "
+                              "of 64 cells, over the box limit of 63 cells")
+    assert solved == []
+    monkeypatch.setattr(ideals, "MAX_CELLS", 64)
+    assert colon_value_ideal(spec, "K0", "E") == want and solved == [9]
+
+
 def _smooth_branches(s):
     """s smooth branches, (t, 0, ..., 0) ; ... ; (0, ..., 0, t): the value
     set is {0} and (1, ..., 1) + N^s."""
@@ -397,38 +461,38 @@ def _smooth_branches(s):
 
 
 def test_seven_smooth_branches_commit_at_order_8(monkeypatch):
-    # [0, 14]^7 exceeds the box limit, [0, 6]^7 does not: order 8 is
-    # the only one of 8, 16, ... whose scan box fits, and it commits at 4
+    # the span at 8 has the candidate (1, ..., 1), which commits at 4,
+    # whose rerun box [0, 4]^7 fits the box limit
     built, scanned = _counting(monkeypatch)
     G = value_ideal(parse_curve(_smooth_branches(7)), "R")
     assert G.conductor == (1,) * 7 and G.frame_sorted == ((0,) * 7, (1,) * 7)
     assert built == [8] and sorted(scanned) == [4, 6]
 
 
-def test_no_order_fits_the_box_limit_for_nine_branches(monkeypatch):
-    built, _ = _counting(monkeypatch)
-    with pytest.raises(TruncationError) as exc:
-        value_ideal(parse_curve(_smooth_branches(9)), "R")
-    assert str(exc.value) == (
-        "no truncation fits the box limit: the first, 8, has scan box [0, 6]^9 "
-        f"of {7 ** 9} cells, over the box limit of {ideals.MAX_CELLS} cells"
-    )
-    assert built == []
+def test_a_commit_box_that_fits_certifies_though_the_first_probes_scan_box_does_not(monkeypatch):
+    # the scan box of order 8, [0, 6]^3, has 343 cells, over a limit of
+    # 200, but a probe only builds a span: the span at 8 has the candidate
+    # (1, 1, 1), which commits at 4, whose rerun box [0, 4]^3 has 125
+    built, scanned = _counting(monkeypatch)
+    monkeypatch.setattr(ideals, "MAX_CELLS", 200)
+    G = value_ideal(parse_curve(_smooth_branches(3)), "R")
+    assert G.conductor == (1,) * 3 and G.frame_sorted == ((0,) * 3, (1,) * 3)
+    assert built == [8] and sorted(scanned) == [4, 6]
 
 
 @pytest.mark.parametrize(
     "ring, cells, conductor, spans, scans",
     [
-        # <6, 9, 10>, conductor 24, e = 6, with 32 the last of 8, 16, 32, ...
-        # whose scan box fits: the precheck refuses 8, the candidates at 16,
-        # 23 and 28 need 21, 24 and 30, and the step from 28 to 35 is
-        # clamped to 32, where 30 commits
-        pytest.param("branches: 1\nring: (t^6) ; (t^9) ; (t^10)\n", 32, (24,), [8, 16, 23, 28, 32], [30, 32],
+        # <6, 9, 10>, conductor 24, e = 6: the precheck refuses 8, the
+        # candidates at 16, 23 and 28 need 21, 24 and 30, and 35, the step
+        # from 28, commits at 30, whose rerun box [0, 30] fits 32 cells,
+        # though the scan box of 35 would not
+        pytest.param("branches: 1\nring: (t^6) ; (t^9) ; (t^10)\n", 32, (24,), [8, 16, 23, 28, 35], [30, 32],
                      id="certificate-step"),
         # <3, 14> x <2, 3>, conductor (26, 2): the precheck refuses 8, the
         # candidate 14 at 16 needs 17, so 20 is next, where t^19 is missing;
-        # the precheck's step goes to 32, not 40, whose scan box exceeds the
-        # limit, and 32 commits at 29
+        # the precheck's step goes back to 32, not 40, and 32 commits at 29,
+        # whose rerun box [0, 29]^2 fits 1000 cells
         pytest.param("branches: 2\nring: (1, 0) ; (0, 1) ; (t^3, t^2) ; (t^14, t^3)\n", 1000, (26, 2),
                      [8, 16, 20, 32], [29, 31], id="precheck-step"),
     ],
