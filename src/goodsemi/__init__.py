@@ -32,7 +32,6 @@ _HOME = {
             "MetricError",
             "NotCertifiedError",
             "ParseError",
-            "PoleBoundError",
             "TruncationError",
         ),
         "lattice": ("Point", "add", "as_point", "cmax", "cmin", "leq", "lt", "sub"),

@@ -259,7 +259,7 @@ COMMANDS = {
     "gamma-of": (_cmd_gamma_of, "conductor and capping bound of a frame", _arg("ideal")),
     "curve-gamma": (_cmd_curve_gamma, "value semigroup ideal of a curve module", _arg("curve"),
                     _arg("--module", default="R"), _OUTPUT),
-    "colon": (_cmd_colon, "value ideal of a colon module K : E", _arg("curve"), _arg("left"), _arg("right"),
+    "colon": (_cmd_colon, "value ideal of a colon module F : E", _arg("curve"), _arg("left"), _arg("right"),
               _OUTPUT),
     "length": (_cmd_length, "Q-dimension of F/E for nested curve modules", _arg("curve"), _arg("larger"),
                _arg("smaller")),

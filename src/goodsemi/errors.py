@@ -46,10 +46,6 @@ class TruncationError(GoodsemiError):
     """A power-series computation could not be trusted at the working order."""
 
 
-class PoleBoundError(GoodsemiError):
-    """A colon computation hit its pole window boundary."""
-
-
 class ParseError(GoodsemiError, ValueError):
     """A text input failed to parse; carries position info for diagnostics.
 

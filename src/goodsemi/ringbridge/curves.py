@@ -20,13 +20,14 @@ branch, has no conductor and is refused up front.  An explicit
 nor the rerun.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
-rings), ``C`` (the conductor module t^gamma * Rbar) and ``m`` (the
-maximal ideal of a local ring) are built in; names defined in the file
-shadow them.  Rbar and C each have Σe_i generators, t^k·ε_i and
-t^(gamma_i + k)·ε_i for 0 <= k < e_i, ε_i the idempotent of branch i
-(see :func:`_gens`); only C needs the ring's value set.  m is generated
-by the g - c_g, c_g the constant term of ring generator g, and
-:func:`type_of` reads the type t(R) = ℓ((R : m)/R) off it.
+rings), ``C`` (the conductor module t^gamma * Rbar), ``m`` (the maximal
+ideal of a local ring) and ``K`` (the canonical module t^gamma·ω_R) are
+built in; names defined in the file shadow them.  Rbar and C each have
+Σe_i generators, t^k·ε_i and t^(gamma_i + k)·ε_i for 0 <= k < e_i, ε_i
+the idempotent of branch i (see :func:`_gens`); C and K need the ring's
+value set.  m is generated by the g - c_g, c_g the constant term of ring
+generator g, and :func:`type_of` reads the type t(R) = ℓ((R : m)/R) off
+it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .modules import (
     colon_solution_basis,
     monomial_tail,
     require_monomials,
+    residue_dual,
     span_basis,
     value_semigroup_ideal,
 )
@@ -306,24 +308,34 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
     P(g) lies in the ideal generated by the g - c_g.  A semilocal ring
     has no one maximal ideal, and m is refused, naming a generator and
     its constant term on each branch.
+
+    K = t^gamma·ω_R, ω_R the regular differentials, is generated by the
+    rows below gamma of :func:`modules.residue_dual` of R's span at gamma,
+    and by C's generators.  Proof: ω_R ⊇ Rbar, as a residue of a power
+    series is zero, so K ⊇ C, and K is the Q-span of those rows plus C.
     """
     named = spec._store.named
     if name in named:
         return named[name]
     if name == "m":
         named[name] = tuple(_maximal_ideal(spec))
-    elif name in ("Rbar", "C"):
-        e = _radical_orders(spec)
-        lift = value_ideal(spec, "R").conductor if name == "C" else (0,) * spec.s
-        named[name] = tuple(
-            tuple(((lift[i] + k, 1),) if b == i else () for b in range(spec.s))
-            for i in range(spec.s)
-            for k in range(e[i])
+    elif name in ("Rbar", "C", "K"):
+        s, e = spec.s, _radical_orders(spec)
+        lift = (0,) * s if name == "Rbar" else value_ideal(spec, "R").conductor
+        gens = tuple(
+            tuple(((lift[i] + k, 1),) if b == i else () for b in range(s)) for i in range(s) for k in range(e[i])
         )
+        if name == "K":
+            N = max(lift) + 1
+            D = residue_dual(_span(spec, _gens(spec, "R"), N)[0], lift, (0,) * s, N)
+            low = (row for p, row in D.rows.items() if p % N < lift[p // N])
+            gens = tuple(tuple(tuple((q % N, x) for q, x in sorted(r.items()) if q // N == i) for i in range(s))
+                         for r in low) + gens
+        named[name] = gens
     else:
         raise FrameError(
             f"unknown module {name!r}; file defines {spec.module_names()!r}, "
-            "built-ins are R, Rbar, C, m"
+            "built-ins are R, Rbar, C, m, K"
         )
     return named[name]
 
@@ -344,9 +356,10 @@ def _maximal_ideal(spec: CurveSpec):
 
 def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
     """Generators for a named module; file names shadow the built-ins
-    R, Rbar, C and m, whose generators :func:`_gens` gives: 1 for R,
-    t^k·ε_i for Rbar and t^(gamma_i + k)·ε_i for C, 0 <= k < e_i, and the
-    nonzero g - c_g for m."""
+    R, Rbar, C, m and K, whose generators :func:`_gens` gives: 1 for R,
+    t^k·ε_i for Rbar and t^(gamma_i + k)·ε_i for C, 0 <= k < e_i, the
+    nonzero g - c_g for m, and for K the residue dual of R below gamma
+    with C's."""
     return dict(spec.modules).get(name) or tuple(map(poly_vec, _gens(spec, name)))
 
 
@@ -569,52 +582,45 @@ def value_ideal(spec: CurveSpec, module: str = "R") -> IdealFrame:
     return _value(spec, _gens(spec, module))
 
 
-def colon_value_ideal(spec: CurveSpec, K: str, E: str) -> IdealFrame:
-    """Value semigroup ideal of the colon module K : E = {x : x*E ⊆ K}.
+def colon_value_ideal(spec: CurveSpec, F: str, E: str) -> IdealFrame:
+    """Value semigroup ideal of the colon module F : E = {x : x·E ⊆ F}.
 
-    The pole bound (how far below 0 solutions may reach) is proven, not
-    guessed.  For x in K : E and a regular e in E (a nonzerodivisor, so
-    v(xe) = v(x) + v(e)), v(x) + v(e) = v(xe) lies in Γ_K; hence
-    Γ(K : E) ⊆ Γ_K - Γ_E, and P = max(0, -mu(Γ_K - Γ_E)) per branch bounds
-    the poles of every solution.  The pole window is P, and a solution on
-    its edge is legitimate.
-
-    The truncation N = max_i(γ_K,i + p_i + 2, γ_K,i - μ_E,i + p_i + 3),
-    p the poles, is proven too: t^(γ_K - μ_E)·Rbar·E ⊆ t^(γ_K)·Rbar ⊆ K,
-    so the colon's conductor is at most γ_K - μ_E, and after the shift by
-    p it lies strictly inside the scan box [0, N - 2]^s.  The result must
-    agree with a rerun two orders higher.
-
-    The colon is solved once, at N + 2, from K's held span, and its basis
-    B is scanned over [0, N - 2]^s and [0, N]^s.  Over the first box B
-    gives the values of the solution basis at N: truncation from N + 2 to
-    N is a ring map taking the colon at N + 2 onto the colon at N, as
-    both are the preimages of t^p·K under multiplication by E, and its
-    kernel holds only positions at or above N, so it lies in every
-    filtration level of the box (see :class:`_Store`).  The rerun's box
-    [0, N]^s is tested against the box limit before the colon is solved.
-
-    The result is certified: it must pass the good-ideal axioms and lie
-    in Γ_K - Γ_E, or NotCertifiedError names the check, K, E and N.
+    For x in F : E and a regular e in E, v(x) + v(e) = v(xe) lies in Γ_F,
+    so Γ(F : E) ⊆ Γ_F - Γ_E and every x has order_i(x) >= μ(Γ_F - Γ_E)_i.
+    It is solved by duality (:func:`modules.colon_solution_basis`) with
+    D = t^(γ_F)·(ω : F): t^(-μ_F)·Rbar·F ⊆ Rbar ⊆ ω gives
+    D ⊇ t^(γ_F - μ_F)·Rbar, and t^(γ_E)·Rbar ⊆ E then D·E ⊇ t^c·Rbar for
+    c = γ_F - μ_F + γ_E.  The solved t^(c - γ_F)·(F : E) has orders at
+    least a = cmax(0, μ(Γ_F - Γ_E) + γ_E - μ_F), and is read shifted down
+    by a, as Y = t^σ·(F : E), σ = γ_E - μ_F - a.  As
+    t^(γ_F - μ_E)·Rbar·E ⊆ F, Y ⊇ t^(σ + γ_F - μ_E)·Rbar, so its conductor
+    lies strictly inside [0, N - 2]^s for N = max_i(σ_i + γ_F,i - μ_E,i) + 3.
+    Y is solved once, at N + 2, and scanned over [0, N - 2]^s, where it has
+    the values of its span at N (see :class:`_Store`), and [0, N]^s; the
+    two must agree.  The rerun's box is tested against the box limit
+    before the colon is solved.  The result must pass the good-ideal
+    axioms and lie in Γ_F - Γ_E, or NotCertifiedError names the check, F,
+    E and N.
     """
     from ..duality import difference  # only the colon needs duality
 
-    GK = value_ideal(spec, K)
-    GE = value_ideal(spec, E)
-    K_gens, E_gens, ring = _gens(spec, K), _gens(spec, E), spec._store.ring
-    gamma_K, bound = GK.conductor, difference(GK, GE)
-    poles = tuple(max(0, -m) for m in bound.mu)
-    N = max(max(g + p + 2, g - m + p + 3) for g, m, p in zip(gamma_K, GE.mu, poles))
-    _checked_commit(spec.s, N, f"colon {K!r} : {E!r}")
-    B = colon_solution_basis(ring, _span(spec, K_gens, N + 2)[0], E_gens, gamma_K, poles, N + 2)
+    GF, GE = value_ideal(spec, F), value_ideal(spec, E)
+    bound = difference(GF, GE)
+    c = tuple(g - m + x for g, m, x in zip(GF.gamma, GF.mu, GE.gamma))
+    a = tuple(max(0, d + x - m) for d, x, m in zip(bound.mu, GE.gamma, GF.mu))
+    sigma = tuple(x - g - k for x, g, k in zip(c, GF.gamma, a))
+    N = max(d + g - m for d, g, m in zip(sigma, GF.gamma, GE.mu)) + 3
+    _checked_commit(spec.s, N, f"colon {F!r} : {E!r}")
+    F_basis = _span(spec, _gens(spec, F), max(GF.gamma) + 1)[0]
+    B = colon_solution_basis(spec._store.ring, F_basis, _gens(spec, E), GF.gamma, c, a, N + 2)
     Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
     if Ga != Gb:
         raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
-    G = Gb.shift(tuple(-p for p in poles))
-    what = f"colon {K!r} : {E!r} at truncation {N}"
+    G = Gb.shift(tuple(-d for d in sigma))
+    what = f"colon {F!r} : {E!r} at truncation {N}"
     require_good(G, f"{what} fails the good-ideal axioms")
     if not is_subset(G, bound):
-        raise NotCertifiedError(f"{what} fails the inclusion Γ(K : E) ⊆ Γ_K - Γ_E")
+        raise NotCertifiedError(f"{what} fails the inclusion Γ(F : E) ⊆ Γ_F - Γ_E")
     return G
 
 

@@ -23,21 +23,22 @@ under it by order, and drops the one of largest branch-i order, so every
 other row keeps its order: the line's dimension drops.
 
 Spans, value scans and colons all eliminate through the same two
-steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`: a colon's
-solutions are the rows whose products reduce to zero, read off one row
-reduction that carries each unknown as a tag, against t^poles·K read
-straight off K's rows (:func:`colon_solution_basis`).
+steps, :meth:`ModuleBasis._fully_reduce` and :func:`_cancel`.  A colon
+needs no elimination of its own: ω : M, ω the regular differentials, is
+the complement of M under the residue pairing, read in closed form off
+M's reduced echelon rows (:func:`residue_dual`), and F : E is
+ω : (E·(ω : F)) by duality (:func:`colon_solution_basis`).
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from ..errors import DimensionMismatch, FrameError, PoleBoundError, TruncationError
+from ..errors import DimensionMismatch, FrameError, NotCertifiedError, TruncationError
 from ..ideals import Box, IdealFrame, _box_shape, _interleave, _rows_to_bits
 from ..lattice import Point, as_point, zero
 
-__all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "colon_solution_basis"]
+__all__ = ["ModuleBasis", "span_basis", "value_semigroup_ideal", "residue_dual", "colon_solution_basis"]
 
 Row = dict[int, int]
 
@@ -310,99 +311,88 @@ def _file(bucket: dict, lo: int, end: int, rows) -> dict:
     return bucket
 
 
-def colon_solution_basis(
-    ring_gens: list, K_basis: ModuleBasis, E_gens: list, gamma_K: Point, poles: Point, N: int
-) -> ModuleBasis:
-    """Basis of t^poles * (K : E) = {x honest : x * E ⊆ t^poles * K} in
-    ∏ Q[t]/(t^N), from K's span at any order from N on (a higher N is refused).
+def residue_dual(basis: ModuleBasis, c: Point, a: Point, N: int) -> ModuleBasis:
+    """Basis of t^(c - a)·(ω : M) mod t^N for the module M ⊇ t^c·Rbar whose
+    span, of order at least max(c), is ``basis``, given t^c·(ω : M) ⊆
+    t^a·Rbar; ω = {x : Σ_i res(x_i·f_i) = 0 for all f in R}, the regular
+    differentials (Serre, *Algebraic Groups and Class Fields*, ch. IV).
 
-    Requires K ⊇ t^gamma_K * (full space) — checked by
-    :func:`require_monomials` — and N >= gamma_K + poles + 2 per branch,
-    so that positions the truncation cannot see are exactly the free
-    positions of the conductor.  Generators are integer terms only.  The
-    result is verified to be closed under the ring.
-
-    The kernel is read off one row reduction.  Each position var of x
-    gives the row (t^var·g_1 | ... | t^var·g_k | t^var) over the
-    generators g_j of E, in k + 1 blocks s·N wide with the tag block
-    last: pivots are minimal positions, so products are eliminated before
-    tags.  The product blocks are reduced against k disjoint copies of
-    the basis of t^poles·K, K's rows moved up by poles, then against the
-    rows kept so far while the lowest position is a product position
-    that a kept row owns.  A row left with a product position is kept;
-    otherwise its tag block is a colon element.  Row operations keep each
-    row equal to (x·g - w | x), w in t^poles·K; the tag at var stays
-    positive and kept rows hold only earlier tags, so the colon rows are
-    independent, s·N minus the rank in number: a basis, returned as its
-    unique reduced echelon basis of primitive rows.  A generator of E or
-    of the ring, ``gamma_K`` or ``poles`` without K's branch count is
-    refused by name.
+    As R·M = M, x lies in ω : M iff Σ_i res(x_i·y_i) = 0 for all y in M;
+    then x·t^c·Rbar ⊆ ω, and pairing with 1 in R gives z = t^c·x in Rbar.
+    res(x_i·y_i) is the coefficient of t^(c_i - 1) in z_i·y_i, so
+    t^c·(ω : M) is t^c·Rbar plus the complement of M mod t^c under
+    ⟨z, y⟩ = Σ_i Σ_(e<c_i) z_(i,e)·y_(i,c_i-1-e), the dot product after
+    the flip e -> c_i - 1 - e.  M mod t^c is spanned by the rows with pivot
+    below c: every position at or above c is the pivot of a unit row, which
+    no other row holds.  So the complement has one vector per free
+    position q below c, L·e_q - Σ_p (L·r_p[q]/r_p[p])·e_p over the rows r_p
+    holding q, L the lcm of their r_p[p]: orthogonal to every row, as no
+    row holds another's pivot, independent, and as many as the dimension.
+    Each is flipped to e -> c_i - a_i - 1 - e, t^(-a) times the flip; a
+    position pushed below zero breaks the bound a and is refused.
     """
-    s, M = K_basis.s, K_basis.N
-    for name, v in (("gamma_K", gamma_K), ("poles", poles)):
+    s, M = basis.s, basis.N
+    if M < max(c):
+        raise TruncationError(f"a span of order {M} does not reach the conductor {tuple(c)} of its residue dual")
+    low = {p: row for p, row in basis.rows.items() if p % M < c[p // M]}
+    holders: dict[int, list[int]] = {}
+    for p, row in low.items():
+        for q in row:
+            holders.setdefault(q, []).append(p)
+    out = ModuleBasis(s, N)
+    for q in (q for i in range(s) for q in range(i * M, i * M + c[i]) if q not in low):
+        ps = holders.get(q, ())
+        L = lcm(*(low[p][p] for p in ps))
+        flipped = {}
+        for pos, x in ((q, L), *((p, -L // low[p][p] * low[p][q]) for p in ps)):
+            b, e = divmod(pos, M)
+            if (f := c[b] - a[b] - 1 - e) < 0:
+                raise NotCertifiedError(f"the residue dual has order {c[b] - 1 - e} on branch {b}, "
+                                        f"below its bound {a[b]}")
+            if f < N:
+                flipped[b * N + f] = x
+        out._insert(flipped)
+    # the complement lies below c - a, so the monomials above stay unit rows
+    out.rows.update((p, {p: 1}) for i in range(s) for p in range(i * N + c[i] - a[i], (i + 1) * N))
+    return out
+
+
+def colon_solution_basis(
+    ring_gens: list, F_basis: ModuleBasis, E_gens: list, gamma_F: Point, c: Point, a: Point, N: int
+) -> ModuleBasis:
+    """Basis of t^(c - a - gamma_F)·(F : E) mod t^N, F : E = {x : x·E ⊆ F},
+    for the module F ⊇ t^gamma_F·Rbar whose span is ``F_basis`` (checked by
+    :func:`require_monomials`) and the module E that ``E_gens`` generate.
+
+    F : E = ω : (E·(ω : F)), as ω : (X·E) = (ω : X) : E and ω : (ω : F) = F
+    (Herzog and Kunz, LNM 238, 1971).  D = t^gamma_F·(ω : F) is F's
+    :func:`residue_dual`, and D·E mod t^c is the span P of D's rows times
+    the generators g_j of E, skipping the monomials of D at or above
+    c - μ_E, μ_E_i the least order of a g_j on branch i: their products
+    vanish mod t^c.  Given t^c·Rbar ⊆ D·E, t^(c - gamma_F)·(F : E) is P's
+    residue dual at c, read shifted down by ``a``.  Generators are integer
+    terms only, and a generator or bound without F's branch count is
+    refused by name.  A basis not closed under the ring is refused.
+    """
+    s, Nc = F_basis.s, max(c)
+    for name, v in (("gamma_F", gamma_F), ("c", c), ("a", a)):
         if len(v) != s:
-            raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of K")
-    if N > M:
-        raise TruncationError(f"colon order {N} is above the order {M} of K's span")
-    if any(g + p + 2 > N for g, p in zip(gamma_K, poles)):
-        raise TruncationError(f"truncation {N} too small for conductor {gamma_K} plus poles {poles}")
+            raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of F")
     _check_branches(s, E_gens, "generator of E")
     _check_branches(s, ring_gens, "ring generator")
-    require_monomials(K_basis, gamma_K, "left module", monomial_tail(K_basis))
-
-    # t^poles·K mod t^N is the monomials {p: 1} at or above free =
-    # gamma_K + poles and K's rows with pivot below gamma_K, re-keyed from
-    # order M to N and moved up by poles: those rows hold no position at
-    # or above gamma_K, each the pivot of a monomial row of K, so they
-    # lose nothing and, moved up, stay below free and reduced.  The
-    # monomials only delete a product entry: such entries are never
-    # built, a generator with no term below puts no condition on x, and
-    # only the rows below are copied once per block; disjoint copies of a
-    # reduced basis are reduced
-    free = [g + p for g, p in zip(gamma_K, poles)]
-    E = [g for g in E_gens if any(terms and terms[0][0] < f for terms, f in zip(g, free))]
-    width = s * N
-    tag = len(E) * width
-    shift = [i * (N - M) + p for i, p in enumerate(poles)]  # i·M + e to i·N + e + poles_i
-    low = [
-        (p + shift[p // M], {q + shift[q // M]: c for q, c in row.items()})
-        for p, row in K_basis.rows.items()
-        if p % M < gamma_K[p // M]
-    ]
-    target = ModuleBasis(s, N)
-    target.rows = {
-        j * width + p: {j * width + q: c for q, c in row.items()} for j in range(len(E)) for p, row in low
-    }
-    kept: dict[int, Row] = {}
-    out = ModuleBasis(s, N)
-    for var in range(width):
-        i, room = var // N, free[var // N] - var % N
-        v: Row = {}
-        for j, g in enumerate(E):
-            for eb, cb in g[i]:
-                if eb >= room:
-                    break
-                v[j * width + var + eb] = cb
-        v[tag + var] = 1
-        target._fully_reduce(v)
-        lead = min(v)
-        while lead < tag and lead in kept:
-            _cancel(v, kept[lead], lead)
-            lead = min(v)
-        if lead < tag:
-            _divide_content(v)
-            kept[lead] = v
-        else:
-            out._insert({p - tag: c for p, c in v.items()})
-    # closure under the ring action is automatic for a true colon module;
-    # failure means the pole window or the truncation clipped something
+    require_monomials(F_basis, gamma_F, "left module", monomial_tail(F_basis))
+    D = residue_dual(F_basis, gamma_F, zero(s), Nc)
+    top = [x - min((g[i][0][0] for g in E_gens if g[i]), default=x) for i, x in enumerate(c)]
+    P = ModuleBasis(s, Nc)
+    P.rows = {p: {p: 1} for i in range(s) for p in range(i * Nc + c[i], (i + 1) * Nc)}
+    for p, row in D.rows.items():
+        if p % Nc < top[p // Nc]:
+            for g in E_gens:
+                P._insert(_times(row, g, Nc))
+    out = residue_dual(P, c, a, N)
     for r in out.rows.values():
         for g in ring_gens:
-            prod = _times(r, g, N)
-            out._fully_reduce(prod)
-            if prod:
-                raise PoleBoundError(
-                    "colon solution space is not closed under the ring action; "
-                    "the pole window or the truncation is too small"
-                )
+            out._fully_reduce(v := _times(r, g, N))
+            if v:
+                raise NotCertifiedError("the colon's basis is not closed under the ring action")
     return out

@@ -12,6 +12,8 @@ the CLI and checks the colon against the lattice difference of the two
 value sets, the length of Rbar / R against the relative distance of
 theirs, and the type against the relative distance of the value sets of
 R and of R : m, with its symmetry verdict against ``is_symmetric``.
+It checks ``colon`` of the built-in canonical module K by E against
+``diff`` of the value sets that ``curve-gamma`` writes for K and E.
 Last it runs ``distance`` on ``tests/fixtures/corner_s.json`` and
 ``rel-distance`` on the value sets of R and Rbar, and checks both
 against the library.  Exits nonzero on the first failure.
@@ -79,8 +81,13 @@ def main() -> None:
             path.write_text(to_json(G), encoding="utf-8")
         if int(run("rel-distance", *map(str, paths))) != relative_distance(R, Rbar):
             sys.exit("rel-distance of the value sets of R and Rbar differs from the library")
+        paths = [Path(tmp) / "K.json", Path(tmp) / "E.json"]
+        for path, m in zip(paths, ("K", "E")):
+            path.write_text(cli("curve-gamma", str(CURVE), "--module", m), encoding="utf-8")
+        if cli("colon", str(CURVE), "K", "E") != cli("diff", *map(str, paths)):
+            sys.exit("colon K : E differs from diff of the value sets of the built-in K and of E")
     print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon, length and type on {CURVE.name}; "
-          f"distance and rel-distance")
+          f"colon K : E against diff; distance and rel-distance")
 
 
 if __name__ == "__main__":

@@ -224,21 +224,22 @@ def test_length_equals_distance_on_nested_pairs(name, curve_spec):
 
 
 def test_colon_outside_the_difference_is_refused_by_name(curve_spec, monkeypatch):
-    # a colon basis with one row too many, of the least value in the pole
-    # window outside Γ_K - Γ_E: the colon's certificate names the failed check
+    # a colon basis with one row too many, of the least value outside
+    # Γ_F - Γ_E that the basis of t^σ·(F : E) can hold (σ = c - a - γ_F):
+    # the scans, rerun and axioms pass, and the inclusion refuses it
     spec = parse_curve(dumps_curve(curve_spec))
     D = difference(value_ideal(spec, "K0"), value_ideal(spec, "E"))
-    poles = tuple(max(0, -m) for m in D.mu)
-    v = next(x for x in oracles.box([-p for p in poles], D.gamma) if x not in D)
     real = curves.colon_solution_basis
 
-    def one_row_too_many(ring, K_basis, E_gens, gamma_K, poles_, N):
-        B = real(ring, K_basis, E_gens, gamma_K, poles_, N)
-        B._insert({i * N + x + p: 1 for i, (x, p) in enumerate(zip(v, poles))})
+    def one_row_too_many(ring, F_basis, E_gens, gamma_F, c, a, N):
+        B = real(ring, F_basis, E_gens, gamma_F, c, a, N)
+        sigma = [x - y - g for x, y, g in zip(c, a, gamma_F)]
+        v = next(x for x in oracles.box([-d for d in sigma], D.gamma) if x not in D)
+        B._insert({i * N + x + d: 1 for i, (x, d) in enumerate(zip(v, sigma))})
         return B
 
     monkeypatch.setattr(curves, "colon_solution_basis", one_row_too_many)
-    with pytest.raises(NotCertifiedError, match=r"colon 'K0' : 'E' at truncation \d+ fails the "):
+    with pytest.raises(NotCertifiedError, match=r"colon 'K0' : 'E' at truncation \d+ fails the inclusion"):
         colon_value_ideal(spec, "K0", "E")
 
 

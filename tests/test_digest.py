@@ -6,6 +6,8 @@ frame bitmaps, so any change of layout must reproduce every byte: the
 frame JSON, the order of each witness list and every verdict.  The
 ``generate`` group, recorded before the generators' repair loop was
 rewritten to scan normalized frames, pins what the generators draw.
+The ``colon`` group, recorded before the ring bridge's colons were
+rewritten by the residue pairing, pins their value sets.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import random
 import pytest
 
 import oracles
+from conftest import load_text
 from goodsemi import (
     CanonicalIdeal,
     IdealFrame,
@@ -28,6 +31,7 @@ from goodsemi import (
     validate,
 )
 from goodsemi.generate import random_good_ideal, random_good_semigroup, random_pair
+from goodsemi.ringbridge import colon_value_ideal, parse_curve
 
 DIGESTS = {
     "sum": "c9fc9187efe1f00b029d902ddd7d538c54fc2d772f217aa53836e9213bd4d526",
@@ -38,6 +42,7 @@ DIGESTS = {
     "product_canonical": "a24c1d19fde34cd105bec1bbe488d7cfc9304ad0112d75f70b9f3cb12820cdaf",
     "metric": "b55496b5185b690b3b4fe677b2bebde0b5893ae9cd05143d6774124c56889ba0",
     "generate": "e1b87465fcaaba8fd4b5113e7a7017be2d6317da229dc768ba7c16412810d760",
+    "colon": "56d5cbce2ee75990db0115127303ccda2584ac29eafcd73e9ab84e899cb2c3e4",
 }
 
 
@@ -94,6 +99,12 @@ def _texts():
         S = random_good_semigroup(rng, s, 7 if s <= 2 else 4, local=bool(i % 2))
         out["generate"].append(to_json(S.ideal))
         out["generate"].append(to_json(random_good_ideal(rng, S, i % 5)))
+    # every ordered colon among twobranch's nine modules, and among the
+    # built-ins R, m, Rbar and C on two more curves
+    for name in ("twobranch.curve", "cusp.curve", "not_good_difference.curve"):
+        spec = parse_curve(load_text(name))
+        names = ["R", "m", "Rbar", "C", *spec.module_names()]
+        out["colon"] += [to_json(colon_value_ideal(spec, F, E)) for F in names for E in names]
     return out
 
 

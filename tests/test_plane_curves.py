@@ -6,7 +6,7 @@ conductors and intersection numbers (``oracles.plane_conductor``), Γ_R
 symmetric (Kunz, Proc. AMS 25, 1970, for one branch; Delgado, Manuscripta
 Math. 61, 1988, for several), and R a canonical module, so that the
 paper's Γ(K : E) = Γ_K - Γ_E reads Γ(R : E) = Γ_R - Γ_E for every module
-E.  Lengths are distances: ℓ(R/C) = d(Γ_R \\ Γ_C), which for a Gorenstein
+E, and the built-in K has the values of R.  Lengths are distances: ℓ(R/C) = d(Γ_R \\ Γ_C), which for a Gorenstein
 ring is half the sum of the conductor's coordinates.  A branch with
 several characteristic exponents has its values from Zariski's recursion
 (``oracles.zariski_branch``).
@@ -17,7 +17,7 @@ import random
 import pytest
 
 import oracles
-from goodsemi import GoodSemigroup, IdealFrame, difference, is_symmetric, relative_distance
+from goodsemi import GoodSemigroup, IdealFrame, canonical_normalized, difference, is_symmetric, relative_distance
 from goodsemi.ringbridge import (
     colon_value_ideal,
     conductor_of,
@@ -45,6 +45,8 @@ def test_plane_curve_matches_the_closed_forms(seed):
     c = oracles.plane_conductor(curve)
     assert GR.conductor == c, curve
     assert is_symmetric(GoodSemigroup(GR)), curve
+    # K = t^γ·ω_R has the values K⁰ = Γ_R of a symmetric Γ_R
+    assert value_ideal(spec, "K") == canonical_normalized(GR) == GR, curve
     assert colon_value_ideal(spec, "R", "E") == difference(GR, GE), curve
     # R : C = Rbar (proof in test_ringbridge.py)
     zero = (0,) * len(curve)

@@ -10,8 +10,8 @@ from goodsemi import (
     DimensionMismatch,
     FrameError,
     InclusionError,
+    NotCertifiedError,
     ParseError,
-    PoleBoundError,
     TruncationError,
     difference,
     relative_distance,
@@ -149,64 +149,104 @@ def _terms(vec):
     return tuple(tuple(sorted(d.items())) for d in vec)
 
 
+def _pairing(z, zN, y, yN, c):
+    """⟨z, y⟩ = Σ_i Σ_(e<c_i) z_(i,e)·y_(i,c_i-1-e) for flat rows of orders zN and yN."""
+    return sum(x * y.get((q // zN) * yN + c[q // zN] - 1 - q % zN, 0) for q, x in z.items() if q % zN < c[q // zN])
+
+
+def test_residue_dual_is_the_complement_under_the_residue_pairing(rng):
+    # on random spans holding t^k for c_i <= k: the dual holds the same
+    # monomials, each of its other rows lies below c and pairs to zero with
+    # every row of the span, and those rows number Σc_i minus the span's
+    # rows below c, the dimension of the complement
+    for trial in range(40):
+        s = rng.randint(1, 3)
+        c = tuple(rng.randint(0, 5) for _ in range(s))
+        M_order, N = max(c) + rng.randint(1, 3), max(c) + rng.randint(1, 3)
+        M = ModuleBasis(s, M_order)
+        for i in range(s):
+            for e in range(c[i], M_order):
+                M._insert({i * M_order + e: 1})
+        for _ in range(rng.randint(0, 8)):
+            M._insert(_rand_row(rng, s, M_order))
+        D = modules.residue_dual(M, c, (0,) * s, N)
+        below = [row for p, row in D.rows.items() if p % N < c[p // N]]
+        assert {p: row for p, row in D.rows.items() if p % N >= c[p // N]} == {
+            p: {p: 1} for i in range(s) for p in range(i * N + c[i], (i + 1) * N)
+        }
+        assert all(q % N < c[q // N] for z in below for q in z)
+        spanned = [row for p, row in M.rows.items() if p % M_order < c[p // M_order]]
+        assert len(below) + len(spanned) == sum(c)
+        assert all(_pairing(z, N, y, M_order, c) == 0 for z in below for y in spanned)
+
+
+def _moved(rows, s, n, shift):
+    """Dense rows of length s*n moved up by ``shift`` per branch, cut at n."""
+    out = []
+    for row in rows:
+        v = [Fraction(0)] * (s * n)
+        for i in range(s):
+            for e in range(n - shift[i]):
+                v[i * n + e + shift[i]] = row[i * n + e]
+        out.append(v)
+    return out
+
+
 def test_colon_solution_basis_matches_dense_oracle(rng):
-    # x ↦ (x·g_1, ..., x·g_k) modulo W = t^p·K + monomials: its kernel has
-    # dimension sN - (rank[A; W^k] - k·dim W), A the rows of the products
-    # t^var·g_j, and every returned x has each x·g_j in W
+    # the basis of t^σ·(F : E), σ = c - gamma_F, is the kernel of
+    # y ↦ (t^b·y·g_1, ..., t^b·y·g_k) modulo t^(σ + b)·F, b >= -σ clearing
+    # poles: its dimension is sN - (rank[A; W^k] - k·dim W), A the rows of
+    # the products for y = t^var, and each returned y maps into W^k
     nontrivial = 0
     for trial in range(30):
         s = rng.randint(1, 2)
-        gamma = tuple(rng.randint(1, 4) for _ in range(s))
-        poles = tuple(rng.randint(0, 2) for _ in range(s))
-        N = max(g + p for g, p in zip(gamma, poles)) + 2 + rng.randint(0, 2)
-        ring = [_rand_terms(rng, s, 1, 4) for _ in range(2)]
-        mono = [tuple({e: 1} if b == i else {} for b in range(s)) for i in range(s) for e in range(gamma[i], N)]
-        K_gens = [_rand_terms(rng, s, 0, N - 1) for _ in range(rng.randint(1, 2))] + mono
-        # low terms constrain x; a generator wholly at or above gamma + poles
-        # constrains nothing, and the last one may be
+        # t^3, t^4 and t^5 on each branch put t^3·Rbar in R, and then a
+        # generator of order o on every branch puts t^(o + 3)·Rbar in its module
+        mono = [tuple({e: 1} if b == i else {} for b in range(s)) for i in range(s) for e in (3, 4, 5)]
+        ring = [_rand_terms(rng, s, 1, 4, least=1) for _ in range(2)] + mono
+        F_gens = [_rand_terms(rng, s, 0, 3, least=1) for _ in range(rng.randint(1, 2))]
         E_gens = [_rand_terms(rng, s, 0, 3, least=1) for _ in range(rng.randint(1, 2))]
-        E_gens.append(_rand_terms(rng, s, 0, N - 1))
-        K = span_basis([_terms(g) for g in ring], [_terms(g) for g in K_gens], N)
-        got = colon_solution_basis(
-            [_terms(g) for g in ring], K, [_terms(g) for g in E_gens], gamma, poles, N
-        )
-        # solved at N from K's span three orders up, given its monomials up
-        # there too, the basis is the same row for row
-        up = [tuple({e: 1} if b == i else {} for b in range(s)) for i in range(s) for e in range(N, N + 3)]
-        K_up = span_basis([_terms(g) for g in ring], [_terms(g) for g in K_gens + up], N + 3)
-        assert colon_solution_basis(
-            [_terms(g) for g in ring], K_up, [_terms(g) for g in E_gens], gamma, poles, N
-        ).rows == got.rows
+        gamma_F, gamma_E = (tuple(min(g[0][i]) + 3 for i in range(s)) for g in (F_gens, E_gens))
+        mu_F, mu_E = (tuple(min(min(g[i]) for g in gens) for i in range(s)) for gens in (F_gens, E_gens))
+        c = tuple(g - m + x for g, m, x in zip(gamma_F, mu_F, gamma_E))
+        sigma = tuple(x - g for x, g in zip(c, gamma_F))
+        N = max(d + g - m for d, g, m in zip(sigma, gamma_F, mu_E)) + 1 + rng.randint(0, 2)
+        T = [_terms(g) for g in ring]
+        F = span_basis(T, [_terms(g) for g in F_gens], max(gamma_F) + rng.randint(1, 3))
+        got = colon_solution_basis(T, F, [_terms(g) for g in E_gens], gamma_F, c, (0,) * s, N)
 
-        size = s * N
-        shifted = []
-        for row in oracles.span_rows(ring, K_gens, s, N):
-            v = [Fraction(0)] * size
-            for i in range(s):
-                for e in range(N - poles[i]):
-                    v[i * N + e + poles[i]] = row[i * N + e]
-            shifted.append(v)
-        for i in range(s):
-            for e in range(gamma[i] + poles[i], N):
-                shifted.append([Fraction(q == i * N + e) for q in range(size)])
-        w_dim, W = oracles.rref(shifted)
-        E_dense = [oracles.dense_vec(g, s, N) for g in E_gens]
+        b = tuple(max(0, -d) for d in sigma)
+        L = max(d + x + g for d, x, g in zip(sigma, b, gamma_F)) + 1
+        w_dim, W = oracles.rref(_moved(oracles.span_rows(ring, F_gens, s, L), s, L, [d + x for d, x in zip(sigma, b)]))
+        E_dense = [oracles.dense_vec(g, s, L) for g in E_gens]
+        size, wide, k = s * N, s * L, len(E_dense)
 
-        def products(x):
-            xs = [x[i * N:(i + 1) * N] for i in range(s)]
-            return [oracles.flatten(oracles.vec_mul_mod(xs, g, N)) for g in E_dense]
+        def products(y):
+            ys = [([Fraction(0)] * b[i] + list(y[i * N:(i + 1) * N]) + [Fraction(0)] * L)[:L] for i in range(s)]
+            return [oracles.flatten(oracles.vec_mul_mod(ys, g, L)) for g in E_dense]
 
-        k = len(E_dense)
         A = [sum(products([Fraction(q == var) for q in range(size)]), []) for var in range(size)]
-        blocks = [[0] * (j * size) + w + [0] * ((k - 1 - j) * size) for j in range(k) for w in W]
+        blocks = [[0] * (j * wide) + w + [0] * ((k - 1 - j) * wide) for j in range(k) for w in W]
         rank = oracles.rref(A + blocks)[0] - k * w_dim
         assert got.dim == size - rank
         rows = [[got.rows[p].get(q, 0) for q in range(size)] for p in sorted(got.rows)]
-        assert oracles.rref(rows)[0] == got.dim
-        for x in rows:
-            for prod in products(x):
+        for y in rows:
+            for prod in products(y):
                 assert oracles.rref(W + [prod])[0] == w_dim
         nontrivial += 0 < got.dim < size
+
+        # read shifted down by a, the least order on each branch, the basis
+        # is that of t^(-a) times the one above; a step past a is refused
+        a = tuple(min(q % N for row in got.rows.values() for q in row if q // N == i) for i in range(s))
+        n = N - max(a)
+        want = ModuleBasis(s, n)
+        for row in got.rows.values():
+            want._insert({(q // N) * n + q % N - a[q // N]: x for q, x in row.items() if q % N - a[q // N] < n})
+        assert colon_solution_basis(T, F, [_terms(g) for g in E_gens], gamma_F, c, a, n).rows == want.rows
+        for i in (i for i in range(s) if a[i] < c[i]):
+            up = tuple(x + (j == i) for j, x in enumerate(a))
+            with pytest.raises(NotCertifiedError, match=f"on branch {i}, below its bound {a[i] + 1}$"):
+                colon_solution_basis(T, F, [_terms(g) for g in E_gens], gamma_F, c, up, n)
     assert nontrivial >= 20
 
 
@@ -402,19 +442,20 @@ def test_value_ideal_inserts_no_row_while_scanning(monkeypatch, curve_spec):
 
 @pytest.mark.parametrize("poles", [(0,), (1,), (3,)])
 def test_colon_by_one_returns_the_module_itself(poles):
-    # K = (2 + 3t)·k[[t^2, t^3]] has a primitive row with pivot entry 2,
-    # so the constraint build must divide by pivot entries: t^P (K : R)
-    # is t^P K as a subspace, not only as a value set
+    # F = (2 + 3t)·k[[t^2, t^3]] has a primitive row with pivot entry 2,
+    # so the complement must divide by pivot entries: solved with
+    # c = gamma_F + poles, the basis of t^poles·(F : R) is t^poles·F as a
+    # subspace, not only as a value set
     N = 12
     ring = [(((2, 1),),), (((3, 1),),)]
-    K = span_basis(ring, [(((0, 2), (1, 3)),)], N)
-    assert K.rows[0] == {0: 2, 1: 3}
+    F = span_basis(ring, [(((0, 2), (1, 3)),)], N)
+    assert F.rows[0] == {0: 2, 1: 3}
     want = ModuleBasis(1, N)
-    for row in K.rows.values():
+    for row in F.rows.values():
         want._insert({p + poles[0]: c for p, c in row.items() if p + poles[0] < N})
     for e in range(2 + poles[0], N):
         want._insert({e: 1})
-    got = colon_solution_basis(ring, K, [(((0, 1),),)], (2,), poles, N)
+    got = colon_solution_basis(ring, F, [(((0, 1),),)], (2,), (2 + poles[0],), (0,), N)
     assert got.rows == want.rows
 
 
@@ -436,23 +477,21 @@ def test_colon_refuses_a_generator_of_E_with_another_branch_count():
     # its second branch used to be dropped without a word
     N = 12
     ring = [(((2, 1),),), (((3, 1),),)]
-    K = span_basis(ring, [(((0, 1),),)], N)
+    F = span_basis(ring, [(((0, 1),),)], N)
     with pytest.raises(DimensionMismatch, match=re.escape("generator of E (((0, 1),), ((0, 1),)) has 2 branches, not 1")):
-        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], (2,), (0,), N)
+        colon_solution_basis(ring, F, [(((0, 1),), ((0, 1),))], (2,), (2,), (0,), N)
 
 
-@pytest.mark.parametrize(
-    "gamma_K, poles, name",
-    [((0,), (0, 0), "gamma_K"), ((0, 0), (1,), "poles"), ((0, 0, 0), (0, 0), "gamma_K")],
-)
-def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_K, poles, name):
-    # a short one used to raise a bare IndexError, a long one a misleading
-    # TruncationError about a third branch
+@pytest.mark.parametrize("name", ["gamma_F", "c", "a"])
+def test_colon_refuses_a_bound_without_one_coordinate_per_branch(name):
+    # a short one would raise a bare IndexError, a long one read a third branch
     ring = [(((1, 1),), ((1, 1),))]
-    K = span_basis(ring, [(((0, 1),), ()), ((), ((0, 1),))], 12)
-    bad = gamma_K if name == "gamma_K" else poles
-    with pytest.raises(DimensionMismatch, match=re.escape(f"{name} {bad} has {len(bad)} coordinates, not the 2")):
-        colon_solution_basis(ring, K, [(((0, 1),), ((0, 1),))], gamma_K, poles, 12)
+    F = span_basis(ring, [(((0, 1),), ()), ((), ((0, 1),))], 12)
+    bounds = {"gamma_F": (0, 0), "c": (1, 1), "a": (0, 0)}
+    for bad in ((0,), (0, 0, 0)):
+        args = {**bounds, name: bad}
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{name} {bad} has {len(bad)} coordinates, not the 2")):
+            colon_solution_basis(ring, F, [(((0, 1),), ((0, 1),))], args["gamma_F"], args["c"], args["a"], 12)
 
 
 @pytest.mark.parametrize(
@@ -467,16 +506,12 @@ def test_colon_refuses_gamma_K_or_poles_without_one_coordinate_per_branch(gamma_
         (lambda: span_basis([(((1, 1),),)], [], 8), "a module needs at least one generator"),
         (lambda: value_semigroup_ideal(ModuleBasis(2, 10), (3, 3)), "the zero module has no value semigroup ideal"),
         (
-            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (3,), (1,), 5),
-            "truncation 5 too small for conductor (3,) plus poles (1,)",
-        ),
-        (
-            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (1,), (0,), 7),
-            "colon order 7 is above the order 5 of K's span",
+            lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (6,), (6,), (0,), 5),
+            "a span of order 5 does not reach the conductor (6,) of its residue dual",
         ),
     ],
     ids=["s-zero", "short-mu", "short-gamma", "empty", "point-dimension", "point-outside",
-         "span-no-generator", "scan-zero-module", "colon-truncation", "colon-order-above-K"],
+         "span-no-generator", "scan-zero-module", "colon-truncation"],
 )
 def test_frame_and_module_inputs_are_refused_by_name(build, message):
     with pytest.raises((FrameError, TruncationError), match=re.escape(message)):
@@ -484,16 +519,16 @@ def test_frame_and_module_inputs_are_refused_by_name(build, message):
 
 
 def test_colon_refuses_a_solution_space_not_closed_under_the_ring():
-    # K, spanned by 1, t^3 and t^5, ..., t^11, holds every monomial from
+    # F, spanned by 1, t^3 and t^5, ..., t^11, holds every monomial from
     # its conductor 5 on but is no module of k[[t^2, t^3]]: t^2·1 is
-    # missing.  So K : 1, which is K itself, is not closed either
+    # missing.  So F : 1, which is F itself, is not closed either
     N = 12
     ring = [(((2, 1),),), (((3, 1),),)]
-    K = ModuleBasis(1, N)
+    F = ModuleBasis(1, N)
     for e in (0, 3, *range(5, N)):
-        K._insert({e: 1})
-    with pytest.raises(PoleBoundError, match="not closed under the ring action"):
-        colon_solution_basis(ring, K, [(((0, 1),),)], (5,), (0,), N)
+        F._insert({e: 1})
+    with pytest.raises(NotCertifiedError, match="not closed under the ring action"):
+        colon_solution_basis(ring, F, [(((0, 1),),)], (5,), (5,), (0,), N)
 
 
 def test_value_set_oracle_on_one_branch():

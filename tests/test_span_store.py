@@ -135,37 +135,39 @@ def test_truncated_span_is_the_fresh_build_when_a_cut_drops_a_pivot(ring, gens):
 
 def test_a_scan_or_colon_above_the_held_span_is_refused():
     # Q[[t^2, t^3]] at order 10 has dimension 9, at 20 dimension 19: the
-    # span at 10 cannot be read at 12, nor a colon solved at 12 from it
+    # span at 10 cannot be read at 12, nor its residue dual taken at a
+    # conductor of 12, past the positions it holds
     ring = [(((2, 1),),), (((3, 1),),)]
     one = [(((0, 1),),)]
     B = span_basis(ring, one, 10)
     assert (B.dim, span_basis(ring, one, 20).dim) == (9, 19)
     with pytest.raises(TruncationError, match=r"scan box \(10,\) does not fit below truncation 10"):
         curves._scan(B, 12, "conductor")
-    with pytest.raises(TruncationError, match="colon order 12 is above the order 10 of K's span"):
-        modules.colon_solution_basis(ring, B, one, (2,), (0,), 12)
+    with pytest.raises(TruncationError, match=r"a span of order 10 does not reach the conductor \(12,\)"):
+        modules.colon_solution_basis(ring, B, one, (12,), (12,), (0,), 12)
     assert curves._scan(B, 10, "conductor") == curves._scan(span_basis(ring, one, 20), 10, "conductor")
 
 
-def _solved_once(spec, K, E):
+def _solved_once(spec, F, E):
     """The arguments of the one ``colon_solution_basis`` call that
-    ``colon_value_ideal(spec, K, E)`` makes, with the orders it scans."""
-    value_ideal(spec, K), value_ideal(spec, E)  # warm, so that only the colon scans
+    ``colon_value_ideal(spec, F, E)`` makes, with the orders it scans."""
+    value_ideal(spec, F), value_ideal(spec, E)  # warm, so that only the colon scans
     calls, real = [], curves.colon_solution_basis
     with pytest.MonkeyPatch.context() as mp:
         _, scanned = _counting(mp)
         mp.setattr(curves, "colon_solution_basis", lambda *a: calls.append(a) or real(*a))
-        colon_value_ideal(spec, K, E)
-    assert len(calls) == 1, (K, E)
+        colon_value_ideal(spec, F, E)
+    assert len(calls) == 1, (F, E)
     return calls[0], sorted(scanned)
 
 
 def test_colon_solves_once_and_scans_twice(curve_spec):
+    # from the left module's held span, with no span built
     spec = parse_curve(dumps_curve(curve_spec))
     for E in ["R", "Rbar", "C"] + spec.module_names():
-        (_, K_basis, *_, order), scanned = _solved_once(spec, "K0", E)
+        (_, F_basis, *_, order), scanned = _solved_once(spec, "K0", E)
         N = order - 2
-        assert scanned == [N, N + 2] and K_basis.N >= order, E
+        assert scanned == [N, N + 2] and F_basis is spec._store.spans[curves._gens(spec, "K0")][0], E
 
 
 def _colon_rings(curve_spec):
@@ -179,20 +181,19 @@ def _colon_rings(curve_spec):
 
 
 def test_colon_basis_at_n_plus_2_has_the_values_of_the_basis_at_n(curve_spec):
-    # the colon solved at N + 2, from K's held span, and the colon solved
-    # at N, from that span and from K's span at N, have one value set
-    # over [0, N - 2]^s
+    # the colon solved at N + 2 from F's held span, and at N from that
+    # span and from F's span built at its conductor plus 1, have one value
+    # set over [0, N - 2]^s
     for name, spec, names in _colon_rings(curve_spec):
-        for K in names:
+        for F in names:
             for E in names:
-                (ring, K_basis, E_gens, gamma_K, poles, order), _ = _solved_once(spec, K, E)
+                (ring, F_basis, E_gens, gamma_F, c, a, order), _ = _solved_once(spec, F, E)
                 N, hi = order - 2, (order - 4,) * spec.s
-                K_at_n = span_basis(ring, curves._gens(spec, K), N)
-                at_n = modules.colon_solution_basis(ring, K_at_n, E_gens, gamma_K, poles, N)
-                want = value_semigroup_ideal(at_n, hi)
-                for B in (modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles, order),
-                          modules.colon_solution_basis(ring, K_basis, E_gens, gamma_K, poles, N)):
-                    assert value_semigroup_ideal(B, hi) == want, (name, K, E)
+                F_low = span_basis(ring, curves._gens(spec, F), max(gamma_F) + 1)
+                want = value_semigroup_ideal(modules.colon_solution_basis(ring, F_low, E_gens, gamma_F, c, a, N), hi)
+                for B in (modules.colon_solution_basis(ring, F_basis, E_gens, gamma_F, c, a, order),
+                          modules.colon_solution_basis(ring, F_basis, E_gens, gamma_F, c, a, N)):
+                    assert value_semigroup_ideal(B, hi) == want, (name, F, E)
 
 
 @pytest.mark.parametrize("name", sorted({**workloads.RING_VALUE_RINGS, **workloads.COLON_RINGS}))
@@ -435,22 +436,22 @@ def test_the_box_limit_refuses_exactly_the_modules_whose_rerun_box_exceeds_it(mo
 
 
 def test_colon_is_refused_before_it_is_solved_when_its_rerun_box_exceeds_the_limit(monkeypatch, curve_spec):
-    # K0 : E on twobranch is read at N = 7 and rerun at 9 over [0, 7]^2,
-    # 64 cells; its value sets are certified first, under the real limit
+    # K0 : E on twobranch is read at N = 6 and rerun at 8 over [0, 6]^2,
+    # 49 cells; its value sets are certified first, under the real limit
     spec = parse_curve(dumps_curve(curve_spec))
     want = colon_value_ideal(parse_curve(dumps_curve(curve_spec)), "K0", "E")
     for module in ("K0", "E"):
         value_ideal(spec, module)
     solved, real = [], curves.colon_solution_basis
     monkeypatch.setattr(curves, "colon_solution_basis", lambda *args: solved.append(args[-1]) or real(*args))
-    monkeypatch.setattr(ideals, "MAX_CELLS", 63)
+    monkeypatch.setattr(ideals, "MAX_CELLS", 48)
     with pytest.raises(TruncationError) as exc:
         colon_value_ideal(spec, "K0", "E")
-    assert str(exc.value) == ("colon 'K0' : 'E' commits at truncation 7, but the rerun at 9 scans [0, 7]^2, "
-                              "of 64 cells, over the box limit of 63 cells")
+    assert str(exc.value) == ("colon 'K0' : 'E' commits at truncation 6, but the rerun at 8 scans [0, 6]^2, "
+                              "of 49 cells, over the box limit of 48 cells")
     assert solved == []
-    monkeypatch.setattr(ideals, "MAX_CELLS", 64)
-    assert colon_value_ideal(spec, "K0", "E") == want and solved == [9]
+    monkeypatch.setattr(ideals, "MAX_CELLS", 49)
+    assert colon_value_ideal(spec, "K0", "E") == want and solved == [8]
 
 
 def _smooth_branches(s):
@@ -497,7 +498,7 @@ def test_a_commit_box_that_fits_certifies_though_the_first_probes_scan_box_does_
                      [8, 16, 20, 32], [29, 31], id="precheck-step"),
     ],
 )
-def test_bootstrap_reaches_the_last_doubling_order_that_fits(monkeypatch, ring, cells, conductor, spans, scans):
+def test_bootstrap_steps_to_the_commit_under_a_limit_its_rerun_box_fits(monkeypatch, ring, cells, conductor, spans, scans):
     built, scanned = _counting(monkeypatch)
     monkeypatch.setattr(ideals, "MAX_CELLS", cells)
     assert value_ideal(parse_curve(ring), "R").conductor == conductor
