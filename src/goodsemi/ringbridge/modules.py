@@ -366,15 +366,16 @@ def colon_solution_basis(
 
     F : E = ω : (E·(ω : F)), as ω : (X·E) = (ω : X) : E and ω : (ω : F) = F
     (Herzog and Kunz, LNM 238, 1971).  D = t^gamma_F·(ω : F) is F's
-    :func:`residue_dual`, and D·E mod t^c is the span P of D's rows times
-    the generators g_j of E, skipping the monomials of D at or above
-    c - μ_E, μ_E_i the least order of a g_j on branch i: their products
-    vanish mod t^c.  Given t^c·Rbar ⊆ D·E, t^(c - gamma_F)·(F : E) is P's
-    residue dual at c, read shifted down by ``a``.  Generators are integer
+    :func:`residue_dual`, and D·E mod t^Nc, Nc = max(c) + 1, is the span
+    P of D's rows times the generators g_j of E, skipping the monomials of
+    D at or above Nc - μ_E, μ_E_i the least order of a g_j on branch i:
+    their products vanish mod t^Nc.  P must hold t^c·Rbar, checked by
+    :func:`require_monomials` like F's bound; then t^(c - gamma_F)·(F : E)
+    is P's residue dual at c, read shifted down by ``a``.  Generators are integer
     terms only, and a generator or bound without F's branch count is
     refused by name.  A basis not closed under the ring is refused.
     """
-    s, Nc = F_basis.s, max(c)
+    s, Nc = F_basis.s, max(c) + 1
     for name, v in (("gamma_F", gamma_F), ("c", c), ("a", a)):
         if len(v) != s:
             raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of F")
@@ -382,13 +383,13 @@ def colon_solution_basis(
     _check_branches(s, ring_gens, "ring generator")
     require_monomials(F_basis, gamma_F, "left module", monomial_tail(F_basis))
     D = residue_dual(F_basis, gamma_F, zero(s), Nc)
-    top = [x - min((g[i][0][0] for g in E_gens if g[i]), default=x) for i, x in enumerate(c)]
+    top = [Nc - min((g[i][0][0] for g in E_gens if g[i]), default=Nc) for i in range(s)]
     P = ModuleBasis(s, Nc)
-    P.rows = {p: {p: 1} for i in range(s) for p in range(i * Nc + c[i], (i + 1) * Nc)}
     for p, row in D.rows.items():
         if p % Nc < top[p // Nc]:
             for g in E_gens:
                 P._insert(_times(row, g, Nc))
+    require_monomials(P, c, "the product of E and the dual of F", monomial_tail(P))
     out = residue_dual(P, c, a, N)
     for r in out.rows.values():
         for g in ring_gens:

@@ -212,8 +212,11 @@ def test_colon_solution_basis_matches_dense_oracle(rng):
         sigma = tuple(x - g for x, g in zip(c, gamma_F))
         N = max(d + g - m for d, g, m in zip(sigma, gamma_F, mu_E)) + 1 + rng.randint(0, 2)
         T = [_terms(g) for g in ring]
-        F = span_basis(T, [_terms(g) for g in F_gens], max(gamma_F) + rng.randint(1, 3))
+        F = span_basis(T, [_terms(g) for g in F_gens], max(gamma_F) + 1)
         got = colon_solution_basis(T, F, [_terms(g) for g in E_gens], gamma_F, c, (0,) * s, N)
+        # solved from F's span two orders higher, the basis is the same row for row
+        F_up = span_basis(T, [_terms(g) for g in F_gens], max(gamma_F) + 3)
+        assert colon_solution_basis(T, F_up, [_terms(g) for g in E_gens], gamma_F, c, (0,) * s, N).rows == got.rows
 
         b = tuple(max(0, -d) for d in sigma)
         L = max(d + x + g for d, x, g in zip(sigma, b, gamma_F)) + 1
@@ -230,6 +233,7 @@ def test_colon_solution_basis_matches_dense_oracle(rng):
         rank = oracles.rref(A + blocks)[0] - k * w_dim
         assert got.dim == size - rank
         rows = [[got.rows[p].get(q, 0) for q in range(size)] for p in sorted(got.rows)]
+        assert oracles.rref(rows)[0] == got.dim
         for y in rows:
             for prod in products(y):
                 assert oracles.rref(W + [prod])[0] == w_dim
@@ -509,9 +513,18 @@ def test_colon_refuses_a_bound_without_one_coordinate_per_branch(name):
             lambda: colon_solution_basis([], ModuleBasis(1, 5), [(((0, 1),),)], (6,), (6,), (0,), 5),
             "a span of order 5 does not reach the conductor (6,) of its residue dual",
         ),
+        (
+            # on the cusp, R : R with the bound c = 1 below the conductor 2
+            # of D·R = t^2·(ω : R): unchecked, it solved to t·Rbar
+            lambda: colon_solution_basis(
+                [(((2, 1),),), (((3, 1),),)], span_basis([(((2, 1),),), (((3, 1),),)], [(((0, 1),),)], 6),
+                [(((0, 1),),)], (2,), (1,), (0,), 6,
+            ),
+            "the product of E and the dual of F misses t^1 on branch 0: conductor bound (1,) is not valid at truncation 2",
+        ),
     ],
     ids=["s-zero", "short-mu", "short-gamma", "empty", "point-dimension", "point-outside",
-         "span-no-generator", "scan-zero-module", "colon-truncation"],
+         "span-no-generator", "scan-zero-module", "colon-truncation", "colon-product-conductor"],
 )
 def test_frame_and_module_inputs_are_refused_by_name(build, message):
     with pytest.raises((FrameError, TruncationError), match=re.escape(message)):
