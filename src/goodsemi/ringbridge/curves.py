@@ -12,12 +12,12 @@ by generators:
 Every computation is exact over Q.  Truncation orders are chosen
 automatically and certified (see :func:`_value`): a span's monomial tail
 is the candidate conductor, a Nakayama certificate proves it, and the
-value set is committed at the least order the certificate covers and
-must agree bitwise with a rerun two orders higher.  A module zero on some
-branch, or a ring that is constant or a series in t^d (d > 1) on some
-branch, has no conductor and is refused up front.  An explicit
-``truncation:`` line overrides the bootstrap but neither the certificate
-nor the rerun.
+value set is committed at the least order it covers (:func:`_commit`):
+its scan's conductor must be the tail, and a rerun two orders higher
+must agree bitwise.  A module zero on some branch, or a ring that is
+constant or a series in t^d (d > 1) on some branch, has no conductor
+and is refused up front.  An explicit ``truncation:`` line overrides
+the bootstrap but neither the certificate nor the commit step.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
 rings), ``C`` (the conductor module t^gamma * Rbar), ``m`` (the maximal
@@ -45,7 +45,7 @@ from ..errors import (
 )
 from .. import ideals
 from ..axioms import require_good
-from ..ideals import IdealFrame, _Frozen, is_subset, validate
+from ..ideals import IdealFrame, _Frozen, is_subset
 from ..lattice import Point, cmax
 from .modules import (
     ModuleBasis,
@@ -265,8 +265,8 @@ class _Store:
     at it.  ``spans`` keeps per generator tuple one span, the highest-order
     one built, with its monomial tail (:func:`modules.monomial_tail`),
     taken when the span is built: a held span is never changed, only
-    replaced together with its tail, so every certificate that reads the
-    tail reads the held span's.  Read at order n, the span is scanned over
+    replaced together with its tail, so the commit step (:func:`_commit`)
+    reads the held span's tail.  Read at order n, the span is scanned over
     [0, n - 2]^s, where it has the values of the span at n: truncation to
     n is a ring map onto that span whose kernel, of positions at or above
     n, lies in the filtration levels at alpha and alpha + e_i that decide
@@ -313,6 +313,7 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
     rows below gamma of :func:`modules.residue_dual` of R's span at gamma,
     and by C's generators.  Proof: ω_R ⊇ Rbar, as a residue of a power
     series is zero, so K ⊇ C, and K is the Q-span of those rows plus C.
+    Its value set must be the canonical ideal K⁰(Γ_R), or it is refused.
     """
     named = spec._store.named
     if name in named:
@@ -326,11 +327,15 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
             tuple(((lift[i] + k, 1),) if b == i else () for b in range(s)) for i in range(s) for k in range(e[i])
         )
         if name == "K":
+            from ..duality import canonical_normalized  # only K needs duality here
+
             N = max(lift) + 1
             D = residue_dual(_span(spec, _gens(spec, "R"), N)[0], lift, (0,) * s, N)
             low = (row for p, row in D.rows.items() if p % N < lift[p // N])
             gens = tuple(tuple(tuple((q % N, x) for q, x in sorted(r.items()) if q // N == i) for i in range(s))
                          for r in low) + gens
+            if _value(spec, gens) != canonical_normalized(value_ideal(spec, "R")):
+                raise NotCertifiedError("the built-in module 'K' does not have the values K⁰ of Γ_R")
         named[name] = gens
     else:
         raise FrameError(
@@ -393,6 +398,30 @@ def _scan(basis: ModuleBasis, n: int, what: str) -> IdealFrame:
     return G
 
 
+def _commit(B: ModuleBasis, tail: Point, n: int, kind: str) -> IdealFrame:
+    """The value set, committed at truncation n, of the module M whose span
+    B, of order N' >= n + 2, has the monomial tail ``tail``: the one commit
+    step of every ring-side value set (``kind`` "colon " for a colon's).
+
+    The caller has proved t^g·Rbar ⊆ M for a g < N', so tail = gamma, M's
+    conductor: tail <= gamma, as M holds t^gamma·Rbar, and M, the full
+    preimage of its span, holds t^tail·Rbar.  A value set's conductor is
+    its module's (D'Anna, Comm. Algebra 25, 1997), so the scan's must be
+    the tail.  Strictly inside [0, n - 2]^s, it makes M the full preimage
+    of its span at n: every witness in the box lifts to M, and capping at
+    the corner gives the value set.  The rerun at n + 2 must agree and the
+    axioms hold (NotCertifiedError), or TruncationError names the check.
+    """
+    G = _scan(B, n, f"{kind}conductor")
+    if G.conductor != tail:
+        raise TruncationError(f"{kind}conductor {G.conductor} of the scan at truncation {n} is not "
+                              f"the span's monomial tail {tail}")
+    if _scan(B, n + 2, f"{kind}conductor") != G:
+        raise TruncationError(f"{kind}value set changed between truncations {n} and {n + 2}")
+    require_good(G, f"computed {kind}value set fails the good-ideal axioms")
+    return G
+
+
 def _radical_orders(spec: CurveSpec) -> Point:
     """The orders e with J·Rbar = ∏ t^(e_i)·Q[[t]], J the ideal of ring
     elements with zero constant terms: e_i is the least positive exponent
@@ -435,18 +464,6 @@ def _check_conductor_exists(spec: CurveSpec, gens: tuple) -> None:
             names = [n for n, g in spec._store.named.items() if g == gens]
             label = repr(names[0]) if names else " ; ".join(_fmt_vec(g) for g in gens)
             raise FrameError(f"module {label} is zero on branch {i}; it has no value set")
-
-
-def _certify(spec: CurveSpec, gens: tuple, gamma: Point, e: Point, N: int) -> None:
-    """Refuse unless the held span, of order N' >= N, proves t^gamma·Rbar ⊆ M:
-    N >= gamma + e on every branch, and the span holds t^k for gamma_i <= k < N'."""
-    if any(g + x > N for g, x in zip(gamma, e)):
-        low = tuple(g + x for g, x in zip(gamma, e))
-        raise TruncationError(
-            f"truncation {N} is below γ + e = {low} for the candidate conductor {gamma}"
-        )
-    B, tail = _span(spec, gens, N)
-    require_monomials(B, gamma, "the span", tail)
 
 
 def _checked_commit(s: int, commit: int, what: str) -> int:
@@ -518,8 +535,8 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     [0, commit]^s over the limit is refused at once, before any scan,
     and a module whose own rerun box fits is never refused for its box.
 
-    Certificate (:func:`_certify`): the span at an order N_c >= c + e
-    holds t^k for c_i <= k < N_c.  Proof that then t^c·Rbar ⊆ M.  Let A
+    Certificate: commit >= c + e, c the tail of the span held at an
+    order N_c >= commit + 2.  Proof that then t^c·Rbar ⊆ M.  Let A
     be the closure of R in Rbar = ∏ Q[[t]] and M the closure of the
     module, which has the same values and the same truncations.  Rbar is
     finite over A: A holds an element of positive order on every branch,
@@ -533,18 +550,9 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     gives t^c·Rbar ⊆ M.  Nothing here needs R local: a ring with a
     (0, 2) generator is semilocal, and J is still its radical.
 
-    M then holds t^commit·Rbar, so it is the full preimage of its span at
-    commit, and every witness of the scan over [0, commit - 2]^s lifts
-    to M: the in-box values are exact, the conductor lies strictly inside
-    the box (commit >= c + 3), and capping at the box's corner reproduces
-    the value set.  It is scanned exactly twice, over [0, commit - 2]^s
-    and [0, commit]^s, on the one span held, of order at least commit + 2
-    (see :class:`_Store`).  The conductor of the scan at commit must pass
-    the certificate on that span, valid as its order is at least c + e,
-    which cross-checks the scan against the span; the rerun must agree
-    with it, and the result must pass the good-ideal axioms.  An explicit
-    truncation is the commit order, its scan's conductor the candidate,
-    and its rerun's box is checked like a candidate's, before any span.
+    The value set is then committed on that span (:func:`_commit`).  An
+    explicit truncation is the commit order, its rerun's box checked like
+    a candidate's before any span, and must reach c + e.
     """
     values = spec._store.values
     if gens in values:
@@ -553,27 +561,19 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     e = _radical_orders(spec)
     t = spec.truncation
     commit = _bootstrap(spec, gens, e) if t is None else _checked_commit(spec.s, t, f"the line 'truncation: {t}'")
-    B = _span(spec, gens, commit + 2)[0]
-    Ga = _scan(B, commit, "conductor")
-    _certify(spec, gens, Ga.conductor, e, commit)
-    Gb = _scan(B, commit + 2, "conductor")
-    if Ga != Gb:
-        raise TruncationError(f"value set changed between truncations {commit} and {commit + 2}")
-    report = validate(Ga)
-    if not (report.e1_ok and report.e2_ok):
-        raise TruncationError(
-            "computed value set fails the good-ideal axioms, which signals "
-            "a truncation artifact:\n" + report.summary()
-        )
-    values[gens] = Ga
-    return Ga
+    B, c = _span(spec, gens, commit + 2)
+    if any(g + x > commit for g, x in zip(c, e)):
+        low = tuple(g + x for g, x in zip(c, e))
+        raise TruncationError(f"truncation {commit} is below γ + e = {low} for the candidate conductor {c}")
+    values[gens] = G = _commit(B, c, commit, "")
+    return G
 
 
 def value_ideal_from_polys(spec: CurveSpec, gens: tuple[PolyVec, ...]) -> IdealFrame:
     """Value semigroup ideal of the module generated by ``gens``.
 
     Runs the certified truncation policy of :func:`_value`: bootstrap,
-    Nakayama certificate, commit, rerun and the good-ideal axioms.
+    Nakayama certificate and the commit step (:func:`_commit`).
     """
     return _value(spec, tuple(map(integer_terms, gens)))
 
@@ -586,41 +586,37 @@ def colon_value_ideal(spec: CurveSpec, F: str, E: str) -> IdealFrame:
     """Value semigroup ideal of the colon module F : E = {x : x·E ⊆ F}.
 
     For x in F : E and a regular e in E, v(x) + v(e) = v(xe) lies in Γ_F,
-    so Γ(F : E) ⊆ Γ_F - Γ_E and every x has order_i(x) >= μ(Γ_F - Γ_E)_i.
+    so Γ(F : E) ⊆ Γ_F - Γ_E and every x has order_i(x) >= μ_i, μ the
+    least point of Γ_F - Γ_E; and μ >= μ_F - γ_E, as γ_E lies in Γ_E.
     It is solved by duality (:func:`modules.colon_solution_basis`) with
     D = t^(γ_F)·(ω : F): t^(-μ_F)·Rbar·F ⊆ Rbar ⊆ ω gives
     D ⊇ t^(γ_F - μ_F)·Rbar, and t^(γ_E)·Rbar ⊆ E then D·E ⊇ t^c·Rbar for
     c = γ_F - μ_F + γ_E.  The solved t^(c - γ_F)·(F : E) has orders at
-    least a = cmax(0, μ(Γ_F - Γ_E) + γ_E - μ_F), and is read shifted down
-    by a, as Y = t^σ·(F : E), σ = γ_E - μ_F - a.  As
-    t^(γ_F - μ_E)·Rbar·E ⊆ F, Y ⊇ t^(σ + γ_F - μ_E)·Rbar, so its conductor
-    lies strictly inside [0, N - 2]^s for N = max_i(σ_i + γ_F,i - μ_E,i) + 3.
-    Y is solved once, at N + 2, and scanned over [0, N - 2]^s, where it has
-    the values of its span at N (see :class:`_Store`), and [0, N]^s; the
-    two must agree.  The rerun's box is tested against the box limit
-    before the colon is solved.  The result must pass the good-ideal
-    axioms and lie in Γ_F - Γ_E, or NotCertifiedError names the check, F,
-    E and N.
+    least a = μ + γ_E - μ_F >= 0, and is read shifted down by a, as
+    Y = t^(-μ)·(F : E).  As t^(γ_F - μ_E)·Rbar·E ⊆ F, Y ⊇ t^g·Rbar for
+    g = γ_F - μ_E - μ, so Y is solved once, at N + 2, and committed
+    (:func:`_commit`) at N = max_i(g_i) + 3, its rerun's box tested
+    against the box limit before it is solved.  Shifted by μ, it must lie
+    in Γ_F - Γ_E, and equal it when Γ_F is a canonical ideal of Γ_R (then
+    F is a canonical module, D'Anna 1997), or NotCertifiedError names the
+    check, F, E and N.
     """
-    from ..duality import difference  # only the colon needs duality
+    from ..duality import difference, is_canonical  # only the colon needs duality
 
     GF, GE = value_ideal(spec, F), value_ideal(spec, E)
     bound = difference(GF, GE)
     c = tuple(g - m + x for g, m, x in zip(GF.gamma, GF.mu, GE.gamma))
-    a = tuple(max(0, d + x - m) for d, x, m in zip(bound.mu, GE.gamma, GF.mu))
-    sigma = tuple(x - g - k for x, g, k in zip(c, GF.gamma, a))
-    N = max(d + g - m for d, g, m in zip(sigma, GF.gamma, GE.mu)) + 3
+    a = tuple(d + x - m for d, x, m in zip(bound.mu, GE.gamma, GF.mu))
+    N = max(g - m - d for g, m, d in zip(GF.gamma, GE.mu, bound.mu)) + 3
     _checked_commit(spec.s, N, f"colon {F!r} : {E!r}")
     F_basis = _span(spec, _gens(spec, F), max(GF.gamma) + 1)[0]
     B = colon_solution_basis(spec._store.ring, F_basis, _gens(spec, E), GF.gamma, c, a, N + 2)
-    Gb, Ga = _scan(B, N + 2, "colon conductor"), _scan(B, N, "colon conductor")
-    if Ga != Gb:
-        raise TruncationError(f"colon value set changed between truncations {N} and {N + 2}")
-    G = Gb.shift(tuple(-d for d in sigma))
+    G = _commit(B, monomial_tail(B), N, "colon ").shift(bound.mu)
     what = f"colon {F!r} : {E!r} at truncation {N}"
-    require_good(G, f"{what} fails the good-ideal axioms")
     if not is_subset(G, bound):
         raise NotCertifiedError(f"{what} fails the inclusion Γ(F : E) ⊆ Γ_F - Γ_E")
+    if G != bound and is_canonical(GF, value_ideal(spec, "R"))[0]:
+        raise NotCertifiedError(f"{what} is not Γ_F - Γ_E, though Γ_F is a canonical ideal")
     return G
 
 

@@ -313,7 +313,8 @@ def _file(bucket: dict, lo: int, end: int, rows) -> dict:
 
 def residue_dual(basis: ModuleBasis, c: Point, a: Point, N: int) -> ModuleBasis:
     """Basis of t^(c - a)·(ω : M) mod t^N for the module M ⊇ t^c·Rbar whose
-    span, of order at least max(c), is ``basis``, given t^c·(ω : M) ⊆
+    span, of order at least max(c), is ``basis``, refused unless it holds
+    t^k for c_i <= k (:func:`require_monomials`), given t^c·(ω : M) ⊆
     t^a·Rbar; ω = {x : Σ_i res(x_i·f_i) = 0 for all f in R}, the regular
     differentials (Serre, *Algebraic Groups and Class Fields*, ch. IV).
 
@@ -334,6 +335,7 @@ def residue_dual(basis: ModuleBasis, c: Point, a: Point, N: int) -> ModuleBasis:
     s, M = basis.s, basis.N
     if M < max(c):
         raise TruncationError(f"a span of order {M} does not reach the conductor {tuple(c)} of its residue dual")
+    require_monomials(basis, c, "the residue dual's module", monomial_tail(basis))
     low = {p: row for p, row in basis.rows.items() if p % M < c[p // M]}
     holders: dict[int, list[int]] = {}
     for p, row in low.items():
@@ -361,17 +363,17 @@ def colon_solution_basis(
     ring_gens: list, F_basis: ModuleBasis, E_gens: list, gamma_F: Point, c: Point, a: Point, N: int
 ) -> ModuleBasis:
     """Basis of t^(c - a - gamma_F)·(F : E) mod t^N, F : E = {x : x·E ⊆ F},
-    for the module F ⊇ t^gamma_F·Rbar whose span is ``F_basis`` (checked by
-    :func:`require_monomials`) and the module E that ``E_gens`` generate.
+    for the module F ⊇ t^gamma_F·Rbar whose span is ``F_basis`` and the
+    module E that ``E_gens`` generate.
 
     F : E = ω : (E·(ω : F)), as ω : (X·E) = (ω : X) : E and ω : (ω : F) = F
     (Herzog and Kunz, LNM 238, 1971).  D = t^gamma_F·(ω : F) is F's
     :func:`residue_dual`, and D·E mod t^Nc, Nc = max(c) + 1, is the span
     P of D's rows times the generators g_j of E, skipping the monomials of
     D at or above Nc - μ_E, μ_E_i the least order of a g_j on branch i:
-    their products vanish mod t^Nc.  P must hold t^c·Rbar, checked by
-    :func:`require_monomials` like F's bound; then t^(c - gamma_F)·(F : E)
-    is P's residue dual at c, read shifted down by ``a``.  Generators are integer
+    their products vanish mod t^Nc.  Then t^(c - gamma_F)·(F : E) is P's
+    residue dual at c, read shifted down by ``a``; each residue dual
+    checks that its span holds t^gamma_F·Rbar or t^c·Rbar.  Generators are integer
     terms only, and a generator or bound without F's branch count is
     refused by name.  A basis not closed under the ring is refused.
     """
@@ -381,7 +383,6 @@ def colon_solution_basis(
             raise DimensionMismatch(f"{name} {tuple(v)} has {len(v)} coordinates, not the {s} branches of F")
     _check_branches(s, E_gens, "generator of E")
     _check_branches(s, ring_gens, "ring generator")
-    require_monomials(F_basis, gamma_F, "left module", monomial_tail(F_basis))
     D = residue_dual(F_basis, gamma_F, zero(s), Nc)
     top = [Nc - min((g[i][0][0] for g in E_gens if g[i]), default=Nc) for i in range(s)]
     P = ModuleBasis(s, Nc)
@@ -389,7 +390,6 @@ def colon_solution_basis(
         if p % Nc < top[p // Nc]:
             for g in E_gens:
                 P._insert(_times(row, g, Nc))
-    require_monomials(P, c, "the product of E and the dual of F", monomial_tail(P))
     out = residue_dual(P, c, a, N)
     for r in out.rows.values():
         for g in ring_gens:

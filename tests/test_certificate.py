@@ -83,28 +83,85 @@ def test_error_names_the_check_that_refused_the_last_order(monkeypatch, ring, tr
     assert str(exc.value).endswith(f"{last}; {box}, over the box limit of 20 cells")
 
 
-def test_certificate_needs_n_at_least_gamma_plus_e():
-    # at 11 the scan of <4, 5> shows 8, 9 and no gap, and t^8, t^9, t^10
-    # lie in the span, yet the conductor is 12: 11 < 8 + e with e = 4
-    spec = parse_curve("branches: 1\ntruncation: 11\nring: (t^4) ; (t^5)\n")
-    gens = curves._gens(spec, "R")
-    assert curves._scan(span_module(spec, "R", 11), 11, "conductor").conductor == (8,)
+def test_certificate_needs_n_at_least_gamma_plus_e(monkeypatch):
+    # at 9 the scan of <6, 7, 8, 9, 10> shows {0} ∪ [6, ∞), its rerun at 11
+    # agrees, and t^6, ..., t^10 lie in the span at 11, whose tail is then
+    # the scan's conductor 6; yet the conductor is 12: 9 < 6 + e with e = 6
+    ring = "ring: (t^6) ; (t^7) ; (t^8) ; (t^9) ; (t^10)\n"
+    spec = parse_curve("branches: 1\ntruncation: 9\n" + ring)
     B = span_module(spec, "R", 11)
-    modules.require_monomials(B, (8,), "R", modules.monomial_tail(B))
-    with pytest.raises(TruncationError, match=r"below γ \+ e = \(12,\)"):
-        curves._certify(spec, gens, (8,), (4,), 11)
-    with pytest.raises(TruncationError, match=r"truncation 11 is below γ \+ e = \(12,\) .* \(8,\)"):
+    assert B.N == 11 and modules.monomial_tail(B) == (6,)
+    scans = curves._scan(B, 9, "conductor"), curves._scan(B, 11, "conductor")
+    assert scans == (IdealFrame.from_points([(0,), (6,)], (6,)),) * 2
+    built, scanned = _counting(monkeypatch)
+    with pytest.raises(TruncationError,
+                       match=r"^truncation 9 is below γ \+ e = \(12,\) for the candidate conductor \(6,\)$"):
         value_ideal(parse_curve(dumps_curve(spec)), "R")
-    assert value_ideal(parse_curve("branches: 1\nring: (t^4) ; (t^5)\n")).conductor == (12,)
+    assert built == [11] and scanned == []
+    assert value_ideal(parse_curve("branches: 1\n" + ring)).conductor == (12,)
 
 
 def test_certificate_refuses_a_false_conductor_inside_the_box():
+    # the scan at 16 shows the conductor 12, strictly inside its box, but
+    # the span at 18 it is read from has the monomial tail 16
     spec = parse_curve(CURVES["ring-16"])
-    gens = curves._gens(spec, "R")
-    assert curves._scan(span_module(spec, "R", 16), 16, "conductor").conductor == (12,)
-    with pytest.raises(TruncationError, match=r"the span misses t\^13 on branch 0"):
-        curves._certify(spec, gens, (12,), curves._radical_orders(spec), 16)
+    B = span_module(spec, "R", 18)
+    assert curves._scan(B, 16, "conductor").conductor == (12,)
+    with pytest.raises(TruncationError,
+                       match=r"^conductor \(12,\) of the scan at truncation 16 is not the span's "
+                             r"monomial tail \(16,\)$"):
+        curves._commit(B, modules.monomial_tail(B), 16, "")
     assert value_ideal(spec, "R").conductor == (16,)
+
+
+def test_a_scan_whose_conductor_is_too_high_is_refused(monkeypatch):
+    # {0} ∪ [3, ∞) is a good semigroup, and t^3, t^4, ... lie in the span,
+    # but Q[[t^2, t^3]] has the conductor 2: the scan's conductor must be
+    # the span's monomial tail, not only at or above it
+    bad = IdealFrame.from_points([(0,), (3,)], (3,))
+    _scans_with(monkeypatch, "conductor", lambda k, G: bad)
+    with pytest.raises(TruncationError, match=r"^conductor \(3,\) of the scan at truncation \d+ is not the span's "
+                                              r"monomial tail \(2,\)$"):
+        value_ideal(parse_curve("branches: 1\nring: (t^2) ; (t^3)\n"), "R")
+
+
+def test_a_colon_scan_moved_up_one_branch_is_refused_by_the_tail(curve_spec, monkeypatch):
+    # both scans moved by e_0 agree, so the rerun alone would pass them
+    _scans_with(monkeypatch, "colon conductor", lambda k, G: G.shift((1, 0)))
+    with pytest.raises(TruncationError, match=r"^colon conductor \(4, 1\) of the scan at truncation \d+ is not the "
+                                              r"span's monomial tail \(3, 1\)$"):
+        colon_value_ideal(parse_curve(dumps_curve(curve_spec)), "K0", "E")
+
+
+@pytest.mark.parametrize("E", ["F", "K0"])
+def test_a_colon_into_a_canonical_module_whose_scan_loses_a_point_is_refused(curve_spec, monkeypatch, E):
+    # K0 is canonical, so Γ(K0 : E) = Γ_K0 - Γ_E.  Dropping the scan's
+    # least point keeps its conductor and the axioms, and stays inside the
+    # difference, so only the canonical certificate refuses it (on the
+    # module E every one-point loss already fails the axioms)
+    def lose_the_least_point(k, G):
+        return IdealFrame.from_points([p for p in G.frame_sorted if p != G.mu], G.gamma)
+
+    spec = parse_curve(dumps_curve(curve_spec))
+    assert colon_value_ideal(spec, "K0", E) == difference(value_ideal(spec, "K0"), value_ideal(spec, E))
+    _scans_with(monkeypatch, "colon conductor", lose_the_least_point)
+    with pytest.raises(NotCertifiedError, match=rf"^colon 'K0' : '{E}' at truncation \d+ is not Γ_F - Γ_E, "
+                                                "though Γ_F is a canonical ideal$"):
+        colon_value_ideal(parse_curve(dumps_curve(curve_spec)), "K0", E)
+
+
+def test_a_built_in_K_without_the_canonical_values_is_refused(monkeypatch):
+    # one residue-dual row dropped leaves a smaller module than t^γ·ω_R
+    real = curves.residue_dual
+
+    def one_row_short(basis, c, a, N):
+        D = real(basis, c, a, N)
+        del D.rows[min(p for p in D.rows if p % N < c[p // N])]
+        return D
+
+    monkeypatch.setattr(curves, "residue_dual", one_row_short)
+    with pytest.raises(NotCertifiedError, match="^the built-in module 'K' does not have the values K⁰ of Γ_R$"):
+        value_ideal(parse_curve("branches: 1\nring: (t^3) ; (t^4) ; (t^5)\n"), "K")
 
 
 @pytest.mark.parametrize("name", ["twobranch", "semilocal", *CURVES])
@@ -271,13 +328,13 @@ def test_a_value_set_that_changes_on_the_rerun_is_refused(monkeypatch):
 
 def test_a_value_set_that_fails_the_axioms_is_refused(curve_spec, monkeypatch):
     # R's values {0} ∪ ((3, 1) + N^2) with (1, 0) added fail (E2) at the
-    # pair (0, 0), (1, 0), at the same conductor: the certificate and the
-    # rerun pass, and only the axioms refuse it
+    # pair (0, 0), (1, 0), at the same conductor: the tail and the rerun
+    # pass, and only the axioms refuse it
     G = value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
     bad = IdealFrame.from_points(G.frame_sorted + ((1, 0),), G.gamma)
     assert bad.conductor == G.conductor and not validate(bad).e2_ok
     _scans_with(monkeypatch, "conductor", lambda k, G: bad)
-    with pytest.raises(TruncationError, match="computed value set fails the good-ideal axioms"):
+    with pytest.raises(NotCertifiedError, match="^computed value set fails the good-ideal axioms:\n"):
         value_ideal(parse_curve(dumps_curve(curve_spec)), "R")
 
 

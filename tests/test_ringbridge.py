@@ -520,7 +520,7 @@ def test_colon_refuses_a_bound_without_one_coordinate_per_branch(name):
                 [(((2, 1),),), (((3, 1),),)], span_basis([(((2, 1),),), (((3, 1),),)], [(((0, 1),),)], 6),
                 [(((0, 1),),)], (2,), (1,), (0,), 6,
             ),
-            "the product of E and the dual of F misses t^1 on branch 0: conductor bound (1,) is not valid at truncation 2",
+            "the residue dual's module misses t^1 on branch 0: conductor bound (1,) is not valid at truncation 2",
         ),
     ],
     ids=["s-zero", "short-mu", "short-gamma", "empty", "point-dimension", "point-outside",
@@ -675,9 +675,9 @@ POLE_CURVES = {
 
 
 @pytest.mark.parametrize("name", ["cusp", "ring-6-6", "twobranch"])
-def test_default_pole_bound_is_proven_on_every_pair(name, curve_spec):
-    # mu_E well above mu_K used to give a default pole window too small
-    # for the answer (R : t^5 R on the cusp, Rbar : C on twobranch)
+def test_every_colon_is_the_lattice_difference_on_every_pair(name, curve_spec):
+    # every colon among these modules is the lattice difference, with mu_E
+    # well above mu_F among them (R : t^5 R on the cusp, Rbar : C on twobranch)
     spec = curve_spec if name == "twobranch" else parse_curve(POLE_CURVES[name])
     names = ["R", "Rbar", "C"] + spec.module_names()
     for K in names:
@@ -688,18 +688,24 @@ def test_default_pole_bound_is_proven_on_every_pair(name, curve_spec):
 
 
 def test_truncation_too_small_is_detected():
-    # a truncation at or below the conductor is one error, whether the
-    # conductor lands on the scan box's edge (<2,3> at 4) or the box's
-    # corner is no value (the other two)
+    # a truncation at or below the conductor is refused: by the scan when
+    # the conductor lands on the scan box's edge (<2,3> at 4), and before
+    # any scan when it is below γ + e for the span's monomial tail (the
+    # other two), whose scan box corner is no value
     msg = "conductor not strictly inside the scan box at truncation "
-    for text, corner in [
-        ("branches: 1\ntruncation: 4\nring: (t^2) ; (t^3)\n", None),
-        ("branches: 1\ntruncation: 4\nring: (t^3) ; (t^4)\n", "(2,)"),
-        ("branches: 2\ntruncation: 8\nring: (t^4, t^3) ; (t^6 + t^7, t^5)\n", "(6, 6)"),
+    with pytest.raises(TruncationError, match=msg + "4$"):
+        value_ideal(parse_curve("branches: 1\ntruncation: 4\nring: (t^2) ; (t^3)\n"), "R")
+    for text, n, corner, low, tail in [
+        ("branches: 1\ntruncation: 4\nring: (t^3) ; (t^4)\n", 4, "(2,)", "(9,)", "(6,)"),
+        ("branches: 2\ntruncation: 8\nring: (t^4, t^3) ; (t^6 + t^7, t^5)\n", 8, "(6, 6)", "(14, 11)", "(10, 8)"),
     ]:
-        tail = r"\d+$" if corner is None else rf"\d+: scan box corner {re.escape(corner)} is not a value of the module$"
-        with pytest.raises(TruncationError, match=msg + tail):
-            value_ideal(parse_curve(text), "R")
+        spec = parse_curve(text)
+        refusal = f"{msg}{n}: scan box corner {corner} is not a value of the module"
+        with pytest.raises(TruncationError, match=re.escape(refusal)):
+            curves._scan(span_module(spec, "R", n + 2), n, "conductor")
+        refusal = f"truncation {n} is below γ + e = {low} for the candidate conductor {tail}"
+        with pytest.raises(TruncationError, match=re.escape(refusal)):
+            value_ideal(spec, "R")
 
 
 # ------------------------------------------------------------------ lengths
