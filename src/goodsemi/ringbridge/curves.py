@@ -15,9 +15,11 @@ is the candidate conductor, a Nakayama certificate proves it, and the
 value set is committed at the least order it covers (:func:`_commit`):
 its scan's conductor must be the tail, and a rerun two orders higher
 must agree bitwise.  A module zero on some branch, or a ring that is
-constant or a series in t^d (d > 1) on some branch, has no conductor
-and is refused up front.  An explicit ``truncation:`` line overrides
-the bootstrap but neither the certificate nor the commit step.
+constant, a series in t^d (d > 1) or a series in its one moving
+generator, of order above 1, on some branch, has no conductor and is
+refused up front (:func:`_radical_orders`).  An explicit
+``truncation:`` line overrides the bootstrap but neither the
+certificate nor the commit step.
 
 Module names ``R`` (the ring), ``Rbar`` (the full product of power-series
 rings), ``C`` (the conductor module t^gamma * Rbar), ``m`` (the maximal
@@ -52,7 +54,6 @@ from .modules import (
     _row,
     colon_solution_basis,
     monomial_tail,
-    require_monomials,
     residue_dual,
     span_basis,
     value_semigroup_ideal,
@@ -263,15 +264,12 @@ class _Store:
     ``ring`` and ``named`` hold generators cleared once to primitive
     integer terms, which do not depend on the truncation: products stop
     at it.  ``spans`` keeps per generator tuple one span, the highest-order
-    one built, with its monomial tail (:func:`modules.monomial_tail`),
-    taken when the span is built: a held span is never changed, only
-    replaced together with its tail, so the commit step (:func:`_commit`)
-    reads the held span's tail.  Read at order n, the span is scanned over
-    [0, n - 2]^s, where it has the values of the span at n: truncation to
-    n is a ring map onto that span whose kernel, of positions at or above
-    n, lies in the filtration levels at alpha and alpha + e_i that decide
-    a value alpha of the box.  ``values`` the certified value sets.  No
-    lookup hashes a Fraction.
+    one built; a held span is never changed, only replaced.  Read at order
+    n, it is scanned over [0, n - 2]^s, where it has the values of the
+    span at n: truncation to n is a ring map onto that span whose kernel,
+    of positions at or above n, lies in the filtration levels at alpha and
+    alpha + e_i that decide a value alpha of the box.  ``values`` the
+    certified value sets.  No lookup hashes a Fraction.
     """
 
     __slots__ = ("ring", "named", "spans", "values")
@@ -280,7 +278,7 @@ class _Store:
         self.ring = tuple(map(integer_terms, spec.ring))
         self.named = {"R": ((((0, 1),),) * spec.s,)}
         self.named.update((n, tuple(map(integer_terms, g))) for n, g in spec.modules)
-        self.spans: dict[tuple, tuple[ModuleBasis, Point]] = {}
+        self.spans: dict[tuple, ModuleBasis] = {}
         self.values: dict[tuple, IdealFrame] = {}
 
 
@@ -330,7 +328,7 @@ def _gens(spec: CurveSpec, name: str) -> tuple:
             from ..duality import canonical_normalized  # only K needs duality here
 
             N = max(lift) + 1
-            D = residue_dual(_span(spec, _gens(spec, "R"), N)[0], lift, (0,) * s, N)
+            D = residue_dual(_span(spec, _gens(spec, "R"), N), lift, (0,) * s, N)
             low = (row for p, row in D.rows.items() if p % N < lift[p // N])
             gens = tuple(tuple(tuple((q % N, x) for q, x in sorted(r.items()) if q // N == i) for i in range(s))
                          for r in low) + gens
@@ -368,49 +366,45 @@ def module_generators(spec: CurveSpec, name: str) -> tuple[PolyVec, ...]:
     return dict(spec.modules).get(name) or tuple(map(poly_vec, _gens(spec, name)))
 
 
-def _span(spec: CurveSpec, gens: tuple, N: int) -> tuple[ModuleBasis, Point]:
-    """The held span of ``gens`` and its monomial tail when its order is at
-    least N, else the span built at N and its tail, which replace them."""
+def _span(spec: CurveSpec, gens: tuple, N: int) -> ModuleBasis:
+    """The held span of ``gens`` when its order is at least N, else the
+    span built at N, which replaces it."""
     spans = spec._store.spans
-    if gens not in spans or spans[gens][0].N < N:
-        B = span_basis(spec._store.ring, gens, N)
-        spans[gens] = B, monomial_tail(B)
+    if gens not in spans or spans[gens].N < N:
+        spans[gens] = span_basis(spec._store.ring, gens, N)
     return spans[gens]
 
 
 def span_module(spec: CurveSpec, name: str, N: int) -> ModuleBasis:
     """The module's span at order N or above: its values in every box
     [0, hi] with hi <= N - 2 are those of the span at N (see :class:`_Store`)."""
-    return _span(spec, _gens(spec, name), N)[0]
+    return _span(spec, _gens(spec, name), N)
 
 
 def _scan(basis: ModuleBasis, n: int, what: str) -> IdealFrame:
-    """Value set at order n <= basis.N, over [0, n-2]^s, refused unless its capping bound
-    lies inside: a corner that is no value (the scan's only FrameError here) puts it outside."""
-    hi = (n - 2,) * basis.s
-    where = f"{what} not strictly inside the scan box at truncation {n}"
+    """Value set at order n <= basis.N, over [0, n-2]^s and capped at its corner; a corner
+    that is no value (the scan's only FrameError here) puts the conductor outside the box."""
     try:
-        G = value_semigroup_ideal(basis, hi)
+        return value_semigroup_ideal(basis, (n - 2,) * basis.s)
     except FrameError as exc:
-        raise TruncationError(f"{where}: {exc}") from exc
-    if any(g >= h for g, h in zip(G.gamma, hi)):
-        raise TruncationError(where)
-    return G
+        raise TruncationError(f"{what} not strictly inside the scan box at truncation {n}: {exc}") from exc
 
 
 def _commit(B: ModuleBasis, tail: Point, n: int, kind: str) -> IdealFrame:
     """The value set, committed at truncation n, of the module M whose span
     B, of order N' >= n + 2, has the monomial tail ``tail``: the one commit
-    step of every ring-side value set (``kind`` "colon " for a colon's).
+    step of every ring-side value set (``kind`` "colon " for a colon's),
+    and the library's one proof of t^gamma·Rbar ⊆ M.
 
     The caller has proved t^g·Rbar ⊆ M for a g < N', so tail = gamma, M's
     conductor: tail <= gamma, as M holds t^gamma·Rbar, and M, the full
     preimage of its span, holds t^tail·Rbar.  A value set's conductor is
     its module's (D'Anna, Comm. Algebra 25, 1997), so the scan's must be
-    the tail.  Strictly inside [0, n - 2]^s, it makes M the full preimage
-    of its span at n: every witness in the box lifts to M, and capping at
-    the corner gives the value set.  The rerun at n + 2 must agree and the
-    axioms hold (NotCertifiedError), or TruncationError names the check.
+    the tail.  A scan's conductor lies in its box, so gamma <= n - 2 < n:
+    M is the full preimage of its span at n, and the box [0, n - 2]^s,
+    holding gamma, is exact at its corner.  The rerun at n + 2 must agree
+    and the axioms hold (NotCertifiedError), or TruncationError names the
+    check.
     """
     G = _scan(B, n, f"{kind}conductor")
     if G.conductor != tail:
@@ -430,28 +424,31 @@ def _radical_orders(spec: CurveSpec) -> Point:
     That is the least i-th coordinate of a point alpha >= (1, ..., 1) of
     Γ_R.  On branch i every element of R is its constant term plus a sum
     of products, each with a factor g_i - c_i for a generator g and its
-    constant term c_i, so an element of J has order at least e_i there.  Conversely, if g attains e_i and c is its vector of
-    constant terms, p(g) with p(x) = ∏ (x - c) over the distinct c_k lies
-    in J and has order e_i on branch i, the other factors being units
-    there; adding an element of the conductor ideal of order above e_i on
-    every branch makes it a nonzerodivisor, so its value lies in Γ_R.
+    constant term c_i, so an element of J has order at least e_i there.
+    Conversely, if g attains e_i and c is its vector of constant terms,
+    p(g) with p(x) = ∏ (x - c) over the distinct c_k lies in J and has
+    order e_i on branch i, the other factors being units there; adding an
+    element of the conductor ideal of order above e_i on every branch
+    makes it a nonzerodivisor, so its value lies in Γ_R.
 
-    A ring whose projection to a branch lies in Q or in Q[[t^d]], d > 1,
-    has no conductor at any truncation and is refused.
+    A ring with a conductor gamma has a projection to branch i holding
+    t^(gamma_i)·Q[[t]], so values gamma_i and gamma_i + 1 there.  So a
+    ring is refused up front, before any span, when its projection to a
+    branch lies in Q or in Q[[t^d]], d > 1, or is Q[[h]] for the one ring
+    generator h not constant there, with e_i > 1: its values are e_i·N.
     """
     e = []
     for i in range(spec.s):
-        exps = [x for g in spec._store.ring for x, _ in g[i] if x > 0]
+        moving = [g for g in spec.ring if any(x for x, _ in g[i])]
+        exps = [x for g in moving for x, _ in g[i] if x]
         if not exps:
-            raise FrameError(
-                f"every ring generator is constant on branch {i}, so the ring has no conductor"
-            )
+            raise FrameError(f"every ring generator is constant on branch {i}, so the ring has no conductor")
         d = math.gcd(*exps)
         if d > 1:
-            raise FrameError(
-                f"every ring exponent on branch {i} is a multiple of {d}, "
-                "so the ring has no conductor"
-            )
+            raise FrameError(f"every ring exponent on branch {i} is a multiple of {d}, so the ring has no conductor")
+        if len(moving) == 1 and min(exps) > 1:
+            raise FrameError(f"ring generator {_fmt_vec(moving[0])} is the only one not constant on branch {i}, "
+                             f"so the ring's values there are the multiples of {min(exps)}, and it has no conductor")
         e.append(min(exps))
     return tuple(e)
 
@@ -484,7 +481,8 @@ def _bootstrap(spec: CurveSpec, gens: tuple, e: Point) -> int:
     N = 8
     while True:
         tried.append(N)
-        B, c = _span(spec, gens, N)  # at N, unless a higher span is held
+        B = _span(spec, gens, N)  # at N, unless a higher span is held
+        c = monomial_tail(B)
         commit = max(g + max(3, x) for g, x in zip(c, e))
         if B.N in c:
             notes.append(f"the precheck refused truncation {B.N}: "
@@ -561,7 +559,8 @@ def _value(spec: CurveSpec, gens: tuple) -> IdealFrame:
     e = _radical_orders(spec)
     t = spec.truncation
     commit = _bootstrap(spec, gens, e) if t is None else _checked_commit(spec.s, t, f"the line 'truncation: {t}'")
-    B, c = _span(spec, gens, commit + 2)
+    B = _span(spec, gens, commit + 2)
+    c = monomial_tail(B)
     if any(g + x > commit for g, x in zip(c, e)):
         low = tuple(g + x for g, x in zip(c, e))
         raise TruncationError(f"truncation {commit} is below γ + e = {low} for the candidate conductor {c}")
@@ -609,7 +608,7 @@ def colon_value_ideal(spec: CurveSpec, F: str, E: str) -> IdealFrame:
     a = tuple(d + x - m for d, x, m in zip(bound.mu, GE.gamma, GF.mu))
     N = max(g - m - d for g, m, d in zip(GF.gamma, GE.mu, bound.mu)) + 3
     _checked_commit(spec.s, N, f"colon {F!r} : {E!r}")
-    F_basis = _span(spec, _gens(spec, F), max(GF.gamma) + 1)[0]
+    F_basis = _span(spec, _gens(spec, F), max(GF.gamma) + 1)
     B = colon_solution_basis(spec._store.ring, F_basis, _gens(spec, E), GF.gamma, c, a, N + 2)
     G = _commit(B, monomial_tail(B), N, "colon ").shift(bound.mu)
     what = f"colon {F!r} : {E!r} at truncation {N}"
@@ -623,8 +622,8 @@ def colon_value_ideal(spec: CurveSpec, F: str, E: str) -> IdealFrame:
 def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
     """Q-dimension of F/E for nested modules E ⊆ F (larger first), read
     off each module's held span at its own order, at least max(c) + 1, c
-    the larger conductor: a certified module holds t^c·Rbar, so it is the
-    full preimage of its span at any order above c.
+    the larger conductor: :func:`_commit` proved that a certified module
+    holds t^c·Rbar, so it is the full preimage of its span above c.
 
     The count is certified against ℓ(F/E) = d(Γ_F \\ Γ_E) (D'Anna 1997):
     a mismatch with :func:`~goodsemi.metric.relative_distance` raises
@@ -633,17 +632,15 @@ def length_quotient(spec: CurveSpec, F: str, E: str) -> int:
 
     GE, GF = value_ideal(spec, E), value_ideal(spec, F)
     c = cmax(GE.conductor, GF.conductor)
-    (FB, F_tail), (EB, E_tail) = (_span(spec, _gens(spec, name), max(c) + 1) for name in (F, E))
+    FB, EB = (_span(spec, _gens(spec, name), max(c) + 1) for name in (F, E))
     rows = [_row(g, FB.N) for g in _gens(spec, E)]
     for v in rows:
         FB._fully_reduce(v)
     if any(rows):
         raise InclusionError(f"module {E!r} is not contained in {F!r}")
-    for name, B, tail in ((E, EB, E_tail), (F, FB, F_tail)):
-        require_monomials(B, c, f"module {name!r}", tail)
     # a pivot below c is one dimension of the module modulo t^c·Rbar; a
-    # span of order N holds t^k for c_i <= k < N (checked above), each the
-    # row at its own pivot, so it has dim - Σ(N - c_i) pivots below c
+    # span of order N holds t^k for c_i <= k < N (as _commit proved), each
+    # the row at its own pivot, so it has dim - Σ(N - c_i) pivots below c
     ell = FB.dim - EB.dim - spec.s * (FB.N - EB.N)
     d = relative_distance(GE, GF)
     if ell != d:
@@ -655,9 +652,9 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
     """The conductor gamma of the module's value set together with the
     monomial module t^gamma * Rbar it cuts out.
 
-    The basis is given at N = max(gamma) + 1, as a certified module is
-    the full preimage of its span at any order above gamma; the held span,
-    at N or above, must hold it (:func:`require_monomials`), and the colon
+    The basis is the monomials at N = max(gamma) + 1: :func:`_commit`
+    proved t^gamma·Rbar ⊆ M, so a span of M at any order holds t^k for
+    every k >= gamma_i below it, and no span is read here.  The colon
     computation must give Γ(module : Rbar) = gamma + N^s.
     """
     from ..duality import conductor_ideal  # the colon below imports duality too
@@ -665,8 +662,6 @@ def conductor_of(spec: CurveSpec, module: str = "R") -> tuple[Point, ModuleBasis
     G = value_ideal(spec, module)
     gamma = G.conductor
     N = max(gamma) + 1
-    B, tail = _span(spec, _gens(spec, module), N)
-    require_monomials(B, gamma, f"module {module!r}", tail)
     basis = ModuleBasis(spec.s, N)
     # the monomials are already a reduced echelon basis of primitive rows
     basis.rows = {p: {p: 1} for i, g in enumerate(gamma) for p in range(i * N + g, (i + 1) * N)}

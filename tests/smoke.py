@@ -14,9 +14,12 @@ theirs, and the type against the relative distance of the value sets of
 R and of R : m, with its symmetry verdict against ``is_symmetric``.
 It checks ``colon`` of the built-in canonical module K by E against
 ``diff`` of the value sets that ``curve-gamma`` writes for K and E.
-Last it runs ``distance`` on ``tests/fixtures/corner_s.json`` and
+Then it runs ``distance`` on ``tests/fixtures/corner_s.json`` and
 ``rel-distance`` on the value sets of R and Rbar, and checks both
-against the library.  Exits nonzero on the first failure.
+against the library.  Last it checks that ``curve-gamma`` refuses a ring
+with no conductor, one generator of order 2 moving on a branch, with
+exit status 2 and the refusal's message.  Exits nonzero on the first
+failure.
 """
 
 import os
@@ -34,10 +37,14 @@ CURVE = ROOT / "tests" / "fixtures" / "twobranch.curve"
 CORNER = ROOT / "tests" / "fixtures" / "corner_s.json"
 
 
-def run(*argv: str) -> str:
+def goodsemi(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "goodsemi.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "goodsemi.cli", *argv],
                           env=env, capture_output=True, text=True)
+
+
+def run(*argv: str) -> str:
+    proc = goodsemi(*argv)
     if proc.returncode != 0:
         sys.exit(f"goodsemi {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
@@ -86,8 +93,15 @@ def main() -> None:
             path.write_text(cli("curve-gamma", str(CURVE), "--module", m), encoding="utf-8")
         if cli("colon", str(CURVE), "K", "E") != cli("diff", *map(str, paths)):
             sys.exit("colon K : E differs from diff of the value sets of the built-in K and of E")
+        # one generator of order 2 moves on branch 0: no conductor, refused up front
+        path = Path(tmp) / "no_conductor.curve"
+        path.write_text("branches: 2\nring: (1/3*t^2 - t^5, t) ; (0, 2)\n", encoding="utf-8")
+        proc = goodsemi("curve-gamma", str(path))
+        if proc.returncode != 2 or "is the only one not constant on branch 0" not in proc.stderr:
+            sys.exit(f"curve-gamma on a ring without a conductor exited {proc.returncode}, not 2 with its "
+                     f"refusal:\n{proc.stderr}")
     print(f"smoke ok: {len(fixtures)} fixtures round-trip; curve-gamma, colon, length and type on {CURVE.name}; "
-          f"colon K : E against diff; distance and rel-distance")
+          f"colon K : E against diff; distance and rel-distance; a ring without a conductor refused")
 
 
 if __name__ == "__main__":

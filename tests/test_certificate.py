@@ -4,6 +4,7 @@ replaced."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,28 @@ def test_ring_without_conductor_fails_at_the_precheck(monkeypatch):
         value_ideal(spec, "R")
     assert "the precheck refused truncation 256: the span misses t^255" in str(exc.value)
     assert scanned == [] and built == [8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize(
+    "ring, generator, branch",
+    [
+        ("(1/3*t^2 - t^5, t) ; (0, 2)", "(1/3*t^2 - t^5, t)", 0),
+        ("(3*t^2 + 2*t^3, t^7) ; (0, 3*t^2 + t^5)", "(3*t^2 + 2*t^3, t^7)", 0),
+        ("(-2*t + t^3, 2*t^2 - t^3) ; (1/2*t - t^2, 0)", "(-2*t + t^3, 2*t^2 - t^3)", 1),
+    ],
+    ids=["semilocal-branch-0", "branch-0", "branch-1"],
+)
+def test_a_branch_with_one_generator_of_order_above_1_is_refused_before_any_span(monkeypatch, ring, generator,
+                                                                                   branch):
+    # the ring's projection to the branch is Q[[h]], h the one generator
+    # not constant there, of order 2: its values are the even numbers, so
+    # the ring has no conductor, and no order need be probed
+    built, scanned = _counting(monkeypatch)
+    with pytest.raises(FrameError, match=re.escape(
+            f"ring generator {generator} is the only one not constant on branch {branch}, so the ring's values "
+            "there are the multiples of 2, and it has no conductor")):
+        value_ideal(parse_curve(f"branches: 2\nring: {ring}\n"), "R")
+    assert built == [] and scanned == []
 
 
 @pytest.mark.parametrize(
@@ -123,6 +146,17 @@ def test_a_scan_whose_conductor_is_too_high_is_refused(monkeypatch):
     with pytest.raises(TruncationError, match=r"^conductor \(3,\) of the scan at truncation \d+ is not the span's "
                                               r"monomial tail \(2,\)$"):
         value_ideal(parse_curve("branches: 1\nring: (t^2) ; (t^3)\n"), "R")
+
+
+def test_a_wrong_conductor_on_the_scan_box_edge_is_refused_by_the_tail(monkeypatch):
+    # at truncation 5 the scan box is [0, 3]: scans of Q[[t^2, t^3]] that
+    # give {0} ∪ [3, ∞) put the conductor on the box's edge, where the
+    # scan itself does not refuse it, and the tail check must
+    bad = IdealFrame.from_points([(0,), (3,)], (3,))
+    monkeypatch.setattr(curves, "value_semigroup_ideal", lambda basis, hi: bad)
+    with pytest.raises(TruncationError, match=r"^conductor \(3,\) of the scan at truncation 5 is not the span's "
+                                              r"monomial tail \(2,\)$"):
+        value_ideal(parse_curve("branches: 1\ntruncation: 5\nring: (t^2) ; (t^3)\n"), "R")
 
 
 def test_a_colon_scan_moved_up_one_branch_is_refused_by_the_tail(curve_spec, monkeypatch):

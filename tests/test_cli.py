@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from goodsemi import (
+    DimensionMismatch,
     IdealFrame,
     canonical_normalized,
     difference,
@@ -280,6 +281,21 @@ def test_plot_svg(corner, tmp_path, capsys):
     assert main(["plot", corner, "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "circle" in text
+
+
+def test_plot_refuses_an_empty_window(corner, capsys):
+    assert main(["plot", corner, "--lo", "3,3", "--hi", "1,1"]) == 2
+    assert "empty plot window" in capsys.readouterr().err
+
+
+def test_plot_library_names_a_lower_corner_of_the_wrong_dimension(corner):
+    # the CLI checks its corners first; the library checks its own
+    from goodsemi import plot
+
+    with open(corner, encoding="utf-8") as f:
+        E = from_json(f.read())
+    with pytest.raises(DimensionMismatch, match=r"^the lower window corner \(0, 0, 0\) has 3 coordinates, not 2$"):
+        plot.ascii_lattice(E, (0, 0, 0))
 
 
 def test_plot_refuses_one_branch(tmp_path, capsys):
